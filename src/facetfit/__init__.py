@@ -37,6 +37,7 @@ from .fan import (
     WallCrossingSystem,
     c_delta,
     carrier,
+    carriers,
     max_linear_over_cone_cap,
     validate,
     wall_crossings,

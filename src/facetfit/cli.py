@@ -369,13 +369,20 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not 0.0 < args.eta < 1.0:
+        raise ParseError("--eta must lie in (0, 1)")
+    if len(set(args.m)) != len(args.m):
+        raise ParseError("--m values must be distinct")
     fan = load_fan(args.fan)
     rep = fan_mod.validate(fan)
     if not rep.ok:
         print(f"{args.fan}: validation failed", file=sys.stderr)
         return EXIT_VALIDATION
-    h0 = (np.ones(fan.n_rays) if args.h0 is None
-          else np.array([float(x) for x in args.h0.split(",")]))
+    try:
+        h0 = (np.ones(fan.n_rays) if args.h0 is None
+              else np.array([float(x) for x in args.h0.split(",")]))
+    except ValueError:
+        raise ParseError("--h0 needs comma-separated numbers") from None
     if h0.shape != (fan.n_rays,):
         raise ParseError(f"--h0 needs {fan.n_rays} comma-separated values")
     if not geometry.is_deformation(fan, h0):
@@ -388,7 +395,12 @@ def cmd_simulate(args) -> int:
     except sim.QuotaInfeasible as exc:
         print(f"infeasible sampling plan: {exc}", file=sys.stderr)
         return EXIT_PLAN
-    noise = sim.NoiseModel(sigma=args.sigma, seed=sim.derive_seed(args.seed, 1))
+    except ValueError as exc:   # --t, --delta or --m out of range
+        raise ParseError(str(exc)) from None
+    try:
+        noise = sim.NoiseModel(sigma=args.sigma, seed=sim.derive_seed(args.seed, 1))
+    except ValueError as exc:
+        raise ParseError(f"--sigma: {exc}") from None
     records = sim.run_convergence(fan, h0, lambda m: plans[m], sorted(args.m),
                                   args.reps, noise)
 

@@ -1,7 +1,8 @@
 """Design matrices, direction graphs, and uniqueness diagnostics.
 
 The m measured directions turn into the m x n regression operator whose
-row i holds the barycentric coefficients of direction i.  Uniqueness of
+row i holds the barycentric coefficients of direction i; all rows come
+from one stacked carrier lookup (``fan.carriers``).  Uniqueness of
 the estimate for every right-hand side is a rank question; the bipartite
 ray/sample graph gives the combinatorial counterpart (a matching touching
 every ray), and per-cell coverage gives a practical sufficient condition.
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fan import NoCarrier, SimplicialFan, carrier
+from .fan import NoCarrier, SimplicialFan, carriers
+from .fan import carrier  # noqa: F401 - perfbench's tracer wraps design.carrier
 from .qp import rank_and_kernel
 
 # Entries at or below this are treated as structural zeros when building
@@ -37,6 +39,8 @@ class Dataset:
             raise ValueError("directions and values have different lengths")
         if U.shape[0] < 1:
             raise ValueError("need at least one sample")
+        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(y))):
+            raise ValueError("directions and values must be finite")
         if np.any(np.linalg.norm(U, axis=1) == 0.0):
             raise ValueError("zero direction in dataset")
 
@@ -94,23 +98,17 @@ class UniquenessReport:
 
 
 def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
-    """Assemble the design matrix row by row via carrier lookups.
+    """Assemble the design matrix from one stacked carrier lookup.
 
     Deterministic given fan order.  A direction outside the fan support
-    raises ``NoCarrier`` with the offending row index attached.
+    raises ``NoCarrier`` with the first offending row index attached.
     """
     fan.require_valid()
     U = np.atleast_2d(np.asarray(directions, float))
-    m = U.shape[0]
-    matrix = np.zeros((m, fan.n_rays))
-    cells = np.zeros(m, int)
-    for i in range(m):
-        try:
-            bc = carrier(fan, U[i])
-        except NoCarrier as exc:
-            raise NoCarrier(f"row {i}: {exc}", row=i) from None
-        matrix[i] = bc.coeffs
-        cells[i] = bc.cell_index
+    cells, matrix = carriers(fan, U)
+    bad = np.flatnonzero(cells < 0)
+    if bad.size:
+        raise NoCarrier.for_vector(fan, U[bad[0]], row=int(bad[0]))
     return DesignMatrix(matrix=matrix, carrier_cells=cells)
 
 
@@ -143,25 +141,34 @@ def max_matching(graph: DirectionGraph) -> Matching:
     """
     match_ray = [-1] * graph.n_rays      # ray -> sample
     match_sample = [-1] * graph.n_samples
-
-    def augment(ray: int, seen: list[bool]) -> bool:
-        for s in graph.ray_neighbors[ray]:
-            if seen[s]:
-                continue
-            seen[s] = True
-            if match_sample[s] < 0 or augment(match_sample[s], seen):
-                match_ray[ray] = s
-                match_sample[s] = ray
-                return True
-        return False
-
     size = 0
     for ray in range(graph.n_rays):
-        if augment(ray, [False] * graph.n_samples):
+        if _augment(graph.ray_neighbors, ray, [False] * graph.n_samples,
+                    match_ray, match_sample):
             size += 1
     pairs = tuple((i, match_ray[i]) for i in range(graph.n_rays)
                   if match_ray[i] >= 0)
     return Matching(size=size, pairs=pairs)
+
+
+def _augment(neighbors, ray: int, seen: list[bool], match_ray: list[int],
+             match_sample: list[int]) -> bool:
+    """Extend the matching by an augmenting path from ``ray``, if one exists.
+
+    A module-level function, not a closure: a recursive closure refers to
+    itself, and the cycle would keep each call's graph alive until the
+    garbage collector runs.
+    """
+    for s in neighbors[ray]:
+        if seen[s]:
+            continue
+        seen[s] = True
+        if match_sample[s] < 0 or _augment(neighbors, match_sample[s], seen,
+                                           match_ray, match_sample):
+            match_ray[ray] = s
+            match_sample[s] = ray
+            return True
+    return False
 
 
 def numeric_rank(design: DesignMatrix | np.ndarray):
@@ -186,15 +193,13 @@ def uniqueness_report(fan: SimplicialFan, design: DesignMatrix) -> UniquenessRep
     """
     rank, kernel = numeric_rank(design)
     matching = max_matching(direction_graph(design))
-    covered = [False] * fan.n_cells
-    for i in range(design.m):
-        ci = int(design.carrier_cells[i])
-        if np.sum(design.matrix[i] > POSITIVITY_TOL) == fan.dim:
-            covered[ci] = True
+    interior = np.count_nonzero(design.matrix > POSITIVITY_TOL, axis=1) == fan.dim
+    covered = np.zeros(fan.n_cells, bool)
+    covered[design.carrier_cells[interior]] = True
     return UniquenessReport(
         numeric_rank=rank,
         matching_size=matching.size,
-        cells_covered=covered,
+        cells_covered=covered.tolist(),
         unique_for_all_y=(rank == design.n),
         kernel_basis=kernel,
     )

@@ -3,9 +3,11 @@
 A fan is given by its ray generators and the maximal cells (index d-subsets
 of rays).  Everything downstream — membership inequalities for the
 deformation cone, the sparse regression operator, exact Hausdorff
-distances — reduces to three queries implemented here: the carrier of a
-direction with its barycentric coefficients, the wall-crossing inequality
-system, and exact maximization of linear functions over cone caps.
+distances — reduces to three queries implemented here: the carriers of a
+stack of directions with their barycentric coefficients, the wall-crossing
+inequality system, and exact maximization of linear functions over cone
+caps.  Carrier lookups loop over the cells, never over the directions: each
+cell's inverse is applied to every direction still without a carrier.
 """
 
 from __future__ import annotations
@@ -32,6 +34,18 @@ class NoCarrier(Exception):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
+
+    @classmethod
+    def for_vector(cls, fan: SimplicialFan, u, row: int | None = None) -> NoCarrier:
+        """The error for a vector ``u`` that ``carriers`` left without a cell;
+        with ``row`` set, the message names the row of a stacked lookup."""
+        if row_norms(np.asarray(u, float)[None])[0] == 0.0:
+            reason = "zero vector has no carrier"
+        else:
+            reason = f"no cell of {fan!r} admits nonnegative coefficients"
+        if row is None:
+            return cls(reason)
+        return cls(f"row {row}: {reason}", row=row)
 
 
 class DegenerateWall(Exception):
@@ -104,15 +118,19 @@ class ValidationReport:
 class SimplicialFan:
     """A complete simplicial fan in R^d with n rays and explicit maximal cells.
 
-    Rays need not be unit length.  Validation and the derived constants are
-    computed lazily and cached; a validated fan is immutable and safe for
-    concurrent readers.
+    Rays need not be unit length.  ``rays`` is a read-only copy of the
+    input, so the cached inverses cannot go stale.  Validation and the
+    derived constants are computed lazily and cached; a validated fan is
+    immutable and safe for concurrent readers.
     """
 
     def __init__(self, rays, cells, dim: int | None = None):
-        self.rays = np.asarray(rays, float)
+        self.rays = np.array(rays, float)
         if self.rays.ndim != 2:
             raise ValueError("rays must be an (n, d) array")
+        if not np.all(np.isfinite(self.rays)):
+            raise ValueError("rays must be finite")
+        self.rays.setflags(write=False)
         self.dim = int(dim) if dim is not None else self.rays.shape[1]
         if self.rays.shape[1] != self.dim:
             raise ValueError("ray length does not match dim")
@@ -187,27 +205,56 @@ def _build_constants(fan: SimplicialFan) -> FanConstants:
 # Carrier lookup
 # ---------------------------------------------------------------------------
 
-def carrier(fan: SimplicialFan, u) -> BarycentricVector:
-    """Barycentric coefficients of ``u`` in its carrier cell.
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal bit for bit to ``np.linalg.norm``
+    of the row alone (``np.linalg.norm(X, axis=1)`` is not)."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
 
-    Cells are scanned in fan order and the first one admitting nonnegative
-    coefficients wins, so vectors on a wall resolve deterministically.
-    Coefficients within tolerance below zero are clamped to 0.
+
+def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
+    """Carrier cells and barycentric coefficients of the rows of ``U``.
+
+    Cells are scanned in fan order; each pass applies one cell's inverse to
+    every row still without a carrier, and a row takes the first cell whose
+    coefficients are all at least ``-1e-9 ||u|| / min ||v_i||``, so vectors
+    on a wall resolve deterministically.  Coefficients within that tolerance
+    below zero are clamped to 0.
+
+    Returns ``(cells, coeffs)``: ``cells[i]`` is the carrier of row i, or -1
+    for a zero row or one no cell admits; ``coeffs`` is (m, n) with row i
+    supported on the generators of its carrier.
     """
-    u = np.asarray(u, float)
-    norm_u = np.linalg.norm(u)
-    if norm_u == 0.0:
-        raise NoCarrier("zero vector has no carrier")
+    U = np.asarray(U, float)
     fan.require_valid()
     consts = fan.constants
-    tol = 1e-9 * norm_u / max(float(np.min(consts.ray_norms)), 1e-300)
+    norms = row_norms(U)
+    tol = 1e-9 * norms / max(float(np.min(consts.ray_norms)), 1e-300)
+    cells = np.full(U.shape[0], -1)
+    coeffs = np.zeros((U.shape[0], fan.n_rays))
+    todo = np.flatnonzero(norms != 0.0)
     for ci, cell in enumerate(fan.cells):
-        lam = consts.cell_inverses[ci] @ u
-        if np.min(lam) >= -tol:
-            coeffs = np.zeros(fan.n_rays)
-            coeffs[list(cell)] = np.maximum(lam, 0.0)
-            return BarycentricVector(cell_index=ci, coeffs=coeffs)
-    raise NoCarrier(f"no cell of {fan!r} admits nonnegative coefficients")
+        if todo.size == 0:
+            break
+        # A stacked matrix-vector product per row: `U @ inv.T` and einsum
+        # round differently from `inv @ u`.
+        lam = np.matmul(consts.cell_inverses[ci][None], U[todo, :, None])[..., 0]
+        fits = lam.min(axis=1) >= -tol[todo]
+        rows = todo[fits]
+        cells[rows] = ci
+        coeffs[rows[:, None], list(cell)] = np.maximum(lam[fits], 0.0)
+        todo = todo[~fits]
+    return cells, coeffs
+
+
+def carrier(fan: SimplicialFan, u) -> BarycentricVector:
+    """Barycentric coefficients of ``u`` in its carrier cell: ``carriers``
+    on one row.  Raises ``NoCarrier`` for a zero ``u`` or one outside every
+    cell."""
+    u = np.asarray(u, float)
+    cells, coeffs = carriers(fan, u[None])
+    if cells[0] < 0:
+        raise NoCarrier.for_vector(fan, u)
+    return BarycentricVector(cell_index=int(cells[0]), coeffs=coeffs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +455,21 @@ def _positively_spanning(fan: SimplicialFan) -> bool:
 
 def _completeness_probe(fan: SimplicialFan, probes: int, seed: int,
                         messages: list[str]) -> bool:
-    rng = np.random.default_rng(seed)
-    inverses = []
-    for cell in fan.cells:
-        M = fan.rays[list(cell)].T
-        inverses.append(np.linalg.inv(M))
-    ok = True
-    for _ in range(probes):
-        u = rng.standard_normal(fan.dim)
-        norm = np.linalg.norm(u)
-        if norm < 1e-12:
-            continue
-        u /= norm
-        hits = 0
-        for inv in inverses:
-            if np.min(inv @ u) >= -1e-9:
-                hits += 1
-        if hits != 1:
-            ok = False
-            messages.append(
-                f"direction {u.tolist()} has {hits} carriers (expected 1)")
-            break
-    return ok
+    """Every sampled unit direction must lie in exactly one cell (within
+    1e-9); reports the first that does not."""
+    U = np.random.default_rng(seed).standard_normal((probes, fan.dim))
+    norms = row_norms(U)
+    keep = norms >= 1e-12
+    U = U[keep] / norms[keep, None]
+    hits = np.zeros(U.shape[0], int)
+    for inv in fan.constants.cell_inverses:
+        hits += np.matmul(inv[None], U[:, :, None])[..., 0].min(axis=1) >= -1e-9
+    bad = np.flatnonzero(hits != 1)
+    if bad.size:
+        messages.append(f"direction {U[bad[0]].tolist()} has {hits[bad[0]]} "
+                        f"carriers (expected 1)")
+        return False
+    return True
 
 
 def _pairwise_face_check(fan: SimplicialFan, messages: list[str]) -> bool:

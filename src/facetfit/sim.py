@@ -10,7 +10,10 @@ the same plan parameters.
 All randomness flows through a seeded 64-bit PCG64 generator with
 Gaussians produced by the Marsaglia polar transform, so every experiment
 is reproducible bit for bit from its seeds; ``GENERATOR_ID`` names the
-scheme in output metadata.
+scheme in output metadata.  Directions are drawn in batches that
+reproduce, row for row, the stream of one ``gaussian_polar`` call per
+direction, and rejection candidates are tested all at once through one
+stacked carrier lookup.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from .design import Dataset, DesignMatrix, build_design
 from .estimator import reconstruct
-from .fan import SimplicialFan, carrier
+from .fan import NoCarrier, SimplicialFan, carriers, row_norms
+from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import hausdorff
 
 GENERATOR_ID = "pcg64/marsaglia-polar/1"
@@ -86,20 +90,59 @@ def gaussian_polar(rng: np.random.Generator, size: int) -> np.ndarray:
     return out
 
 
+def _polar_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
+    """Up to k rows, row i equal to the i-th of k ``gaussian_polar(rng, d)``
+    calls in turn, leaving ``rng`` just after the last row returned.
+
+    The uniforms of all k calls are drawn at once.  A call whose pairs
+    yield fewer than d normals would draw more; the rows stop with it: the
+    stream is rewound to just before it and that call is made by
+    ``gaussian_polar`` itself.
+    """
+    pairs = (d + 1) // 2 + 8
+    start = rng.bit_generator.state
+    uv = 2.0 * rng.random(2 * pairs * k).reshape(k, 2, pairs) - 1.0
+    u, v = uv[:, 0], uv[:, 1]
+    s = u * u + v * v
+    ok = (s > 0.0) & (s < 1.0)
+    count = ok.sum(axis=1)
+    short = np.flatnonzero(2 * count < d)
+    full = int(short[0]) if short.size else k
+    # Row i takes u then v of its accepted pairs, in order, up to d values.
+    order = np.argsort(~ok[:full], axis=1, kind="stable")
+    c = count[:full, None]
+    j = np.arange(d)
+    first = j < c
+    pair = np.take_along_axis(order, np.where(first, j, j - c), axis=1)
+    comp = np.where(first, np.take_along_axis(u[:full], pair, axis=1),
+                    np.take_along_axis(v[:full], pair, axis=1))
+    sp = np.take_along_axis(s[:full], pair, axis=1)
+    rows = comp * np.sqrt(-2.0 * np.log(sp) / sp)
+    if full < k:
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(full * 2 * pairs)
+        rows = np.vstack([rows, gaussian_polar(rng, d)])
+    return rows
+
+
+def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
+    """k unit vectors: normalized ``gaussian_polar`` rows, skipping any of
+    norm at most 1e-12."""
+    parts = [np.empty((0, d))]
+    while k > 0:
+        g = _polar_rows(rng, k, d)
+        norms = row_norms(g)
+        keep = norms > 1e-12
+        parts.append(g[keep] / norms[keep, None])
+        k -= int(np.count_nonzero(keep))
+    return np.concatenate(parts)
+
+
 def sample_uniform_sphere(d: int, m: int, seed) -> np.ndarray:
     """m unit vectors, rotation invariant, deterministic per seed."""
     if m < 1:
         raise ValueError("m must be positive")
-    rng = _rng(seed)
-    out = np.empty((m, d))
-    for i in range(m):
-        while True:
-            g = gaussian_polar(rng, d)
-            norm = np.linalg.norm(g)
-            if norm > 1e-12:
-                out[i] = g / norm
-                break
-    return out
+    return _unit_rows(_rng(seed), m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +246,21 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
     within ``t`` of the j-th unit vector in the sup norm.  A relative slack
     of 1e-9 absorbs round-off so the exact normalized ray passes at t = 0.
     """
-    coeffs = carrier(fan, x).coeffs
+    x = np.asarray(x, float)
+    member, carried = _in_neighborhoods(fan, x[None], np.array([j]), t)
+    if not carried[0]:
+        raise NoCarrier.for_vector(fan, x)
+    return bool(member[0])
+
+
+def _in_neighborhoods(fan: SimplicialFan, X: np.ndarray, J: np.ndarray,
+                      t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``in_ct`` for every row: whether row i lies in the neighborhood of
+    ray ``J[i]``, and whether it has a carrier at all."""
+    cells, coeffs = carriers(fan, X)
     scaled = coeffs * fan.constants.ray_norms
-    target = np.zeros(fan.n_rays)
-    target[j] = 1.0
-    return float(np.max(np.abs(scaled - target))) <= t + 1e-9
+    scaled[np.arange(len(J)), J] -= 1.0
+    return np.max(np.abs(scaled), axis=1) <= t + 1e-9, cells >= 0
 
 
 def _concentration_counts_from_rows(matrix: np.ndarray, ray_norms: np.ndarray,
@@ -234,10 +287,10 @@ def sample_concentrated(fan: SimplicialFan, plan: SamplingPlan) -> np.ndarray:
     """Directions honoring the plan: quota samples first, round robin by ray.
 
     Quota samples for ray j are rejection-sampled perturbations of the
-    normalized ray verified by ``in_ct`` (``t = 0`` short-circuits to the
-    exact ray); the remaining budget is uniform on the sphere.  The
-    interleaving is fixed so every prefix is as balanced as the quotas
-    allow.
+    normalized ray, each kept when it passes ``in_ct`` (``t = 0``
+    short-circuits to the exact ray); the remaining budget is uniform on
+    the sphere.  The interleaving is fixed so every prefix is as balanced
+    as the quotas allow.
     """
     fan.require_valid()
     n = fan.n_rays
@@ -248,37 +301,56 @@ def sample_concentrated(fan: SimplicialFan, plan: SamplingPlan) -> np.ndarray:
     units = fan.rays / norms[:, None]
     radius = 0.5 * plan.t * float(np.min(norms))
 
-    out = []
-    remaining = list(plan.quotas)
-    while any(q > 0 for q in remaining):
-        for j in range(n):
-            if remaining[j] <= 0:
-                continue
-            remaining[j] -= 1
-            if plan.t == 0.0:
-                out.append(units[j].copy())
-                continue
-            for _ in range(10000):
-                x = units[j] + radius * gaussian_polar(rng, fan.dim)
-                norm = np.linalg.norm(x)
-                if norm < 1e-12:
+    # Round r of the round robin serves every ray with more than r quota
+    # samples, in ray order.
+    quotas = np.array(plan.quotas)
+    slots = np.nonzero(quotas[None, :] > np.arange(quotas.max())[:, None])[1]
+    if plan.t == 0.0:
+        quota_rows = units[slots]
+    else:
+        quota_rows = _rejection_rows(fan, rng, units, radius, slots, plan.t)
+    return np.concatenate([quota_rows, _unit_rows(rng, plan.m - len(slots), fan.dim)])
+
+
+def _rejection_rows(fan: SimplicialFan, rng: np.random.Generator, units: np.ndarray,
+                    radius: float, slots: np.ndarray, t: float) -> np.ndarray:
+    """One accepted perturbation of ray ``slots[s]`` for every slot s.
+
+    Trials belong to the current slot: a slot takes the first trial after
+    the previous slot's that lies in its ray's neighborhood, and starves
+    after 10000 trials.  Each pass draws one trial per pending slot, tests
+    every trial's candidate for every ray in one stacked lookup, then hands
+    the trials to the slots in order.  A trial fills at most one slot, so
+    no pass draws a trial beyond the last one used.
+    """
+    n, d = units.shape
+    out = np.empty((len(slots), d))
+    s = tries = 0
+    while s < len(slots):
+        g = _polar_rows(rng, len(slots) - s, d)
+        k = len(g)
+        X = (units[None, :, :] + radius * g[:, None, :]).reshape(k * n, d)
+        norms = row_norms(X)
+        usable = norms >= 1e-12
+        X /= np.where(usable, norms, 1.0)[:, None]
+        member, carried = _in_neighborhoods(fan, X, np.tile(np.arange(n), k), t)
+        usable, member, carried = (a.reshape(k, n) for a in (usable, member, carried))
+        X = X.reshape(k, n, d)
+        for i in range(k):
+            j = slots[s]
+            tries += 1
+            if usable[i, j]:
+                if not carried[i, j]:
+                    raise NoCarrier.for_vector(fan, X[i, j])
+                if member[i, j]:
+                    out[s] = X[i, j]
+                    s += 1
+                    tries = 0
                     continue
-                x /= norm
-                if in_ct(fan, x, j, plan.t):
-                    out.append(x)
-                    break
-            else:
+            if tries == 10000:
                 raise RuntimeError(
-                    f"rejection sampling starved for ray {j} at t={plan.t}")
-    fill = plan.m - len(out)
-    for _ in range(fill):
-        while True:
-            g = gaussian_polar(rng, fan.dim)
-            norm = np.linalg.norm(g)
-            if norm > 1e-12:
-                out.append(g / norm)
-                break
-    return np.array(out)
+                    f"rejection sampling starved for ray {j} at t={t}")
+    return out
 
 
 # ---------------------------------------------------------------------------

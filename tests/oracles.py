@@ -5,12 +5,20 @@ cone caps come from dense grids, Hausdorff distances from vertex-to-body
 projections enumerated over faces, matchings from backtracking, and the
 constrained least-squares check is a projected-gradient iteration whose
 cone projections use scipy's Lawson-Hanson NNLS.
+
+The per-row loops at the end are the slow references of the batched
+carrier, sampling and probe paths: one direction, one Gaussian draw and
+one cell at a time, with the same arithmetic, so the batched results must
+equal them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import nnls
+
+from facetfit import sim
+from facetfit.fan import NoCarrier
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +202,116 @@ def projected_gradient_cls(A: np.ndarray, y: np.ndarray, B: np.ndarray,
             since_improvement = 0
         obj = min(obj, new_obj)
     return h, obj
+
+
+# ---------------------------------------------------------------------------
+# Per-row references for the batched paths
+# ---------------------------------------------------------------------------
+
+def cell_inverses(fan) -> list[np.ndarray]:
+    return [np.linalg.inv(fan.rays[list(cell)].T) for cell in fan.cells]
+
+
+def loop_carrier(fan, u, inverses) -> tuple[int, np.ndarray]:
+    """(cell, coeffs) of one vector: scan the cells in fan order, take the
+    first whose coefficients clear ``-1e-9 ||u|| / min ||v_i||``."""
+    u = np.asarray(u, float)
+    norm_u = np.linalg.norm(u)
+    if norm_u == 0.0:
+        raise NoCarrier("zero vector has no carrier")
+    min_norm = float(np.min(np.linalg.norm(fan.rays, axis=1)))
+    tol = 1e-9 * norm_u / max(min_norm, 1e-300)
+    for ci, cell in enumerate(fan.cells):
+        lam = inverses[ci] @ u
+        if np.min(lam) >= -tol:
+            coeffs = np.zeros(fan.n_rays)
+            coeffs[list(cell)] = np.maximum(lam, 0.0)
+            return ci, coeffs
+    raise NoCarrier(f"no cell of {fan!r} admits nonnegative coefficients")
+
+
+def loop_design(fan, U) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, carrier_cells) row by row; ``NoCarrier`` names the row."""
+    inverses = cell_inverses(fan)
+    U = np.atleast_2d(np.asarray(U, float))
+    matrix = np.zeros((U.shape[0], fan.n_rays))
+    cells = np.zeros(U.shape[0], int)
+    for i in range(U.shape[0]):
+        try:
+            cells[i], matrix[i] = loop_carrier(fan, U[i], inverses)
+        except NoCarrier as exc:
+            raise NoCarrier(f"row {i}: {exc}", row=i) from None
+    return matrix, cells
+
+
+def loop_in_ct(fan, x, j, t, inverses) -> bool:
+    coeffs = loop_carrier(fan, x, inverses)[1]
+    scaled = coeffs * np.linalg.norm(fan.rays, axis=1)
+    target = np.zeros(fan.n_rays)
+    target[j] = 1.0
+    return float(np.max(np.abs(scaled - target))) <= t + 1e-9
+
+
+def _loop_unit(rng, d) -> np.ndarray:
+    while True:
+        g = sim.gaussian_polar(rng, d)
+        norm = np.linalg.norm(g)
+        if norm > 1e-12:
+            return g / norm
+
+
+def loop_uniform_sphere(d, m, seed) -> np.ndarray:
+    """One ``gaussian_polar`` call per unit vector."""
+    rng = sim._rng(seed)
+    return np.array([_loop_unit(rng, d) for _ in range(m)])
+
+
+def loop_concentrated(fan, plan) -> np.ndarray:
+    """Quota slots round robin by ray, each rejection-sampled with one
+    ``gaussian_polar`` call per trial, then the uniform fill."""
+    inverses = cell_inverses(fan)
+    n = fan.n_rays
+    rng = sim._rng(plan.seed)
+    norms = np.linalg.norm(fan.rays, axis=1)
+    units = fan.rays / norms[:, None]
+    radius = 0.5 * plan.t * float(np.min(norms))
+    out = []
+    remaining = list(plan.quotas)
+    while any(q > 0 for q in remaining):
+        for j in range(n):
+            if remaining[j] <= 0:
+                continue
+            remaining[j] -= 1
+            if plan.t == 0.0:
+                out.append(units[j].copy())
+                continue
+            for _ in range(10000):
+                x = units[j] + radius * sim.gaussian_polar(rng, fan.dim)
+                norm = np.linalg.norm(x)
+                if norm < 1e-12:
+                    continue
+                x /= norm
+                if loop_in_ct(fan, x, j, plan.t, inverses):
+                    out.append(x)
+                    break
+            else:
+                raise RuntimeError(
+                    f"rejection sampling starved for ray {j} at t={plan.t}")
+    out += [_loop_unit(rng, fan.dim) for _ in range(plan.m - len(out))]
+    return np.array(out)
+
+
+def loop_completeness_probe(fan, probes=1000, seed=20210) -> tuple[bool, list[str]]:
+    """(verdict, messages) of the probe, one direction and one cell at a time."""
+    rng = np.random.default_rng(seed)
+    inverses = cell_inverses(fan)
+    for _ in range(probes):
+        u = rng.standard_normal(fan.dim)
+        norm = np.linalg.norm(u)
+        if norm < 1e-12:
+            continue
+        u /= norm
+        hits = sum(1 for inv in inverses if np.min(inv @ u) >= -1e-9)
+        if hits != 1:
+            return False, [f"direction {u.tolist()} has {hits} carriers (expected 1)"]
+    return True, []

@@ -197,3 +197,37 @@ def test_simulate_rejects_h0_outside_cone(workdir):
     rc = run(["simulate", "--fan", workdir / "d1.json", "--m", "20", "40",
               "--reps", "1", "--h0", "2,2,4,4,0", "--out", workdir / "y.tsv"])
     assert rc == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--h0", "a,1,1,1,1,1"], "--h0"),
+    (["--t", "0.7"], "t must lie in"),
+    (["--eta", "2"], "--eta"),
+    (["--m", "100", "100"], "--m"),
+])
+def test_simulate_argument_errors_exit_2(workdir, capsys, extra, message):
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--reps", "1",
+              "--out", workdir / "z.tsv"] + extra)
+    assert rc == cli.EXIT_PARSE
+    assert message in capsys.readouterr().err
+    assert not (workdir / "z.tsv").exists()
+
+
+@pytest.mark.parametrize("row", ["nan 1.0 2.0", "1.0 0.0 inf"])
+def test_non_finite_data_is_parse_error(workdir, capsys, row):
+    data = workdir / "bad.txt"
+    data.write_text("1.0 0.0 1.0\n" + row + "\n")
+    rc = run(["reconstruct", "--fan", workdir / "hex.json", "--data", data])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert "finite" in captured.err
+    assert "objective" not in captured.out
+
+
+def test_non_finite_fan_is_parse_error(workdir, capsys):
+    bad = workdir / "nan.json"
+    bad.write_text('{"dim": 2, "rays": [[1, 0], [0, NaN], [-1, -1]],'
+                   ' "cells": [[0, 1], [1, 2], [2, 0]]}\n')
+    rc = run(["fan-info", bad])
+    assert rc == cli.EXIT_PARSE
+    assert "finite" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,10 @@ def test_dataset_validation():
         Dataset(np.array([[0.0, 0.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         Dataset(np.array([[1.0, 0.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        Dataset(np.array([[1.0, np.nan]]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        Dataset(np.array([[1.0, 0.0]]), np.array([np.inf]))
 
 
 def test_hexagon_cycle_design(hexagon):
@@ -223,3 +230,15 @@ def test_uniqueness_frequency_nondecreasing(hexagon):
     f8, f30, f200 = frequency(8, 500), frequency(30, 900), frequency(200, 1300)
     assert f8 <= f30 <= f200
     assert f200 == 1.0
+
+
+def test_max_matching_leaves_no_reference_cycle(hexagon):
+    graph = direction_graph(build_design(hexagon, hexagon_cycle_directions(hexagon)))
+    alive = weakref.ref(graph)
+    gc.disable()
+    try:
+        assert max_matching(graph).size == 6
+        del graph
+        assert alive() is None   # freed by reference counting alone
+    finally:
+        gc.enable()

@@ -69,6 +69,22 @@ def test_not_positively_spanning_fails():
     assert not report.positively_spanning
 
 
+def test_non_finite_rays_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SimplicialFan([[1.0, 0.0], [0.0, bad], [-1.0, -1.0]],
+                          [(0, 1), (1, 2), (2, 0)])
+
+
+def test_rays_are_a_read_only_copy(hexagon):
+    rays = np.array(hexagon.rays)
+    fan = SimplicialFan(rays, hexagon.cells)
+    rays[0] = [5.0, 5.0]
+    assert np.array_equal(fan.rays, hexagon.rays)
+    with pytest.raises(ValueError):
+        fan.rays[0, 0] = 2.0
+
+
 def test_operations_refuse_invalid_fan(hexagon):
     broken = SimplicialFan(hexagon.rays, hexagon.cells[:-1])
     with pytest.raises(InvalidFan):
