@@ -55,6 +55,7 @@ from .geometry import (
 )
 from .qp import (
     ConstrainedLS,
+    Inaccurate,
     Infeasible,
     IterationLimit,
     LPSolution,

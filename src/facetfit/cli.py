@@ -6,8 +6,9 @@
     facetfit simulate --fan FAN.json [options]
 
 Exit codes are stable: 0 success, 2 parse error, 3 fan validation failure,
-4 solver iteration limit, 5 infeasible sampling plan.  All numeric output
-is written with 17 significant digits so runs can be diffed exactly.
+4 solver iteration limit, 5 infeasible sampling plan, 6 failed linear
+program (infeasible, unbounded or inaccurate).  All numeric output is
+written with 17 significant digits so runs can be diffed exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_ITERATION = 4
 EXIT_PLAN = 5
+EXIT_LP = 6
 
 FAN_FORMAT = "fan/1"
 DATA_FORMAT = "measurements/1"
@@ -335,6 +337,9 @@ def cmd_reconstruct(args) -> int:
     except qp.IterationLimit as exc:
         print(f"solver iteration limit: {exc}", file=sys.stderr)
         return EXIT_ITERATION
+    except (qp.Infeasible, qp.Unbounded, qp.Inaccurate) as exc:
+        print(f"linear program failed: {exc!r}", file=sys.stderr)
+        return EXIT_LP
     except fan_mod.NoCarrier as exc:
         print(f"direction outside fan support: {exc}", file=sys.stderr)
         return EXIT_PARSE

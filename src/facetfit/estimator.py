@@ -138,27 +138,11 @@ def _extent(B, h_hat, z, sense):
 
 
 def detect_unbounded(fan: SimplicialFan, design: DesignMatrix) -> bool:
-    """Whether the solution set is unbounded, i.e. the cone meets the kernel.
-
-    The quick probe maximizes the coordinate sum over the kernel slice of
-    the cone boxed by ``h <= 1`` (both signs); if that is inconclusive,
-    each coordinate is probed separately, which decides the question
-    exactly since a nontrivial cone point has some nonzero coordinate.
-    """
-    B = fan.wall_system.matrix
-    A = design.matrix
-    n = design.n
-    objectives = [np.ones(n), -np.ones(n)]
-    objectives += [row for i in range(n) for row in (np.eye(n)[i], -np.eye(n)[i])]
-    bounds = [(-1.0, 1.0)] * n
-    for w in objectives:
-        try:
-            sol = qp.solve_lp(-w, B, A, np.zeros(A.shape[0]), bounds)
-        except (qp.Infeasible, qp.Unbounded):
-            continue
-        if w @ sol.x > 1e-9:
-            return True
-    return False
+    """Whether the solution set is unbounded, i.e. the cone meets the kernel:
+    with h = K^T lambda over the design kernel K, ``B K^T lambda >= 0`` has
+    a cone of positive dimension."""
+    _, kernel = design_mod.numeric_rank(design)
+    return qp.cone_dimension(fan.wall_system.matrix @ kernel.T) > 0
 
 
 def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset,

@@ -171,7 +171,7 @@ class SimplicialFan:
 
     def require_valid(self):
         if self._validation is None:
-            self._validation = validate(self)
+            validate(self)
         if not self._validation.ok:
             raise InvalidFan("fan failed validation: "
                              + "; ".join(self._validation.messages))
@@ -371,12 +371,12 @@ def validate(fan: SimplicialFan, probes: int = 1000, seed: int = 20210,
              strict: bool = False) -> ValidationReport:
     """Check the structural invariants of a complete simplicial fan.
 
-    Runs the per-cell independence test, the positive-span feasibility
-    solve, pairwise ray-direction distinctness, the ray/cell incidence
+    Runs the per-cell independence test, the positive-span cone LP,
+    pairwise ray-direction distinctness, the ray/cell incidence
     count, and a randomized completeness probe (every sampled unit vector
     must have exactly one carrier).  ``strict=True`` additionally verifies
     that every pair of cells intersects in a common face, which is
-    quadratic in the number of cells.
+    quadratic in the number of cells.  ``require_valid`` reuses the report.
     """
     messages: list[str] = []
 
@@ -399,7 +399,7 @@ def validate(fan: SimplicialFan, probes: int = 1000, seed: int = 20210,
                 rays_ok = False
                 messages.append(f"rays {i} and {j} are positive multiples")
 
-    span_ok = rays_ok and _positively_spanning(fan)
+    span_ok = rays_ok and _positively_spanning(unit)
     if rays_ok and not span_ok:
         messages.append("rays do not positively span the ambient space")
 
@@ -420,7 +420,7 @@ def validate(fan: SimplicialFan, probes: int = 1000, seed: int = 20210,
     if strict and cells_ok:
         complex_ok = _pairwise_face_check(fan, messages)
 
-    return ValidationReport(
+    fan._validation = ValidationReport(
         cells_independent=cells_ok,
         positively_spanning=span_ok,
         rays_distinct=rays_ok,
@@ -429,28 +429,12 @@ def validate(fan: SimplicialFan, probes: int = 1000, seed: int = 20210,
         complex_check=complex_ok,
         messages=messages,
     )
+    return fan._validation
 
 
-def _positively_spanning(fan: SimplicialFan) -> bool:
-    """True when 0 is interior to the hull of the normalized rays."""
-    norms = np.linalg.norm(fan.rays, axis=1)
-    unit = fan.rays / norms[:, None]
-    n, d = unit.shape
-    # max eps  s.t.  sum lam_i unit_i = 0, sum lam_i = 1, lam_i - eps >= 0.
-    c = np.zeros(n + 1)
-    c[n] = -1.0
-    B = np.hstack([np.eye(n), -np.ones((n, 1))])
-    E = np.zeros((d + 1, n + 1))
-    E[:d, :n] = unit.T
-    E[d, :n] = 1.0
-    f = np.zeros(d + 1)
-    f[d] = 1.0
-    bounds = [(0.0, 1.0)] * n + [(-1.0, 1.0)]
-    try:
-        sol = qp.solve_lp(c, B, E, f, bounds)
-    except (qp.Infeasible, qp.Unbounded):
-        return False
-    return sol.x[n] > 1e-9
+def _positively_spanning(unit: np.ndarray) -> bool:
+    """True when only x = 0 has ``<v, x> >= 0`` for every unit ray v."""
+    return qp.cone_dimension(unit) == 0
 
 
 def _completeness_probe(fan: SimplicialFan, probes: int, seed: int,

@@ -29,6 +29,10 @@ class Unbounded(Exception):
     """Raised when a linear program's objective is unbounded below."""
 
 
+class Inaccurate(Exception):
+    """Raised when a simplex point violates its own constraints."""
+
+
 class IterationLimit(Exception):
     """Raised when the active-set solver hits its iteration cap.
 
@@ -378,6 +382,39 @@ def solve_affine_lp(c, B=None, b=None, E=None, f=None, bounds=None) -> LPSolutio
         bounds_h = list(bounds) + [(0.0, 2.0)]
     sol = solve_lp(c_h, Bh, E_h, f_h, bounds_h)
     return LPSolution(x=sol.x[:n], objective=float(c @ sol.x[:n]))
+
+
+def cone_dimension(M: np.ndarray) -> int:
+    """Dimension of the cone ``{x : M x >= 0}``, from one LP; 0 means {0}.
+
+    Row i is an implicit equality (zero on the whole cone) exactly when some
+    ``y >= 0`` with ``M^T y = 0`` has ``y_i > 0`` (Gordan; Schrijver, *Theory
+    of Linear and Integer Programming*, 1986, ch. 8), so the LP ``max sum(u)``
+    over ``M^T y = 0``, ``y >= u``, ``0 <= u <= 1`` puts u = 1 on those rows
+    and 0 on the rest.  The dimension is the column count minus the rank of
+    the rows with ``u > 1/2``.  Rows are scaled to unit length and dropped
+    below 1e-9 of the longest; ``M^T y = 0`` is posed on an orthonormal basis
+    of their span; ranks count singular values above 1e-9 of the largest.
+    Raises ``Inaccurate`` if ``M^T y = 0`` or ``y >= u`` fails by more than
+    ``1e-9 (1 + |y|)``.
+    """
+    norms = np.linalg.norm(M, axis=1)
+    keep = norms > 1e-9 * norms.max(initial=0.0)
+    U = M[keep] / norms[keep, None]
+    q, k = U.shape
+    if q == 0:
+        return k
+    W, s, _ = np.linalg.svd(U, full_matrices=False)
+    E = W[:, s > 1e-9 * s[0]].T
+    sol = solve_lp(np.repeat([0.0, -1.0], q), np.hstack([np.eye(q), -np.eye(q)]),
+                   np.hstack([E, np.zeros_like(E)]), np.zeros(len(E)),
+                   [(0.0, np.inf)] * q + [(0.0, 1.0)] * q)
+    y, u = np.split(sol.x, 2)
+    tol = 1e-9 * (1.0 + np.linalg.norm(y))
+    if np.linalg.norm(U.T @ y) > tol or np.min(y - u) < -tol:
+        raise Inaccurate("simplex point misses M^T y = 0 or y >= u")
+    s = np.linalg.svd(U[u > 0.5], compute_uv=False)
+    return k - int(np.sum(s > 1e-9 * s.max(initial=0.0)))
 
 
 _PIVOT_TOL = 1e-10

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from facetfit import catalog, geometry
 from facetfit.fan import SimplicialFan
+
+# The same examples on every run, and no example database carried from one
+# run to the next.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: maxima over
 cone caps come from dense grids, Hausdorff distances from vertex-to-body
 projections enumerated over faces, matchings from backtracking, and the
 constrained least-squares check is a projected-gradient iteration whose
-cone projections use scipy's Lawson-Hanson NNLS.
+cone projections use scipy's Lawson-Hanson NNLS, and cone dimensions come
+from one HiGHS implicit-equality LP per inequality row.
 
 The per-row loops at the end are the slow references of the batched
 carrier, sampling and probe paths: one direction, one Gaussian draw and
@@ -15,7 +16,7 @@ equal them bit for bit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from facetfit import sim
 from facetfit.fan import NoCarrier
@@ -202,6 +203,41 @@ def projected_gradient_cls(A: np.ndarray, y: np.ndarray, B: np.ndarray,
             since_improvement = 0
         obj = min(obj, new_obj)
     return h, obj
+
+
+# ---------------------------------------------------------------------------
+# Cone dimension by one implicit-equality LP per row
+# ---------------------------------------------------------------------------
+
+def highs_cone_dimension(M: np.ndarray, E: np.ndarray | None = None) -> int:
+    """Dimension of ``{x : M x >= 0, E x = 0}`` by scipy's HiGHS.
+
+    Row i of M is an implicit equality when ``max s`` subject to
+    ``M x >= 0``, ``E x = 0``, ``M_i x >= s`` and ``s <= 1`` is 0; x is
+    free, so the optimum is 0 or 1.  The dimension is the column count
+    minus the rank of E stacked on the implicit rows.
+    """
+    M = np.asarray(M, float)
+    p, k = M.shape
+    E = np.zeros((0, k)) if E is None else np.asarray(E, float)
+    A_eq = np.hstack([E, np.zeros((E.shape[0], 1))]) if E.shape[0] else None
+    b_eq = np.zeros(E.shape[0]) if E.shape[0] else None
+    c = np.zeros(k + 1)
+    c[k] = -1.0
+    implicit = []
+    for i in range(p):
+        A_ub = np.zeros((p + 1, k + 1))
+        A_ub[:p, :k] = -M
+        A_ub[p, :k] = -M[i]
+        A_ub[p, k] = 1.0
+        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(p + 1), A_eq=A_eq, b_eq=b_eq,
+                      bounds=[(None, None)] * k + [(0.0, 1.0)], method="highs")
+        if res.status != 0:
+            raise ArithmeticError(f"implicit-equality LP for row {i}: {res.message}")
+        if -res.fun < 0.5:
+            implicit.append(i)
+    rows = np.vstack([E, M[implicit]])
+    return k - (int(np.linalg.matrix_rank(rows)) if rows.shape[0] else 0)
 
 
 # ---------------------------------------------------------------------------

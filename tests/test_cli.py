@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from facetfit import catalog, cli
+from facetfit import catalog, cli, estimator, qp
+from facetfit import fan as fan_mod
 from facetfit.design import Dataset
 from facetfit.fan import SimplicialFan
 
@@ -128,6 +129,20 @@ def test_reconstruct_multi_reports_tie(workdir, capsys):
     assert "TIE" in printed
 
 
+@pytest.mark.parametrize("error", [qp.Infeasible, qp.Unbounded, qp.Inaccurate])
+def test_reconstruct_lp_failure_exits_6(workdir, capsys, monkeypatch, error):
+    def fail(*args):
+        raise error("solution-set LP failed")
+
+    monkeypatch.setattr(estimator, "solution_set", fail)
+    rc = run(["reconstruct", "--fan", workdir / "hex.json",
+              "--data", workdir / "cycle.txt"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_LP == 6
+    assert error.__name__ in captured.err
+    assert "objective" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # uniqueness
 # ---------------------------------------------------------------------------
@@ -231,3 +246,30 @@ def test_non_finite_fan_is_parse_error(workdir, capsys):
     rc = run(["fan-info", bad])
     assert rc == cli.EXIT_PARSE
     assert "finite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Validation runs once per fan and command
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, fans", [
+    (["fan-info", "hex.json"], 1),
+    (["fan-info", "--strict", "d1.json"], 1),
+    (["reconstruct", "--fan", "hex.json", "--data", "cycle.txt"], 1),
+    (["reconstruct", "--fan", "d1.json", "--fan", "d2.json", "--data", "roof.txt"], 2),
+    (["uniqueness", "--fan", "hex.json", "--data", "cycle.txt"], 1),
+    (["simulate", "--fan", "hex.json", "--m", "20", "40", "--reps", "1",
+      "--out", "s.tsv"], 1),
+])
+def test_each_fan_validated_once(workdir, monkeypatch, args, fans):
+    validated = []
+    original = fan_mod.validate
+
+    def counted(fan, *rest, **kwargs):
+        validated.append(id(fan))
+        return original(fan, *rest, **kwargs)
+
+    monkeypatch.setattr(fan_mod, "validate", counted)
+    monkeypatch.chdir(workdir)
+    assert run(args) == cli.EXIT_OK
+    assert len(validated) == len(set(validated)) == fans

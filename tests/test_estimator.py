@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from facetfit import catalog
 from facetfit.design import Dataset, build_design, uniqueness_report
 from facetfit.estimator import (
     detect_unbounded,
@@ -137,6 +138,30 @@ def test_unboundedness_matches_solution_set_flag(hexagon, random_fans):
             h0 = random_members(fan, 1, seed=700 + trial)[0]
             res = reconstruct(fan, Dataset(dirs, design.matrix @ h0))
             assert detect_unbounded(fan, design) == (not res.solution_set.bounded)
+
+
+# Seven unit directions that positively span R^3: the second draw of
+# ``standard_normal((7, 3))`` from ``default_rng([4, 2, 0])``, normalized.
+SPANNING_SEVEN = np.array([
+    [0.8922229403018752, -0.31680892336868866, -0.3218234467422296],
+    [0.35562629842086063, -0.8351797304675334, -0.41952920480898037],
+    [-0.5317958416291245, -0.8024792420650388, -0.27059240359014447],
+    [-0.7579992682038218, 0.5412318178598935, 0.3640126766179245],
+    [-0.22630013012314099, 0.9552035131113621, 0.1907209994886807],
+    [-0.5188484248890702, -0.8415017523203, -0.15056929578103],
+    [-0.6077593076836418, -0.4576225904498024, 0.6490070790322034],
+])
+
+
+def test_spanning_design_on_ten_rays_is_bounded():
+    # m = 7 < n = 10, but the directions positively span R^3, so no nonzero
+    # h in the design kernel meets the walls: the minimizer set is bounded.
+    fan = catalog.random_polytopal_fan(3, 10, seed=11)
+    design = build_design(fan, SPANNING_SEVEN)
+    assert not detect_unbounded(fan, design)
+    y = design.matrix @ np.ones(fan.n_rays)
+    res = reconstruct(fan, Dataset(SPANNING_SEVEN, y))
+    assert res.solution_set.bounded
 
 
 def test_translation_kernel_direction_is_detected(hexagon):
