@@ -171,18 +171,19 @@ def wall_inequality_text(row: np.ndarray) -> str:
 # SVG plot (static, no plotting dependency)
 # ---------------------------------------------------------------------------
 
-def write_loglog_svg(path: str, records, bound_prefactor: float | None) -> None:
-    """Log-log scatter of Hausdorff error against m with median and bound."""
+def write_loglog_svg(path: str, records, bound_prefactor: float | None) -> bool:
+    """Log-log scatter of Hausdorff error against m with median and bound
+    (if positive); returns False, writing nothing, if no error is positive."""
     pts = [(r.m, r.hausdorff_error) for r in records
            if not r.failed and r.hausdorff_error > 0]
     if not pts:
-        raise ValueError("no positive errors to plot")
+        return False
     ms = sorted({m for m, _ in pts})
     med = {m: float(np.median([e for mm, e in pts if mm == m])) for m in ms}
     xs = [np.log10(m) for m, _ in pts]
     ys = [np.log10(e) for _, e in pts]
     ylo, yhi = min(ys), max(ys)
-    if bound_prefactor is not None:
+    if bound_prefactor:
         yhi = max(yhi, np.log10(bound_prefactor / np.sqrt(ms[0])))
     xlo, xhi = min(xs), max(xs)
     width, height, margin = 480, 360, 50
@@ -216,7 +217,7 @@ def write_loglog_svg(path: str, records, bound_prefactor: float | None) -> None:
         f'{sy(np.log10(med[m])):.2f}' for i, m in enumerate(ms))
     parts.append(f'<path d="{med_path}" stroke="darkorange" fill="none" '
                  f'stroke-width="2"/>')
-    if bound_prefactor is not None:
+    if bound_prefactor:
         bnd = " ".join(
             f'{"M" if i == 0 else "L"} {sx(np.log10(m)):.2f} '
             f'{sy(np.log10(bound_prefactor / np.sqrt(m))):.2f}'
@@ -226,6 +227,7 @@ def write_loglog_svg(path: str, records, bound_prefactor: float | None) -> None:
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +378,8 @@ def cmd_uniqueness(args) -> int:
 def cmd_simulate(args) -> int:
     if not 0.0 < args.eta < 1.0:
         raise ParseError("--eta must lie in (0, 1)")
+    if args.reps < 1:
+        raise ParseError("--reps must be at least 1")
     if len(set(args.m)) != len(args.m):
         raise ParseError("--m values must be distinct")
     fan = load_fan(args.fan)
@@ -443,8 +447,10 @@ def cmd_simulate(args) -> int:
                    if r.hausdorff_error >= bound_prefactor / np.sqrt(r.m))
         print(f"bound violations at eta={args.eta}: {viol}/{len(ok)}")
     if args.plot:
-        write_loglog_svg(args.plot, records, bound_prefactor)
-        print(f"wrote {args.plot}")
+        if write_loglog_svg(args.plot, records, bound_prefactor):
+            print(f"wrote {args.plot}")
+        else:
+            print(f"{args.plot}: nothing to plot, not written", file=sys.stderr)
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ every ray), and per-cell coverage gives a practical sufficient condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +55,19 @@ class DesignMatrix:
     """Rows are barycentric coefficient vectors; at most d nonzeros per row.
 
     Stored dense (desk-scale m and n); ``carrier_cells[i]`` is the index of
-    the maximal cell carrying direction i.
+    the maximal cell carrying direction i.  ``build_design`` makes
+    ``matrix`` read-only, so the cached ``rank_kernel`` cannot go stale.
     """
 
     matrix: np.ndarray
     carrier_cells: np.ndarray
+
+    @cached_property
+    def rank_kernel(self) -> tuple[int, np.ndarray]:
+        """``rank_and_kernel(matrix)`` on first use, with a read-only kernel."""
+        rank, kernel = rank_and_kernel(self.matrix)
+        kernel.setflags(write=False)
+        return rank, kernel
 
     @property
     def m(self) -> int:
@@ -109,6 +118,7 @@ def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
     bad = np.flatnonzero(cells < 0)
     if bad.size:
         raise NoCarrier.for_vector(fan, U[bad[0]], row=int(bad[0]))
+    matrix.setflags(write=False)
     return DesignMatrix(matrix=matrix, carrier_cells=cells)
 
 
@@ -171,14 +181,13 @@ def _augment(neighbors, ray: int, seen: list[bool], match_ray: list[int],
     return False
 
 
-def numeric_rank(design: DesignMatrix | np.ndarray):
+def numeric_rank(design: DesignMatrix):
     """Numerical rank of the design and a kernel basis when rank < n.
 
-    Threshold: ``max(m, n) * eps * (largest column norm)``.  Returns
-    ``(rank, kernel)`` with ``kernel`` of shape ``(n - rank, n)``.
+    Threshold: ``max(m, n) * eps * (largest column norm)``.  Returns the
+    design's cached ``(rank, kernel)``, ``kernel`` of shape ``(n - rank, n)``.
     """
-    M = design.matrix if isinstance(design, DesignMatrix) else np.asarray(design, float)
-    return rank_and_kernel(M)
+    return design.rank_kernel
 
 
 def uniqueness_report(fan: SimplicialFan, design: DesignMatrix) -> UniquenessReport:

@@ -95,9 +95,8 @@ def solution_set(fan: SimplicialFan, design: DesignMatrix, y_hat, h_hat) -> Solu
     """
     h_hat = np.asarray(h_hat, float)
     rank, kernel = design_mod.numeric_rank(design)
-    n = design.n
     B = fan.wall_system.matrix
-    if rank == n:
+    if rank == design.n:
         return SolutionSetDescription(dimension=0, bounded=True)
 
     scale = 1.0 + float(np.linalg.norm(h_hat))
@@ -150,10 +149,10 @@ def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset,
                       tie_tol: float | None = None) -> MultiReconstruction:
     """Run the estimator for every candidate fan over the same rays.
 
-    Per-fan failures are recorded and do not stop the remaining fans.  All
-    fans whose objective is within ``tie_tol`` of the best are reported as
-    minimizers; the default tolerance is relative to ``||y||^2`` so exact
-    ties survive floating point.
+    Per-fan failures are recorded and do not stop the remaining fans; if all
+    fail, the first fan's exception is raised.  All fans whose objective is
+    within ``tie_tol`` of the best are reported as minimizers; the default
+    tolerance is relative to ``||y||^2`` so exact ties survive floating point.
     """
     if not fans:
         raise ValueError("need at least one fan")
@@ -175,7 +174,7 @@ def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset,
             errors.append(exc)
     objectives = [r.objective for r in results if r is not None]
     if not objectives:
-        raise RuntimeError("reconstruction failed for every fan") from errors[0]
+        raise errors[0]
     best = min(objectives)
     minimizers = tuple(i for i, r in enumerate(results)
                        if r is not None and r.objective <= best + tie_tol)

@@ -367,8 +367,11 @@ def c_delta(fan: SimplicialFan) -> float:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(fan: SimplicialFan, probes: int = 1000, seed: int = 20210,
-             strict: bool = False) -> ValidationReport:
+PROBES = 1000
+PROBE_SEED = 20210
+
+
+def validate(fan: SimplicialFan, strict: bool = False) -> ValidationReport:
     """Check the structural invariants of a complete simplicial fan.
 
     Runs the per-cell independence test, the positive-span cone LP,
@@ -414,7 +417,7 @@ def validate(fan: SimplicialFan, probes: int = 1000, seed: int = 20210,
 
     probe_ok = cells_ok and rays_ok
     if probe_ok:
-        probe_ok = _completeness_probe(fan, probes, seed, messages)
+        probe_ok = _completeness_probe(fan, messages)
 
     complex_ok = None
     if strict and cells_ok:
@@ -437,11 +440,10 @@ def _positively_spanning(unit: np.ndarray) -> bool:
     return qp.cone_dimension(unit) == 0
 
 
-def _completeness_probe(fan: SimplicialFan, probes: int, seed: int,
-                        messages: list[str]) -> bool:
+def _completeness_probe(fan: SimplicialFan, messages: list[str]) -> bool:
     """Every sampled unit direction must lie in exactly one cell (within
     1e-9); reports the first that does not."""
-    U = np.random.default_rng(seed).standard_normal((probes, fan.dim))
+    U = np.random.default_rng(PROBE_SEED).standard_normal((PROBES, fan.dim))
     norms = row_norms(U)
     keep = norms >= 1e-12
     U = U[keep] / norms[keep, None]

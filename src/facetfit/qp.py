@@ -3,8 +3,8 @@
 Two engines live here:
 
   - ``solve_cls``: primal active-set method for the convex program
-    ``min ||A h - y||^2  subject to  B h >= 0``, with a KKT certificate
-    attached to every solution.
+    ``min ||A h - y||^2  subject to  B h >= 0``, with the measured KKT
+    residual attached to every solution.
   - ``solve_lp``: two-phase tableau simplex with Bland's smallest-index
     pivoting for ``min <c, x>  subject to  B x >= 0,  E x = f`` and
     componentwise bounds.
@@ -74,10 +74,8 @@ class ConstrainedLS:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunables for ``solve_cls``; defaults follow the problem scale."""
+    """Tunables for ``solve_cls``; the default cap follows the problem scale."""
 
-    kkt_tol: float | None = None
-    feas_tol: float | None = None
     max_iter: int | None = None
     warm_start: np.ndarray | None = None
 
@@ -90,13 +88,6 @@ class QPSolution:
     active_rows: tuple[int, ...]
     multipliers: np.ndarray
     iterations: int
-    nullity: int
-
-    @property
-    def possibly_nonunique(self) -> bool:
-        """True when the quadratic form is singular, so the minimizer set
-        may be a higher-dimensional polyhedron."""
-        return self.nullity > 0
 
 
 @dataclass(frozen=True)
@@ -105,10 +96,10 @@ class LPSolution:
     objective: float
 
 
-def rank_and_kernel(M: np.ndarray, threshold: float | None = None):
+def rank_and_kernel(M: np.ndarray):
     """Numerical rank of ``M`` and an orthonormal basis of its kernel.
 
-    The threshold defaults to ``max(m, n) * eps * (largest column norm)``,
+    Singular values count above ``max(m, n) * eps * (largest column norm)``,
     so the diagnostic is reproducible across runs and platforms.
     Returns ``(rank, kernel)`` where ``kernel`` has shape ``(n - rank, n)``.
     """
@@ -119,10 +110,8 @@ def rank_and_kernel(M: np.ndarray, threshold: float | None = None):
     # The reduced factorization already carries all n right singular
     # vectors when m >= n; the full one is only needed for wide matrices.
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    if threshold is None:
-        col_norm = float(np.max(np.linalg.norm(M, axis=0)))
-        threshold = max(M.shape) * np.finfo(float).eps * col_norm
-    rank = int(np.sum(s > threshold))
+    col_norm = float(np.max(np.linalg.norm(M, axis=0)))
+    rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps * col_norm))
     return rank, vt[rank:]
 
 
@@ -150,10 +139,11 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     the smallest-index selection keeps the iteration from cycling on
     redundant wall systems.
 
-    Returns a ``QPSolution`` whose KKT triple (stationarity, feasibility,
-    complementary slackness) has been verified at the reported residual.
-    Raises ``IterationLimit`` with the best iterate attached if the cap of
-    ``50 * (n + p)`` subproblems is exhausted.
+    Returns a ``QPSolution`` carrying the KKT residual, the largest of the
+    stationarity, feasibility and complementary-slackness violations at the
+    returned point.  The residual is measured and returned but not compared
+    with a tolerance.  Raises ``IterationLimit`` with the best iterate
+    attached if the cap of ``50 * (n + p)`` subproblems is exhausted.
     """
     if opts is None:
         opts = SolverOptions()
@@ -161,14 +151,10 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     n = A.shape[1]
     p = B.shape[0]
 
-    kkt_tol = opts.kkt_tol
-    if kkt_tol is None:
-        kkt_tol = 1e-8 * (1.0 + np.linalg.norm(A.T @ y))
+    kkt_tol = 1e-8 * (1.0 + np.linalg.norm(A.T @ y))
     max_iter = opts.max_iter if opts.max_iter is not None else 50 * (n + p)
 
     def feas_tol(vec):
-        if opts.feas_tol is not None:
-            return opts.feas_tol
         return 1e-9 * (1.0 + np.linalg.norm(vec))
 
     h = np.zeros(n)
@@ -177,15 +163,13 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
         if h0.shape == (n,) and (p == 0 or np.min(B @ h0) >= -feas_tol(h0)):
             h = h0.copy()
 
-    nullity = n - rank_and_kernel(A)[0]
-
     working: list[int] = []
     mu = np.zeros(0)
     iterations = 0
 
     while True:
         if iterations > max_iter:
-            sol = _certify(problem, h, working, mu, iterations, nullity, feas_tol(h))
+            sol = _certify(problem, h, working, mu, iterations, feas_tol(h))
             raise IterationLimit(
                 f"active-set iteration cap {max_iter} exhausted", sol)
         iterations += 1
@@ -231,10 +215,10 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
             break
         del working[neg[0]]
 
-    return _certify(problem, h, working, mu, iterations, nullity, feas_tol(h))
+    return _certify(problem, h, working, mu, iterations, feas_tol(h))
 
 
-def _certify(problem, h, working, mu, iterations, nullity, ftol):
+def _certify(problem, h, working, mu, iterations, ftol):
     """Assemble a QPSolution with its measured KKT residual."""
     A, y, B = problem.A, problem.y, problem.B
     residual = A @ h - y
@@ -261,7 +245,6 @@ def _certify(problem, h, working, mu, iterations, nullity, ftol):
         active_rows=active,
         multipliers=mu_full,
         iterations=iterations,
-        nullity=nullity,
     )
 
 

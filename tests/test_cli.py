@@ -143,6 +143,25 @@ def test_reconstruct_lp_failure_exits_6(workdir, capsys, monkeypatch, error):
     assert "objective" not in captured.out
 
 
+@pytest.mark.parametrize("error, code", [
+    (qp.Infeasible("phase-1 optimum is positive"), cli.EXIT_LP),
+    (qp.IterationLimit("active-set iteration cap 0 exhausted", None),
+     cli.EXIT_ITERATION),
+])
+def test_reconstruct_multi_all_fail_exits_with_first_error(
+        workdir, capsys, monkeypatch, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(estimator, "reconstruct", fail)
+    rc = run(["reconstruct", "--fan", workdir / "d1.json",
+              "--fan", workdir / "d1.json", "--data", workdir / "roof.txt"])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert len(captured.err.splitlines()) == 1 and str(error) in captured.err
+    assert "objective" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # uniqueness
 # ---------------------------------------------------------------------------
@@ -199,6 +218,46 @@ def test_simulate_writes_plot(workdir):
     assert rc == cli.EXIT_OK
     svg = (workdir / "plot.svg").read_text()
     assert svg.startswith("<svg") and "</svg>" in svg
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_simulate_without_replicates_exits_2(workdir, capsys, monkeypatch, reps):
+    monkeypatch.setattr(cli.sim, "run_convergence", None)  # must not be reached
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--m", "30", "120",
+              "--reps", reps, "--out", workdir / "r.tsv",
+              "--plot", workdir / "plot.svg"])
+    assert rc == cli.EXIT_PARSE
+    assert "--reps" in capsys.readouterr().err
+    assert not (workdir / "r.tsv").exists()
+    assert not (workdir / "plot.svg").exists()
+
+
+def test_simulate_plot_with_nothing_to_plot(workdir, capsys, monkeypatch):
+    def fail(*args):
+        raise qp.Infeasible("every replicate fails")
+
+    monkeypatch.setattr(cli.sim, "reconstruct", fail)
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--m", "30", "120",
+              "--reps", "2", "--out", workdir / "r.tsv",
+              "--plot", workdir / "plot.svg"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    assert captured.err.splitlines() == [
+        f"{workdir / 'plot.svg'}: nothing to plot, not written"]
+    assert (workdir / "r.tsv").exists()
+    assert not (workdir / "plot.svg").exists()
+
+
+def test_simulate_plot_without_noise_has_no_bound_line(workdir):
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--m", "30", "120",
+              "--reps", "2", "--sigma", "0", "--out", workdir / "r.tsv",
+              "--plot", workdir / "plot.svg"])
+    assert rc == cli.EXIT_OK
+    meta = json.loads((workdir / "r.tsv.meta.json").read_text())
+    assert meta["bound_prefactor"] == 0.0
+    svg = (workdir / "plot.svg").read_text()
+    assert "inf" not in svg and "nan" not in svg
+    assert "crimson" not in svg and "darkorange" in svg
 
 
 def test_simulate_infeasible_plan_exits_5(workdir):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from facetfit import catalog
-from facetfit.design import Dataset, build_design, uniqueness_report
+from facetfit import catalog, qp
+from facetfit import design as design_mod
+from facetfit.design import Dataset, build_design, numeric_rank, uniqueness_report
 from facetfit.estimator import (
     detect_unbounded,
     gk_estimate,
@@ -267,3 +268,59 @@ def test_gk_off_facet_measurements_can_disagree():
     assert support_value(square, h_gk, u) == pytest.approx(1.0, abs=1e-9)
     assert is_deformation(square, res.h_hat)
     assert np.linalg.norm(h_gk - res.h_hat) > 0.5
+
+
+# ---------------------------------------------------------------------------
+# One factorization of the design per reconstruction
+# ---------------------------------------------------------------------------
+
+def _unit(angles_deg):
+    t = np.radians(angles_deg)
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+FACTOR_CASES = {
+    # m = 15 > n: solution_set stops at the rank.
+    "full rank": _unit(np.arange(0.0, 360.0, 24.0)),
+    # m = 4 < n: solution_set and detect_unbounded read the kernel too.
+    "m < n": _unit([15.0, 105.0, 195.0, 285.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+def test_reconstruct_factors_the_design_once(hexagon, monkeypatch, case):
+    U = FACTOR_CASES[case]
+    y = 1.0 + 0.05 * np.random.default_rng(8).standard_normal(len(U))
+    matrix = build_design(hexagon, U).matrix
+    factored = []
+
+    def counted(original):
+        def rank_and_kernel(M):
+            factored.append(M.shape == matrix.shape and np.array_equal(M, matrix))
+            return original(M)
+        return rank_and_kernel
+
+    monkeypatch.setattr(design_mod, "rank_and_kernel", counted(design_mod.rank_and_kernel))
+    monkeypatch.setattr(qp, "rank_and_kernel", counted(qp.rank_and_kernel))
+    res = reconstruct(hexagon, Dataset(U, y))
+    assert sum(factored) == 1
+    assert (res.uniqueness.numeric_rank < 6) == (case == "m < n")
+
+
+def test_design_and_its_kernel_are_read_only(hexagon):
+    dm = build_design(hexagon, FACTOR_CASES["m < n"])
+    rank, kernel = numeric_rank(dm)
+    assert numeric_rank(dm)[1] is kernel
+    assert rank == 4 and kernel.shape == (2, 6)
+    for array in (dm.matrix, kernel):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+
+
+def test_kernel_basis_is_the_fresh_factorization(hexagon):
+    U = FACTOR_CASES["m < n"]
+    res = reconstruct(hexagon, Dataset(U, np.ones(len(U))))
+    fresh = qp.rank_and_kernel(build_design(hexagon, U).matrix)[1]
+    assert res.uniqueness.kernel_basis.tobytes() == fresh.tobytes()
+    assert res.uniqueness.kernel_basis.shape == fresh.shape
