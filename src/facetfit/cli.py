@@ -442,7 +442,9 @@ def cmd_simulate(args) -> int:
     if len({r.m for r in ok}) >= 2:
         slope = sim.fit_loglog_slope(records)
         print(f"fitted log-log slope: {fmt(slope)}")
-    if bound_prefactor is not None:
+    if bound_prefactor == 0.0:
+        print("bound does not apply: its prefactor is 0 (the bound needs sigma > 0)")
+    elif bound_prefactor is not None:
         viol = sum(1 for r in ok
                    if r.hausdorff_error >= bound_prefactor / np.sqrt(r.m))
         print(f"bound violations at eta={args.eta}: {viol}/{len(ok)}")

@@ -124,12 +124,10 @@ def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
 
 def direction_graph(design: DesignMatrix) -> DirectionGraph:
     """Ray/sample adjacency from strict positivity of the coefficients."""
-    neighbors = []
-    for i in range(design.n):
-        col = design.matrix[:, i]
-        neighbors.append(tuple(int(j) for j in np.nonzero(col > POSITIVITY_TOL)[0]))
+    neighbors = tuple(tuple(np.flatnonzero(col > POSITIVITY_TOL).tolist())
+                      for col in design.matrix.T)
     return DirectionGraph(n_rays=design.n, n_samples=design.m,
-                          ray_neighbors=tuple(neighbors))
+                          ray_neighbors=neighbors)
 
 
 def ray_facet_graph(fan: SimplicialFan) -> DirectionGraph:

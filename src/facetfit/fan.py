@@ -7,7 +7,10 @@ distances — reduces to three queries implemented here: the carriers of a
 stack of directions with their barycentric coefficients, the wall-crossing
 inequality system, and exact maximization of linear functions over cone
 caps.  Carrier lookups loop over the cells, never over the directions: each
-cell's inverse is applied to every direction still without a carrier.
+direction's cell is guessed from the vertices of one polytope with the fan's
+rays as facet normals and verified, and the directions a guess cannot place
+go through a fan-order scan that applies each cell's inverse to every
+direction still without a carrier.
 """
 
 from __future__ import annotations
@@ -84,16 +87,29 @@ class WallCrossingSystem:
 
 @dataclass
 class FanConstants:
-    """Per-fan caches: cell generator inverses, ray norms, coefficient bound.
+    """Per-fan caches: cell generator inverses, ray norms, coefficient bound,
+    and the vertices and margins behind the carrier guess.
 
     ``c_delta`` bounds every barycentric coefficient of every unit vector;
     it is computed exactly from the per-cell coefficient gradients.
+
+    ``vertices[c]`` is the vertex ``x_c = inv_cᵀ h°_c`` of the polytope
+    ``P(h°) = {x : <v_i, x> <= ||v_i||}``, whose facet normals are the rays
+    and which circumscribes the unit ball; it solves ``<v_i, x> = ||v_i||``
+    for the d rays i of cell c.  ``guess_margins[c]`` is
+    ``2 d max ||v|| max_k ||inv_c[k]||``: ``carriers`` accepts a guess of
+    cell c for u when every coefficient of u in c is at least
+    ``guess_margins[c]`` times the scan tolerance of u.  The margins are
+    infinite, so no guess is accepted, when some coefficient's rounding can
+    exceed half the scan tolerance (``carriers`` derives both).
     """
 
     cell_matrices: list[np.ndarray]
     cell_inverses: list[np.ndarray]
     ray_norms: np.ndarray
     c_delta: float
+    vertices: np.ndarray
+    guess_margins: np.ndarray
 
 
 @dataclass
@@ -195,8 +211,19 @@ def _build_constants(fan: SimplicialFan) -> FanConstants:
         mats.append(M)
         invs.append(np.linalg.inv(M))
     norms = np.linalg.norm(fan.rays, axis=1)
+    vertices = np.array([inv.T @ norms[list(cell)]
+                         for cell, inv in zip(fan.cells, invs)])
+    inv_norms = np.array([row_norms(inv).max() for inv in invs])
+    # A length-d dot product rounds by at most d eps |a| |b|; the guess is
+    # sound while that stays within half the scan tolerance for every cell.
+    rounding = fan.dim * np.finfo(float).eps * inv_norms.max() * norms.min()
+    if rounding <= 0.5 * CARRIER_RTOL:
+        margins = 2.0 * fan.dim * norms.max() * inv_norms
+    else:
+        margins = np.full(fan.n_cells, np.inf)
     constants = FanConstants(cell_matrices=mats, cell_inverses=invs,
-                             ray_norms=norms, c_delta=0.0)
+                             ray_norms=norms, c_delta=0.0, vertices=vertices,
+                             guess_margins=margins)
     constants.c_delta = _c_delta_exact(fan, constants)
     return constants
 
@@ -205,20 +232,59 @@ def _build_constants(fan: SimplicialFan) -> FanConstants:
 # Carrier lookup
 # ---------------------------------------------------------------------------
 
+CARRIER_RTOL = 1e-9
+
+
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, equal bit for bit to ``np.linalg.norm``
     of the row alone (``np.linalg.norm(X, axis=1)`` is not)."""
     return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
 
 
+def row_min(X: np.ndarray) -> np.ndarray:
+    """Smallest entry of each row, equal bit for bit to ``X.min(axis=1)``:
+    a column-wise ``np.minimum``, which is exact and much faster than a
+    reduction over a short axis."""
+    out = X[:, 0].copy()
+    for k in range(1, X.shape[1]):
+        np.minimum(out, X[:, k], out=out)
+    return out
+
+
 def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
     """Carrier cells and barycentric coefficients of the rows of ``U``.
 
-    Cells are scanned in fan order; each pass applies one cell's inverse to
-    every row still without a carrier, and a row takes the first cell whose
-    coefficients are all at least ``-1e-9 ||u|| / min ||v_i||``, so vectors
-    on a wall resolve deterministically.  Coefficients within that tolerance
-    below zero are clamped to 0.
+    The result is that of a scan over the cells in fan order: a row takes
+    the first cell whose coefficients are all at least ``-tau(u)``, with
+    ``tau(u) = 1e-9 ||u|| / min ||v_i||``, so vectors on a wall resolve
+    deterministically.  Coefficients within that tolerance below zero are
+    clamped to 0.
+
+    Most rows skip the scan.  When the fan is the normal fan of a polytope
+    P, the cell holding u is the normal cone of the vertex of P that
+    maximizes ``<u, x>`` (Ziegler, *Lectures on Polytopes*, 7.1), so each
+    row's cell g is guessed as the argmax of ``<u, x_c>`` over the vertices
+    ``x_c`` of ``P(h°)``, ``h°`` the ray norms (``FanConstants.vertices``),
+    found in O(m) memory, never as an (m, cells) score matrix.  The guess
+    is accepted only when every coefficient of u in g is at least the margin
+    ``mu_g(u) = 2 tau(u) d max ||v|| max_k ||inv_g[k]||``.  Derivation: if
+    u fitted another cell c within tau, raising its negative coefficients
+    in c to 0 would move u by at most ``d tau max ||v||`` to a point w of
+    c, and each coefficient of w in g would differ from u's by at most
+    ``max_k ||inv_g[k]|| d tau max ||v||``, so w would lie inside g and in
+    c, which cells that meet only on their boundaries exclude.  The factor
+    2 absorbs the rounding of the coefficients, both of the matrix-product
+    pre-check in g and of the scan's test in c, which ``FanConstants``
+    bounds by ``tau / 2`` (no guess is accepted on a fan where it cannot).
+    So no other cell passes the scan's test, and an accepted row gets the
+    scan's cell and, from the same stacked product, its coefficients.
+
+    Zero rows, rows under the margin and wrong guesses, which arise when
+    ``h°`` is not inside the fan's type cone (the roof fans have it on the
+    boundary), go to the fan-order scan (``_scan``).  Cells, coefficients
+    and rows without a carrier are therefore bit-identical to the scan of
+    every row, assuming only that the cells meet only on their boundaries,
+    which ``validate`` checks; correctness never depends on ``h°``.
 
     Returns ``(cells, coeffs)``: ``cells[i]`` is the carrier of row i, or -1
     for a zero row or one no cell admits; ``coeffs`` is (m, n) with row i
@@ -228,22 +294,59 @@ def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
     fan.require_valid()
     consts = fan.constants
     norms = row_norms(U)
-    tol = 1e-9 * norms / max(float(np.min(consts.ray_norms)), 1e-300)
+    tol = CARRIER_RTOL * norms / max(float(np.min(consts.ray_norms)), 1e-300)
     cells = np.full(U.shape[0], -1)
     coeffs = np.zeros((U.shape[0], fan.n_rays))
-    todo = np.flatnonzero(norms != 0.0)
+    # Rows whose tolerance underflows or overflows are left to the scan.
+    rows = np.flatnonzero((tol > 0.0) & (tol < np.inf))
+    for ci, mine in enumerate(_vertex_groups(consts.vertices, U[rows])):
+        if mine.size == 0:
+            continue
+        mine = rows[mine]
+        inv = consts.cell_inverses[ci]
+        sure = row_min(U[mine] @ inv.T) >= consts.guess_margins[ci] * tol[mine]
+        mine = mine[sure]
+        cells[mine] = ci
+        coeffs[mine[:, None], list(fan.cells[ci])] = \
+            np.matmul(inv[None], U[mine, :, None])[..., 0]
+    _scan(fan, U, np.flatnonzero((norms != 0.0) & (cells < 0)), tol, cells, coeffs)
+    return cells, coeffs
+
+
+def _vertex_groups(vertices: np.ndarray, U: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``U`` grouped by the vertex that maximizes ``<u, x>``, the
+    first on ties: one array of row indices per vertex.  A running maximum
+    over the vertices, then a second pass hands each row to the first
+    vertex whose score reaches it, so memory stays O(m)."""
+    best = U @ vertices[0]
+    for x in vertices[1:]:
+        np.maximum(best, U @ x, out=best)
+    groups = []
+    for x in vertices:
+        mine = np.flatnonzero(U @ x == best)
+        best[mine] = np.nan   # taken: equal to no later score
+        groups.append(mine)
+    return groups
+
+
+def _scan(fan: SimplicialFan, U: np.ndarray, rows: np.ndarray, tol: np.ndarray,
+          cells: np.ndarray, coeffs: np.ndarray) -> None:
+    """The fan-order scan of ``carriers`` on ``U[rows]``, writing into
+    ``cells`` and ``coeffs``.  Each pass applies one cell's inverse to every
+    row still without a carrier; a row takes the first cell whose
+    coefficients are all at least ``-tol``."""
+    consts = fan.constants
     for ci, cell in enumerate(fan.cells):
-        if todo.size == 0:
+        if rows.size == 0:
             break
         # A stacked matrix-vector product per row: `U @ inv.T` and einsum
         # round differently from `inv @ u`.
-        lam = np.matmul(consts.cell_inverses[ci][None], U[todo, :, None])[..., 0]
-        fits = lam.min(axis=1) >= -tol[todo]
-        rows = todo[fits]
-        cells[rows] = ci
-        coeffs[rows[:, None], list(cell)] = np.maximum(lam[fits], 0.0)
-        todo = todo[~fits]
-    return cells, coeffs
+        lam = np.matmul(consts.cell_inverses[ci][None], U[rows, :, None])[..., 0]
+        fits = row_min(lam) >= -tol[rows]
+        hit = rows[fits]
+        cells[hit] = ci
+        coeffs[hit[:, None], list(cell)] = np.maximum(lam[fits], 0.0)
+        rows = rows[~fits]
 
 
 def carrier(fan: SimplicialFan, u) -> BarycentricVector:
@@ -449,7 +552,7 @@ def _completeness_probe(fan: SimplicialFan, messages: list[str]) -> bool:
     U = U[keep] / norms[keep, None]
     hits = np.zeros(U.shape[0], int)
     for inv in fan.constants.cell_inverses:
-        hits += np.matmul(inv[None], U[:, :, None])[..., 0].min(axis=1) >= -1e-9
+        hits += row_min(np.matmul(inv[None], U[:, :, None])[..., 0]) >= -1e-9
     bad = np.flatnonzero(hits != 1)
     if bad.size:
         messages.append(f"direction {U[bad[0]].tolist()} has {hits[bad[0]]} "

@@ -8,9 +8,9 @@ cone projections use scipy's Lawson-Hanson NNLS, and cone dimensions come
 from one HiGHS implicit-equality LP per inequality row.
 
 The per-row loops at the end are the slow references of the batched
-carrier, sampling and probe paths: one direction, one Gaussian draw and
-one cell at a time, with the same arithmetic, so the batched results must
-equal them bit for bit.
+carrier, direction-graph, sampling and probe paths: one direction, one
+matrix entry, one Gaussian draw and one cell at a time, with the same
+arithmetic, so the batched results must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 
 from facetfit import sim
+from facetfit.design import POSITIVITY_TOL, DirectionGraph
 from facetfit.fan import NoCarrier
 
 
@@ -278,6 +279,16 @@ def loop_design(fan, U) -> tuple[np.ndarray, np.ndarray]:
         except NoCarrier as exc:
             raise NoCarrier(f"row {i}: {exc}", row=i) from None
     return matrix, cells
+
+
+def loop_direction_graph(design) -> DirectionGraph:
+    """Ray/sample adjacency one column and one entry at a time."""
+    neighbors = []
+    for i in range(design.n):
+        col = design.matrix[:, i]
+        neighbors.append(tuple(int(j) for j in np.nonzero(col > POSITIVITY_TOL)[0]))
+    return DirectionGraph(n_rays=design.n, n_samples=design.m,
+                          ray_neighbors=tuple(neighbors))
 
 
 def loop_in_ct(fan, x, j, t, inverses) -> bool:

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facetfit import catalog, sim
-from facetfit.design import build_design
-from facetfit.fan import NoCarrier, SimplicialFan, ValidationReport, carriers, validate
+from facetfit import fan as fan_mod
+from facetfit.design import DesignMatrix, build_design, direction_graph
+from facetfit.fan import (NoCarrier, SimplicialFan, ValidationReport, carriers,
+                          row_min, validate)
 from facetfit.sim import make_plan, sample_concentrated, sample_uniform_sphere
 
 from oracles import (
@@ -22,6 +24,7 @@ from oracles import (
     loop_completeness_probe,
     loop_concentrated,
     loop_design,
+    loop_direction_graph,
     loop_uniform_sphere,
 )
 
@@ -164,3 +167,137 @@ def test_completeness_probe_equals_loop():
         ok, messages = loop_completeness_probe(broken)
         assert not ok and not report.completeness_probe
         assert messages[0] in report.messages
+
+
+def assert_carriers_equal_loop(fan, U):
+    """``carriers`` on the stack ``U`` equals ``loop_carrier`` row by row,
+    with -1 and a zero row wherever the loop finds no carrier."""
+    cells, coeffs = carriers(fan, U)
+    inverses = cell_inverses(fan)
+    for i, u in enumerate(U):
+        try:
+            cell, expected = loop_carrier(fan, u, inverses)
+        except NoCarrier:
+            cell, expected = -1, np.zeros(fan.n_rays)
+        assert cells[i] == cell
+        assert coeffs[i].tobytes() == expected.tobytes()
+    return cells
+
+
+def vertex_guess(fan, U):
+    """The cell whose vertex of P(h°) maximizes <u, x>, the first on ties."""
+    return np.argmax(U @ fan.constants.vertices.T, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(0, 40), st.integers(1, 6)),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_min_equals_min(shape, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    X[rng.random(shape) < 0.2] = 0.0
+    X[rng.random(shape) < 0.1] = -0.0
+    X[rng.random(shape) < 0.05] = np.inf
+    X[rng.random(shape) < 0.05] = -np.inf
+    assert row_min(X).tobytes() == X.min(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_near_wall_rows_equal_loop(index):
+    """Rows on the wall between adjacent cells a < b, pushed into b by
+    relative offsets 1e-15 to 1e-6: for the small offsets the scan keeps
+    a, within its tolerance, while the vertex argmax already picks b."""
+    fan = fans()[index]
+    rng = np.random.default_rng(index)
+    rows, earlier = [], []
+    for a, b in fan.wall_system.pairs:
+        shared = sorted(set(fan.cells[a]) & set(fan.cells[b]))
+        j = next(i for i in fan.cells[b] if i not in shared)
+        w = (rng.random(len(shared)) + 0.1) @ fan.rays[shared]
+        push = np.linalg.norm(w) * fan.rays[j] / np.linalg.norm(fan.rays[j])
+        for offset in 10.0 ** np.arange(-15, -5):
+            rows.append(w + offset * push)
+            earlier.append(a)
+    U = np.array(rows)
+    cells = assert_carriers_equal_loop(fan, U)
+    assert np.all(cells >= 0)
+    if index >= 5:   # random fans, whose P(h°) has them as normal fan
+        assert np.any((cells == np.array(earlier)) & (vertex_guess(fan, U) != cells))
+
+
+def test_fan_outside_its_vertex_polytope_equals_loop():
+    """The roof_fan_x cells on rays with ray 0 tilted: P(h°) is not a
+    polytope with this normal fan, so many guesses are wrong."""
+    rays = catalog.roof_fan_x().rays.copy()
+    rays[0] = [0.0, 1.2, 1.0]
+    fan = SimplicialFan(rays, catalog.roof_fan_x().cells)
+    consts = fan.constants
+    assert max(np.max(fan.rays @ x - consts.ray_norms) for x in consts.vertices) > 0.1
+    U = np.vstack([np.random.default_rng(8).standard_normal((400, 3)),
+                   mixed_directions(fan, 8, 1.0)])
+    cells = assert_carriers_equal_loop(fan, U)
+    assert np.count_nonzero((cells >= 0) & (vertex_guess(fan, U) != cells)) > 20
+
+
+def test_zero_rows_among_guessed_rows_equal_loop():
+    """Zero rows, and rows whose norm underflows to 0, must never take the
+    guessed cell, whose coefficients they meet with equality."""
+    fan = catalog.random_polytopal_fan(3, 12, seed=7)
+    rng = np.random.default_rng(12)
+    U = rng.standard_normal((300, 3))
+    U[rng.choice(300, 40, replace=False)] = 0.0
+    U[rng.choice(300, 10, replace=False)] *= 1e-170
+    U[rng.choice(300, 10, replace=False)] *= 1e-160
+    cells = assert_carriers_equal_loop(fan, U)
+    assert np.count_nonzero(cells < 0) >= 40
+
+
+def scan_sizes(monkeypatch):
+    """Wrap the fallback scan and record how many rows each call gets."""
+    sizes = []
+    scan = fan_mod._scan
+
+    def wrapped(fan, U, rows, *args):
+        sizes.append(len(rows))
+        return scan(fan, U, rows, *args)
+
+    monkeypatch.setattr(fan_mod, "_scan", wrapped)
+    return sizes
+
+
+def test_guess_places_gaussian_rows_without_the_scan(monkeypatch):
+    fan = catalog.random_polytopal_fan(3, 12, seed=7)
+    U = np.random.default_rng(3).standard_normal((5000, 3))
+    sizes = scan_sizes(monkeypatch)
+    cells, _ = carriers(fan, U)
+    assert sizes == [0] and np.all(cells >= 0)
+
+
+def test_exact_rays_all_go_to_the_scan(monkeypatch):
+    hexagon = catalog.hexagon_fan()
+    U = np.tile(hexagon.rays, (5, 1))
+    sizes = scan_sizes(monkeypatch)
+    carriers(hexagon, U)
+    assert sizes == [len(U)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 30), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_direction_graph_equals_loop(m, n, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 1e-12, 2e-12, -1.0, 0.5, 3.0])
+    matrix = values[rng.integers(len(values), size=(m, n))]
+    matrix[:, rng.random(n) < 0.3] = 0.0   # rays no sample touches
+    design = DesignMatrix(matrix=matrix, carrier_cells=np.zeros(m, int))
+    fast, slow = direction_graph(design), loop_direction_graph(design)
+    assert fast == slow
+    assert all(type(j) is int for nbrs in fast.ray_neighbors for j in nbrs)
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_direction_graph_of_designs_equals_loop(index):
+    fan = fans()[index]
+    for m in (1, 7, 200):
+        U = np.random.default_rng(m).standard_normal((m, fan.dim))
+        design = build_design(fan, U)
+        assert direction_graph(design) == loop_direction_graph(design)

@@ -260,6 +260,18 @@ def test_simulate_plot_without_noise_has_no_bound_line(workdir):
     assert "crimson" not in svg and "darkorange" in svg
 
 
+def test_simulate_without_noise_says_the_bound_does_not_apply(workdir, capsys):
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--m", "30", "120",
+              "--reps", "2", "--sigma", "0", "--out", workdir / "r.tsv"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_OK
+    assert ("bound does not apply: its prefactor is 0 (the bound needs sigma > 0)"
+            in out.splitlines())
+    assert "bound violations" not in out
+    meta = json.loads((workdir / "r.tsv.meta.json").read_text())
+    assert meta["bound_prefactor"] == 0.0
+
+
 def test_simulate_infeasible_plan_exits_5(workdir):
     rc = run(["simulate", "--fan", workdir / "hex.json", "--t", "0.1",
               "--delta", "0.05", "--m", "600", "--reps", "2",
