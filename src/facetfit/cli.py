@@ -5,16 +5,19 @@
     facetfit uniqueness --fan FAN.json --data D.txt
     facetfit simulate --fan FAN.json [options]
 
-Exit codes are stable: 0 success, 2 parse error, 3 fan validation failure,
-4 solver iteration limit, 5 infeasible sampling plan, 6 failed linear
-program (infeasible, unbounded or inaccurate).  All numeric output is
-written with 17 significant digits so runs can be diffed exactly.
+Exit codes are stable: 0 success, 2 parse error or refused input (any
+``ValueError``, e.g. fans with different ray lists; a direction outside the
+fan; an unwritable output path), 3 fan validation failure, 4 solver
+iteration limit, 5 infeasible sampling plan, 6 failed linear program.  Every
+refusal is one stderr line (``REFUSALS``), never a traceback.  All numeric
+output is written with 17 significant digits so runs can be diffed exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -39,6 +42,21 @@ RECORDS_FORMAT = "records/1"
 
 class ParseError(Exception):
     """Malformed input file; message carries position info when known."""
+
+
+# Every refusal a command raises: its exit code and its stderr line.  Reads
+# become ``ParseError``, so an ``OSError`` that reaches ``main`` is a write.
+REFUSALS = (
+    (ParseError, EXIT_PARSE, "parse error: {}"),
+    (fan_mod.NoCarrier, EXIT_PARSE, "direction outside fan support: {}"),
+    (ValueError, EXIT_PARSE, "invalid input: {}"),
+    (OSError, EXIT_PARSE, "cannot write: {}"),
+    (fan_mod.InvalidFan, EXIT_VALIDATION, "invalid fan: {}"),
+    (qp.IterationLimit, EXIT_ITERATION, "solver iteration limit: {}"),
+    (sim.QuotaInfeasible, EXIT_PLAN, "infeasible sampling plan: {}"),
+    ((qp.Infeasible, qp.Unbounded, qp.Inaccurate), EXIT_LP,
+     "linear program failed: {!r}"),
+)
 
 
 def fmt(x: float) -> str:
@@ -69,6 +87,23 @@ def load_fan(path: str) -> fan_mod.SimplicialFan:
         return fan_mod.SimplicialFan(raw["rays"], raw["cells"], dim=raw["dim"])
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def _valid_fan(path: str) -> fan_mod.SimplicialFan:
+    """``load_fan``, refusing an invalid fan with its path and failed checks."""
+    fan = load_fan(path)
+    try:
+        fan.require_valid()
+    except fan_mod.InvalidFan as exc:
+        raise fan_mod.InvalidFan(f"{path}: {exc}") from None
+    return fan
+
+
+def _require_directories(*paths: str | None) -> None:
+    """Refuse, before any work, an output path whose directory is missing."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{path}: no such directory")
 
 
 def save_fan(fan: fan_mod.SimplicialFan, path: str) -> None:
@@ -294,57 +329,42 @@ def _result_payload(res: estimator_mod.ReconstructionResult) -> dict:
 
 
 def cmd_reconstruct(args) -> int:
-    fans = [load_fan(p) for p in args.fan]
+    _require_directories(args.output)
+    fans = [_valid_fan(p) for p in args.fan]
     dataset = load_dataset(args.data, fans[0].dim)
-    for f, p in zip(fans, args.fan):
-        rep = fan_mod.validate(f)
-        if not rep.ok:
-            print(f"{p}: validation failed: {'; '.join(rep.messages)}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-    try:
-        if len(fans) == 1:
-            res = estimator_mod.reconstruct(fans[0], dataset)
-            payload = {"format": "reconstruction/1",
-                       "fan": args.fan[0], **_result_payload(res)}
-            print(f"objective = {fmt(res.objective)}")
-            print("h_hat =", " ".join(fmt(x) for x in res.h_hat))
-            print(f"solution set: dimension {res.solution_set.dimension}, "
-                  f"{'bounded' if res.solution_set.bounded else 'unbounded'}")
-            if res.solution_set.segment_endpoints is not None:
-                for e in res.solution_set.segment_endpoints:
-                    print("  endpoint:", " ".join(fmt(x) for x in e))
-            print(f"unique for all y: "
-                  f"{'yes' if res.uniqueness.unique_for_all_y else 'no'}")
-        else:
-            multi = estimator_mod.reconstruct_multi(fans, dataset)
-            payload = {
-                "format": "reconstruction-multi/1",
-                "fans": list(args.fan),
-                "best_objective": multi.best_objective,
-                "minimizing_fans": list(multi.minimizing_fans),
-                "tie": multi.is_tie,
-                "results": [None if r is None else _result_payload(r)
-                            for r in multi.results],
-                "errors": [None if e is None else str(e) for e in multi.errors],
-            }
-            print(f"best objective = {fmt(multi.best_objective)}")
-            if multi.is_tie:
-                print(f"TIE between fans: "
-                      f"{', '.join(args.fan[i] for i in multi.minimizing_fans)}")
-            for i in multi.minimizing_fans:
-                res = multi.results[i]
-                print(f"  {args.fan[i]}: h_hat =",
-                      " ".join(fmt(x) for x in res.h_hat))
-    except qp.IterationLimit as exc:
-        print(f"solver iteration limit: {exc}", file=sys.stderr)
-        return EXIT_ITERATION
-    except (qp.Infeasible, qp.Unbounded, qp.Inaccurate) as exc:
-        print(f"linear program failed: {exc!r}", file=sys.stderr)
-        return EXIT_LP
-    except fan_mod.NoCarrier as exc:
-        print(f"direction outside fan support: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if len(fans) == 1:
+        res = estimator_mod.reconstruct(fans[0], dataset)
+        payload = {"format": "reconstruction/1",
+                   "fan": args.fan[0], **_result_payload(res)}
+        print(f"objective = {fmt(res.objective)}")
+        print("h_hat =", " ".join(fmt(x) for x in res.h_hat))
+        print(f"solution set: dimension {res.solution_set.dimension}, "
+              f"{'bounded' if res.solution_set.bounded else 'unbounded'}")
+        if res.solution_set.segment_endpoints is not None:
+            for e in res.solution_set.segment_endpoints:
+                print("  endpoint:", " ".join(fmt(x) for x in e))
+        print(f"unique for all y: "
+              f"{'yes' if res.uniqueness.unique_for_all_y else 'no'}")
+    else:
+        multi = estimator_mod.reconstruct_multi(fans, dataset)
+        payload = {
+            "format": "reconstruction-multi/1",
+            "fans": list(args.fan),
+            "best_objective": multi.best_objective,
+            "minimizing_fans": list(multi.minimizing_fans),
+            "tie": multi.is_tie,
+            "results": [None if r is None else _result_payload(r)
+                        for r in multi.results],
+            "errors": [None if e is None else str(e) for e in multi.errors],
+        }
+        print(f"best objective = {fmt(multi.best_objective)}")
+        if multi.is_tie:
+            print(f"TIE between fans: "
+                  f"{', '.join(args.fan[i] for i in multi.minimizing_fans)}")
+        for i in multi.minimizing_fans:
+            res = multi.results[i]
+            print(f"  {args.fan[i]}: h_hat =",
+                  " ".join(fmt(x) for x in res.h_hat))
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=1)
@@ -354,17 +374,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    fan = load_fan(args.fan)
+    fan = _valid_fan(args.fan)
     dataset = load_dataset(args.data, fan.dim)
-    rep = fan_mod.validate(fan)
-    if not rep.ok:
-        print(f"{args.fan}: validation failed", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        dm = design_mod.build_design(fan, dataset.directions)
-    except fan_mod.NoCarrier as exc:
-        print(f"direction outside fan support: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    dm = design_mod.build_design(fan, dataset.directions)
     report = design_mod.uniqueness_report(fan, dm)
     covered = sum(report.cells_covered)
     print(f"samples: {dataset.m}, rays: {fan.n_rays}")
@@ -382,11 +394,8 @@ def cmd_simulate(args) -> int:
         raise ParseError("--reps must be at least 1")
     if len(set(args.m)) != len(args.m):
         raise ParseError("--m values must be distinct")
-    fan = load_fan(args.fan)
-    rep = fan_mod.validate(fan)
-    if not rep.ok:
-        print(f"{args.fan}: validation failed", file=sys.stderr)
-        return EXIT_VALIDATION
+    _require_directories(args.out, args.plot)
+    fan = _valid_fan(args.fan)
     try:
         h0 = (np.ones(fan.n_rays) if args.h0 is None
               else np.array([float(x) for x in args.h0.split(",")]))
@@ -395,21 +404,10 @@ def cmd_simulate(args) -> int:
     if h0.shape != (fan.n_rays,):
         raise ParseError(f"--h0 needs {fan.n_rays} comma-separated values")
     if not geometry.is_deformation(fan, h0):
-        print("--h0 is not in the deformation cone", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("--h0 is not in the deformation cone")
     delta = args.delta if args.delta is not None else 1.0 / fan.n_rays
-    try:
-        plans = {m: sim.make_plan(fan, args.t, delta, m, args.seed)
-                 for m in args.m}
-    except sim.QuotaInfeasible as exc:
-        print(f"infeasible sampling plan: {exc}", file=sys.stderr)
-        return EXIT_PLAN
-    except ValueError as exc:   # --t, --delta or --m out of range
-        raise ParseError(str(exc)) from None
-    try:
-        noise = sim.NoiseModel(sigma=args.sigma, seed=sim.derive_seed(args.seed, 1))
-    except ValueError as exc:
-        raise ParseError(f"--sigma: {exc}") from None
+    plans = {m: sim.make_plan(fan, args.t, delta, m, args.seed) for m in args.m}
+    noise = sim.NoiseModel(sigma=args.sigma, seed=sim.derive_seed(args.seed, 1))
     records = sim.run_convergence(fan, h0, lambda m: plans[m], sorted(args.m),
                                   args.reps, noise)
 
@@ -508,15 +506,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except sim.QuotaInfeasible as exc:
-        print(f"infeasible sampling plan: {exc}", file=sys.stderr)
-        return EXIT_PLAN
-    except fan_mod.InvalidFan as exc:
-        print(f"invalid fan: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except Exception as exc:
+        for types, code, line in REFUSALS:
+            if isinstance(exc, types):
+                print(" ".join(line.format(exc).splitlines()), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -145,14 +145,13 @@ def detect_unbounded(fan: SimplicialFan, design: DesignMatrix) -> bool:
 
 
 def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset,
-                      opts: qp.SolverOptions | None = None,
-                      tie_tol: float | None = None) -> MultiReconstruction:
+                      opts: qp.SolverOptions | None = None) -> MultiReconstruction:
     """Run the estimator for every candidate fan over the same rays.
 
     Per-fan failures are recorded and do not stop the remaining fans; if all
     fail, the first fan's exception is raised.  All fans whose objective is
-    within ``tie_tol`` of the best are reported as minimizers; the default
-    tolerance is relative to ``||y||^2`` so exact ties survive floating point.
+    within ``1e-8 (1 + ||y||^2)`` of the best are reported as minimizers, a
+    tolerance relative to ``||y||^2`` so exact ties survive floating point.
     """
     if not fans:
         raise ValueError("need at least one fan")
@@ -160,8 +159,7 @@ def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset,
     for k, f in enumerate(fans[1:], start=1):
         if f.rays.shape != rays0.shape or not np.allclose(f.rays, rays0, atol=1e-12):
             raise ValueError(f"fan {k} has a different ray list")
-    if tie_tol is None:
-        tie_tol = 1e-8 * (1.0 + float(dataset.values @ dataset.values))
+    tie_tol = 1e-8 * (1.0 + float(dataset.values @ dataset.values))
 
     results: list[ReconstructionResult | None] = []
     errors: list[Exception | None] = []

@@ -16,6 +16,7 @@ direction still without a carrier.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,12 +148,12 @@ class SimplicialFan:
         if not np.all(np.isfinite(self.rays)):
             raise ValueError("rays must be finite")
         self.rays.setflags(write=False)
-        self.dim = int(dim) if dim is not None else self.rays.shape[1]
+        self.dim = _index(dim, "dim") if dim is not None else self.rays.shape[1]
         if self.rays.shape[1] != self.dim:
             raise ValueError("ray length does not match dim")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-        self.cells = tuple(tuple(int(i) for i in cell) for cell in cells)
+        self.cells = tuple(tuple(_index(i, "cell index") for i in cell) for cell in cells)
         n = self.rays.shape[0]
         for cell in self.cells:
             if len(cell) != self.dim or len(set(cell)) != self.dim:
@@ -195,6 +196,13 @@ class SimplicialFan:
     def __repr__(self):
         return (f"SimplicialFan(dim={self.dim}, rays={self.n_rays}, "
                 f"cells={self.n_cells})")
+
+
+def _index(value, what: str) -> int:
+    """``operator.index`` refusing bools: a float, even 2.0, is not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 def _cell_determinant_ok(M: np.ndarray) -> bool:

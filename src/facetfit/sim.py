@@ -247,34 +247,28 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
     of 1e-9 absorbs round-off so the exact normalized ray passes at t = 0.
     """
     x = np.asarray(x, float)
-    member, carried = _in_neighborhoods(fan, x[None], np.array([j]), t)
-    if not carried[0]:
+    cells, coeffs = carriers(fan, x[None])
+    if cells[0] < 0:
         raise NoCarrier.for_vector(fan, x)
-    return bool(member[0])
+    return bool(_in_neighborhoods(coeffs, fan.constants.ray_norms, np.array([j]), t)[0])
 
 
-def _in_neighborhoods(fan: SimplicialFan, X: np.ndarray, J: np.ndarray,
-                      t: float) -> tuple[np.ndarray, np.ndarray]:
-    """``in_ct`` for every row: whether row i lies in the neighborhood of
-    ray ``J[i]``, and whether it has a carrier at all."""
-    cells, coeffs = carriers(fan, X)
-    scaled = coeffs * fan.constants.ray_norms
+def _in_neighborhoods(coeffs: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,
+                      t: float) -> np.ndarray:
+    """The one membership rule of the neighborhoods: row i of the barycentric
+    coefficients, scaled by the ray norms, lies within ``t`` (plus 1e-9) of
+    the unit vector of ray ``J[i]`` in the sup norm."""
+    scaled = coeffs * ray_norms
     scaled[np.arange(len(J)), J] -= 1.0
-    return np.max(np.abs(scaled), axis=1) <= t + 1e-9, cells >= 0
+    return np.max(np.abs(scaled), axis=1) <= t + 1e-9
 
 
 def _concentration_counts_from_rows(matrix: np.ndarray, ray_norms: np.ndarray,
                                     t: float) -> np.ndarray:
     """Per-ray neighborhood counts computed from design rows."""
-    scaled = matrix * ray_norms[None, :]
-    n = matrix.shape[1]
-    counts = np.zeros(n, int)
-    for j in range(n):
-        target = np.zeros(n)
-        target[j] = 1.0
-        dist = np.max(np.abs(scaled - target[None, :]), axis=1)
-        counts[j] = int(np.sum(dist <= t + 1e-9))
-    return counts
+    m, n = matrix.shape
+    return np.array([_in_neighborhoods(matrix, ray_norms, np.full(m, j), t).sum()
+                     for j in range(n)], int)
 
 
 def audit_concentration(fan: SimplicialFan, directions, plan: SamplingPlan) -> np.ndarray:
@@ -333,8 +327,10 @@ def _rejection_rows(fan: SimplicialFan, rng: np.random.Generator, units: np.ndar
         norms = row_norms(X)
         usable = norms >= 1e-12
         X /= np.where(usable, norms, 1.0)[:, None]
-        member, carried = _in_neighborhoods(fan, X, np.tile(np.arange(n), k), t)
-        usable, member, carried = (a.reshape(k, n) for a in (usable, member, carried))
+        cells, coeffs = carriers(fan, X)
+        member = _in_neighborhoods(coeffs, fan.constants.ray_norms,
+                                   np.tile(np.arange(n), k), t)
+        usable, member, carried = (a.reshape(k, n) for a in (usable, member, cells >= 0))
         X = X.reshape(k, n, d)
         for i in range(k):
             j = slots[s]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from facetfit import catalog, cli, estimator, qp
+from facetfit import catalog, cli, estimator, qp, sim
 from facetfit import fan as fan_mod
 from facetfit.design import Dataset
 from facetfit.fan import SimplicialFan
@@ -317,6 +317,131 @@ def test_non_finite_fan_is_parse_error(workdir, capsys):
     rc = run(["fan-info", bad])
     assert rc == cli.EXIT_PARSE
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, cell", [
+    ("2.9", "[0, 1]"),
+    ("2", "[1.7, 2]"),
+    ("2", "[0, true]"),
+])
+def test_non_integer_fan_indices_are_parse_errors(workdir, capsys, dim, cell):
+    hexa = catalog.hexagon_fan()
+    cells = ", ".join(json.dumps(list(c)) for c in hexa.cells[1:])
+    bad = workdir / "float.json"
+    bad.write_text(f'{{"dim": {dim}, "rays": {json.dumps(hexa.rays.tolist())},'
+                   f' "cells": [{cell}, {cells}]}}\n')
+    rc = run(["fan-info", bad])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert "must be an integer" in captured.err
+    assert "validation" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# Refusals: each failure has one exit code and one stderr line
+# ---------------------------------------------------------------------------
+
+def assert_refused(captured, *fragments):
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+@pytest.mark.parametrize("error, code", [
+    (cli.ParseError("line 3:\nunexpected token"), 2),
+    (fan_mod.NoCarrier("no cell holds the direction"), 2),
+    (ValueError("value out of range"), 2),
+    (OSError("disk full"), 2),
+    (fan_mod.InvalidFan("fan failed validation"), 3),
+    (qp.IterationLimit("active-set iteration cap exhausted", None), 4),
+    (sim.QuotaInfeasible("quotas exceed m"), 5),
+    (qp.Infeasible("phase-1 optimum is positive"), 6),
+    (qp.Unbounded("objective decreases along a ray"), 6),
+    (qp.Inaccurate("point violates its constraints"), 6),
+])
+def test_each_refusal_exits_with_its_code_and_one_line(
+        workdir, capsys, monkeypatch, error, code):
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(cli, "load_fan", fail)
+    rc = run(["fan-info", workdir / "hex.json"])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert_refused(captured, str(error).splitlines()[-1])
+    if code == cli.EXIT_LP:
+        assert type(error).__name__ in captured.err
+
+
+def test_unexpected_error_is_not_reported_as_a_refusal(workdir, monkeypatch):
+    def fail(path):
+        raise RuntimeError("a bug, not a refusal")
+
+    monkeypatch.setattr(cli, "load_fan", fail)
+    with pytest.raises(RuntimeError):
+        run(["fan-info", workdir / "hex.json"])
+
+
+def test_reconstruct_refuses_missing_output_directory(workdir, capsys):
+    target = workdir / "missing" / "x.json"
+    rc = run(["reconstruct", "--fan", workdir / "hex.json",
+              "--data", workdir / "cycle.txt", "--output", target])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert_refused(captured, str(target), "no such directory")
+    assert captured.out == ""
+
+
+def test_reconstruct_failed_write_exits_2(workdir, capsys):
+    rc = run(["reconstruct", "--fan", workdir / "hex.json",
+              "--data", workdir / "cycle.txt", "--output", workdir])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert_refused(captured, "cannot write", str(workdir))
+
+
+@pytest.mark.parametrize("option", ["--out", "--plot"])
+def test_simulate_refuses_missing_output_directory_before_running(
+        workdir, capsys, monkeypatch, option):
+    monkeypatch.setattr(cli.sim, "run_convergence", None)  # must not be reached
+    paths = {"--out": workdir / "r.tsv", "--plot": workdir / "p.svg"}
+    paths[option] = workdir / "missing" / "x"
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--m", "30", "120",
+              "--reps", "2", "--out", paths["--out"], "--plot", paths["--plot"]])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert_refused(captured, str(paths[option]), "no such directory")
+    assert not (workdir / "missing").exists()
+    assert not (workdir / "r.tsv").exists() and not (workdir / "p.svg").exists()
+
+
+def test_reconstruct_fans_with_different_rays_exit_2(workdir, capsys):
+    cli.save_fan(catalog.regular_polygon_fan(5), str(workdir / "pent.json"))
+    rc = run(["reconstruct", "--fan", workdir / "hex.json",
+              "--fan", workdir / "pent.json", "--data", workdir / "cycle.txt"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert_refused(captured, "different ray list")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["uniqueness", "--data", "cycle.txt"],
+    ["simulate", "--m", "20", "40", "--reps", "1", "--out", "s.tsv"],
+])
+def test_invalid_fan_exits_3_and_names_the_failed_checks(
+        workdir, capsys, monkeypatch, command):
+    hexa = catalog.hexagon_fan()
+    cli.save_fan(SimplicialFan(hexa.rays, hexa.cells[:-1]),
+                 str(workdir / "broken.json"))
+    monkeypatch.chdir(workdir)
+    rc = run(command + ["--fan", "broken.json"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert_refused(captured, "broken.json", "ray 0 appears in 1 < d cells")
+    assert captured.out == ""
+    assert not (workdir / "s.tsv").exists()
 
 
 # ---------------------------------------------------------------------------
