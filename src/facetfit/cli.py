@@ -286,7 +286,7 @@ def cmd_fan_info(args) -> int:
         print("validation: FAIL")
         return EXIT_VALIDATION
     print("validation: PASS")
-    walls = fan_mod.wall_crossings(fan)
+    walls = fan.wall_system
     essential = _essential_rows(walls.matrix)
     print(f"wall-crossing inequalities ({walls.n_walls}, "
           f"{sum(essential)} essential):")

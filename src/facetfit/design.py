@@ -94,7 +94,6 @@ class DirectionGraph:
 @dataclass(frozen=True)
 class Matching:
     size: int
-    pairs: tuple[tuple[int, int], ...]  # (ray, sample)
 
 
 @dataclass
@@ -112,7 +111,6 @@ def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
     Deterministic given fan order.  A direction outside the fan support
     raises ``NoCarrier`` with the first offending row index attached.
     """
-    fan.require_valid()
     U = np.atleast_2d(np.asarray(directions, float))
     cells, matrix = carriers(fan, U)
     bad = np.flatnonzero(cells < 0)
@@ -154,9 +152,7 @@ def max_matching(graph: DirectionGraph) -> Matching:
         if _augment(graph.ray_neighbors, ray, [False] * graph.n_samples,
                     match_ray, match_sample):
             size += 1
-    pairs = tuple((i, match_ray[i]) for i in range(graph.n_rays)
-                  if match_ray[i] >= 0)
-    return Matching(size=size, pairs=pairs)
+    return Matching(size=size)
 
 
 def _augment(neighbors, ray: int, seen: list[bool], match_ray: list[int],

@@ -67,7 +67,6 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
     description.  Noiseless data from a member of the deformation cone
     yields objective zero.
     """
-    fan.require_valid()
     dm = design_mod.build_design(fan, dataset.directions)
     walls = fan.wall_system
     problem = qp.ConstrainedLS(A=dm.matrix, y=dataset.values, B=walls.matrix)

@@ -15,6 +15,7 @@ direction still without a carrier.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -86,13 +87,10 @@ class WallCrossingSystem:
         return self.matrix.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FanConstants:
-    """Per-fan caches: cell generator inverses, ray norms, coefficient bound,
-    and the vertices and margins behind the carrier guess.
-
-    ``c_delta`` bounds every barycentric coefficient of every unit vector;
-    it is computed exactly from the per-cell coefficient gradients.
+    """What carrier lookups read from a fan: cell generator inverses, ray
+    norms, and the vertices and margins behind the carrier guess.
 
     ``vertices[c]`` is the vertex ``x_c = inv_cᵀ h°_c`` of the polytope
     ``P(h°) = {x : <v_i, x> <= ||v_i||}``, whose facet normals are the rays
@@ -103,12 +101,13 @@ class FanConstants:
     ``guess_margins[c]`` times the scan tolerance of u.  The margins are
     infinite, so no guess is accepted, when some coefficient's rounding can
     exceed half the scan tolerance (``carriers`` derives both).
+
+    The coefficient bound is not here: ``c_delta`` computes it on its first
+    call, since only the convergence bound and ``hausdorff_bound`` read it.
     """
 
-    cell_matrices: list[np.ndarray]
-    cell_inverses: list[np.ndarray]
+    cell_inverses: tuple[np.ndarray, ...]
     ray_norms: np.ndarray
-    c_delta: float
     vertices: np.ndarray
     guess_margins: np.ndarray
 
@@ -136,9 +135,10 @@ class SimplicialFan:
     """A complete simplicial fan in R^d with n rays and explicit maximal cells.
 
     Rays need not be unit length.  ``rays`` is a read-only copy of the
-    input, so the cached inverses cannot go stale.  Validation and the
-    derived constants are computed lazily and cached; a validated fan is
-    immutable and safe for concurrent readers.
+    input, so the cached inverses cannot go stale.  Validation, the wall
+    system, the constants and ``c_delta`` are each computed when first read
+    and cached; a validated fan is immutable and safe for concurrent
+    readers.
     """
 
     def __init__(self, rays, cells, dim: int | None = None):
@@ -160,9 +160,7 @@ class SimplicialFan:
                 raise ValueError(f"cell {cell} is not a d-subset of ray indices")
             if any(i < 0 or i >= n for i in cell):
                 raise ValueError(f"cell {cell} has an out-of-range ray index")
-        self._constants: FanConstants | None = None
         self._validation: ValidationReport | None = None
-        self._walls: WallCrossingSystem | None = None
 
     # -- basic shape -------------------------------------------------------
     @property
@@ -174,17 +172,24 @@ class SimplicialFan:
         return len(self.cells)
 
     # -- caches --------------------------------------------------------------
-    @property
+    @functools.cached_property
     def constants(self) -> FanConstants:
-        if self._constants is None:
-            self._constants = _build_constants(self)
-        return self._constants
+        return _build_constants(self)
 
-    @property
+    @functools.cached_property
     def wall_system(self) -> WallCrossingSystem:
-        if self._walls is None:
-            self._walls = wall_crossings(self)
-        return self._walls
+        return wall_crossings(self)
+
+    @functools.cached_property
+    def _inverses(self) -> tuple[np.ndarray | None, ...]:
+        """Each cell's generator inverse, or None where the generators are
+        numerically dependent: the one independence test, read by
+        ``validate`` and by the constants."""
+        return tuple(_inverse(self.rays[list(cell)].T) for cell in self.cells)
+
+    @functools.cached_property
+    def _c_delta(self) -> float:
+        return _c_delta_exact(self)
 
     def require_valid(self):
         if self._validation is None:
@@ -205,22 +210,20 @@ def _index(value, what: str) -> int:
     return operator.index(value)
 
 
-def _cell_determinant_ok(M: np.ndarray) -> bool:
+def _inverse(M: np.ndarray) -> np.ndarray | None:
+    """``M``'s inverse, or None when its columns are numerically dependent."""
     scale = np.prod(np.linalg.norm(M, axis=0))
-    return abs(np.linalg.det(M)) > 1e-12 * max(scale, 1e-300)
+    if abs(np.linalg.det(M)) > 1e-12 * max(scale, 1e-300):
+        return np.linalg.inv(M)
+    return None
 
 
 def _build_constants(fan: SimplicialFan) -> FanConstants:
-    mats, invs = [], []
-    for cell in fan.cells:
-        M = fan.rays[list(cell)].T
-        if not _cell_determinant_ok(M):
+    invs = fan._inverses
+    for cell, inv in zip(fan.cells, invs):
+        if inv is None:
             raise InvalidFan(f"cell {cell} has numerically dependent generators")
-        mats.append(M)
-        invs.append(np.linalg.inv(M))
     norms = np.linalg.norm(fan.rays, axis=1)
-    vertices = np.array([inv.T @ norms[list(cell)]
-                         for cell, inv in zip(fan.cells, invs)])
     inv_norms = np.array([row_norms(inv).max() for inv in invs])
     # A length-d dot product rounds by at most d eps |a| |b|; the guess is
     # sound while that stays within half the scan tolerance for every cell.
@@ -229,11 +232,16 @@ def _build_constants(fan: SimplicialFan) -> FanConstants:
         margins = 2.0 * fan.dim * norms.max() * inv_norms
     else:
         margins = np.full(fan.n_cells, np.inf)
-    constants = FanConstants(cell_matrices=mats, cell_inverses=invs,
-                             ray_norms=norms, c_delta=0.0, vertices=vertices,
-                             guess_margins=margins)
-    constants.c_delta = _c_delta_exact(fan, constants)
-    return constants
+    return FanConstants(cell_inverses=invs, ray_norms=norms,
+                        vertices=cell_vertices(fan, norms), guess_margins=margins)
+
+
+def cell_vertices(fan: SimplicialFan, h) -> np.ndarray:
+    """Row c is ``inv_cᵀ h_c``, where the facets ``<v_i, x> = h_i`` of cell
+    c's rays meet: a vertex of ``P(h)`` when h is in the deformation cone.
+    The cells must be independent (``validate`` checks it)."""
+    h = np.asarray(h, float)
+    return np.array([inv.T @ h[list(cell)] for cell, inv in zip(fan.cells, fan._inverses)])
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +308,9 @@ def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
     """
     U = np.asarray(U, float)
     fan.require_valid()
+    if U.ndim != 2 or U.shape[1] != fan.dim:
+        raise ValueError(f"directions must be rows of width {fan.dim}, the fan's "
+                         f"dimension; got an array of shape {U.shape}")
     consts = fan.constants
     norms = row_norms(U)
     tol = CARRIER_RTOL * norms / max(float(np.min(consts.ray_norms)), 1e-300)
@@ -425,16 +436,12 @@ def max_linear_over_cone_cap(fan: SimplicialFan, cell: int, r) -> float:
     projection is kept when it lies in the face cone.  The apex contributes
     0, which is the floor of the returned value.
     """
-    return _cap_max(fan, fan.constants, cell, r)
-
-
-def _cap_max(fan: SimplicialFan, consts: FanConstants, cell: int, r) -> float:
     r = np.asarray(r, float)
     norm_r = np.linalg.norm(r)
     if norm_r == 0.0:
         return 0.0
-    generators = consts.cell_matrices[cell]  # columns are the generators
-    lam = consts.cell_inverses[cell] @ r
+    generators = fan.rays[list(fan.cells[cell])].T
+    lam = fan.constants.cell_inverses[cell] @ r
     if np.min(lam) >= -1e-12 * norm_r:
         return float(norm_r)
     best = 0.0
@@ -459,19 +466,20 @@ def _cap_max(fan: SimplicialFan, consts: FanConstants, cell: int, r) -> float:
     return best
 
 
-def _c_delta_exact(fan: SimplicialFan, consts: FanConstants) -> float:
+def _c_delta_exact(fan: SimplicialFan) -> float:
     best = 0.0
-    for ci in range(fan.n_cells):
-        inv = consts.cell_inverses[ci]
+    for ci, inv in enumerate(fan.constants.cell_inverses):
         for k in range(fan.dim):
             # Coefficient k on this cell is linear in u with gradient inv[k].
-            best = max(best, _cap_max(fan, consts, ci, inv[k]))
+            best = max(best, max_linear_over_cone_cap(fan, ci, inv[k]))
     return best
 
 
 def c_delta(fan: SimplicialFan) -> float:
-    """Largest barycentric coefficient over all unit vectors (exact)."""
-    return fan.constants.c_delta
+    """Largest barycentric coefficient over all unit vectors (exact), from
+    the cone-cap maxima of the coefficient gradients; computed on the first
+    call and cached on the fan."""
+    return fan._c_delta
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +503,8 @@ def validate(fan: SimplicialFan, strict: bool = False) -> ValidationReport:
     messages: list[str] = []
 
     cells_ok = True
-    for cell in fan.cells:
-        M = fan.rays[list(cell)].T
-        if not _cell_determinant_ok(M):
+    for cell, inv in zip(fan.cells, fan._inverses):
+        if inv is None:
             cells_ok = False
             messages.append(f"cell {cell}: generators numerically dependent")
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .fan import SimplicialFan, WallCrossingSystem, carrier, max_linear_over_cone_cap
+from .fan import (SimplicialFan, c_delta, carrier, cell_vertices,
+                  max_linear_over_cone_cap)
 
 
 class NotInDeformationCone(Exception):
@@ -33,16 +34,15 @@ class VertexMap:
     merged_groups: tuple[tuple[int, ...], ...]
 
 
-def membership_gap(fan: SimplicialFan, h, system: WallCrossingSystem | None = None) -> float:
+def membership_gap(fan: SimplicialFan, h) -> float:
     """Smallest wall value ``min(B h)``; nonnegative inside the cone."""
-    if system is None:
-        system = fan.wall_system
-    if system.matrix.shape[0] == 0:
+    walls = fan.wall_system.matrix
+    if walls.shape[0] == 0:
         return 0.0
-    return float(np.min(system.matrix @ np.asarray(h, float)))
+    return float(np.min(walls @ np.asarray(h, float)))
 
 
-def is_deformation(fan: SimplicialFan, h, system: WallCrossingSystem | None = None) -> bool:
+def is_deformation(fan: SimplicialFan, h) -> bool:
     """Whether ``P(h)`` is a deformation of the fan's polytopes.
 
     Tolerated membership: every wall value may dip ``1e-8 * (1 + ||h||)``
@@ -50,15 +50,15 @@ def is_deformation(fan: SimplicialFan, h, system: WallCrossingSystem | None = No
     """
     h = np.asarray(h, float)
     tol = 1e-8 * (1.0 + np.linalg.norm(h))
-    return membership_gap(fan, h, system) >= -tol
+    return membership_gap(fan, h) >= -tol
 
 
-def _require_member(fan, h, system=None):
+def _require_member(fan, h):
     h = np.asarray(h, float)
-    if not is_deformation(fan, h, system):
+    if not is_deformation(fan, h):
         raise NotInDeformationCone(
             f"support vector violates the wall inequalities by "
-            f"{-membership_gap(fan, h, system):.3e}")
+            f"{-membership_gap(fan, h):.3e}")
     return h
 
 
@@ -71,10 +71,7 @@ def vertices(fan: SimplicialFan, h) -> VertexMap:
     merged groups rather than deduplicated.
     """
     h = _require_member(fan, h)
-    consts = fan.constants
-    points = np.empty((fan.n_cells, fan.dim))
-    for ci, cell in enumerate(fan.cells):
-        points[ci] = consts.cell_inverses[ci].T @ h[list(cell)]
+    points = cell_vertices(fan, h)
     tol = 1e-9 * (1.0 + np.linalg.norm(h))
     assigned = [-1] * fan.n_cells
     groups: list[list[int]] = []
@@ -110,7 +107,6 @@ def is_irredundant(fan: SimplicialFan, h) -> list[bool]:
     ``NotInDeformationCone`` when ``P(h)`` is empty.
     """
     h = np.asarray(h, float)
-    fan.require_valid()
     tol = 1e-8 * (1.0 + np.linalg.norm(h))
     if is_deformation(fan, h):
         pts = vertices(fan, h).points
@@ -144,11 +140,8 @@ def hausdorff(fan: SimplicialFan, h, h2) -> float:
     """
     h = _require_member(fan, h)
     h2 = _require_member(fan, h2)
-    diff = h - h2
-    consts = fan.constants
     best = 0.0
-    for ci, cell in enumerate(fan.cells):
-        g = consts.cell_inverses[ci].T @ diff[list(cell)]
+    for ci, g in enumerate(cell_vertices(fan, h - h2)):
         best = max(best,
                    max_linear_over_cone_cap(fan, ci, g),
                    max_linear_over_cone_cap(fan, ci, -g))
@@ -159,4 +152,4 @@ def hausdorff_bound(fan: SimplicialFan, h, h2) -> float:
     """Lipschitz bound ``sqrt(d) * c_delta * ||h - h2||`` on the Hausdorff
     distance; valid whenever both vectors are in the deformation cone."""
     diff = np.asarray(h, float) - np.asarray(h2, float)
-    return float(np.sqrt(fan.dim) * fan.constants.c_delta * np.linalg.norm(diff))
+    return float(np.sqrt(fan.dim) * c_delta(fan) * np.linalg.norm(diff))

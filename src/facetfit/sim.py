@@ -26,7 +26,7 @@ import numpy as np
 
 from .design import Dataset, DesignMatrix, build_design
 from .estimator import reconstruct
-from .fan import NoCarrier, SimplicialFan, carriers, row_norms
+from .fan import NoCarrier, SimplicialFan, c_delta, carriers, row_norms
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import hausdorff
 
@@ -165,10 +165,7 @@ class SamplingPlan:
     quotas: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0.0 <= self.t < 0.5:
-            raise ValueError("t must lie in [0, 1/2)")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        _check_rates(self.t, self.delta)
         if self.m < 1:
             raise ValueError("m must be positive")
         if any(q < 0 for q in self.quotas):
@@ -176,6 +173,14 @@ class SamplingPlan:
         if sum(self.quotas) > self.m:
             raise QuotaInfeasible(
                 f"quotas sum to {sum(self.quotas)} > m = {self.m}")
+
+
+def _check_rates(t: float, delta: float) -> None:
+    """Refuse ``t`` outside [0, 1/2) and ``delta`` not positive and finite."""
+    if not 0.0 <= t < 0.5:
+        raise ValueError("t must lie in [0, 1/2)")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, not {delta!r}")
 
 
 def make_plan(fan: SimplicialFan, t: float, delta: float, m: int, seed: int) -> SamplingPlan:
@@ -189,8 +194,7 @@ def make_plan(fan: SimplicialFan, t: float, delta: float, m: int, seed: int) -> 
     do).  Raises ``QuotaInfeasible`` when even that fails.
     """
     n = fan.n_rays
-    if not 0.0 <= t < 0.5:
-        raise ValueError("t must lie in [0, 1/2)")
+    _check_rates(t, delta)
     required = m * (2.5 * n * t + delta)
     hi = math.ceil(required - 1e-9)
     if n * hi <= m:
@@ -223,8 +227,8 @@ class NoiseModel:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, not {self.sigma!r}")
         gamma = self.gamma if self.gamma is not None else self.sigma ** 2
         if self.sigma ** 2 > gamma * (1 + 1e-12):
             raise ValueError("sigma exceeds the variance bound")
@@ -376,7 +380,7 @@ def bound_parameters(fan: SimplicialFan, plan: SamplingPlan, gamma: float,
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     norms = fan.constants.ray_norms
-    c = fan.constants.c_delta
+    c = c_delta(fan)
     n = fan.n_rays
     d = fan.dim
     kappa = (plan.delta / float(np.max(norms)) ** 2) ** 1.5
@@ -430,7 +434,7 @@ def eigen_checks(design: DesignMatrix, fan: SimplicialFan,
     eigvals = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
     norms = fan.constants.ray_norms
-    c = fan.constants.c_delta
+    c = c_delta(fan)
     m, n = design.m, design.n
     upper = m * n * c ** 2
     upper_ok = lam_max <= upper * (1.0 + 1e-9)

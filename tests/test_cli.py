@@ -290,6 +290,10 @@ def test_simulate_rejects_h0_outside_cone(workdir):
     (["--t", "0.7"], "t must lie in"),
     (["--eta", "2"], "--eta"),
     (["--m", "100", "100"], "--m"),
+    (["--delta", "inf"], "invalid input: delta must be positive and finite, not inf"),
+    (["--delta", "nan"], "invalid input: delta must be positive and finite, not nan"),
+    (["--sigma", "nan"], "invalid input: sigma must be nonnegative and finite, not nan"),
+    (["--sigma", "inf"], "invalid input: sigma must be nonnegative and finite, not inf"),
 ])
 def test_simulate_argument_errors_exit_2(workdir, capsys, extra, message):
     rc = run(["simulate", "--fan", workdir / "hex.json", "--reps", "1",

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from facetfit import catalog
+from facetfit import catalog, geometry, sim
+from facetfit import fan as fan_mod
+from facetfit.design import Dataset, build_design
+from facetfit.estimator import reconstruct
 from facetfit.fan import (
     DegenerateWall,
     InvalidFan,
@@ -10,6 +15,7 @@ from facetfit.fan import (
     ValidationReport,
     c_delta,
     carrier,
+    carriers,
     max_linear_over_cone_cap,
     validate,
     wall_crossings,
@@ -94,6 +100,21 @@ def test_operations_refuse_invalid_fan(hexagon):
 # ---------------------------------------------------------------------------
 # Carrier
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(4, 3), (2,), (2, 2, 2), (4, 1)])
+def test_carriers_refuse_directions_of_the_wrong_shape(hexagon, shape):
+    message = rf"rows of width 2, the fan's dimension; .*shape {re.escape(str(shape))}"
+    with pytest.raises(ValueError, match=message):
+        carriers(hexagon, np.ones(shape))
+
+
+@pytest.mark.parametrize("U", [np.ones((4, 3)), np.ones(3)])
+def test_design_and_reconstruct_refuse_directions_of_the_wrong_width(hexagon, U):
+    with pytest.raises(ValueError, match=r"rows of width 2, the fan's dimension"):
+        build_design(hexagon, U)
+    with pytest.raises(ValueError, match=r"rows of width 2, the fan's dimension"):
+        reconstruct(hexagon, Dataset(U, np.ones(np.atleast_2d(U).shape[0])))
+
 
 def test_carrier_hexagon_cell_sum(hexagon):
     bc = carrier(hexagon, hexagon.rays[0] + hexagon.rays[1])
@@ -267,3 +288,36 @@ def test_c_delta_dominates_random_coefficients(hexagon, roof_y):
             assert value <= bound + 1e-9
             best = max(best, value)
         assert bound - best <= 2e-2 * bound
+
+
+def test_c_delta_is_computed_on_first_read_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("c_delta computed")
+
+    original = fan_mod._c_delta_exact
+    built = [catalog.hexagon_fan(), catalog.random_polytopal_fan(3, 6, seed=203)]
+    monkeypatch.setattr(fan_mod, "_c_delta_exact", refuse)
+    fans = [SimplicialFan(fan.rays, fan.cells) for fan in built]  # nothing cached
+    for fan in fans:
+        fan.require_valid()
+        h0 = np.ones(fan.n_rays)
+        U = np.random.default_rng(4).standard_normal((30, fan.dim))
+        assert np.all(carriers(fan, U)[0] >= 0)
+        res = reconstruct(fan, Dataset(U, build_design(fan, U).matrix @ h0))
+        assert geometry.hausdorff(fan, res.h_hat, h0) < 1e-6
+        records = sim.run_convergence(
+            fan, h0, lambda m: sim.facet_direction_plan(fan, m, seed=3), [20, 40],
+            1, sim.NoiseModel(sigma=0.1, seed=2))
+        assert not any(r.failed for r in records)
+
+    computed = []
+    monkeypatch.setattr(fan_mod, "_c_delta_exact",
+                        lambda fan: computed.append(fan) or original(fan))
+    for fan in fans:
+        plan = sim.facet_direction_plan(fan, 100, seed=3)
+        first = c_delta(fan)
+        assert c_delta(fan) == first
+        sim.bound_parameters(fan, plan, gamma=0.01, eta=0.05)
+        geometry.hausdorff_bound(fan, np.ones(fan.n_rays), np.zeros(fan.n_rays))
+        assert computed == [fan]
+        computed.clear()

@@ -93,6 +93,20 @@ def test_small_t_plan_is_feasible(hexagon):
     assert all(q >= 600 * (2.5 * 6 * 0.01 + 0.01) for q in plan.quotas)
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -0.1])
+def test_plans_refuse_a_delta_that_is_not_positive_and_finite(hexagon, delta):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        make_plan(hexagon, 0.0, delta, 100, 0)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        SamplingPlan(t=0.0, delta=delta, m=100, seed=0, quotas=(1,) * 6)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, -1.0])
+def test_noise_model_refuses_a_sigma_that_is_not_nonnegative_and_finite(sigma):
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        NoiseModel(sigma=sigma, seed=0)
+
+
 def test_explicit_quota_overflow_rejected():
     with pytest.raises(QuotaInfeasible):
         SamplingPlan(t=0.0, delta=0.1, m=5, seed=0, quotas=(3, 3))
