@@ -62,6 +62,7 @@ from .qp import (
     QPSolution,
     SolverOptions,
     Unbounded,
+    Uncertified,
     solve_cls,
     solve_lp,
 )

@@ -8,7 +8,8 @@
 Exit codes are stable: 0 success, 2 parse error or refused input (any
 ``ValueError``, e.g. fans with different ray lists; a direction outside the
 fan; an unwritable output path), 3 fan validation failure, 4 solver
-iteration limit, 5 infeasible sampling plan, 6 failed linear program.  Every
+iteration limit, 5 infeasible sampling plan, 6 failed linear program, 7
+uncertified least-squares result (KKT residual above its tolerance).  Every
 refusal is one stderr line (``REFUSALS``), never a traceback.  All numeric
 output is written with 17 significant digits so runs can be diffed exactly.
 """
@@ -34,6 +35,7 @@ EXIT_VALIDATION = 3
 EXIT_ITERATION = 4
 EXIT_PLAN = 5
 EXIT_LP = 6
+EXIT_UNCERTIFIED = 7
 
 FAN_FORMAT = "fan/1"
 DATA_FORMAT = "measurements/1"
@@ -56,6 +58,7 @@ REFUSALS = (
     (sim.QuotaInfeasible, EXIT_PLAN, "infeasible sampling plan: {}"),
     ((qp.Infeasible, qp.Unbounded, qp.Inaccurate), EXIT_LP,
      "linear program failed: {!r}"),
+    (qp.Uncertified, EXIT_UNCERTIFIED, "uncertified result: {}"),
 )
 
 

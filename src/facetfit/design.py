@@ -2,7 +2,9 @@
 
 The m measured directions turn into the m x n regression operator whose
 row i holds the barycentric coefficients of direction i; all rows come
-from one stacked carrier lookup (``fan.carriers``).  Uniqueness of
+from one stacked carrier lookup (``fan.carriers``).  Each design is
+factored once (``qp.triangular_factor``: Householder QR when m > n), and
+the solver, the rank and the kernel all read that factor.  Uniqueness of
 the estimate for every right-hand side is a rank question; the bipartite
 ray/sample graph gives the combinatorial counterpart (a matching touching
 every ray), and per-cell coverage gives a practical sufficient condition.
@@ -17,7 +19,7 @@ import numpy as np
 
 from .fan import NoCarrier, SimplicialFan, carriers
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps design.carrier
-from .qp import rank_and_kernel
+from .qp import TriangularFactor, rank_and_kernel, rank_tolerance, triangular_factor
 
 # Entries at or below this are treated as structural zeros when building
 # graphs; carrier clamps negatives to 0 so this only guards round-off.
@@ -56,16 +58,24 @@ class DesignMatrix:
 
     Stored dense (desk-scale m and n); ``carrier_cells[i]`` is the index of
     the maximal cell carrying direction i.  ``build_design`` makes
-    ``matrix`` read-only, so the cached ``rank_kernel`` cannot go stale.
+    ``matrix`` read-only, so the cached ``factor`` and ``rank_kernel``
+    cannot go stale.
     """
 
     matrix: np.ndarray
     carrier_cells: np.ndarray
 
     @cached_property
+    def factor(self) -> TriangularFactor:
+        """The design's one factorization, made on first use: Householder QR
+        when m > n, the matrix itself otherwise."""
+        return triangular_factor(self.matrix)
+
+    @cached_property
     def rank_kernel(self) -> tuple[int, np.ndarray]:
-        """``rank_and_kernel(matrix)`` on first use, with a read-only kernel."""
-        rank, kernel = rank_and_kernel(self.matrix)
+        """``rank_and_kernel`` of the factor on first use, at the matrix's
+        own tolerance, with a read-only kernel."""
+        rank, kernel = rank_and_kernel(self.factor.R, tol=rank_tolerance(self.matrix))
         kernel.setflags(write=False)
         return rank, kernel
 
@@ -178,10 +188,50 @@ def _augment(neighbors, ray: int, seen: list[bool], match_ray: list[int],
 def numeric_rank(design: DesignMatrix):
     """Numerical rank of the design and a kernel basis when rank < n.
 
-    Threshold: ``max(m, n) * eps * (largest column norm)``.  Returns the
-    design's cached ``(rank, kernel)``, ``kernel`` of shape ``(n - rank, n)``.
+    Threshold: ``max(m, n) * eps * (largest column norm)`` of the matrix.
+    Returns the design's cached ``(rank, kernel)``, ``kernel`` of shape
+    ``(n - rank, n)``, from one SVD of the n x n factor R when m > n.
     """
     return design.rank_kernel
+
+
+def _support_patterns(fan: SimplicialFan, design: DesignMatrix):
+    """The distinct (carrier cell, positive support) pairs among the rows.
+
+    Row i's support is a bitmask over the d generators of its carrier cell:
+    bit k is set when the coefficient on ``fan.cells[cell][k]`` exceeds
+    ``POSITIVITY_TOL`` (every other coefficient of the row is 0).  Returns
+    ``(cells, masks, counts)``, one entry per pattern, from one
+    ``np.unique`` of the keys ``cell * 2^d + mask``.
+    """
+    d = fan.dim
+    rays = np.asarray(fan.cells)[design.carrier_cells]
+    positive = design.matrix[np.arange(design.m)[:, None], rays] > POSITIVITY_TOL
+    keys = design.carrier_cells * (1 << d) + positive @ (1 << np.arange(d))
+    keys, counts = np.unique(keys, return_counts=True)
+    cells, masks = np.divmod(keys, 1 << d)
+    return cells, masks, counts
+
+
+def _pattern_graph(fan: SimplicialFan, cells, masks, counts) -> DirectionGraph:
+    """The direction graph with ``min(count, |support|)`` samples kept of
+    each support pattern.
+
+    Samples with one support are interchangeable neighbours of the same
+    rays, and a matching uses at most ``|support|`` of them, so the maximum
+    matching keeps its size while the graph has at most
+    ``n_cells * (2^d - 1)`` patterns instead of m samples.
+    """
+    neighbors = [[] for _ in range(fan.n_rays)]
+    sample = 0
+    for cell, mask, count in zip(cells.tolist(), masks.tolist(), counts.tolist()):
+        support = [ray for k, ray in enumerate(fan.cells[cell]) if mask >> k & 1]
+        for _ in range(min(count, len(support))):
+            for ray in support:
+                neighbors[ray].append(sample)
+            sample += 1
+    return DirectionGraph(n_rays=fan.n_rays, n_samples=sample,
+                          ray_neighbors=tuple(tuple(v) for v in neighbors))
 
 
 def uniqueness_report(fan: SimplicialFan, design: DesignMatrix) -> UniquenessReport:
@@ -190,15 +240,17 @@ def uniqueness_report(fan: SimplicialFan, design: DesignMatrix) -> UniquenessRep
     ``unique_for_all_y`` is the rank criterion; the matching size is the
     generic combinatorial counterpart and is reported separately (a
     matching of full size does not certify uniqueness for a non-generic
-    direction matrix).  ``cells_covered[c]`` is True when some sample lies
+    direction matrix); it is taken on the support patterns
+    (``_pattern_graph``), whose maximum matching has the size of the full
+    direction graph's.  ``cells_covered[c]`` is True when some sample lies
     strictly inside cell c, i.e. its row has d strictly positive entries
-    carried by that cell.
+    carried by that cell: a pattern of cell c with the full mask.
     """
     rank, kernel = numeric_rank(design)
-    matching = max_matching(direction_graph(design))
-    interior = np.count_nonzero(design.matrix > POSITIVITY_TOL, axis=1) == fan.dim
+    cells, masks, counts = _support_patterns(fan, design)
+    matching = max_matching(_pattern_graph(fan, cells, masks, counts))
     covered = np.zeros(fan.n_cells, bool)
-    covered[design.carrier_cells[interior]] = True
+    covered[cells[masks == (1 << fan.dim) - 1]] = True
     return UniquenessReport(
         numeric_rank=rank,
         matching_size=matching.size,

@@ -63,14 +63,19 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
     """Least-squares estimate of the support vector for one fan.
 
     Builds the wall system and design matrix, solves the constrained
-    program, and attaches the uniqueness diagnostics and solution-set
-    description.  Noiseless data from a member of the deformation cone
-    yields objective zero.
+    program on the design's one factorization, and attaches the uniqueness
+    diagnostics and solution-set description.  Noiseless data from a member
+    of the deformation cone yields objective zero.  Raises
+    ``qp.Uncertified`` when the solution's KKT residual, measured on the
+    design itself, exceeds its tolerance.
     """
     dm = design_mod.build_design(fan, dataset.directions)
     walls = fan.wall_system
     problem = qp.ConstrainedLS(A=dm.matrix, y=dataset.values, B=walls.matrix)
-    sol = qp.solve_cls(problem, opts)
+    sol = qp.solve_cls(problem, opts, factor=dm.factor)
+    if not sol.certified:
+        raise qp.Uncertified(f"KKT residual {sol.kkt_residual:.3g} above its "
+                             f"tolerance {sol.kkt_tolerance:.3g}", sol)
     y_hat = dm.matrix @ sol.h_star
     report = uniqueness_report(fan, dm)
     sset = solution_set(fan, dm, y_hat, sol.h_star)

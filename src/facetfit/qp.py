@@ -3,8 +3,11 @@
 Two engines live here:
 
   - ``solve_cls``: primal active-set method for the convex program
-    ``min ||A h - y||^2  subject to  B h >= 0``, with the measured KKT
-    residual attached to every solution.
+    ``min ||A h - y||^2  subject to  B h >= 0``.  A tall A (m > n) is
+    factored once by Householder QR, ``A = Q R``, and every iteration runs
+    on the n x n factor R and ``Q^T y``; the KKT residual attached to every
+    solution, and the certificate that compares it with its tolerance, are
+    measured on the original (A, y, B).
   - ``solve_lp``: two-phase tableau simplex with Bland's smallest-index
     pivoting for ``min <c, x>  subject to  B x >= 0,  E x = f`` and
     componentwise bounds.
@@ -39,6 +42,15 @@ class IterationLimit(Exception):
     The best iterate found so far is attached as ``.solution``; its
     residuals are reported but have not passed the optimality test.
     """
+
+    def __init__(self, message: str, solution: "QPSolution"):
+        super().__init__(message)
+        self.solution = solution
+
+
+class Uncertified(Exception):
+    """Raised for a least-squares result whose KKT residual exceeds its
+    tolerance; the refused solution is attached as ``.solution``."""
 
     def __init__(self, message: str, solution: "QPSolution"):
         super().__init__(message)
@@ -82,12 +94,23 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class QPSolution:
+    """An active-set result, every figure measured on the original (A, y, B).
+
+    ``certified`` holds when ``kkt_residual`` is at most ``kkt_tolerance``,
+    ``1e-8 (1 + ||A^T y||)``.
+    """
+
     h_star: np.ndarray
     objective: float
     kkt_residual: float
+    kkt_tolerance: float
     active_rows: tuple[int, ...]
     multipliers: np.ndarray
     iterations: int
+
+    @property
+    def certified(self) -> bool:
+        return self.kkt_residual <= self.kkt_tolerance
 
 
 @dataclass(frozen=True)
@@ -96,12 +119,67 @@ class LPSolution:
     objective: float
 
 
-def rank_and_kernel(M: np.ndarray):
+@dataclass(frozen=True)
+class TriangularFactor:
+    """``A = Q R`` by Householder reflections when A is tall (m > n).
+
+    ``R`` is the n x n upper triangle and ``reduce(y)`` the first n entries
+    of ``Q^T y``, so ``A^T (A h - y) = R^T (R h - reduce(y))`` and
+    ``||A h - y||^2`` differs from ``||R h - reduce(y)||^2`` by a constant
+    (Golub & Van Loan, *Matrix Computations*, §5.3).  Row k of
+    ``reflectors`` is the Householder vector of step k over all m entries,
+    0 before entry k and 1 at it, and ``tau[k]`` its scale, from LAPACK's
+    ``geqrf`` as ``np.linalg.qr(mode="raw")`` returns it.  A matrix with
+    m <= n is its own factor: ``R`` is A, with no reflectors, and
+    ``reduce`` returns y.
+    """
+
+    R: np.ndarray
+    reflectors: np.ndarray | None = None
+    tau: np.ndarray | None = None
+
+    def reduce(self, y: np.ndarray) -> np.ndarray:
+        """``Q^T y`` cut to n entries: the n reflectors applied in turn."""
+        if self.reflectors is None:
+            return y
+        z = np.array(y, float)
+        for v, t in zip(self.reflectors, self.tau):
+            z -= (t * (v @ z)) * v
+        return z[:len(self.tau)]
+
+
+def triangular_factor(A: np.ndarray) -> TriangularFactor:
+    """One Householder QR of a tall A; A itself when m <= n."""
+    A = np.asarray(A, float)
+    m, n = A.shape
+    if m <= n:
+        return TriangularFactor(R=A)
+    # LAPACK factors a column-major copy; handing it one skips numpy's
+    # slower conversion, and its reflectors then come back as contiguous
+    # rows, so that ``reduce`` reads each one in a single sweep.
+    raw, tau = np.linalg.qr(np.asfortranarray(A), mode="raw")
+    raw = np.ascontiguousarray(raw)
+    R = np.triu(raw[:, :n].T)
+    # Row k holds column k of R up to entry k; the reflector's implicit 1
+    # takes entry k's place.
+    raw[:, :n] = np.triu(raw[:, :n], 1) + np.eye(n)
+    return TriangularFactor(R=R, reflectors=raw, tau=tau)
+
+
+def rank_tolerance(M: np.ndarray) -> float:
+    """``max(m, n) * eps * (largest column norm of M)``."""
+    col_norm = float(np.max(np.linalg.norm(M, axis=0)))
+    return max(M.shape) * np.finfo(float).eps * col_norm
+
+
+def rank_and_kernel(M: np.ndarray, tol: float | None = None):
     """Numerical rank of ``M`` and an orthonormal basis of its kernel.
 
-    Singular values count above ``max(m, n) * eps * (largest column norm)``,
-    so the diagnostic is reproducible across runs and platforms.
-    Returns ``(rank, kernel)`` where ``kernel`` has shape ``(n - rank, n)``.
+    Singular values count above ``tol``, by default ``rank_tolerance(M)``,
+    so the diagnostic is reproducible across runs and platforms.  A design
+    passes the tolerance of A with its triangular factor R, which has the
+    singular values and right singular vectors of A.  Returns
+    ``(rank, kernel)`` where ``kernel`` has shape ``(n - rank, n)``.
     """
     M = np.asarray(M, float)
     if M.size == 0:
@@ -110,8 +188,7 @@ def rank_and_kernel(M: np.ndarray):
     # The reduced factorization already carries all n right singular
     # vectors when m >= n; the full one is only needed for wide matrices.
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    col_norm = float(np.max(np.linalg.norm(M, axis=0)))
-    rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps * col_norm))
+    rank = int(np.sum(s > (rank_tolerance(M) if tol is None else tol)))
     return rank, vt[rank:]
 
 
@@ -127,29 +204,41 @@ def _null_space(rows: np.ndarray, n: int) -> np.ndarray:
     return kernel.T
 
 
-def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSolution:
+def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
+              factor: TriangularFactor | None = None) -> QPSolution:
     """Globally minimize ``||A h - y||^2`` over the cone ``{B h >= 0}``.
 
-    Primal active-set iteration on the least-squares form.  The working set
-    is grown one blocking row at a time (rows that block are automatically
-    independent of the current working set), each equality-constrained
-    subproblem is solved by a minimum-norm step in the working-set null
-    space, and constraints leave the working set by the smallest-index rule
-    on negative multipliers.  Degenerate steps of length zero are accepted;
-    the smallest-index selection keeps the iteration from cycling on
-    redundant wall systems.
+    Primal active-set iteration on the least-squares form (Lawson & Hanson,
+    *Solving Least Squares Problems*, 1974, ch. 23).  The iterations run on
+    ``factor``, the triangular factor R of A with ``z = Q^T y``
+    (``triangular_factor(A)`` when not given; a ``DesignMatrix`` passes the
+    one it owns), so a tall design costs O(n^2) per step instead of O(m n).
+    The working set is grown one blocking row at a time (rows that block
+    are automatically independent of the current working set), each
+    equality-constrained subproblem is solved by a minimum-norm step in the
+    working-set null space, and constraints leave the working set by the
+    smallest-index rule on negative multipliers.  Degenerate steps of
+    length zero are accepted; the smallest-index selection keeps the
+    iteration from cycling on redundant wall systems.
 
-    Returns a ``QPSolution`` carrying the KKT residual, the largest of the
-    stationarity, feasibility and complementary-slackness violations at the
-    returned point.  The residual is measured and returned but not compared
-    with a tolerance.  Raises ``IterationLimit`` with the best iterate
-    attached if the cap of ``50 * (n + p)`` subproblems is exhausted.
+    The returned ``QPSolution`` is measured on the original (A, y, B): its
+    objective, its multipliers and its KKT residual, the largest of the
+    stationarity, feasibility and complementary-slackness violations, which
+    ``certified`` compares with ``1e-8 (1 + ||A^T y||)``; an uncertified
+    result is returned, not raised.  Raises ``IterationLimit`` with the
+    best iterate attached if the cap of ``50 * (n + p)`` subproblems is
+    exhausted.
     """
     if opts is None:
         opts = SolverOptions()
     A, y, B = problem.A, problem.y, problem.B
     n = A.shape[1]
     p = B.shape[0]
+    if factor is None:
+        factor = triangular_factor(A)
+    elif factor.R.shape[1] != n:
+        raise ValueError("factor and A have inconsistent column counts")
+    R, z = factor.R, factor.reduce(y)
 
     kkt_tol = 1e-8 * (1.0 + np.linalg.norm(A.T @ y))
     max_iter = opts.max_iter if opts.max_iter is not None else 50 * (n + p)
@@ -164,12 +253,11 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
             h = h0.copy()
 
     working: list[int] = []
-    mu = np.zeros(0)
     iterations = 0
 
     while True:
         if iterations > max_iter:
-            sol = _certify(problem, h, working, mu, iterations, feas_tol(h))
+            sol = _certify(problem, h, working, iterations, feas_tol(h), kkt_tol)
             raise IterationLimit(
                 f"active-set iteration cap {max_iter} exhausted", sol)
         iterations += 1
@@ -178,25 +266,13 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
         Z = _null_space(Bw, n)
         if Z.shape[1] > 0:
             # Minimum-norm step within the working-set null space.
-            w, *_ = np.linalg.lstsq(A @ Z, y - A @ h, rcond=None)
+            w, *_ = np.linalg.lstsq(R @ Z, z - R @ h, rcond=None)
             step = Z @ w
         else:
             step = np.zeros(n)
 
         if np.linalg.norm(step) > 1e-13 * (1.0 + np.linalg.norm(h)):
-            alpha = 1.0
-            blocker = -1
-            if p:
-                bh = B @ h
-                bstep = B @ step
-                scale = 1e-12 * (1.0 + float(np.max(np.abs(bstep))))
-                for i in range(p):
-                    if i in working or bstep[i] >= -scale:
-                        continue
-                    limit = max(0.0, bh[i]) / (-bstep[i])
-                    if limit < alpha - 1e-15:
-                        alpha = limit
-                        blocker = i
+            alpha, blocker = _ratio_test(B @ h, B @ step, working) if p else (1.0, -1)
             h = h + alpha * step
             if blocker >= 0:
                 working.append(blocker)
@@ -204,35 +280,63 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
                 continue
 
         # Subproblem optimum reached: check multipliers for the working set.
-        grad = A.T @ (A @ h - y)
-        if working:
-            Bw = B[working]
-            mu, *_ = np.linalg.lstsq(Bw.T, grad, rcond=None)
-        else:
-            mu = np.zeros(0)
+        mu = _multipliers(B, working, R.T @ (R @ h - z))
         neg = [k for k in range(len(working)) if mu[k] < -kkt_tol]
         if not neg:
             break
         del working[neg[0]]
 
-    return _certify(problem, h, working, mu, iterations, feas_tol(h))
+    return _certify(problem, h, working, iterations, feas_tol(h), kkt_tol)
 
 
-def _certify(problem, h, working, mu, iterations, ftol):
-    """Assemble a QPSolution with its measured KKT residual."""
+def _ratio_test(bh: np.ndarray, bstep: np.ndarray, working: list[int]):
+    """The step length ``alpha <= 1`` along ``step`` and the row that blocks
+    it (-1 for none), from ``bh = B h`` and ``bstep = B step``.
+
+    Rows falling by more than ``1e-12 (1 + max|B step|)`` and not in the
+    working set limit the step to ``max(0, bh_i) / -bstep_i``.  In index
+    order, a row takes over only when its limit undercuts the current one
+    by more than 1e-15, so of near-equal limits the first row wins; each
+    pass of the loop finds the next such row with one vector comparison.
+    """
+    scale = 1e-12 * (1.0 + float(np.max(np.abs(bstep))))
+    rows = ~(bstep >= -scale)
+    rows[working] = False
+    rows = np.flatnonzero(rows)
+    limits = np.where(bh[rows] > 0.0, bh[rows], 0.0) / -bstep[rows]
+    alpha, blocker, k = 1.0, -1, 0
+    while True:
+        under = np.flatnonzero(limits[k:] < alpha - 1e-15)
+        if under.size == 0:
+            return alpha, blocker
+        k += int(under[0])
+        alpha, blocker = limits[k], int(rows[k])
+        k += 1
+
+
+def _multipliers(B: np.ndarray, working: list[int], grad: np.ndarray) -> np.ndarray:
+    """Least-squares multipliers of the working rows: ``B_w^T mu = grad``."""
+    if not working:
+        return np.zeros(0)
+    mu, *_ = np.linalg.lstsq(B[working].T, grad, rcond=None)
+    return mu
+
+
+def _certify(problem, h, working, iterations, ftol, kkt_tol):
+    """Assemble a QPSolution measured on the original (A, y, B)."""
     A, y, B = problem.A, problem.y, problem.B
     residual = A @ h - y
     grad = A.T @ residual
+    mu = _multipliers(B, working, grad)
     p = B.shape[0]
     mu_full = np.zeros(p)
-    for k, row in enumerate(working):
-        mu_full[row] = max(mu[k], 0.0) if k < len(mu) else 0.0
+    mu_full[working] = np.where(mu < 0.0, 0.0, mu)
     stationarity = np.linalg.norm(grad - B.T @ mu_full) if p else np.linalg.norm(grad)
     if p:
         bh = B @ h
         primal = max(0.0, float(-np.min(bh)) - ftol)
-        comp = float(np.max(np.abs(mu_full * bh))) if p else 0.0
-        active = tuple(int(i) for i in range(p) if bh[i] <= ftol)
+        comp = float(np.max(np.abs(mu_full * bh)))
+        active = tuple(int(i) for i in np.flatnonzero(bh <= ftol))
     else:
         primal = 0.0
         comp = 0.0
@@ -242,6 +346,7 @@ def _certify(problem, h, working, mu, iterations, ftol):
         h_star=h.copy(),
         objective=float(residual @ residual),
         kkt_residual=float(kkt_residual),
+        kkt_tolerance=float(kkt_tol),
         active_rows=active,
         multipliers=mu_full,
         iterations=iterations,

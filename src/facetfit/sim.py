@@ -230,6 +230,8 @@ class NoiseModel:
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, not {self.sigma!r}")
         gamma = self.gamma if self.gamma is not None else self.sigma ** 2
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, not {gamma!r}")
         if self.sigma ** 2 > gamma * (1 + 1e-12):
             raise ValueError("sigma exceeds the variance bound")
         object.__setattr__(self, "gamma", gamma)

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths under test: maxima over
 cone caps come from dense grids, Hausdorff distances from vertex-to-body
 projections enumerated over faces, matchings from backtracking, and the
-constrained least-squares check is a projected-gradient iteration whose
-cone projections use scipy's Lawson-Hanson NNLS, and cone dimensions come
-from one HiGHS implicit-equality LP per inequality row.
+constrained least-squares checks are a projected-gradient iteration whose
+cone projections use scipy's Lawson-Hanson NNLS, the same projection after
+numpy's QR, and the active set run on the full m x n design; cone
+dimensions come from one HiGHS implicit-equality LP per inequality row.
 
 The per-row loops at the end are the slow references of the batched
 carrier, direction-graph, sampling and probe paths: one direction, one
@@ -204,6 +205,78 @@ def projected_gradient_cls(A: np.ndarray, y: np.ndarray, B: np.ndarray,
             since_improvement = 0
         obj = min(obj, new_obj)
     return h, obj
+
+
+def nnls_cone_least_squares(A: np.ndarray, y: np.ndarray, B: np.ndarray):
+    """``min ||A h - y||^2`` over ``B h >= 0`` for A of full column rank.
+
+    With ``A = QR`` and ``w = R h`` it is the projection of ``Q^T y`` onto
+    the cone ``{w : B R^{-1} w >= 0}``, made by ``project_onto_cone``
+    (Moreau + NNLS).  Returns ``(h, objective)``, the objective from A.
+    """
+    Q, R = np.linalg.qr(A)
+    G = np.linalg.solve(R.T, B.T).T
+    h = np.linalg.solve(R, project_onto_cone(Q.T @ y, G))
+    r = A @ h - y
+    return h, float(r @ r)
+
+
+# ---------------------------------------------------------------------------
+# The active-set solver on the full m x n design, one wall at a time
+# ---------------------------------------------------------------------------
+
+def loop_ratio_test(bh: np.ndarray, bstep: np.ndarray, working) -> tuple[float, int]:
+    """(alpha, blocker) of the active-set step: the walls in index order, a
+    wall taking over when it undercuts the running limit by more than 1e-15."""
+    alpha = 1.0
+    blocker = -1
+    scale = 1e-12 * (1.0 + float(np.max(np.abs(bstep))))
+    for i in range(len(bh)):
+        if i in working or bstep[i] >= -scale:
+            continue
+        limit = max(0.0, bh[i]) / (-bstep[i])
+        if limit < alpha - 1e-15:
+            alpha = limit
+            blocker = i
+    return alpha, blocker
+
+
+def full_design_cls(A: np.ndarray, y: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
+    """The primal active set of ``qp.solve_cls`` with every step an m x n
+    ``lstsq`` of the design itself.  Returns ``(h, objective)``."""
+    m, n = A.shape
+    p = B.shape[0]
+    kkt_tol = 1e-8 * (1.0 + np.linalg.norm(A.T @ y))
+    h = np.zeros(n)
+    working: list[int] = []
+    for _ in range(50 * (n + p) + 1):
+        if working:
+            _, s, vt = np.linalg.svd(B[working])
+            rank = int(np.sum(s > max(len(working), n) * np.finfo(float).eps
+                              * float(np.max(np.linalg.norm(B[working], axis=0)))))
+            Z = vt[rank:].T
+        else:
+            Z = np.eye(n)
+        step = np.zeros(n)
+        if Z.shape[1]:
+            step = Z @ np.linalg.lstsq(A @ Z, y - A @ h, rcond=None)[0]
+        if np.linalg.norm(step) > 1e-13 * (1.0 + np.linalg.norm(h)):
+            alpha, blocker = loop_ratio_test(B @ h, B @ step, working) if p else (1.0, -1)
+            h = h + alpha * step
+            if blocker >= 0:
+                working = sorted(working + [blocker])
+                continue
+        if not working:
+            break
+        mu = np.linalg.lstsq(B[working].T, A.T @ (A @ h - y), rcond=None)[0]
+        neg = np.flatnonzero(mu < -kkt_tol)
+        if neg.size == 0:
+            break
+        del working[int(neg[0])]
+    else:
+        raise RuntimeError("full-design active set did not converge")
+    r = A @ h - y
+    return h, float(r @ r)
 
 
 # ---------------------------------------------------------------------------

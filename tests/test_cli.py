@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -140,6 +141,22 @@ def test_reconstruct_lp_failure_exits_6(workdir, capsys, monkeypatch, error):
     captured = capsys.readouterr()
     assert rc == cli.EXIT_LP == 6
     assert error.__name__ in captured.err
+    assert "objective" not in captured.out
+
+
+def test_reconstruct_uncertified_exits_7(workdir, capsys, monkeypatch):
+    solve = qp.solve_cls
+
+    def uncertified(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, kkt_residual=10.0 * sol.kkt_tolerance)
+
+    monkeypatch.setattr(qp, "solve_cls", uncertified)
+    rc = run(["reconstruct", "--fan", workdir / "hex.json",
+              "--data", workdir / "cycle.txt"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_UNCERTIFIED == 7
+    assert_refused(captured, "uncertified result: KKT residual", "above its tolerance")
     assert "objective" not in captured.out
 
 

@@ -289,15 +289,20 @@ FACTOR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FACTOR_CASES))
 def test_reconstruct_factors_the_design_once(hexagon, monkeypatch, case):
+    # One SVD per reconstruct, of the design's triangular factor R when
+    # m > n and of the design itself when m <= n.
     U = FACTOR_CASES[case]
     y = 1.0 + 0.05 * np.random.default_rng(8).standard_normal(len(U))
-    matrix = build_design(hexagon, U).matrix
+    dm = build_design(hexagon, U)
+    factor = dm.factor.R
+    assert factor.shape == (min(dm.m, dm.n), dm.n)
+    assert (factor is dm.matrix) == (case == "m < n")
     factored = []
 
     def counted(original):
-        def rank_and_kernel(M):
-            factored.append(M.shape == matrix.shape and np.array_equal(M, matrix))
-            return original(M)
+        def rank_and_kernel(M, *args, **kwargs):
+            factored.append(M.shape == factor.shape and np.array_equal(M, factor))
+            return original(M, *args, **kwargs)
         return rank_and_kernel
 
     monkeypatch.setattr(design_mod, "rank_and_kernel", counted(design_mod.rank_and_kernel))

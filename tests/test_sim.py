@@ -107,6 +107,13 @@ def test_noise_model_refuses_a_sigma_that_is_not_nonnegative_and_finite(sigma):
         NoiseModel(sigma=sigma, seed=0)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_noise_model_refuses_a_gamma_that_is_not_finite(gamma):
+    # Accepted, NaN gave bound_parameters a NaN prefactor.
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        NoiseModel(sigma=0.1, seed=0, gamma=gamma)
+
+
 def test_explicit_quota_overflow_rejected():
     with pytest.raises(QuotaInfeasible):
         SamplingPlan(t=0.0, delta=0.1, m=5, seed=0, quotas=(3, 3))
