@@ -138,6 +138,13 @@ class TriangularFactor:
     reflectors: np.ndarray | None = None
     tau: np.ndarray | None = None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of the factored matrix."""
+        if self.reflectors is None:
+            return self.R.shape
+        return self.reflectors.shape[1], self.R.shape[1]
+
     def reduce(self, y: np.ndarray) -> np.ndarray:
         """``Q^T y`` cut to n entries: the n reflectors applied in turn."""
         if self.reflectors is None:
@@ -236,8 +243,8 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
     p = B.shape[0]
     if factor is None:
         factor = triangular_factor(A)
-    elif factor.R.shape[1] != n:
-        raise ValueError("factor and A have inconsistent column counts")
+    elif factor.shape != A.shape:
+        raise ValueError(f"factor of a {factor.shape} matrix for A of shape {A.shape}")
     R, z = factor.R, factor.reduce(y)
 
     kkt_tol = 1e-8 * (1.0 + np.linalg.norm(A.T @ y))

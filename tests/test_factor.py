@@ -156,11 +156,14 @@ def test_reported_figures_are_measured_on_the_design():
     _measured_on_the_original(problem, info.value.solution)
 
 
-def test_a_factor_of_another_width_is_refused():
+@pytest.mark.parametrize("other", [(slice(None), slice(0, 3)), (slice(0, 12), slice(None)),
+                                   (slice(0, 3), slice(None))])
+def test_a_factor_of_another_shape_is_refused(other):
     A = np.random.default_rng(5).standard_normal((20, 4))
-    with pytest.raises(ValueError, match="column counts"):
+    assert qp.triangular_factor(A).shape == (20, 4)
+    with pytest.raises(ValueError, match=r"factor of a \(\d+, \d+\) matrix"):
         solve_cls(ConstrainedLS(A, np.ones(20), np.zeros((0, 4))),
-                  factor=qp.triangular_factor(A[:, :3]))
+                  factor=qp.triangular_factor(A[other]))
 
 
 # ---------------------------------------------------------------------------
