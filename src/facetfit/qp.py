@@ -10,7 +10,9 @@ Two engines live here:
     measured on the original (A, y, B).
   - ``solve_lp``: two-phase tableau simplex with Bland's smallest-index
     pivoting for ``min <c, x>  subject to  B x >= 0,  E x = f`` and
-    componentwise bounds.
+    componentwise bounds.  Every tableau operation is a numpy operation
+    over whole rows or columns, and phase 1, which never reads the cost,
+    is shared between consecutive LPs over one feasible region.
 
 Both are written for desk-scale instances (tens of variables, hundreds of
 constraints) where determinism and verifiable optimality matter more than
@@ -377,7 +379,10 @@ def solve_lp(
     ``inf`` for one-sided or free variables (the default).  Pivoting is
     Bland's smallest-index rule throughout, so the path and the optimizer
     are deterministic.  Raises ``Infeasible`` or ``Unbounded``; both are
-    informative outcomes rather than failures.
+    informative outcomes rather than failures.  Raises ``ValueError`` for
+    inconsistent shapes, a non-finite entry in ``c``, ``B``, ``E`` or
+    ``f``, and a bound that is NaN, ``lo = +inf`` or ``hi = -inf``;
+    ``lo > hi`` is an infeasible LP.
     """
     c = np.asarray(c, float)
     n = c.shape[0]
@@ -385,66 +390,53 @@ def solve_lp(
     E = np.zeros((0, n)) if E is None or np.size(E) == 0 else np.asarray(E, float)
     f = np.zeros(0) if f is None else np.asarray(f, float)
     if bounds is None:
-        bounds = [(-np.inf, np.inf)] * n
-    if B.shape[1] != n or E.shape[1] != n or E.shape[0] != f.shape[0]:
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    else:
+        lo, hi = np.asarray(bounds, float).reshape(-1, 2).T
+    if B.shape[1] != n or E.shape[1] != n or E.shape[0] != f.shape[0] or lo.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
+    for name, a in (("c", c), ("B", B), ("E", E), ("f", f)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"non-finite entry in {name}")
+    if np.any(np.isnan(lo) | np.isnan(hi) | (lo == np.inf) | (hi == -np.inf)):
+        raise ValueError("a bound is NaN, or lo = +inf or hi = -inf")
 
     # --- conversion to standard form -------------------------------------
-    # Each original variable becomes one or two nonnegative columns; finite
-    # lower bounds are shifted into the right-hand side, double-bounded
-    # variables get an extra row for the remaining span.
-    col_var: list[tuple[int, float]] = []   # (orig index, sign)
-    shift = np.zeros(n)
-    extra_rows: list[tuple[int, float]] = []  # (column, span) for z <= span
-    for j, (lo, hi) in enumerate(bounds):
-        if lo == -np.inf and hi == np.inf:
-            col_var.append((j, 1.0))
-            col_var.append((j, -1.0))
-        elif lo != -np.inf:
-            shift[j] = lo
-            col_var.append((j, 1.0))
-            if hi != np.inf:
-                extra_rows.append((len(col_var) - 1, hi - lo))
-        else:
-            shift[j] = hi
-            col_var.append((j, -1.0))
+    # Each original variable becomes one or two nonnegative columns: a free
+    # one x = z+ - z-, one with a finite lower bound x = lo + z, one with
+    # only an upper bound x = hi - z.  Double-bounded variables get an
+    # extra row z + u = hi - lo for the remaining span.
+    free = (lo == -np.inf) & (hi == np.inf)
+    upper = (lo == -np.inf) & ~free
+    shift = np.where(lo != -np.inf, lo, np.where(upper, hi, 0.0))
+    width = np.where(free, 2, 1)
+    var = np.repeat(np.arange(n), width)   # column -> variable
+    first = np.cumsum(width) - width       # variable -> its first column
+    sign = np.full(var.size, -1.0)
+    sign[first[~upper]] = 1.0
+    boxed = np.flatnonzero((lo != -np.inf) & (hi != np.inf))
 
-    n_z = len(col_var)
-    n_s = B.shape[0]
-    n_u = len(extra_rows)
-    total = n_z + n_s + n_u
+    n_z, n_s, n_e, n_u = var.size, B.shape[0], E.shape[0], boxed.size
+    T = np.zeros((n_s + n_e + n_u, n_z + n_s + n_u))
+    rhs = np.zeros(n_s + n_e + n_u)
+    # B x >= 0  becomes  B z - slack = -B shift  with slack >= 0.  Columns
+    # are added onto zeros, so a -0.0 product enters the tableau as 0.0.
+    T[:n_s, :n_z] += B[:, var] * sign
+    T[:n_s, n_z:n_z + n_s] = -np.eye(n_s)
+    rhs[:n_s] = -(B @ shift)
+    T[n_s:n_s + n_e, :n_z] += E[:, var] * sign
+    rhs[n_s:n_s + n_e] = f - E @ shift
+    extra = np.arange(n_s + n_e, n_s + n_e + n_u)
+    T[extra, first[boxed]] = 1.0
+    T[extra, n_z + n_s + np.arange(n_u)] = 1.0
+    rhs[extra] = hi[boxed] - lo[boxed]
 
-    def expand(rows):
-        out = np.zeros((rows.shape[0], n_z))
-        for k, (j, s) in enumerate(col_var):
-            out[:, k] += s * rows[:, j]
-        return out
-
-    nrows = n_s + E.shape[0] + n_u
-    T = np.zeros((nrows, total))
-    rhs = np.zeros(nrows)
-    if n_s:
-        # B x >= 0  becomes  B z - slack = -B shift  with slack >= 0.
-        T[:n_s, :n_z] = expand(B)
-        T[:n_s, n_z:n_z + n_s] = -np.eye(n_s)
-        rhs[:n_s] = -(B @ shift)
-    if E.shape[0]:
-        T[n_s:n_s + E.shape[0], :n_z] = expand(E)
-        rhs[n_s:n_s + E.shape[0]] = f - E @ shift
-    for k, (col, span) in enumerate(extra_rows):
-        r = n_s + E.shape[0] + k
-        T[r, col] = 1.0
-        T[r, n_z + n_s + k] = 1.0
-        rhs[r] = span
-
-    cost = np.zeros(total)
-    for k, (j, s) in enumerate(col_var):
-        cost[k] = s * c[j]
+    cost = np.zeros(T.shape[1])
+    cost[:n_z] = sign * c[var]
 
     z = _two_phase_simplex(T, rhs, cost)
     x = shift.copy()
-    for k, (j, s) in enumerate(col_var):
-        x[j] += s * z[k]
+    np.add.at(x, var, sign * z[:n_z])   # in column order, one term at a time
     return LPSolution(x=x, objective=float(c @ x))
 
 
@@ -452,7 +444,8 @@ def solve_affine_lp(c, B=None, b=None, E=None, f=None, bounds=None) -> LPSolutio
     """``min <c, x>`` s.t. ``B x >= b`` plus equalities and bounds.
 
     Homogenizes the affine right-hand side with an auxiliary variable pinned
-    to 1 and delegates to ``solve_lp``.
+    to 1 and delegates to ``solve_lp``, which refuses non-finite input with
+    ``ValueError``, as this function does a non-finite ``b``.
     """
     c = np.asarray(c, float)
     n = c.shape[0]
@@ -460,6 +453,8 @@ def solve_affine_lp(c, B=None, b=None, E=None, f=None, bounds=None) -> LPSolutio
         return solve_lp(c, None, E, f, bounds)
     B = np.asarray(B, float)
     b = np.zeros(B.shape[0]) if b is None else np.asarray(b, float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("non-finite entry in b")
     Bh = np.hstack([B, -b[:, None]])
     c_h = np.concatenate([c, [0.0]])
     pin = np.zeros((1, n + 1))
@@ -514,80 +509,104 @@ def cone_dimension(M: np.ndarray) -> int:
 
 _PIVOT_TOL = 1e-10
 
+# The last phase-1 result as one tuple ``(key, tab, basis)``, replaced
+# whole, so that a caller on another thread never pairs one region's key
+# with another region's tableau.  Neither ``tab`` nor ``basis`` is written
+# after it is stored.
+_phase_one_memo: tuple | None = None
+
 
 def _two_phase_simplex(T: np.ndarray, rhs: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Solve ``min cost.z`` s.t. ``T z = rhs, z >= 0`` by two-phase simplex."""
-    m, ncols = T.shape
-    T = T.copy()
-    rhs = rhs.copy()
-    for i in range(m):
-        if rhs[i] < 0:
-            T[i] *= -1.0
-            rhs[i] *= -1.0
+    """Solve ``min cost.z`` s.t. ``T z = rhs, z >= 0`` by two-phase simplex.
 
-    # Phase 1: artificial basis.
-    tab = np.hstack([T, np.eye(m), rhs[:, None]])
-    basis = list(range(ncols, ncols + m))
+    Phase 1 never reads the cost, so its result is kept for the next call,
+    keyed on the exact bytes of ``T`` and ``rhs``: LPs that differ only in
+    the cost, like the two extent LPs along one kernel vector, pivot their
+    way to a feasible basis once.  Phase 2 runs on a copy.
+    """
+    global _phase_one_memo
+    key = (T.shape, T.tobytes(), rhs.tobytes())
+    memo = _phase_one_memo
+    if memo is not None and memo[0] == key:
+        _, tab, basis = memo
+    else:
+        tab, basis = _phase_one(T, rhs)
+        _phase_one_memo = (key, tab, basis)
+    return _phase_two(tab.copy(), basis.copy(), cost)
+
+
+def _phase_one(T: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A feasible basis of ``T z = rhs, z >= 0``: the tableau over T's
+    columns and the right-hand side, and the basic column of each row.
+
+    Rows are flipped to ``rhs >= 0`` and the artificial sum is minimized;
+    artificials still basic at the optimum are pivoted out on their row's
+    first entry above the pivot tolerance, and rows with none are dropped
+    as redundant.  Raises ``Infeasible`` when the artificial sum stays
+    positive.
+    """
+    m, ncols = T.shape
+    flip = rhs < 0
+    tab = np.hstack([np.where(flip[:, None], -T, T), np.eye(m),
+                     np.where(flip, -rhs, rhs)[:, None]])
+    basis = np.arange(ncols, ncols + m)
     art_cost = np.concatenate([np.zeros(ncols), np.ones(m), [0.0]])
     _simplex_iterate(tab, basis, art_cost, ncols + m)
-    phase1 = sum(tab[i, -1] for i in range(m) if basis[i] >= ncols)
+    # Python's sum over the numpy scalars: one addition at a time, in row order.
+    phase1 = sum(tab[basis >= ncols, -1])
     if phase1 > 1e-8 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
         raise Infeasible("phase-1 optimum is positive")
 
-    # Drive remaining artificial variables out of the basis.
-    for i in range(m):
-        if basis[i] < ncols:
-            continue
-        pivot_col = -1
-        for j in range(ncols):
-            if abs(tab[i, j]) > _PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            _pivot(tab, i, pivot_col)
-            basis[i] = pivot_col
+    for i in np.flatnonzero(basis >= ncols):
+        candidates = np.flatnonzero(np.abs(tab[i, :ncols]) > _PIVOT_TOL)
+        if candidates.size:
+            _pivot(tab, i, candidates[0])
+            basis[i] = candidates[0]
+    keep = basis < ncols
+    return np.hstack([tab[keep, :ncols], tab[keep, -1:]]), basis[keep]
 
-    keep = [i for i in range(m) if basis[i] < ncols]
-    tab = np.hstack([tab[keep][:, :ncols], tab[keep][:, -1:]])
-    basis = [basis[i] for i in keep]
 
-    full_cost = np.concatenate([cost, [0.0]])
-    _simplex_iterate(tab, basis, full_cost, ncols)
-
+def _phase_two(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Minimize ``cost.z`` from the feasible basis of ``_phase_one``, in
+    place; returns the optimal z."""
+    ncols = tab.shape[1] - 1
+    _simplex_iterate(tab, basis, np.concatenate([cost, [0.0]]), ncols)
     z = np.zeros(ncols)
-    for i, b in enumerate(basis):
-        z[b] = tab[i, -1]
+    z[basis] = tab[:, -1]
     return z
 
 
 def _simplex_iterate(tab, basis, cost, ncols):
-    """Run Bland-rule simplex iterations in place until optimal."""
-    m = len(basis)
+    """Run Bland-rule simplex iterations in place until optimal.
+
+    The reduced costs subtract the priced rows one at a time, in row order,
+    and the entering column is the first nonbasic one below -1e-9.  Of the
+    rows whose entering entry exceeds the pivot tolerance, the smallest
+    ratio leaves; ratios within 1e-12 of it tie, and a tie goes to the
+    smaller basic index.
+    """
     while True:
-        reduced = cost[:ncols].copy()
-        for i, b in enumerate(basis):
-            if abs(cost[b]) > 0:
-                reduced -= cost[b] * tab[i, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if j in basis:
-                continue
-            if reduced[j] < -1e-9:
-                entering = j
-                break
-        if entering < 0:
+        priced = (np.abs(cost[basis]) > 0).nonzero()[0]
+        terms = np.concatenate([cost[None, :ncols],
+                                cost[basis[priced], None] * tab[priced, :ncols]])
+        reduced = np.subtract.reduce(terms, axis=0)
+        candidates = reduced < -1e-9
+        candidates[basis] = False
+        candidates = candidates.nonzero()[0]
+        if candidates.size == 0:
             return
+        entering = int(candidates[0])
+        # The tie rule depends on the scan order, so the scan stays a loop:
+        # over the candidate rows only, on Python floats, whose arithmetic
+        # is numpy's IEEE double arithmetic.
+        rows = (tab[:, entering] > _PIVOT_TOL).nonzero()[0]
+        ratios = (tab[rows, -1] / tab[rows, entering]).tolist()
         ratio = np.inf
         leaving = -1
-        for i in range(m):
-            a = tab[i, entering]
-            if a > _PIVOT_TOL:
-                r = tab[i, -1] / a
-                # Smallest ratio; ties broken by smallest basis index.
-                if r < ratio - 1e-12 or (abs(r - ratio) <= 1e-12 and
-                                         (leaving < 0 or basis[i] < basis[leaving])):
-                    ratio = r
-                    leaving = i
+        for i, r, b in zip(rows.tolist(), ratios, basis[rows].tolist()):
+            if r < ratio - 1e-12 or (abs(r - ratio) <= 1e-12 and
+                                     (leaving < 0 or b < basis_leaving)):
+                ratio, leaving, basis_leaving = r, i, b
         if leaving < 0:
             raise Unbounded(f"entering column {entering} is unbounded")
         _pivot(tab, leaving, entering)
@@ -595,7 +614,9 @@ def _simplex_iterate(tab, basis, cost, ncols):
 
 
 def _pivot(tab, row, col):
+    """Scale ``row`` to a unit pivot and eliminate ``col`` from every other
+    row with a nonzero entry there, in one rank-1 update."""
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and abs(tab[i, col]) > 0:
-            tab[i] -= tab[i, col] * tab[row]
+    others = np.abs(tab[:, col]) > 0
+    others[row] = False
+    tab[others] -= tab[others, col, None] * tab[row]

@@ -6,7 +6,8 @@ projections enumerated over faces, matchings from backtracking, and the
 constrained least-squares checks are a projected-gradient iteration whose
 cone projections use scipy's Lawson-Hanson NNLS, the same projection after
 numpy's QR, and the active set run on the full m x n design; cone
-dimensions come from one HiGHS implicit-equality LP per inequality row.
+dimensions come from one HiGHS implicit-equality LP per inequality row,
+and the tableau simplex runs with a Python loop for every row operation.
 
 The per-row loops at the end are the slow references of the batched
 carrier, direction-graph, sampling and probe paths: one direction, one
@@ -22,6 +23,7 @@ from scipy.optimize import linprog, nnls
 from facetfit import sim
 from facetfit.design import POSITIVITY_TOL, DirectionGraph
 from facetfit.fan import NoCarrier
+from facetfit.qp import Infeasible, Unbounded
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,101 @@ def highs_cone_dimension(M: np.ndarray, E: np.ndarray | None = None) -> int:
             implicit.append(i)
     rows = np.vstack([E, M[implicit]])
     return k - (int(np.linalg.matrix_rank(rows)) if rows.shape[0] else 0)
+
+
+# ---------------------------------------------------------------------------
+# The tableau simplex one row and one column at a time
+# ---------------------------------------------------------------------------
+
+def loop_two_phase_simplex(T: np.ndarray, rhs: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """``min cost.z`` s.t. ``T z = rhs, z >= 0``: the two-phase Bland-rule
+    tableau simplex of ``qp._two_phase_simplex`` with every row operation a
+    Python loop and no phase-1 memo, so the vectorized engine must take the
+    same pivots and return the same bits."""
+    m, ncols = T.shape
+    T = T.copy()
+    rhs = rhs.copy()
+    for i in range(m):
+        if rhs[i] < 0:
+            T[i] *= -1.0
+            rhs[i] *= -1.0
+
+    # Phase 1: artificial basis.
+    tab = np.hstack([T, np.eye(m), rhs[:, None]])
+    basis = list(range(ncols, ncols + m))
+    art_cost = np.concatenate([np.zeros(ncols), np.ones(m), [0.0]])
+    _loop_simplex_iterate(tab, basis, art_cost, ncols + m)
+    phase1 = sum(tab[i, -1] for i in range(m) if basis[i] >= ncols)
+    if phase1 > 1e-8 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
+        raise Infeasible("phase-1 optimum is positive")
+
+    # Drive remaining artificial variables out of the basis.
+    for i in range(m):
+        if basis[i] < ncols:
+            continue
+        pivot_col = -1
+        for j in range(ncols):
+            if abs(tab[i, j]) > _LOOP_PIVOT_TOL:
+                pivot_col = j
+                break
+        if pivot_col >= 0:
+            _loop_pivot(tab, i, pivot_col)
+            basis[i] = pivot_col
+
+    keep = [i for i in range(m) if basis[i] < ncols]
+    tab = np.hstack([tab[keep][:, :ncols], tab[keep][:, -1:]])
+    basis = [basis[i] for i in keep]
+
+    full_cost = np.concatenate([cost, [0.0]])
+    _loop_simplex_iterate(tab, basis, full_cost, ncols)
+
+    z = np.zeros(ncols)
+    for i, b in enumerate(basis):
+        z[b] = tab[i, -1]
+    return z
+
+
+_LOOP_PIVOT_TOL = 1e-10
+
+
+def _loop_simplex_iterate(tab, basis, cost, ncols):
+    m = len(basis)
+    while True:
+        reduced = cost[:ncols].copy()
+        for i, b in enumerate(basis):
+            if abs(cost[b]) > 0:
+                reduced -= cost[b] * tab[i, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if j in basis:
+                continue
+            if reduced[j] < -1e-9:
+                entering = j
+                break
+        if entering < 0:
+            return
+        ratio = np.inf
+        leaving = -1
+        for i in range(m):
+            a = tab[i, entering]
+            if a > _LOOP_PIVOT_TOL:
+                r = tab[i, -1] / a
+                # Smallest ratio; ties broken by smallest basis index.
+                if r < ratio - 1e-12 or (abs(r - ratio) <= 1e-12 and
+                                         (leaving < 0 or basis[i] < basis[leaving])):
+                    ratio = r
+                    leaving = i
+        if leaving < 0:
+            raise Unbounded(f"entering column {entering} is unbounded")
+        _loop_pivot(tab, leaving, entering)
+        basis[leaving] = entering
+
+
+def _loop_pivot(tab, row, col):
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and abs(tab[i, col]) > 0:
+            tab[i] -= tab[i, col] * tab[row]
 
 
 # ---------------------------------------------------------------------------
