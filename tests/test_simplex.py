@@ -102,13 +102,10 @@ def lps(draw):
 @given(lp=lps(), affine=st.booleans())
 def test_solve_lp_equals_the_loop_engine(lp, affine):
     c, B, E, f, bounds = lp
-    if affine:
-        b = np.arange(B.shape[0], dtype=float) - 1.0
-        fast, slow = both_engines(lambda: solve_affine_lp(c, B, b, E, f, bounds),
-                                  lambda sol: sol.x.tobytes())
-    else:
-        fast, slow = both_engines(lambda: solve_lp(c, B, E, f, bounds),
-                                  lambda sol: sol.x.tobytes())
+    b = np.arange(B.shape[0], dtype=float) - 1.0
+    solve = ((lambda: solve_affine_lp(c, B, b, E, f, bounds)) if affine
+             else (lambda: solve_lp(c, B, E, f, bounds)))
+    fast, slow = both_engines(solve, lambda sol: sol.x.tobytes())
     assert fast == slow
 
 
