@@ -36,6 +36,7 @@ from .fan import (
     ValidationReport,
     WallCrossingSystem,
     c_delta,
+    cap_maxima,
     carrier,
     carriers,
     max_linear_over_cone_cap,
@@ -51,6 +52,7 @@ from .geometry import (
     is_irredundant,
     minkowski_add,
     support_value,
+    support_values,
     vertices,
 )
 from .qp import (

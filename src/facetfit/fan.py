@@ -5,12 +5,15 @@ of rays).  Everything downstream — membership inequalities for the
 deformation cone, the sparse regression operator, exact Hausdorff
 distances — reduces to three queries implemented here: the carriers of a
 stack of directions with their barycentric coefficients, the wall-crossing
-inequality system, and exact maximization of linear functions over cone
-caps.  Carrier lookups loop over the cells, never over the directions: each
+inequality system, and exact maxima of linear functions over cone caps.
+Carrier lookups loop over the cells, never over the directions: each
 direction's cell is guessed from the vertices of one polytope with the fan's
 rays as facet normals and verified, and the directions a guess cannot place
 go through a fan-order scan that applies each cell's inverse to every
-direction still without a carrier.
+direction still without a carrier.  Cone-cap maxima likewise loop over the
+faces of a cell, never over the queries: ``cap_maxima`` evaluates any
+number of (cell, vector) pairs against a per-fan table of face projectors
+built on first use.
 """
 
 from __future__ import annotations
@@ -112,6 +115,26 @@ class FanConstants:
     guess_margins: np.ndarray
 
 
+@dataclass(frozen=True)
+class CapFaces:
+    """What ``cap_maxima`` reads from a fan, built on its first call and
+    cached on the fan (not in ``FanConstants``, so that validation and
+    carrier lookups never pay for it).
+
+    ``inverses`` stacks the cell inverses, (cells, d, d).  ``faces`` has one
+    entry ``(generators, projectors, usable)`` per proper nonempty subset S
+    of a cell's d generator positions, in ``itertools.combinations`` order
+    by size: ``generators[c]`` is the d x |S| matrix G_S of cell c's
+    generators at S, ``projectors[c]`` is ``(G_Sᵀ G_S)⁻¹ G_Sᵀ``, which maps
+    r to the coefficients of its projection onto span(G_S), and
+    ``usable[c]`` is False where that Gram matrix is singular (its
+    projector is then zero and never read).
+    """
+
+    inverses: np.ndarray
+    faces: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
 @dataclass
 class ValidationReport:
     cells_independent: bool
@@ -136,9 +159,9 @@ class SimplicialFan:
 
     Rays need not be unit length.  ``rays`` is a read-only copy of the
     input, so the cached inverses cannot go stale.  Validation, the wall
-    system, the constants and ``c_delta`` are each computed when first read
-    and cached; a validated fan is immutable and safe for concurrent
-    readers.
+    system, the constants, the cone-cap face table and ``c_delta`` are each
+    computed when first read and cached; a validated fan is immutable and
+    safe for concurrent readers.
     """
 
     def __init__(self, rays, cells, dim: int | None = None):
@@ -186,6 +209,10 @@ class SimplicialFan:
         numerically dependent: the one independence test, read by
         ``validate`` and by the constants."""
         return tuple(_inverse(self.rays[list(cell)].T) for cell in self.cells)
+
+    @functools.cached_property
+    def _cap_faces(self) -> CapFaces:
+        return _build_cap_faces(self)
 
     @functools.cached_property
     def _c_delta(self) -> float:
@@ -251,6 +278,16 @@ def cell_vertices(fan: SimplicialFan, h) -> np.ndarray:
 CARRIER_RTOL = 1e-9
 
 
+def as_rows(fan: SimplicialFan, X, what: str) -> np.ndarray:
+    """``X`` as a float array of rows of width ``fan.dim``; ``ValueError``
+    naming ``what`` for any other shape."""
+    X = np.asarray(X, float)
+    if X.ndim != 2 or X.shape[1] != fan.dim:
+        raise ValueError(f"{what} must be rows of width {fan.dim}, the fan's "
+                         f"dimension; got an array of shape {X.shape}")
+    return X
+
+
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, equal bit for bit to ``np.linalg.norm``
     of the row alone (``np.linalg.norm(X, axis=1)`` is not)."""
@@ -306,11 +343,8 @@ def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
     for a zero row or one no cell admits; ``coeffs`` is (m, n) with row i
     supported on the generators of its carrier.
     """
-    U = np.asarray(U, float)
     fan.require_valid()
-    if U.ndim != 2 or U.shape[1] != fan.dim:
-        raise ValueError(f"directions must be rows of width {fan.dim}, the fan's "
-                         f"dimension; got an array of shape {U.shape}")
+    U = as_rows(fan, U, "directions")
     consts = fan.constants
     norms = row_norms(U)
     tol = CARRIER_RTOL * norms / max(float(np.min(consts.ray_norms)), 1e-300)
@@ -332,14 +366,22 @@ def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
     return cells, coeffs
 
 
-def _vertex_groups(vertices: np.ndarray, U: np.ndarray) -> list[np.ndarray]:
-    """The rows of ``U`` grouped by the vertex that maximizes ``<u, x>``, the
-    first on ties: one array of row indices per vertex.  A running maximum
-    over the vertices, then a second pass hands each row to the first
-    vertex whose score reaches it, so memory stays O(m)."""
+def vertex_max(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``max_c <u, x_c>`` over the rows ``x_c`` of ``vertices``, for each row
+    u of ``U``: a running maximum over the vertices, so memory stays O(m)
+    and no (m, cells) score matrix is made."""
     best = U @ vertices[0]
     for x in vertices[1:]:
         np.maximum(best, U @ x, out=best)
+    return best
+
+
+def _vertex_groups(vertices: np.ndarray, U: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``U`` grouped by the vertex that maximizes ``<u, x>``, the
+    first on ties: one array of row indices per vertex.  ``vertex_max``,
+    then a second pass hands each row to the first vertex whose score
+    reaches it."""
+    best = vertex_max(vertices, U)
     groups = []
     for x in vertices:
         mine = np.flatnonzero(U @ x == best)
@@ -427,52 +469,74 @@ def wall_crossings(fan: SimplicialFan) -> WallCrossingSystem:
 # Exact maximization of a linear function over a cone cap
 # ---------------------------------------------------------------------------
 
-def max_linear_over_cone_cap(fan: SimplicialFan, cell: int, r) -> float:
-    """Exact ``max{<r, u> : u in cell, ||u|| <= 1}``.
+def _build_cap_faces(fan: SimplicialFan) -> CapFaces:
+    inverses = np.array(fan.constants.cell_inverses)
+    generators = np.array([fan.rays[list(cell)].T for cell in fan.cells])
+    faces = []
+    for size in range(1, fan.dim):
+        for subset in itertools.combinations(range(fan.dim), size):
+            G = generators[:, :, list(subset)]
+            projectors = np.zeros((fan.n_cells, size, fan.dim))
+            usable = np.ones(fan.n_cells, bool)
+            for c in range(fan.n_cells):
+                try:
+                    projectors[c] = np.linalg.solve(G[c].T @ G[c], G[c].T)
+                except np.linalg.LinAlgError:
+                    usable[c] = False
+            faces.append((G, projectors, usable))
+    return CapFaces(inverses=inverses, faces=tuple(faces))
 
-    If the normalized ``r`` lies in the cell the spherical maximizer is
-    feasible and the value is ``||r||``; otherwise the maximizer sits on a
-    proper face, so ``r`` is projected onto each face span and the
-    projection is kept when it lies in the face cone.  The apex contributes
-    0, which is the floor of the returned value.
+
+def cap_maxima(fan: SimplicialFan, cells, R) -> np.ndarray:
+    """Exact ``max{<r, u> : u in cell, ||u|| <= 1}`` for each pair
+    ``(cells[i], R[i])``.
+
+    If the normalized r lies in the cell (every coefficient of r in the
+    cell at least ``-1e-12 ||r||``) the spherical maximizer is feasible and
+    the value is ``||r||``.  Otherwise the maximizer sits on a proper face,
+    so r is projected onto each face span and the projection's norm is kept
+    when the projection is longer than ``1e-14 ||r||`` and lies in the face
+    cone (coefficients at least ``-1e-12`` times its norm).  The apex
+    contributes 0, which is the floor of every value.
+
+    One sweep over the faces of the fan's cached ``CapFaces`` evaluates
+    every pair outside its cell, so the Python loop runs over the
+    ``2^d - 2`` proper faces of a cell, never over the pairs.
     """
-    r = np.asarray(r, float)
-    norm_r = np.linalg.norm(r)
-    if norm_r == 0.0:
-        return 0.0
-    generators = fan.rays[list(fan.cells[cell])].T
-    lam = fan.constants.cell_inverses[cell] @ r
-    if np.min(lam) >= -1e-12 * norm_r:
-        return float(norm_r)
-    best = 0.0
-    d = fan.dim
-    for size in range(1, d):
-        for subset in itertools.combinations(range(d), size):
-            G = generators[:, subset]
-            # Projection of r onto span(G): G (G^T G)^{-1} G^T r.
-            gram = G.T @ G
-            try:
-                coef = np.linalg.solve(gram, G.T @ r)
-            except np.linalg.LinAlgError:
-                continue
-            proj = G @ coef
-            norm_p = np.linalg.norm(proj)
-            if norm_p <= 1e-14 * norm_r:
-                continue
-            # Maximizer over the face span is proj/||proj||; keep it only
-            # when it lies in the face cone (coefficients >= 0).
-            if np.min(coef) >= -1e-12 * norm_p:
-                best = max(best, float(norm_p))
-    return best
+    cells = np.asarray(cells, int)
+    R = as_rows(fan, R, "vectors")
+    if cells.shape != (R.shape[0],):
+        raise ValueError(f"{R.shape[0]} vectors need as many cells, "
+                         f"got an array of shape {cells.shape}")
+    table = fan._cap_faces
+    norms = row_norms(R)
+    lam = np.matmul(table.inverses[cells], R[:, :, None])[..., 0]
+    out = norms.copy()
+    rows = np.flatnonzero(row_min(lam) < -1e-12 * norms)
+    R, cells, norms = R[rows, :, None], cells[rows], norms[rows]
+    best = np.zeros(rows.size)
+    for G, projectors, usable in table.faces:
+        coef = np.matmul(projectors[cells], R)
+        norm_p = row_norms(np.matmul(G[cells], coef)[..., 0])
+        keep = (usable[cells] & (norm_p > 1e-14 * norms)
+                & (row_min(coef[..., 0]) >= -1e-12 * norm_p))
+        np.maximum(best, np.where(keep, norm_p, 0.0), out=best)
+    out[rows] = best
+    return out
+
+
+def max_linear_over_cone_cap(fan: SimplicialFan, cell: int, r) -> float:
+    """Exact ``max{<r, u> : u in cell, ||u|| <= 1}``: ``cap_maxima`` on one
+    pair."""
+    return float(cap_maxima(fan, [cell], np.asarray(r, float)[None])[0])
 
 
 def _c_delta_exact(fan: SimplicialFan) -> float:
-    best = 0.0
-    for ci, inv in enumerate(fan.constants.cell_inverses):
-        for k in range(fan.dim):
-            # Coefficient k on this cell is linear in u with gradient inv[k].
-            best = max(best, max_linear_over_cone_cap(fan, ci, inv[k]))
-    return best
+    # Coefficient k on cell c is linear in u with gradient inv_c[k]: one
+    # cone-cap maximum per (cell, k), all in one call.
+    inverses = fan._cap_faces.inverses
+    cells = np.repeat(np.arange(fan.n_cells), fan.dim)
+    return float(cap_maxima(fan, cells, inverses.reshape(-1, fan.dim)).max())
 
 
 def c_delta(fan: SimplicialFan) -> float:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .fan import (SimplicialFan, c_delta, carrier, cell_vertices,
-                  max_linear_over_cone_cap)
+from .fan import (SimplicialFan, as_rows, c_delta, cap_maxima, carrier,
+                  cell_vertices, vertex_max)
+from .fan import max_linear_over_cone_cap  # noqa: F401 - perfbench's tracer wraps it here
 
 
 class NotInDeformationCone(Exception):
@@ -96,6 +97,22 @@ def support_value(fan: SimplicialFan, h, u) -> float:
     return float(h @ carrier(fan, u).coeffs)
 
 
+def support_values(fan: SimplicialFan, h, U) -> np.ndarray:
+    """Support-function values ``h_{P(h)}(u) = max <u, x>`` of ``P(h)`` at
+    the rows u of ``U``.
+
+    On a polytope the support function is the largest ``<u, x>`` over its
+    vertices (Ziegler, *Lectures on Polytopes*, 7.1), so the values are a
+    running maximum over the rows of ``cell_vertices(fan, h)``: O(m)
+    memory, no carrier lookup and no (m, cells) score matrix.  For h in the
+    deformation cone they equal ``<h, [u]>``, the design rows applied to h,
+    up to rounding.  Raises ``NotInDeformationCone`` for an h outside the
+    cone, where ``<h, [u]>`` is not a support function.
+    """
+    h = _require_member(fan, h)
+    return vertex_max(cell_vertices(fan, h), as_rows(fan, U, "directions"))
+
+
 def is_irredundant(fan: SimplicialFan, h) -> list[bool]:
     """Per ray: is the bound ``h_i`` attained on ``P(h)``?
 
@@ -136,16 +153,17 @@ def hausdorff(fan: SimplicialFan, h, h2) -> float:
     The support difference is linear on every maximal cell with gradient
     ``M_sigma^{-T} (h - h2)`` restricted to the cell's generators, so the
     maximum absolute difference over the sphere is the largest cone-cap
-    maximum of the per-cell gradients, both signs probed.
+    maximum of the per-cell gradients, both signs probed: one
+    ``cap_maxima`` call over the 2 * cells pairs (g, -g).  The pairs of
+    ``(h2, h)`` are those of ``(h, h2)`` in another order, so the distance
+    is symmetric bit for bit.
     """
     h = _require_member(fan, h)
     h2 = _require_member(fan, h2)
-    best = 0.0
-    for ci, g in enumerate(cell_vertices(fan, h - h2)):
-        best = max(best,
-                   max_linear_over_cone_cap(fan, ci, g),
-                   max_linear_over_cone_cap(fan, ci, -g))
-    return float(best)
+    g = cell_vertices(fan, h - h2)
+    cells = np.arange(fan.n_cells)
+    return float(cap_maxima(fan, np.concatenate([cells, cells]),
+                            np.concatenate([g, -g])).max())
 
 
 def hausdorff_bound(fan: SimplicialFan, h, h2) -> float:

@@ -28,7 +28,7 @@ from .design import Dataset, DesignMatrix, build_design
 from .estimator import reconstruct
 from .fan import NoCarrier, SimplicialFan, c_delta, carriers, row_norms
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
-from .geometry import hausdorff
+from .geometry import hausdorff, support_values
 
 GENERATOR_ID = "pcg64/marsaglia-polar/1"
 
@@ -481,8 +481,14 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
     ``plan_family`` maps a sample count to a ``SamplingPlan``; each
     replicate reseeds the plan and the noise from (seed, m, replicate), so
     replicates are independent streams and the whole experiment is
-    reproducible.  Failed reconstructions become failed records rather
-    than aborting the run.
+    reproducible.  A replicate's data are the support values of ``P(h0)``
+    at its directions (``geometry.support_values``, a maximum over the
+    vertices of ``P(h0)``) plus the noise, so ``reconstruct`` makes the
+    replicate's only carrier lookup; the fit is scored by the exact
+    ``hausdorff`` distance to ``h0``.  Failed replicates, including every
+    replicate of an ``h0`` outside the deformation cone
+    (``NotInDeformationCone``), become failed records rather than aborting
+    the run.
     """
     h0 = np.asarray(h0, float)
     m_schedule = list(m_schedule)
@@ -497,8 +503,7 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
             try:
                 dirs = sample_concentrated(fan, plan)
                 eps = noise.sample(m, key=(m, rep))
-                design = build_design(fan, dirs)
-                y = design.matrix @ h0 + eps
+                y = support_values(fan, h0, dirs) + eps
                 result = reconstruct(fan, Dataset(dirs, y))
                 err = hausdorff(fan, result.h_hat, h0)
                 records.append(ConvergenceRecord(

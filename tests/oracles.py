@@ -8,6 +8,8 @@ cone projections use scipy's Lawson-Hanson NNLS, the same projection after
 numpy's QR, and the active set run on the full m x n design; cone
 dimensions come from one HiGHS implicit-equality LP per inequality row,
 and the tableau simplex runs with a Python loop for every row operation.
+Exact cone-cap maxima, c_delta and Hausdorff distances also have a loop
+reference, one (cell, vector) pair and one face at a time.
 
 The per-row loops at the end are the slow references of the batched
 carrier, direction-graph, sampling and probe paths: one direction, one
@@ -16,6 +18,8 @@ arithmetic, so the batched results must equal them bit for bit.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -96,6 +100,63 @@ def sampled_coefficient_max(fan, samples: int, seed: int, zoom_rounds: int = 3) 
             center = local[int(np.argmax(vals))]
         width *= 0.1
     return incumbent
+
+
+# ---------------------------------------------------------------------------
+# Exact cone-cap maxima, one pair and one face at a time
+# ---------------------------------------------------------------------------
+
+def loop_cap_max(fan, cell: int, r) -> float:
+    """``max{<r, u> : u in cell, ||u|| <= 1}``: the interior test, then each
+    proper face's projection by its own ``np.linalg.solve``, with the
+    thresholds of ``fan.cap_maxima``."""
+    r = np.asarray(r, float)
+    norm_r = np.linalg.norm(r)
+    if norm_r == 0.0:
+        return 0.0
+    generators = fan.rays[list(fan.cells[cell])].T
+    lam = np.linalg.inv(generators) @ r
+    if np.min(lam) >= -1e-12 * norm_r:
+        return float(norm_r)
+    best = 0.0
+    d = fan.dim
+    for size in range(1, d):
+        for subset in itertools.combinations(range(d), size):
+            G = generators[:, subset]
+            # Projection of r onto span(G): G (G^T G)^{-1} G^T r.
+            try:
+                coef = np.linalg.solve(G.T @ G, G.T @ r)
+            except np.linalg.LinAlgError:
+                continue
+            norm_p = np.linalg.norm(G @ coef)
+            if norm_p <= 1e-14 * norm_r:
+                continue
+            # The maximizer over the face span is proj/||proj||; keep it
+            # only when it lies in the face cone.
+            if np.min(coef) >= -1e-12 * norm_p:
+                best = max(best, float(norm_p))
+    return best
+
+
+def loop_c_delta(fan) -> float:
+    """Largest barycentric coefficient over unit vectors: the cap maximum
+    of every coefficient gradient ``inv_c[k]``, one at a time."""
+    best = 0.0
+    for ci, inv in enumerate(cell_inverses(fan)):
+        for k in range(fan.dim):
+            best = max(best, loop_cap_max(fan, ci, inv[k]))
+    return best
+
+
+def loop_hausdorff(fan, h1, h2) -> float:
+    """Hausdorff distance from the cap maxima of the per-cell gradients of
+    the support difference, both signs, one at a time."""
+    diff = np.asarray(h1, float) - np.asarray(h2, float)
+    best = 0.0
+    for ci, (cell, inv) in enumerate(zip(fan.cells, cell_inverses(fan))):
+        g = inv.T @ diff[list(cell)]
+        best = max(best, loop_cap_max(fan, ci, g), loop_cap_max(fan, ci, -g))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from facetfit import catalog
+from facetfit.design import build_design
 from facetfit.geometry import (
     NotInDeformationCone,
     hausdorff,
     hausdorff_bound,
     is_deformation,
     is_irredundant,
+    membership_gap,
     minkowski_add,
     support_value,
+    support_values,
     vertices,
 )
 
@@ -107,6 +111,39 @@ def test_support_matches_vertex_oracle(hexagon, roof_y, random_fans):
                 oracle = float(np.max(pts @ u))
                 tol = 1e-8 * (1.0 + np.linalg.norm(h) * np.linalg.norm(u))
                 assert abs(direct - oracle) <= tol
+
+
+def test_support_values_equal_the_design_rows_applied_to_h(hexagon, roof_y, roof_x,
+                                                          random_fans):
+    # Inside the cone, and on its boundary on the roof fans: the symmetric
+    # pyramids [a, a, a, a, b] (the ridge shrunk to a point), zero and the
+    # ray norms, where the carrier guess of ``fan.carriers`` starts.
+    cases = []
+    for fan in [hexagon, roof_y, roof_x, catalog.cube_fan(4)] + random_fans[:2] \
+            + random_fans[5:7]:
+        cases += [(fan, h) for h in random_members(fan, 6, seed=fan.n_cells)]
+    for fan in (roof_y, roof_x):
+        boundary = [np.array([2.5, 2.5, 2.5, 2.5, 0.0]), np.array([2.0, 2, 2, 2, 0]),
+                    np.zeros(5), np.linalg.norm(fan.rays, axis=1)]
+        for h in boundary:
+            assert abs(membership_gap(fan, h)) <= 1e-12
+        cases += [(fan, h) for h in boundary]
+    rng = np.random.default_rng(13)
+    for fan, h in cases:
+        U = np.vstack([rng.standard_normal((200, fan.dim)), fan.rays,
+                       -fan.rays[::-1]])
+        expected = build_design(fan, U).matrix @ h
+        got = support_values(fan, h, U)
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+
+
+def test_support_values_refuse_h_outside_the_cone_and_other_shapes(roof_y):
+    U = np.ones((4, 3))
+    with pytest.raises(NotInDeformationCone, match="violates the wall inequalities"):
+        support_values(roof_y, [2, 2, 4, 4, 0], U)
+    with pytest.raises(ValueError, match="rows of width 3"):
+        support_values(roof_y, [4, 4, 2, 2, 0], np.ones(3))
 
 
 def test_support_additive_and_homogeneous(hexagon):

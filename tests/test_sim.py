@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import facetfit.design
+import facetfit.fan
+import facetfit.sim
 from facetfit.design import Dataset, build_design
 from facetfit.estimator import reconstruct
 from facetfit.geometry import hausdorff
@@ -266,6 +269,45 @@ def test_run_convergence_is_deterministic(hexagon):
     r2 = run_convergence(hexagon, np.ones(6), fam, [30, 60], 2, noise)
     assert [(a.m, a.replicate, a.hausdorff_error, a.objective) for a in r1] == \
            [(b.m, b.replicate, b.hausdorff_error, b.objective) for b in r2]
+
+
+def test_a_replicate_makes_one_carrier_lookup(hexagon, monkeypatch):
+    # The data come from the vertices of P(h0), so the design that
+    # ``reconstruct`` builds is the replicate's only carrier lookup.
+    calls = []
+    inner = facetfit.fan.carriers
+
+    def counted(fan, U):
+        calls.append(len(U))
+        return inner(fan, U)
+
+    for module in (facetfit.fan, facetfit.design, facetfit.sim):
+        monkeypatch.setattr(module, "carriers", counted)
+    replicates = 4
+    records = run_convergence(hexagon, np.ones(6),
+                              lambda m: facet_direction_plan(hexagon, m, seed=6),
+                              [40], replicates, NoiseModel(sigma=0.1, seed=8))
+    assert not any(r.failed for r in records)
+    assert calls == [40] * replicates
+
+
+@pytest.mark.parametrize("fan_key, h0, message", [
+    ("roof_y", [2.0, 2, 4, 4, 0],
+     "support vector violates the wall inequalities by 4.000e+00"),
+    ("hexagon", [3.0, 1, 1, 1, 1, 1],
+     "support vector violates the wall inequalities by 1.000e+00"),
+])
+def test_h0_outside_the_cone_fails_every_replicate(request, fan_key, h0, message):
+    # The messages are those the records carried when the values came from
+    # the design rows and ``hausdorff`` refused h0.
+    fan = request.getfixturevalue(fan_key)
+    records = run_convergence(fan, np.array(h0),
+                              lambda m: facet_direction_plan(fan, m, seed=3),
+                              [20, 40], 2, NoiseModel(sigma=0.1, seed=5))
+    assert [(r.m, r.replicate, r.failed, r.message) for r in records] == \
+        [(m, rep, True, message) for m in (20, 40) for rep in range(2)]
+    assert all(math.isnan(r.hausdorff_error) and math.isnan(r.objective)
+               for r in records)
 
 
 def test_schedule_must_increase(hexagon):
