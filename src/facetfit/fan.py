@@ -128,7 +128,7 @@ class CapFaces:
     generators at S, ``projectors[c]`` is ``(G_Sᵀ G_S)⁻¹ G_Sᵀ``, which maps
     r to the coefficients of its projection onto span(G_S), and
     ``usable[c]`` is False where that Gram matrix is singular (its
-    projector is then zero and never read).
+    projector is then zero, and that face is skipped).
     """
 
     inverses: np.ndarray
