@@ -44,7 +44,7 @@ class Dataset:
             raise ValueError("need at least one sample")
         if not (np.all(np.isfinite(U)) and np.all(np.isfinite(y))):
             raise ValueError("directions and values must be finite")
-        if np.any(np.linalg.norm(U, axis=1) == 0.0):
+        if np.any(~U.any(axis=1)):
             raise ValueError("zero direction in dataset")
 
     @property

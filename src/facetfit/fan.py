@@ -10,7 +10,9 @@ Carrier lookups loop over the cells, never over the directions: each
 direction's cell is guessed from the vertices of one polytope with the fan's
 rays as facet normals and verified, and the directions a guess cannot place
 go through a fan-order scan that applies each cell's inverse to every
-direction still without a carrier.  Cone-cap maxima likewise loop over the
+direction still without a carrier.  ``carrier_blocks`` returns the result
+as one block of rows and d coefficients per cell found, and ``carriers``
+scatters the blocks into dense rows.  Cone-cap maxima likewise loop over the
 faces of a cell, never over the queries: ``cap_maxima`` evaluates any
 number of (cell, vector) pairs against a per-fan table of face projectors
 built on first use.
@@ -99,11 +101,11 @@ class FanConstants:
     ``P(h°) = {x : <v_i, x> <= ||v_i||}``, whose facet normals are the rays
     and which circumscribes the unit ball; it solves ``<v_i, x> = ||v_i||``
     for the d rays i of cell c.  ``guess_margins[c]`` is
-    ``2 d max ||v|| max_k ||inv_c[k]||``: ``carriers`` accepts a guess of
-    cell c for u when every coefficient of u in c is at least
+    ``2 d max ||v|| max_k ||inv_c[k]||``: ``carrier_blocks`` accepts a
+    guess of cell c for u when every coefficient of u in c is at least
     ``guess_margins[c]`` times the scan tolerance of u.  The margins are
     infinite, so no guess is accepted, when some coefficient's rounding can
-    exceed half the scan tolerance (``carriers`` derives both).
+    exceed half the scan tolerance (``carrier_blocks`` derives both).
 
     The coefficient bound is not here: ``c_delta`` computes it on its first
     call, since only the convergence bound and ``hausdorff_bound`` read it.
@@ -251,7 +253,7 @@ def _build_constants(fan: SimplicialFan) -> FanConstants:
         if inv is None:
             raise InvalidFan(f"cell {cell} has numerically dependent generators")
     norms = np.linalg.norm(fan.rays, axis=1)
-    inv_norms = np.array([row_norms(inv).max() for inv in invs])
+    inv_norms = row_norms(np.concatenate(invs)).reshape(fan.n_cells, fan.dim).max(axis=1)
     # A length-d dot product rounds by at most d eps |a| |b|; the guess is
     # sound while that stays within half the scan tolerance for every cell.
     rounding = fan.dim * np.finfo(float).eps * inv_norms.max() * norms.min()
@@ -290,8 +292,21 @@ def as_rows(fan: SimplicialFan, X, what: str) -> np.ndarray:
 
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, equal bit for bit to ``np.linalg.norm``
-    of the row alone (``np.linalg.norm(X, axis=1)`` is not)."""
-    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+    of the row alone (``np.linalg.norm(X, axis=1)`` is not) wherever the
+    sum of squares neither underflows to 0 nor overflows.  A row whose sum
+    does, with finite nonzero entries, is scaled by the power of 2 nearest
+    above its largest entry before squaring, so its norm is that scale
+    times the norm of the scaled row."""
+    with np.errstate(over="ignore"):
+        sq = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+    norms = np.sqrt(sq)
+    odd = np.flatnonzero((sq == 0.0) | (sq == np.inf))
+    if odd.size:
+        top = np.abs(X[odd]).max(axis=1)
+        keep = (top > 0.0) & (top < np.inf)
+        odd, exp = odd[keep], np.frexp(top[keep])[1]
+        norms[odd] = np.ldexp(row_norms(np.ldexp(X[odd], -exp[:, None])), exp)
+    return norms
 
 
 def row_min(X: np.ndarray) -> np.ndarray:
@@ -305,7 +320,35 @@ def row_min(X: np.ndarray) -> np.ndarray:
 
 
 def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
-    """Carrier cells and barycentric coefficients of the rows of ``U``.
+    """Carrier cells and barycentric coefficients of the rows of ``U``: the
+    blocks of ``carrier_blocks`` scattered into dense arrays.
+
+    Returns ``(cells, coeffs)``: ``cells[i]`` is the carrier of row i, or -1
+    for a zero row or one no cell admits; ``coeffs`` is (m, n) with row i
+    supported on the generators of its carrier.
+    """
+    fan.require_valid()
+    U = as_rows(fan, U, "directions")
+    cells = np.full(U.shape[0], -1)
+    coeffs = np.zeros((U.shape[0], fan.n_rays))
+    for ci, rows, lam in carrier_blocks(fan, U):
+        cells[rows] = ci
+        coeffs[rows[:, None], list(fan.cells[ci])] = lam
+    return cells, coeffs
+
+
+def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The rows of ``U`` that have a carrier, grouped by it.
+
+    Returns a list of blocks ``(cell, rows, lam)``: ``rows`` are indices into
+    ``U``, in increasing order, of rows whose carrier is ``cell``, and row k
+    of ``lam`` holds the d coefficients of ``U[rows[k]]`` on the generators
+    ``fan.cells[cell]``, in that order.  Each row with a carrier is in one
+    block; zero rows and rows no cell admits are in none.  The verified
+    vertex-guess blocks come first, in cell order, then the blocks of the
+    fan-order scan (``_scan``).  Callers that need only a per-row test on the
+    coefficients (the rejection sampler's membership rule) read the d
+    columns of each block and never build the dense (m, n) matrix.
 
     The result is that of a scan over the cells in fan order: a row takes
     the first cell whose coefficients are all at least ``-tau(u)``, with
@@ -334,22 +377,18 @@ def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
 
     Zero rows, rows under the margin and wrong guesses, which arise when
     ``h°`` is not inside the fan's type cone (the roof fans have it on the
-    boundary), go to the fan-order scan (``_scan``).  Cells, coefficients
-    and rows without a carrier are therefore bit-identical to the scan of
-    every row, assuming only that the cells meet only on their boundaries,
-    which ``validate`` checks; correctness never depends on ``h°``.
-
-    Returns ``(cells, coeffs)``: ``cells[i]`` is the carrier of row i, or -1
-    for a zero row or one no cell admits; ``coeffs`` is (m, n) with row i
-    supported on the generators of its carrier.
+    boundary), go to the fan-order scan.  Cells, coefficients and rows
+    without a carrier are therefore bit-identical to the scan of every row,
+    assuming only that the cells meet only on their boundaries, which
+    ``validate`` checks; correctness never depends on ``h°``.
     """
     fan.require_valid()
     U = as_rows(fan, U, "directions")
     consts = fan.constants
     norms = row_norms(U)
     tol = CARRIER_RTOL * norms / max(float(np.min(consts.ray_norms)), 1e-300)
-    cells = np.full(U.shape[0], -1)
-    coeffs = np.zeros((U.shape[0], fan.n_rays))
+    placed = np.zeros(U.shape[0], bool)
+    blocks = []
     # Rows whose tolerance underflows or overflows are left to the scan.
     rows = np.flatnonzero((tol > 0.0) & (tol < np.inf))
     for ci, mine in enumerate(_vertex_groups(consts.vertices, U[rows])):
@@ -357,13 +396,11 @@ def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
             continue
         mine = rows[mine]
         inv = consts.cell_inverses[ci]
-        sure = row_min(U[mine] @ inv.T) >= consts.guess_margins[ci] * tol[mine]
-        mine = mine[sure]
-        cells[mine] = ci
-        coeffs[mine[:, None], list(fan.cells[ci])] = \
-            np.matmul(inv[None], U[mine, :, None])[..., 0]
-    _scan(fan, U, np.flatnonzero((norms != 0.0) & (cells < 0)), tol, cells, coeffs)
-    return cells, coeffs
+        mine = mine[row_min(U[mine] @ inv.T) >= consts.guess_margins[ci] * tol[mine]]
+        if mine.size:
+            placed[mine] = True
+            blocks.append((ci, mine, np.matmul(inv[None], U[mine, :, None])[..., 0]))
+    return blocks + _scan(fan, U, np.flatnonzero((norms != 0.0) & ~placed), tol)
 
 
 def vertex_max(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -390,24 +427,25 @@ def _vertex_groups(vertices: np.ndarray, U: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _scan(fan: SimplicialFan, U: np.ndarray, rows: np.ndarray, tol: np.ndarray,
-          cells: np.ndarray, coeffs: np.ndarray) -> None:
-    """The fan-order scan of ``carriers`` on ``U[rows]``, writing into
-    ``cells`` and ``coeffs``.  Each pass applies one cell's inverse to every
-    row still without a carrier; a row takes the first cell whose
-    coefficients are all at least ``-tol``."""
+def _scan(fan: SimplicialFan, U: np.ndarray, rows: np.ndarray,
+          tol: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The fan-order scan of ``carrier_blocks`` on ``U[rows]``, returning its
+    blocks.  Each pass applies one cell's inverse to every row still
+    without a carrier; a row takes the first cell whose coefficients are
+    all at least ``-tol``."""
     consts = fan.constants
-    for ci, cell in enumerate(fan.cells):
+    blocks = []
+    for ci in range(fan.n_cells):
         if rows.size == 0:
             break
         # A stacked matrix-vector product per row: `U @ inv.T` and einsum
         # round differently from `inv @ u`.
         lam = np.matmul(consts.cell_inverses[ci][None], U[rows, :, None])[..., 0]
         fits = row_min(lam) >= -tol[rows]
-        hit = rows[fits]
-        cells[hit] = ci
-        coeffs[hit[:, None], list(cell)] = np.maximum(lam[fits], 0.0)
+        if fits.any():
+            blocks.append((ci, rows[fits], np.maximum(lam[fits], 0.0)))
         rows = rows[~fits]
+    return blocks
 
 
 def carrier(fan: SimplicialFan, u) -> BarycentricVector:

@@ -12,8 +12,16 @@ Gaussians produced by the Marsaglia polar transform, so every experiment
 is reproducible bit for bit from its seeds; ``GENERATOR_ID`` names the
 scheme in output metadata.  Directions are drawn in batches that
 reproduce, row for row, the stream of one ``gaussian_polar`` call per
-direction, and rejection candidates are tested all at once through one
-stacked carrier lookup.
+direction.  Rejection sampling works in passes: each pass draws a batch
+of trials, makes every trial's candidate for every ray, and tests them all
+with one ``fan.carrier_blocks`` call, reading each block's d coefficient
+columns.  The slots then jump from one event (an accepted candidate, or
+one without a carrier) to the next, one loop step per filled slot.  After
+a pass that drew more trials than it used, the generator is rewound to
+just after the last trial used, so the rows and the stream match one
+``gaussian_polar`` call per trial.  The first pass draws one trial per
+slot, a later one enough for the pending slots at the acceptance rate
+seen so far, plus a quarter, so most plans take two passes.
 """
 
 from __future__ import annotations
@@ -26,11 +34,16 @@ import numpy as np
 
 from .design import Dataset, DesignMatrix, build_design
 from .estimator import reconstruct
-from .fan import NoCarrier, SimplicialFan, c_delta, carriers, row_norms
+from .fan import (NoCarrier, SimplicialFan, c_delta, carrier_blocks, carriers,
+                  row_norms)
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import hausdorff, support_values
 
 GENERATOR_ID = "pcg64/marsaglia-polar/1"
+
+# Candidates (trials times rays) that a later rejection pass may draw beyond
+# one trial per pending slot.
+_PASS_ROWS = 1 << 16
 
 
 class QuotaInfeasible(Exception):
@@ -71,13 +84,19 @@ def derive_seed(*key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _polar_pairs(need: int) -> int:
+    """The uniform pairs ``gaussian_polar`` draws at once for ``need`` more
+    normals: a call for d normals starts with ``_polar_pairs(d)``."""
+    return (need + 1) // 2 + 8
+
+
 def gaussian_polar(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standard normals via the polar rejection transform on ``rng``."""
     out = np.empty(size)
     filled = 0
     while filled < size:
         need = size - filled
-        pairs = (need + 1) // 2 + 8
+        pairs = _polar_pairs(need)
         u = 2.0 * rng.random(pairs) - 1.0
         v = 2.0 * rng.random(pairs) - 1.0
         s = u * u + v * v
@@ -90,6 +109,14 @@ def gaussian_polar(rng: np.random.Generator, size: int) -> np.ndarray:
     return out
 
 
+def _rewind(rng: np.random.Generator, start: dict, rows: int, d: int) -> None:
+    """Set ``rng`` to just after the first ``rows`` rows that ``_polar_rows``
+    drew from ``start``: each row of width d takes ``2 _polar_pairs(d)``
+    uniforms."""
+    rng.bit_generator.state = start
+    rng.bit_generator.advance(rows * 2 * _polar_pairs(d))
+
+
 def _polar_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     """Up to k rows, row i equal to the i-th of k ``gaussian_polar(rng, d)``
     calls in turn, leaving ``rng`` just after the last row returned.
@@ -99,7 +126,7 @@ def _polar_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     stream is rewound to just before it and that call is made by
     ``gaussian_polar`` itself.
     """
-    pairs = (d + 1) // 2 + 8
+    pairs = _polar_pairs(d)
     start = rng.bit_generator.state
     uv = 2.0 * rng.random(2 * pairs * k).reshape(k, 2, pairs) - 1.0
     u, v = uv[:, 0], uv[:, 1]
@@ -108,19 +135,19 @@ def _polar_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     count = ok.sum(axis=1)
     short = np.flatnonzero(2 * count < d)
     full = int(short[0]) if short.size else k
-    # Row i takes u then v of its accepted pairs, in order, up to d values.
-    order = np.argsort(~ok[:full], axis=1, kind="stable")
+    # Value j of row i is u (j < c) or v (j >= c) of its accepted pair
+    # q = j or j - c.  The accepted pairs of all rows, in order, are one
+    # flat list; row i's start in it is the running count before row i.
     c = count[:full, None]
     j = np.arange(d)
     first = j < c
-    pair = np.take_along_axis(order, np.where(first, j, j - c), axis=1)
-    comp = np.where(first, np.take_along_axis(u[:full], pair, axis=1),
-                    np.take_along_axis(v[:full], pair, axis=1))
-    sp = np.take_along_axis(s[:full], pair, axis=1)
+    before = np.cumsum(count[:full]) - count[:full]
+    at = np.flatnonzero(ok[:full])[before[:, None] + np.where(first, j, j - c)]
+    comp = np.where(first, u.ravel()[at], v.ravel()[at])
+    sp = s.ravel()[at]
     rows = comp * np.sqrt(-2.0 * np.log(sp) / sp)
     if full < k:
-        rng.bit_generator.state = start
-        rng.bit_generator.advance(full * 2 * pairs)
+        _rewind(rng, start, full, d)
         rows = np.vstack([rows, gaussian_polar(rng, d)])
     return rows
 
@@ -263,10 +290,22 @@ def _in_neighborhoods(coeffs: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,
                       t: float) -> np.ndarray:
     """The one membership rule of the neighborhoods: row i of the barycentric
     coefficients, scaled by the ray norms, lies within ``t`` (plus 1e-9) of
-    the unit vector of ray ``J[i]`` in the sup norm."""
-    scaled = coeffs * ray_norms
-    scaled[np.arange(len(J)), J] -= 1.0
-    return np.max(np.abs(scaled), axis=1) <= t + 1e-9
+    the unit vector of column ``J[i]`` in the sup norm.
+
+    The columns are either all n rays (dense carrier rows, with ``J[i]``
+    the target ray) or the d generators of one cell (a block of
+    ``carrier_blocks``, with ``ray_norms`` those of its generators and
+    ``J[i]`` the target ray's position among them).  ``J[i] = -1`` says the
+    target ray is not a generator of the row's cell: its dense row has 0 in
+    that ray's column, 1 away from the unit vector, so the row is outside
+    (t < 1/2).  Both forms give the same answer, since the dense row's
+    other entries are zeros.  The sup norm is a column-wise running maximum,
+    exact like ``fan.row_min`` and much faster than a reduction over a
+    short axis."""
+    worst = np.abs(coeffs[:, 0] * ray_norms[0] - (J == 0))
+    for k in range(1, coeffs.shape[1]):
+        np.maximum(worst, np.abs(coeffs[:, k] * ray_norms[k] - (J == k)), out=worst)
+    return (worst <= t + 1e-9) & (J >= 0)
 
 
 def _concentration_counts_from_rows(matrix: np.ndarray, ray_norms: np.ndarray,
@@ -318,40 +357,78 @@ def _rejection_rows(fan: SimplicialFan, rng: np.random.Generator, units: np.ndar
 
     Trials belong to the current slot: a slot takes the first trial after
     the previous slot's that lies in its ray's neighborhood, and starves
-    after 10000 trials.  Each pass draws one trial per pending slot, tests
-    every trial's candidate for every ray in one stacked lookup, then hands
-    the trials to the slots in order.  A trial fills at most one slot, so
-    no pass draws a trial beyond the last one used.
+    after 10000 trials.  Which ray a trial is for depends on how many
+    earlier trials were accepted, so every trial's candidate is made and
+    tested for every ray.
+
+    The trials come in passes.  The first draws one trial per slot; a later
+    pass draws 1.25 times the pending slots over the acceptance rate seen
+    so far, at most ``_PASS_ROWS`` candidates beyond one trial per pending
+    slot.  A pass makes one ``carrier_blocks`` call on its candidates and
+    applies the membership rule to each block's d columns.  A trial is an
+    event for a ray when its candidate is usable and either in the ray's
+    neighborhood or without a carrier; a reverse running minimum gives, for
+    each trial and ray, the next event, so the slots advance from event to
+    event, one loop step per filled slot.  The generator is then rewound to
+    just after the last trial used, so the rows and the state left behind
+    are those of one ``gaussian_polar`` call per trial.
     """
     n, d = units.shape
+    ray_norms = fan.constants.ray_norms
+    # column[c, j]: position of ray j among cell c's generators, or -1.
+    column = np.full((fan.n_cells, n), -1)
+    for c, cell in enumerate(fan.cells):
+        column[c, list(cell)] = np.arange(d)
+    order = slots.tolist()
     out = np.empty((len(slots), d))
-    s = tries = 0
+    s = tries = used = 0
     while s < len(slots):
-        g = _polar_rows(rng, len(slots) - s, d)
+        pending = want = len(slots) - s
+        if used:
+            want = min(math.ceil(1.25 * pending * used / max(s, 1)),
+                       pending + _PASS_ROWS // n)
+        start = rng.bit_generator.state
+        g = _polar_rows(rng, want, d)
         k = len(g)
         X = (units[None, :, :] + radius * g[:, None, :]).reshape(k * n, d)
         norms = row_norms(X)
         usable = norms >= 1e-12
         X /= np.where(usable, norms, 1.0)[:, None]
-        cells, coeffs = carriers(fan, X)
-        member = _in_neighborhoods(coeffs, fan.constants.ray_norms,
-                                   np.tile(np.arange(n), k), t)
-        usable, member, carried = (a.reshape(k, n) for a in (usable, member, cells >= 0))
-        X = X.reshape(k, n, d)
-        for i in range(k):
-            j = slots[s]
-            tries += 1
-            if usable[i, j]:
-                if not carried[i, j]:
-                    raise NoCarrier.for_vector(fan, X[i, j])
-                if member[i, j]:
-                    out[s] = X[i, j]
-                    s += 1
-                    tries = 0
-                    continue
-            if tries == 10000:
+        member = np.zeros(k * n, bool)
+        carried = np.zeros(k * n, bool)
+        for c, rows, lam in carrier_blocks(fan, X):
+            carried[rows] = True
+            member[rows] = _in_neighborhoods(lam, ray_norms[list(fan.cells[c])],
+                                             column[c, rows % n], t)
+        event = (usable & (member | ~carried)).reshape(k, n)
+        # after[i, j]: the first event for ray j at trial i or later, else k
+        # (row k, past the last trial, is all k).
+        after = np.vstack([np.where(event, np.arange(k)[:, None], k), np.full(n, k)])
+        after = np.minimum.accumulate(after[::-1], axis=0)[::-1]
+        # Slot by slot from trial i: the slot's next event fills it or, for a
+        # candidate without a carrier, raises.  ``tries`` counts the trials
+        # the current slot used in earlier passes.
+        taken = []
+        i = 0
+        for j in order[s:]:
+            e = after.item(i, j)
+            if tries + e - i >= 10000:
                 raise RuntimeError(
                     f"rejection sampling starved for ray {j} at t={t}")
+            if e == k:
+                tries += k - i
+                i = k
+                break
+            if not carried.item(e * n + j):
+                raise NoCarrier.for_vector(fan, X[e * n + j])
+            taken.append(e * n + j)
+            tries = 0
+            i = e + 1
+        out[s:s + len(taken)] = X[taken]
+        s += len(taken)
+        used += i
+        if i < k:
+            _rewind(rng, start, i, d)
     return out
 
 

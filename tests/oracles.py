@@ -482,9 +482,16 @@ def cell_inverses(fan) -> list[np.ndarray]:
 
 def loop_carrier(fan, u, inverses) -> tuple[int, np.ndarray]:
     """(cell, coeffs) of one vector: scan the cells in fan order, take the
-    first whose coefficients clear ``-1e-9 ||u|| / min ||v_i||``."""
+    first whose coefficients clear ``-1e-9 ||u|| / min ||v_i||``.  When the
+    sum of squares of a nonzero u under- or overflows, ``||u||`` is taken
+    from u scaled by a power of 2 that brings its largest entry into
+    [1/2, 1)."""
     u = np.asarray(u, float)
-    norm_u = np.linalg.norm(u)
+    with np.errstate(over="ignore"):
+        norm_u = np.linalg.norm(u)
+    if (norm_u == 0.0 and np.any(u)) or norm_u == np.inf:
+        e = np.frexp(np.max(np.abs(u)))[1]
+        norm_u = np.ldexp(np.linalg.norm(np.ldexp(u, -e)), e)
     if norm_u == 0.0:
         raise NoCarrier("zero vector has no carrier")
     min_norm = float(np.min(np.linalg.norm(fan.rays, axis=1)))

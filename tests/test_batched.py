@@ -130,13 +130,18 @@ def test_uniform_sphere_refill_row_equals_loop(monkeypatch):
 
 
 def concentrated_cases():
+    """(fan, t, delta, m) plans.  The last two are pinned below: about half
+    the trials of the 2D fan are rejected, and on the 5D cube a row of the
+    rejection pass can need the ``gaussian_polar`` refill."""
     return [(catalog.hexagon_fan(), 0.008, 0.03, 300),
             (catalog.random_polytopal_fan(3, 6, seed=203), 0.004, 0.08, 300),
             (catalog.cube_fan(4), 0.004, 0.02, 200),
-            (catalog.cube_fan(5), 0.002, 0.03, 150)]
+            (catalog.cube_fan(5), 0.002, 0.03, 150),
+            (catalog.random_polytopal_fan(2, 7, seed=101), 0.004, 0.05, 60),
+            (catalog.cube_fan(5), 0.002, 0.03, 160)]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(6))
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_concentrated_equals_loop(case, seed):
@@ -145,6 +150,32 @@ def test_concentrated_equals_loop(case, seed):
     assert sum(plan.quotas) < m  # quota slots and a uniform fill
     fast = sample_concentrated(fan, plan)
     assert fast.tobytes() == loop_concentrated(fan, plan).tobytes()
+
+
+@pytest.mark.parametrize("case, seed", [(4, 0), (5, 73)])
+def test_rejection_passes_equal_loop(case, seed, monkeypatch):
+    """Case 4 with seed 0 takes at least three passes, and a later pass
+    draws more trials than it uses, so the stream is rewound; case 5 with
+    seed 73 reaches the ``gaussian_polar`` refill row in its first
+    rejection pass."""
+    fan, t, delta, m = concentrated_cases()[case]
+    plan = make_plan(fan, t, delta, m, seed)
+    passes, refills, rewinds = [], [], []
+    blocks, polar, rewind = sim.carrier_blocks, sim.gaussian_polar, sim._rewind
+    monkeypatch.setattr(sim, "carrier_blocks",
+                        lambda fan, X: passes.append(len(X)) or blocks(fan, X))
+    monkeypatch.setattr(sim, "gaussian_polar",
+                        lambda rng, size: refills.append(len(passes)) or polar(rng, size))
+    monkeypatch.setattr(sim, "_rewind",
+                        lambda *args: rewinds.append(len(passes)) or rewind(*args))
+    fast = sample_concentrated(fan, plan)
+    monkeypatch.undo()
+    assert fast.tobytes() == loop_concentrated(fan, plan).tobytes()
+    if case == 4:
+        assert len(passes) >= 3 and not refills
+        assert rewinds and rewinds[-1] == len(passes)
+    else:
+        assert 0 in refills and 0 in rewinds
 
 
 def test_exact_ray_plan_equals_loop():
@@ -240,8 +271,9 @@ def test_fan_outside_its_vertex_polytope_equals_loop():
 
 
 def test_zero_rows_among_guessed_rows_equal_loop():
-    """Zero rows, and rows whose norm underflows to 0, must never take the
-    guessed cell, whose coefficients they meet with equality."""
+    """Zero rows must never take the guessed cell, whose coefficients they
+    meet with equality; rows whose sum of squares underflows to 0 are not
+    zero, and take their cells."""
     fan = catalog.random_polytopal_fan(3, 12, seed=7)
     rng = np.random.default_rng(12)
     U = rng.standard_normal((300, 3))
@@ -249,7 +281,22 @@ def test_zero_rows_among_guessed_rows_equal_loop():
     U[rng.choice(300, 10, replace=False)] *= 1e-170
     U[rng.choice(300, 10, replace=False)] *= 1e-160
     cells = assert_carriers_equal_loop(fan, U)
-    assert np.count_nonzero(cells < 0) >= 40
+    assert np.array_equal(cells < 0, ~U.any(axis=1))
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_rows_scaled_by_powers_of_two_keep_their_carriers(index):
+    """u · 2^±900, whose sum of squares over- or underflows, gets the cell
+    of u and 2^±900 times its coefficients."""
+    fan = fans()[index]
+    U = np.random.default_rng(index).standard_normal((200, fan.dim))
+    cells, coeffs = carriers(fan, U)
+    for e in (900, -900):
+        scaled_cells, scaled = carriers(fan, np.ldexp(U, e))
+        assert scaled_cells.tobytes() == cells.tobytes()
+        assert scaled.tobytes() == np.ldexp(coeffs, e).tobytes()
+    assert_carriers_equal_loop(fan, np.ldexp(U[:20], 900))
+    assert_carriers_equal_loop(fan, np.ldexp(U[:20], -900))
 
 
 def scan_sizes(monkeypatch):

@@ -53,8 +53,10 @@ def hexagon_cycle_directions(fan):
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero direction"):
         Dataset(np.array([[0.0, 0.0]]), np.array([1.0]))
+    # Not zero, though its sum of squares underflows to 0.
+    Dataset(np.array([[1e-170, 0.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         Dataset(np.array([[1.0, 0.0]]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

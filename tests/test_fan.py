@@ -150,6 +150,15 @@ def test_carrier_zero_vector_rejected(hexagon):
         carrier(hexagon, np.zeros(2))
 
 
+def test_carrier_of_rows_whose_sum_of_squares_under_or_overflows(hexagon):
+    big = carrier(hexagon, [-1e300, -1e300])
+    assert big.cell_index == carrier(hexagon, [-1.0, -1.0]).cell_index == 3
+    assert np.allclose(big.coeffs * 1e-300, carrier(hexagon, [-1.0, -1.0]).coeffs,
+                       rtol=1e-15, atol=0.0)
+    tiny = carrier(hexagon, [1e-170, 0.0])
+    assert tiny.cell_index == 0 and tiny.coeffs[0] == 1e-170
+
+
 def test_carrier_reconstructs_and_is_homogeneous(hexagon, roof_y, random_fans):
     rng = np.random.default_rng(42)
     for fan in [hexagon, roof_y] + random_fans[:4]:

@@ -8,6 +8,7 @@ import facetfit.fan
 import facetfit.sim
 from facetfit.design import Dataset, build_design
 from facetfit.estimator import reconstruct
+from facetfit.fan import NoCarrier
 from facetfit.geometry import hausdorff
 from facetfit.sim import (
     HypothesisUnmet,
@@ -53,6 +54,24 @@ def test_in_ct_ten_degrees(hexagon):
     assert expected == pytest.approx(0.200512, abs=1e-5)
     assert in_ct(hexagon, u, 0, 0.25)
     assert not in_ct(hexagon, u, 0, 0.15)
+
+
+def test_membership_rule_on_blocks_equals_dense_rows(roof_y):
+    # Coefficients up to 0.35 / ||v|| at t = 0.3: many rows have every
+    # entry within t, so a target ray outside the cell (-1) must still fail.
+    rng = np.random.default_rng(4)
+    norms = roof_y.constants.ray_norms
+    for cell in roof_y.cells:
+        lam = rng.random((400, 3)) * 0.35 / norms[list(cell)]
+        lam[::3, 0] = rng.random(134) * 0.2 / norms[cell[0]] + 1.0 / norms[cell[0]]
+        J = rng.integers(roof_y.n_rays, size=400)
+        dense = np.zeros((400, roof_y.n_rays))
+        dense[:, list(cell)] = lam
+        column = np.full(roof_y.n_rays, -1)
+        column[list(cell)] = np.arange(3)
+        expected = facetfit.sim._in_neighborhoods(dense, norms, J, 0.3)
+        got = facetfit.sim._in_neighborhoods(lam, norms[list(cell)], column[J], 0.3)
+        assert np.array_equal(got, expected) and 0 < expected.sum() < 400
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +158,45 @@ def test_concentrated_sampling_with_positive_t(hexagon, roof_y):
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
         counts = audit_concentration(fan, dirs, plan)
         assert np.all(counts >= np.array(plan.quotas))
+
+
+def test_rejection_sampling_starves_without_members(hexagon, monkeypatch):
+    monkeypatch.setattr(facetfit.sim, "_in_neighborhoods",
+                        lambda coeffs, ray_norms, J, t: np.zeros(len(J), bool))
+    with pytest.raises(RuntimeError,
+                       match=r"^rejection sampling starved for ray 0 at t=0\.008$"):
+        sample_concentrated(hexagon, make_plan(hexagon, 0.008, 0.01, 80, 31))
+
+
+@pytest.mark.parametrize("trial, starved", [(9999, 1), (10000, 0)])
+def test_rejection_sampling_starves_after_10000_trials(hexagon, monkeypatch, trial,
+                                                       starved):
+    # Only ray 0's candidate of one trial is a member: as the 10000th trial
+    # of slot 0 it fills the slot, and the next slot (ray 1) starves; one
+    # trial later, slot 0 starves first.
+    plan = make_plan(hexagon, 0.008, 0.01, 80, 31)
+    rng = facetfit.sim._rng(plan.seed)
+    g = [facetfit.sim.gaussian_polar(rng, 2) for _ in range(trial + 1)][-1]
+    norms = hexagon.constants.ray_norms
+    x = hexagon.rays[0] / norms[0] + 0.5 * plan.t * float(np.min(norms)) * g
+    [(_, _, member)] = facetfit.fan.carrier_blocks(hexagon, [x / np.linalg.norm(x)])
+    monkeypatch.setattr(facetfit.sim, "_in_neighborhoods",
+                        lambda coeffs, ray_norms, J, t: np.all(coeffs == member, axis=1))
+    with pytest.raises(RuntimeError, match=f"starved for ray {starved} at"):
+        sample_concentrated(hexagon, plan)
+
+
+def test_rejection_sampling_raises_for_a_candidate_without_carrier(hexagon,
+                                                                   monkeypatch):
+    # Candidate 0 is the first trial of the first slot, for ray 0.
+    blocks = facetfit.sim.carrier_blocks
+
+    def dropped(fan, X):
+        return [(c, rows[rows != 0], lam[rows != 0]) for c, rows, lam in blocks(fan, X)]
+
+    monkeypatch.setattr(facetfit.sim, "carrier_blocks", dropped)
+    with pytest.raises(NoCarrier, match="^no cell of .* admits nonnegative coefficients$"):
+        sample_concentrated(hexagon, make_plan(hexagon, 0.008, 0.01, 80, 31))
 
 
 def test_zero_t_emits_exact_rays(roof_y):
