@@ -78,7 +78,7 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
                              f"tolerance {sol.kkt_tolerance:.3g}", sol)
     y_hat = dm.matrix @ sol.h_star
     report = uniqueness_report(fan, dm)
-    sset = solution_set(fan, dm, y_hat, sol.h_star)
+    sset = solution_set(fan, dm, sol.h_star)
     return ReconstructionResult(
         h_hat=sol.h_star,
         y_hat=y_hat,
@@ -89,13 +89,16 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
     )
 
 
-def solution_set(fan: SimplicialFan, design: DesignMatrix, y_hat, h_hat) -> SolutionSetDescription:
-    """Describe ``{h in cone : A h = y_hat}`` around an optimal ``h_hat``.
+def solution_set(fan: SimplicialFan, design: DesignMatrix, h_hat) -> SolutionSetDescription:
+    """Describe ``{h in cone : A h = A h_hat}`` around an optimal ``h_hat``.
 
-    Kernel directions of the design are probed by linear programs for how
-    far ``h_hat`` can move while staying in the cone.  Dimension counts the
-    kernel directions with room to move; for a single kernel direction the
-    probe optima are the exact segment endpoints.
+    Each kernel vector z of the design is probed for how far ``h_hat`` can
+    move along it while staying in the cone, ``B (h_hat + lambda z) >= 0``:
+    a one-variable LP whose answer is a ratio test over the walls (Schrijver,
+    *Theory of Linear and Integer Programming*, 1986, ch. 8), run for every
+    kernel vector at once by ``_extents``.  Dimension counts the kernel
+    directions with room to move; for a single kernel direction the two
+    extents give the exact segment endpoints.
     """
     h_hat = np.asarray(h_hat, float)
     rank, kernel = design_mod.numeric_rank(design)
@@ -103,41 +106,35 @@ def solution_set(fan: SimplicialFan, design: DesignMatrix, y_hat, h_hat) -> Solu
     if rank == design.n:
         return SolutionSetDescription(dimension=0, bounded=True)
 
-    scale = 1.0 + float(np.linalg.norm(h_hat))
-    tol = 1e-9 * scale
-    movable = 0
+    tol = 1e-9 * (1.0 + float(np.linalg.norm(h_hat)))
     bounded = not detect_unbounded(fan, design)
+    lo, hi = _extents(B @ h_hat, B @ kernel.T)
+    movable = int(np.sum(hi - lo > tol))
     endpoints = None
-    lambdas: list[tuple[float, float]] = []
-    for z in kernel:
-        lo, lo_unbounded = _extent(B, h_hat, z, sense=-1.0)
-        hi, hi_unbounded = _extent(B, h_hat, z, sense=+1.0)
-        if hi - lo > tol or hi_unbounded or lo_unbounded:
-            movable += 1
-        lambdas.append((lo, hi))
     if kernel.shape[0] == 1 and movable == 1 and bounded:
-        lo, hi = lambdas[0]
-        endpoints = (h_hat + lo * kernel[0], h_hat + hi * kernel[0])
+        endpoints = (h_hat + lo[0] * kernel[0], h_hat + hi[0] * kernel[0])
     return SolutionSetDescription(dimension=movable, bounded=bounded,
                                   segment_endpoints=endpoints)
 
 
-def _extent(B, h_hat, z, sense):
-    """Extremal step ``lambda`` with ``B (h_hat + lambda z) >= 0``.
+def _extents(g: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extremal steps ``lo_k <= 0 <= hi_k`` with ``g + lambda G[:, k] >= 0``.
 
-    Returns ``(lambda, unbounded_flag)``; solved in (h, lambda) variables
-    so the inequality block stays homogeneous.
+    ``g = B h_hat`` and ``G = B K^T``, one column per kernel vector.  A wall
+    blocks column k upward when ``G[i, k] < -1e-12 (1 + max_i |G[i, k]|)``,
+    and limits the step to ``max(g_i, 0) / -G[i, k]``; downward is the same
+    test on ``-G``.  These are the falling-row rule and the clamped slack of
+    ``qp._ratio_test``.  An unblocked direction has extent +-inf.
     """
-    n = h_hat.shape[0]
-    c = np.zeros(n + 1)
-    c[n] = -sense
-    Bx = np.hstack([B, np.zeros((B.shape[0], 1))]) if B.shape[0] else np.zeros((0, n + 1))
-    E = np.hstack([np.eye(n), -z[:, None]])
-    try:
-        sol = qp.solve_lp(c, Bx, E, h_hat)
-    except qp.Unbounded:
-        return sense * np.inf, True
-    return float(sol.x[n]), False
+    slack = np.where(g > 0.0, g, 0.0)[:, None]
+    tol = 1e-12 * (1.0 + np.max(np.abs(G), axis=0, initial=0.0))
+
+    def extent(step):
+        limits = np.divide(slack, -step, out=np.full(step.shape, np.inf),
+                           where=step < -tol)
+        return limits.min(axis=0, initial=np.inf)
+
+    return -extent(-G), extent(G)
 
 
 def detect_unbounded(fan: SimplicialFan, design: DesignMatrix) -> bool:

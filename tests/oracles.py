@@ -7,6 +7,7 @@ constrained least-squares checks are a projected-gradient iteration whose
 cone projections use scipy's Lawson-Hanson NNLS, the same projection after
 numpy's QR, and the active set run on the full m x n design; cone
 dimensions come from one HiGHS implicit-equality LP per inequality row,
+solution-set extents from two one-variable HiGHS LPs per kernel vector,
 and the tableau simplex runs with a Python loop for every row operation.
 Exact cone-cap maxima, c_delta and Hausdorff distances also have a loop
 reference, one (cell, vector) pair and one face at a time.
@@ -375,6 +376,25 @@ def highs_cone_dimension(M: np.ndarray, E: np.ndarray | None = None) -> int:
             implicit.append(i)
     rows = np.vstack([E, M[implicit]])
     return k - (int(np.linalg.matrix_rank(rows)) if rows.shape[0] else 0)
+
+
+def highs_extents(B: np.ndarray, h: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """``min`` and ``max`` of lambda subject to ``B (h + lambda z) >= 0``,
+    as two one-variable LPs solved by scipy's HiGHS; an unbounded side
+    (status 3) is -inf or +inf."""
+    A_ub = -(B @ z)[:, None]
+    b_ub = B @ h
+    out = []
+    for sense in (1.0, -1.0):
+        res = linprog([sense], A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)],
+                      method="highs")
+        if res.status == 3:
+            out.append(-sense * np.inf)
+        elif res.status == 0:
+            out.append(float(res.x[0]))
+        else:
+            raise ArithmeticError(f"extent LP: {res.message}")
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
