@@ -1,10 +1,14 @@
 """Design matrices, direction graphs, and uniqueness diagnostics.
 
 The m measured directions turn into the m x n regression operator whose
-row i holds the barycentric coefficients of direction i; all rows come
-from one stacked carrier lookup (``fan.carriers``).  Each design is
-factored once (``qp.triangular_factor``: Householder QR when m > n), and
-the solver, the rank and the kernel all read that factor.  Uniqueness of
+row i holds the barycentric coefficients of direction i.  The operator is
+kept in cell form: the blocks of one carrier lookup
+(``fan.carrier_blocks``), each the rows carried by one cell and their d
+coefficients on its generators, O(m d) memory in all; the dense m x n
+matrix is made only when a caller reads it.  Each design is factored once
+(``qp.triangular_factor``: one QR per block and one of the stacked
+triangles when m > n), and the solver, the rank and the kernel all read
+that factor.  Uniqueness of
 the estimate for every right-hand side is a rank question; the bipartite
 ray/sample graph gives the combinatorial counterpart (a matching touching
 every ray), and per-cell coverage gives a practical sufficient condition.
@@ -17,9 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .fan import NoCarrier, SimplicialFan, carriers
+from .fan import NoCarrier, SimplicialFan, carrier_blocks
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps design.carrier
-from .qp import TriangularFactor, rank_and_kernel, rank_tolerance, triangular_factor
+from .qp import (BlockMatrix, TriangularFactor, rank_and_kernel, rank_tolerance,
+                 triangular_factor)
 
 # Entries at or below this are treated as structural zeros when building
 # graphs; carrier clamps negatives to 0 so this only guards round-off.
@@ -56,36 +61,58 @@ class Dataset:
 class DesignMatrix:
     """Rows are barycentric coefficient vectors; at most d nonzeros per row.
 
-    Stored dense (desk-scale m and n); ``carrier_cells[i]`` is the index of
-    the maximal cell carrying direction i.  ``build_design`` makes
-    ``matrix`` read-only, so the cached ``factor`` and ``rank_kernel``
-    cannot go stale.
+    Stored in cell form: ``blocks`` has one block per block of
+    ``fan.carrier_blocks``, its rows, the generators of its cell as columns
+    and the m_c x d coefficients, so memory is O(m d).  ``carrier_cells[i]``
+    is the index of the maximal cell carrying direction i.  ``matrix``, the
+    dense m x n scatter, is made on first read, for CLI output,
+    ``direction_graph`` and tests; the reconstruction never reads it when
+    m > n.  ``build_design`` makes the coefficients read-only, and
+    ``matrix`` is, so the cached ``factor`` and ``rank_kernel`` cannot go
+    stale.
     """
 
-    matrix: np.ndarray
+    blocks: BlockMatrix
     carrier_cells: np.ndarray
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense m x n design, scattered from the blocks on first read."""
+        matrix = self.blocks.dense()
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def operator(self) -> BlockMatrix:
+        """The design as ``qp.solve_cls`` reads it: the blocks when m > n;
+        when m <= n the dense ``matrix`` as one block, in the original row
+        order, so that it is its own factor."""
+        return self.blocks if self.m > self.n else BlockMatrix.of(self.matrix)
+
+    @cached_property
     def factor(self) -> TriangularFactor:
-        """The design's one factorization, made on first use: Householder QR
-        when m > n, the matrix itself otherwise."""
-        return triangular_factor(self.matrix)
+        """The design's one factorization, made on first use: one QR per
+        block and one of the stacked triangles when m > n, the matrix
+        itself otherwise."""
+        return triangular_factor(self.operator)
 
     @cached_property
     def rank_kernel(self) -> tuple[int, np.ndarray]:
-        """``rank_and_kernel`` of the factor on first use, at the matrix's
-        own tolerance, with a read-only kernel."""
-        rank, kernel = rank_and_kernel(self.factor.R, tol=rank_tolerance(self.matrix))
+        """``rank_and_kernel`` of the factor on first use, at the design's
+        own tolerance (its column norms, which R shares), with a read-only
+        kernel."""
+        R = self.factor.R
+        rank, kernel = rank_and_kernel(R, tol=rank_tolerance(R, self.m))
         kernel.setflags(write=False)
         return rank, kernel
 
     @property
     def m(self) -> int:
-        return self.matrix.shape[0]
+        return self.blocks.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[1]
+        return self.blocks.shape[1]
 
 
 @dataclass(frozen=True)
@@ -116,18 +143,27 @@ class UniquenessReport:
 
 
 def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
-    """Assemble the design matrix from one stacked carrier lookup.
+    """Assemble the design in cell form from one ``fan.carrier_blocks``
+    lookup.
 
     Deterministic given fan order.  A direction outside the fan support
     raises ``NoCarrier`` with the first offending row index attached.
     """
     U = np.atleast_2d(np.asarray(directions, float))
-    cells, matrix = carriers(fan, U)
+    found = carrier_blocks(fan, U)
+    generators = np.array(fan.cells)
+    cells = np.full(U.shape[0], -1)
+    blocks = []
+    for ci, rows, lam in found:
+        cells[rows] = ci
+        lam.setflags(write=False)
+        blocks.append((rows, generators[ci], lam))
     bad = np.flatnonzero(cells < 0)
     if bad.size:
         raise NoCarrier.for_vector(fan, U[bad[0]], row=int(bad[0]))
-    matrix.setflags(write=False)
-    return DesignMatrix(matrix=matrix, carrier_cells=cells)
+    return DesignMatrix(blocks=BlockMatrix(shape=(U.shape[0], fan.n_rays),
+                                           blocks=tuple(blocks)),
+                        carrier_cells=cells)
 
 
 def direction_graph(design: DesignMatrix) -> DirectionGraph:
@@ -188,9 +224,10 @@ def _augment(neighbors, ray: int, seen: list[bool], match_ray: list[int],
 def numeric_rank(design: DesignMatrix):
     """Numerical rank of the design and a kernel basis when rank < n.
 
-    Threshold: ``max(m, n) * eps * (largest column norm)`` of the matrix.
-    Returns the design's cached ``(rank, kernel)``, ``kernel`` of shape
-    ``(n - rank, n)``, from one SVD of the n x n factor R when m > n.
+    Threshold: ``max(m, n) * eps * (largest column norm)`` of the matrix,
+    read off its factor R.  Returns the design's cached ``(rank, kernel)``,
+    ``kernel`` of shape ``(n - rank, n)``, from one SVD of the n x n factor
+    R when m > n.
     """
     return design.rank_kernel
 
@@ -199,18 +236,21 @@ def _support_patterns(fan: SimplicialFan, design: DesignMatrix):
     """The distinct (carrier cell, positive support) pairs among the rows.
 
     Row i's support is a bitmask over the d generators of its carrier cell:
-    bit k is set when the coefficient on ``fan.cells[cell][k]`` exceeds
-    ``POSITIVITY_TOL`` (every other coefficient of the row is 0).  Returns
-    ``(cells, masks, counts)``, one entry per pattern, from one
-    ``np.unique`` of the keys ``cell * 2^d + mask``.
+    bit k is set when the coefficient on ``fan.cells[cell][k]``, column k
+    of the row's block, exceeds ``POSITIVITY_TOL`` (every other coefficient
+    of the row is 0).  Returns ``(cells, masks, counts)``, one entry per
+    pattern in increasing order of the key ``cell * 2^d + mask``, from one
+    ``np.bincount`` of the keys of all rows.
     """
     d = fan.dim
-    rays = np.asarray(fan.cells)[design.carrier_cells]
-    positive = design.matrix[np.arange(design.m)[:, None], rays] > POSITIVITY_TOL
-    keys = design.carrier_cells * (1 << d) + positive @ (1 << np.arange(d))
-    keys, counts = np.unique(keys, return_counts=True)
+    blocks = design.blocks.blocks
+    rows = np.concatenate([rows for rows, _, _ in blocks])
+    positive = np.concatenate([lam for _, _, lam in blocks]) > POSITIVITY_TOL
+    keys = design.carrier_cells[rows] * (1 << d) + positive @ (1 << np.arange(d))
+    counts = np.bincount(keys, minlength=fan.n_cells << d)
+    keys = np.flatnonzero(counts)
     cells, masks = np.divmod(keys, 1 << d)
-    return cells, masks, counts
+    return cells, masks, counts[keys]
 
 
 def _pattern_graph(fan: SimplicialFan, cells, masks, counts) -> DirectionGraph:

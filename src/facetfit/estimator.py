@@ -62,21 +62,22 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
                 opts: qp.SolverOptions | None = None) -> ReconstructionResult:
     """Least-squares estimate of the support vector for one fan.
 
-    Builds the wall system and design matrix, solves the constrained
-    program on the design's one factorization, and attaches the uniqueness
-    diagnostics and solution-set description.  Noiseless data from a member
+    Builds the wall system and the design in cell form, solves the
+    constrained program on the design's one factorization, and attaches the
+    uniqueness diagnostics and solution-set description; no dense m x n
+    design is made when m > n.  Noiseless data from a member
     of the deformation cone yields objective zero.  Raises
     ``qp.Uncertified`` when the solution's KKT residual, measured on the
     design itself, exceeds its tolerance.
     """
     dm = design_mod.build_design(fan, dataset.directions)
     walls = fan.wall_system
-    problem = qp.ConstrainedLS(A=dm.matrix, y=dataset.values, B=walls.matrix)
+    problem = qp.ConstrainedLS(A=dm.operator, y=dataset.values, B=walls.matrix)
     sol = qp.solve_cls(problem, opts, factor=dm.factor)
     if not sol.certified:
         raise qp.Uncertified(f"KKT residual {sol.kkt_residual:.3g} above its "
                              f"tolerance {sol.kkt_tolerance:.3g}", sol)
-    y_hat = dm.matrix @ sol.h_star
+    y_hat = dm.operator.dot(sol.h_star)
     report = uniqueness_report(fan, dm)
     sset = solution_set(fan, dm, sol.h_star)
     return ReconstructionResult(

@@ -1,13 +1,16 @@
-"""Dense solvers for the small optimization problems behind the estimator.
+"""Solvers for the small optimization problems behind the estimator.
 
 Two engines live here:
 
   - ``solve_cls``: primal active-set method for the convex program
-    ``min ||A h - y||^2  subject to  B h >= 0``.  A tall A (m > n) is
-    factored once by Householder QR, ``A = Q R``, and every iteration runs
-    on the n x n factor R and ``Q^T y``; the KKT residual attached to every
-    solution, and the certificate that compares it with its tolerance, are
-    measured on the original (A, y, B).
+    ``min ||A h - y||^2  subject to  B h >= 0``.  A is dense or held as
+    row blocks over a few columns (``BlockMatrix``: a design in cell form,
+    O(m d) memory).  A tall A (m > n) is factored once, ``A = Q R``, by one
+    Householder QR per block and one of the stacked triangles, and every
+    iteration runs on the n x n factor R and ``Q^T y``; the KKT residual
+    attached to every solution, and the certificate that compares it with
+    its tolerance, are measured on the original (A, y, B), through the
+    products ``A h`` and ``A^T r`` of the blocks.
   - ``solve_lp``: two-phase tableau simplex with Bland's smallest-index
     pivoting for ``min <c, x>  subject to  B x >= 0,  E x = f`` and
     componentwise bounds.  Every tableau operation is a numpy operation
@@ -65,16 +68,17 @@ class Uncertified(Exception):
 class ConstrainedLS:
     """Least-squares data ``min ||A h - y||^2`` over the cone ``B h >= 0``.
 
-    ``B`` may have zero rows, in which case the problem is unconstrained.
-    The feasible region always contains the origin.
+    ``A`` is a dense array or a ``BlockMatrix``, such as a design in cell
+    form.  ``B`` may have zero rows, in which case the problem is
+    unconstrained.  The feasible region always contains the origin.
     """
 
-    A: np.ndarray
+    A: np.ndarray | BlockMatrix
     y: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, float)
+        A = self.A if isinstance(self.A, BlockMatrix) else np.asarray(self.A, float)
         y = np.asarray(self.y, float)
         B = np.asarray(self.B, float)
         if B.size == 0:
@@ -82,7 +86,7 @@ class ConstrainedLS:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "B", B)
-        if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
+        if len(A.shape) != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
             raise ValueError("A and y have inconsistent shapes")
         if B.ndim != 2 or B.shape[1] != A.shape[1]:
             raise ValueError("B and A have inconsistent column counts")
@@ -124,63 +128,170 @@ class LPSolution:
 
 
 @dataclass(frozen=True)
-class TriangularFactor:
-    """``A = Q R`` by Householder reflections when A is tall (m > n).
+class BlockMatrix:
+    """An m x n matrix held as dense blocks of rows over a few columns.
 
-    ``R`` is the n x n upper triangle and ``reduce(y)`` the first n entries
-    of ``Q^T y``, so ``A^T (A h - y) = R^T (R h - reduce(y))`` and
-    ``||A h - y||^2`` differs from ``||R h - reduce(y)||^2`` by a constant
-    (Golub & Van Loan, *Matrix Computations*, §5.3).  Row k of
-    ``reflectors`` is the Householder vector of step k over all m entries,
-    0 before entry k and 1 at it, and ``tau[k]`` its scale, from LAPACK's
-    ``geqrf`` as ``np.linalg.qr(mode="raw")`` returns it.  A matrix with
-    m <= n is its own factor: ``R`` is A, with no reflectors, and
-    ``reduce`` returns y.
+    Block ``(rows, cols, values)`` puts ``values[k, j]`` at
+    ``(rows[k], cols[j])``; the blocks' rows are disjoint and every other
+    entry is 0.  A design in cell form has one block per carrier block, its
+    d columns the generators of the cell (``design.build_design``), so it
+    takes O(m d) memory.  A dense A is one block whose rows and columns
+    are ``slice(None)`` (``BlockMatrix.of``).  The products ``A h`` and
+    ``A^T r`` read the blocks alone; for a dense A they are the plain
+    products.
+    """
+
+    shape: tuple[int, int]
+    blocks: tuple[tuple, ...]
+
+    @classmethod
+    def of(cls, A) -> "BlockMatrix":
+        """``A`` as a ``BlockMatrix``: itself, or a dense array as one block."""
+        if isinstance(A, cls):
+            return A
+        A = np.asarray(A, float)
+        return cls(shape=A.shape, blocks=((slice(None), slice(None), A),))
+
+    def dot(self, h: np.ndarray) -> np.ndarray:
+        """``A h``: one product per block, written to the block's rows."""
+        out = np.zeros(self.shape[0])
+        for rows, cols, values in self.blocks:
+            out[rows] = values @ h[cols]
+        return out
+
+    def tdot(self, r: np.ndarray) -> np.ndarray:
+        """``A^T r``: one product per block, added to the block's columns in
+        block order."""
+        out = np.zeros(self.shape[1])
+        for rows, cols, values in self.blocks:
+            out[cols] += values.T @ r[rows]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The m x n matrix: a dense A itself, otherwise the blocks scattered
+        into zeros."""
+        if isinstance(self.blocks[0][0], slice):
+            return self.blocks[0][2]
+        out = np.zeros(self.shape)
+        for rows, cols, values in self.blocks:
+            out[rows[:, None], cols] = values
+        return out
+
+
+@dataclass(frozen=True)
+class TriangularFactor:
+    """``A = Q R`` for a tall A (m > n), block by block.
+
+    ``R`` is n x n and ``reduce(y)`` the n entries of ``Q^T y``, so
+    ``A^T (A h - y) = R^T (R h - reduce(y))`` and ``||A h - y||^2`` differs
+    from ``||R h - reduce(y)||^2`` by a constant.  Q is a product of
+    Householder QRs (Golub & Van Loan, *Matrix Computations*, §5.2-5.3;
+    Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34 (2012)):
+    one of each large row block of A, then one of the stack that holds
+    their triangles and the other blocks' rows, each placed in its block's
+    columns.  ``blocks`` holds each block's rows with its reflectors and
+    scales, or None for a block stacked as it is; ``stack`` holds those of
+    the stack's QR.  Row k of a reflector array is the Householder vector
+    of step k, 0 before entry k and 1 at it, with its scale at entry k of
+    the scales, from LAPACK's ``geqrf`` as ``np.linalg.qr(mode="raw")``
+    returns them.  When the stack has fewer than n rows, R and ``reduce(y)``
+    end in zeros.  A matrix with m <= n is its own factor: ``R`` is A, with
+    no blocks and no stack, and ``reduce`` returns y.
     """
 
     R: np.ndarray
-    reflectors: np.ndarray | None = None
-    tau: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """The shape of the factored matrix."""
-        if self.reflectors is None:
-            return self.R.shape
-        return self.reflectors.shape[1], self.R.shape[1]
+    shape: tuple[int, int]
+    blocks: tuple[tuple, ...] = ()
+    stack: tuple[np.ndarray, np.ndarray] | None = None
 
     def reduce(self, y: np.ndarray) -> np.ndarray:
-        """``Q^T y`` cut to n entries: the n reflectors applied in turn."""
-        if self.reflectors is None:
+        """``Q^T y`` cut to n entries: each block's reflectors applied to its
+        rows of y, then the stack's to the stacked results."""
+        if self.stack is None:
             return y
-        z = np.array(y, float)
-        for v, t in zip(self.reflectors, self.tau):
-            z -= (t * (v @ z)) * v
-        return z[:len(self.tau)]
+        z = np.concatenate([y[rows] if v is None else _reflect(y[rows], v, tau)
+                            for rows, v, tau in self.blocks])
+        z = _reflect(z, *self.stack)
+        return np.concatenate([z, np.zeros(len(self.R) - len(z))])
 
 
-def triangular_factor(A: np.ndarray) -> TriangularFactor:
-    """One Householder QR of a tall A; A itself when m <= n."""
-    A = np.asarray(A, float)
-    m, n = A.shape
-    if m <= n:
-        return TriangularFactor(R=A)
+def _reflect(y: np.ndarray, reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The reflectors applied to y in turn, cut to as many entries as there
+    are reflectors."""
+    z = np.array(y, float)
+    for v, t in zip(reflectors, tau):
+        z -= (t * (v @ z)) * v
+    return z[:len(tau)]
+
+
+def _householder_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Householder QR of M (r x c): the upper trapezoid R, min(r, c) x c,
+    and the reflectors and their scales in ``TriangularFactor``'s layout."""
+    k = min(M.shape)
     # LAPACK factors a column-major copy; handing it one skips numpy's
     # slower conversion, and its reflectors then come back as contiguous
-    # rows, so that ``reduce`` reads each one in a single sweep.
-    raw, tau = np.linalg.qr(np.asfortranarray(A), mode="raw")
+    # rows, so that ``_reflect`` reads each one in a single sweep.
+    raw, tau = np.linalg.qr(np.asfortranarray(M), mode="raw")
     raw = np.ascontiguousarray(raw)
-    R = np.triu(raw[:, :n].T)
-    # Row k holds column k of R up to entry k; the reflector's implicit 1
-    # takes entry k's place.
-    raw[:, :n] = np.triu(raw[:, :n], 1) + np.eye(n)
-    return TriangularFactor(R=R, reflectors=raw, tau=tau)
+    # Row j holds column j of R up to entry j, then reflector j; the
+    # reflector's implicit 1 takes entry j's place.
+    below = np.tri(k, k, -1, dtype=bool)
+    R = raw[:, :k].T.copy()
+    R[:, :k][below] = 0.0
+    raw = raw[:k]
+    raw[:, :k][below] = 0.0
+    np.fill_diagonal(raw, 1.0)
+    return R, raw, tau
 
 
-def rank_tolerance(M: np.ndarray) -> float:
-    """``max(m, n) * eps * (largest column norm of M)``."""
+# A block is stacked as it is, with no QR of its own, unless it has fewer
+# columns than A and more than this many rows times n^2: a QR call costs
+# about as much as this much work in the stack's QR, whose time grows with
+# the stack's rows times n^2.
+_BLOCK_QR_WORK = 2 ** 15
+
+
+def triangular_factor(A) -> TriangularFactor:
+    """The block QR of a tall A, a dense array or a ``BlockMatrix``; A
+    itself, densified, when m <= n.
+
+    A block of m_c rows over d < n columns with ``m_c n^2`` above
+    ``_BLOCK_QR_WORK`` is factored on its own, in O(m_c d^2), and only its
+    d x d triangle enters the stack; a smaller block enters it as it is.
+    One QR of the stack then gives R.  So a design in cell form costs
+    O(m d^2 + cells d n^2) instead of O(m n^2), and its stack is no larger
+    than m x n.  A dense A is one block over every column, factored by one
+    Householder QR as before.
+    """
+    A = BlockMatrix.of(A)
+    m, n = A.shape
+    if m <= n:
+        return TriangularFactor(R=A.dense(), shape=(m, n))
+    blocks, parts = [], []
+    for rows, cols, values in A.blocks:
+        if values.shape[1] < n and values.shape[0] * n * n > _BLOCK_QR_WORK:
+            values, reflectors, tau = _householder_qr(values)
+            blocks.append((rows, reflectors, tau))
+        else:
+            blocks.append((rows, None, None))
+        parts.append((cols, values))
+    stack = np.zeros((sum(len(values) for _, values in parts), n))
+    top = 0
+    for cols, values in parts:
+        stack[top:top + len(values), cols] = values
+        top += len(values)
+    R, reflectors, tau = _householder_qr(stack)
+    R = np.vstack([R, np.zeros((n - len(R), n))])
+    return TriangularFactor(R=R, shape=(m, n), blocks=tuple(blocks),
+                            stack=(reflectors, tau))
+
+
+def rank_tolerance(M: np.ndarray, m: int | None = None) -> float:
+    """``max(m, n) * eps * (largest column norm of M)``, with m the row
+    count of M unless given: a factor R passes that of its A, whose column
+    norms it shares (``R^T R = A^T A``)."""
     col_norm = float(np.max(np.linalg.norm(M, axis=0)))
-    return max(M.shape) * np.finfo(float).eps * col_norm
+    return max(M.shape[0] if m is None else m, M.shape[1]) * np.finfo(float).eps * col_norm
 
 
 def rank_and_kernel(M: np.ndarray, tol: float | None = None):
@@ -224,6 +335,8 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
     ``factor``, the triangular factor R of A with ``z = Q^T y``
     (``triangular_factor(A)`` when not given; a ``DesignMatrix`` passes the
     one it owns), so a tall design costs O(n^2) per step instead of O(m n).
+    A itself is read only through the products ``A h`` and ``A^T r`` of
+    ``BlockMatrix.of(A)``.
     The working set is grown one blocking row at a time (rows that block
     are automatically independent of the current working set), each
     equality-constrained subproblem is solved by a minimum-norm step in the
@@ -251,7 +364,7 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
         raise ValueError(f"factor of a {factor.shape} matrix for A of shape {A.shape}")
     R, z = factor.R, factor.reduce(y)
 
-    kkt_tol = 1e-8 * (1.0 + np.linalg.norm(A.T @ y))
+    kkt_tol = 1e-8 * (1.0 + np.linalg.norm(BlockMatrix.of(A).tdot(y)))
     max_iter = opts.max_iter if opts.max_iter is not None else 50 * (n + p)
 
     def feas_tol(vec):
@@ -335,9 +448,9 @@ def _multipliers(B: np.ndarray, working: list[int], grad: np.ndarray) -> np.ndar
 
 def _certify(problem, h, working, iterations, ftol, kkt_tol):
     """Assemble a QPSolution measured on the original (A, y, B)."""
-    A, y, B = problem.A, problem.y, problem.B
-    residual = A @ h - y
-    grad = A.T @ residual
+    A, y, B = BlockMatrix.of(problem.A), problem.y, problem.B
+    residual = A.dot(h) - y
+    grad = A.tdot(residual)
     mu = _multipliers(B, working, grad)
     p = B.shape[0]
     mu_full = np.zeros(p)

@@ -308,18 +308,23 @@ def _in_neighborhoods(coeffs: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,
     return (worst <= t + 1e-9) & (J >= 0)
 
 
-def _concentration_counts_from_rows(matrix: np.ndarray, ray_norms: np.ndarray,
-                                    t: float) -> np.ndarray:
-    """Per-ray neighborhood counts computed from design rows."""
-    m, n = matrix.shape
-    return np.array([_in_neighborhoods(matrix, ray_norms, np.full(m, j), t).sum()
-                     for j in range(n)], int)
+def _concentration_counts(design: DesignMatrix, ray_norms: np.ndarray,
+                          t: float) -> np.ndarray:
+    """Per-ray neighborhood counts of the design's rows, from its blocks in
+    the column form of ``_in_neighborhoods``: a row counts only for the
+    generators of its cell."""
+    counts = np.zeros(design.n, int)
+    for rows, cols, lam in design.blocks.blocks:
+        norms = ray_norms[cols]
+        for k, j in enumerate(cols.tolist()):
+            counts[j] += _in_neighborhoods(lam, norms, np.full(len(rows), k), t).sum()
+    return counts
 
 
 def audit_concentration(fan: SimplicialFan, directions, plan: SamplingPlan) -> np.ndarray:
     """Count how many directions fall in each ray's neighborhood."""
     design = build_design(fan, directions)
-    return _concentration_counts_from_rows(design.matrix, fan.constants.ray_norms, plan.t)
+    return _concentration_counts(design, fan.constants.ray_norms, plan.t)
 
 
 def sample_concentrated(fan: SimplicialFan, plan: SamplingPlan) -> np.ndarray:
@@ -508,8 +513,10 @@ def eigen_checks(design: DesignMatrix, fan: SimplicialFan,
     concentration counts the smallest must reach ``m delta / max||v||^2``.
     Raises ``HypothesisUnmet`` (report attached) when the counts fall short
     of ``m (2.5 n t + delta)``; the upper bound is checked either way.
+    The normal matrix is ``R^T R`` of the design's factor.
     """
-    gram = design.matrix.T @ design.matrix
+    R = design.factor.R
+    gram = R.T @ R
     eigvals = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
     norms = fan.constants.ray_norms
@@ -518,7 +525,7 @@ def eigen_checks(design: DesignMatrix, fan: SimplicialFan,
     upper = m * n * c ** 2
     upper_ok = lam_max <= upper * (1.0 + 1e-9)
 
-    counts = _concentration_counts_from_rows(design.matrix, norms, plan.t)
+    counts = _concentration_counts(design, norms, plan.t)
     required = m * (2.5 * n * plan.t + plan.delta)
     met = bool(np.all(counts >= required - 1e-9))
     report = EigenReport(

@@ -16,6 +16,7 @@ from facetfit import fan as fan_mod
 from facetfit.design import DesignMatrix, build_design, direction_graph
 from facetfit.fan import (NoCarrier, SimplicialFan, ValidationReport, carriers,
                           row_min, validate)
+from facetfit.qp import BlockMatrix
 from facetfit.sim import make_plan, sample_concentrated, sample_uniform_sphere
 
 from oracles import (
@@ -335,7 +336,7 @@ def test_direction_graph_equals_loop(m, n, seed):
     values = np.array([0.0, -0.0, 1e-12, 2e-12, -1.0, 0.5, 3.0])
     matrix = values[rng.integers(len(values), size=(m, n))]
     matrix[:, rng.random(n) < 0.3] = 0.0   # rays no sample touches
-    design = DesignMatrix(matrix=matrix, carrier_cells=np.zeros(m, int))
+    design = DesignMatrix(blocks=BlockMatrix.of(matrix), carrier_cells=np.zeros(m, int))
     fast, slow = direction_graph(design), loop_direction_graph(design)
     assert fast == slow
     assert all(type(j) is int for nbrs in fast.ray_neighbors for j in nbrs)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import facetfit.catalog
 import facetfit.design
 import facetfit.fan
 import facetfit.sim
@@ -304,6 +305,27 @@ def test_eigen_hypothesis_unmet(hexagon):
     assert report.lambda_min == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("fan_key", ["hexagon", "roof_y", "cube3", "fan3d"])
+def test_counts_and_normal_matrix_of_the_cell_form_equal_the_dense_rows(request, fan_key):
+    # The counts come from the blocks' d columns and the normal matrix from
+    # the factor R; the dense rows are their reference.
+    fan = {"cube3": facetfit.catalog.cube_fan(3),
+           "fan3d": facetfit.catalog.random_polytopal_fan(3, 6, seed=203)}.get(fan_key)
+    fan = fan or request.getfixturevalue(fan_key)
+    plan = make_plan(fan, 0.004, 0.01, 40 * fan.n_rays, seed=3)
+    dirs = sample_concentrated(fan, plan)
+    design = build_design(fan, dirs)
+    A, norms = design.matrix, fan.constants.ray_norms
+    dense = [facetfit.sim._in_neighborhoods(A, norms, np.full(design.m, j), plan.t).sum()
+             for j in range(fan.n_rays)]
+    assert audit_concentration(fan, dirs, plan).tolist() == dense
+    report = eigen_checks(design, fan, plan)
+    assert report.counts.tolist() == dense
+    eigvals = np.linalg.eigvalsh(A.T @ A)
+    assert report.lambda_min == pytest.approx(eigvals[0], rel=1e-12, abs=1e-12)
+    assert report.lambda_max == pytest.approx(eigvals[-1], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Convergence runs
 # ---------------------------------------------------------------------------
@@ -333,14 +355,14 @@ def test_a_replicate_makes_one_carrier_lookup(hexagon, monkeypatch):
     # The data come from the vertices of P(h0), so the design that
     # ``reconstruct`` builds is the replicate's only carrier lookup.
     calls = []
-    inner = facetfit.fan.carriers
+    inner = facetfit.fan.carrier_blocks
 
     def counted(fan, U):
         calls.append(len(U))
         return inner(fan, U)
 
     for module in (facetfit.fan, facetfit.design, facetfit.sim):
-        monkeypatch.setattr(module, "carriers", counted)
+        monkeypatch.setattr(module, "carrier_blocks", counted)
     replicates = 4
     records = run_convergence(hexagon, np.ones(6),
                               lambda m: facet_direction_plan(hexagon, m, seed=6),
