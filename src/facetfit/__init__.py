@@ -38,7 +38,6 @@ from .fan import (
     c_delta,
     cap_maxima,
     carrier,
-    carriers,
     max_linear_over_cone_cap,
     validate,
     wall_crossings,

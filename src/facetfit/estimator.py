@@ -198,19 +198,15 @@ def gk_estimate(rays, dataset: Dataset,
     U = dataset.directions
     y = dataset.values
     m, d = U.shape
-    A = np.zeros((m, m * d))
-    for i in range(m):
-        A[i, i * d:(i + 1) * d] = U[i]
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            row = np.zeros(m * d)
-            row[i * d:(i + 1) * d] = U[i]
-            row[j * d:(j + 1) * d] = -U[i]
-            rows.append(row)
-    B = np.array(rows) if rows else np.zeros((0, m * d))
-    sol = qp.solve_cls(qp.ConstrainedLS(A=A, y=y, B=B), opts)
+    # Both matrices as (rows, m, d): row i of A holds u_i at x_i; one row of
+    # B per ordered pair i != j, i-major, holds u_i at x_i and -u_i at x_j.
+    A = np.zeros((m, m, d))
+    A[np.arange(m), np.arange(m)] = U
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    B = np.zeros((i.size, m, d))
+    B[np.arange(i.size), i] = U[i]
+    B[np.arange(i.size), j] = -U[i]
+    sol = qp.solve_cls(qp.ConstrainedLS(A=A.reshape(m, m * d), y=y,
+                                        B=B.reshape(i.size, m * d)), opts)
     points = sol.h_star.reshape(m, d)
     return (points @ rays.T).max(axis=0)

@@ -11,11 +11,11 @@ direction's cell is guessed from the vertices of one polytope with the fan's
 rays as facet normals and verified, and the directions a guess cannot place
 go through a fan-order scan that applies each cell's inverse to every
 direction still without a carrier.  ``carrier_blocks`` returns the result
-as one block of rows and d coefficients per cell found, and ``carriers``
-scatters the blocks into dense rows.  Cone-cap maxima likewise loop over the
-faces of a cell, never over the queries: ``cap_maxima`` evaluates any
-number of (cell, vector) pairs against a per-fan table of face projectors
-built on first use.
+as one block of rows and d coefficients per cell found; ``carrier`` is its
+call on one row.  Cone-cap maxima likewise loop over the faces of a cell,
+never over the queries: ``cap_maxima`` evaluates any number of (cell,
+vector) pairs against a per-fan table of face projectors built on first
+use.  Directions and cap vectors must be finite.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class NoCarrier(Exception):
 
     @classmethod
     def for_vector(cls, fan: SimplicialFan, u, row: int | None = None) -> NoCarrier:
-        """The error for a vector ``u`` that ``carriers`` left without a cell;
-        with ``row`` set, the message names the row of a stacked lookup."""
+        """The error for a vector ``u`` that ``carrier_blocks`` left without
+        a cell; with ``row`` set, the message names the row of a stacked
+        lookup."""
         if row_norms(np.asarray(u, float)[None])[0] == 0.0:
             reason = "zero vector has no carrier"
         else:
@@ -282,11 +283,13 @@ CARRIER_RTOL = 1e-9
 
 def as_rows(fan: SimplicialFan, X, what: str) -> np.ndarray:
     """``X`` as a float array of rows of width ``fan.dim``; ``ValueError``
-    naming ``what`` for any other shape."""
+    naming ``what`` for any other shape or a non-finite entry."""
     X = np.asarray(X, float)
     if X.ndim != 2 or X.shape[1] != fan.dim:
         raise ValueError(f"{what} must be rows of width {fan.dim}, the fan's "
                          f"dimension; got an array of shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{what} must be finite")
     return X
 
 
@@ -317,24 +320,6 @@ def row_min(X: np.ndarray) -> np.ndarray:
     for k in range(1, X.shape[1]):
         np.minimum(out, X[:, k], out=out)
     return out
-
-
-def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray]:
-    """Carrier cells and barycentric coefficients of the rows of ``U``: the
-    blocks of ``carrier_blocks`` scattered into dense arrays.
-
-    Returns ``(cells, coeffs)``: ``cells[i]`` is the carrier of row i, or -1
-    for a zero row or one no cell admits; ``coeffs`` is (m, n) with row i
-    supported on the generators of its carrier.
-    """
-    fan.require_valid()
-    U = as_rows(fan, U, "directions")
-    cells = np.full(U.shape[0], -1)
-    coeffs = np.zeros((U.shape[0], fan.n_rays))
-    for ci, rows, lam in carrier_blocks(fan, U):
-        cells[rows] = ci
-        coeffs[rows[:, None], list(fan.cells[ci])] = lam
-    return cells, coeffs
 
 
 def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -449,14 +434,18 @@ def _scan(fan: SimplicialFan, U: np.ndarray, rows: np.ndarray,
 
 
 def carrier(fan: SimplicialFan, u) -> BarycentricVector:
-    """Barycentric coefficients of ``u`` in its carrier cell: ``carriers``
-    on one row.  Raises ``NoCarrier`` for a zero ``u`` or one outside every
-    cell."""
+    """Barycentric coefficients of ``u`` in its carrier cell:
+    ``carrier_blocks`` on one row, whose one block is scattered into a
+    length-n vector.  Raises ``NoCarrier`` for a zero ``u`` or one outside
+    every cell."""
     u = np.asarray(u, float)
-    cells, coeffs = carriers(fan, u[None])
-    if cells[0] < 0:
+    blocks = carrier_blocks(fan, u[None])
+    if not blocks:
         raise NoCarrier.for_vector(fan, u)
-    return BarycentricVector(cell_index=int(cells[0]), coeffs=coeffs[0])
+    cell, _, lam = blocks[0]
+    coeffs = np.zeros(fan.n_rays)
+    coeffs[list(fan.cells[cell])] = lam[0]
+    return BarycentricVector(cell_index=cell, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .fan import (SimplicialFan, as_rows, c_delta, cap_maxima, carrier,
-                  cell_vertices, vertex_max)
+from .fan import (SimplicialFan, as_rows, c_delta, cap_maxima, cell_vertices,
+                  vertex_max)
+from .fan import carrier  # noqa: F401 - perfbench's tracer wraps geometry.carrier
 from .fan import max_linear_over_cone_cap  # noqa: F401 - perfbench's tracer wraps it here
 
 
@@ -92,9 +93,9 @@ def vertices(fan: SimplicialFan, h) -> VertexMap:
 
 
 def support_value(fan: SimplicialFan, h, u) -> float:
-    """Support-function value ``h_P(u) = <h, [u]>`` of ``P(h)`` at ``u``."""
-    h = np.asarray(h, float)
-    return float(h @ carrier(fan, u).coeffs)
+    """Support-function value of ``P(h)`` at ``u``: ``support_values`` on
+    one row.  Raises ``NotInDeformationCone`` for an h outside the cone."""
+    return float(support_values(fan, h, np.asarray(u, float)[None])[0])
 
 
 def support_values(fan: SimplicialFan, h, U) -> np.ndarray:
@@ -118,26 +119,31 @@ def is_irredundant(fan: SimplicialFan, h) -> list[bool]:
 
     Entry i is True when ``h_i`` equals the true support value of ``P(h)``
     at ray i, i.e. the i-th inequality touches the polytope.  Inside the
-    deformation cone every entry is attained and the vertex map answers
-    directly; outside it (a compatible but dishonest ``h``) the support
-    values are obtained by one linear program per ray.  Raises
+    deformation cone every entry is attained, and the support values are
+    the largest ``<v_i, x>`` over ``cell_vertices``.  Outside it (a
+    compatible but dishonest ``h``) each ray's support value is one
+    ``solve_lp`` over ``P(h)`` posed as ``V x + s = h``, ``s >= 0``: one
+    feasible region for all n rays, so phase 1 runs once.  Raises
     ``NotInDeformationCone`` when ``P(h)`` is empty.
     """
     h = np.asarray(h, float)
     tol = 1e-8 * (1.0 + np.linalg.norm(h))
+    n, d = fan.n_rays, fan.dim
     if is_deformation(fan, h):
-        pts = vertices(fan, h).points
-        best = (pts @ fan.rays.T).max(axis=0)
+        best = (cell_vertices(fan, h) @ fan.rays.T).max(axis=0)
     else:
-        best = np.empty(fan.n_rays)
-        for i in range(fan.n_rays):
+        E = np.hstack([fan.rays, np.eye(n)])
+        bounds = [(-np.inf, np.inf)] * d + [(0.0, np.inf)] * n
+        best = np.empty(n)
+        for i in range(n):
             try:
-                sol = qp.solve_affine_lp(-fan.rays[i], B=-fan.rays, b=-h)
+                sol = qp.solve_lp(np.concatenate([-fan.rays[i], np.zeros(n)]),
+                                  E=E, f=h, bounds=bounds)
             except qp.Infeasible:
                 raise NotInDeformationCone(
                     "P(h) is empty; h is not a compatible vector") from None
             best[i] = -sol.objective
-    return [bool(h[i] - best[i] <= tol) for i in range(fan.n_rays)]
+    return [bool(h[i] - best[i] <= tol) for i in range(n)]
 
 
 def minkowski_add(fan: SimplicialFan, h, h2) -> np.ndarray:

@@ -555,40 +555,6 @@ def solve_lp(
     return LPSolution(x=x, objective=float(c @ x))
 
 
-def solve_affine_lp(c, B=None, b=None, E=None, f=None, bounds=None) -> LPSolution:
-    """``min <c, x>`` s.t. ``B x >= b`` plus equalities and bounds.
-
-    Homogenizes the affine right-hand side with an auxiliary variable pinned
-    to 1 and delegates to ``solve_lp``, which refuses non-finite input with
-    ``ValueError``, as this function does a non-finite ``b``.
-    """
-    c = np.asarray(c, float)
-    n = c.shape[0]
-    if B is None or np.size(B) == 0:
-        return solve_lp(c, None, E, f, bounds)
-    B = np.asarray(B, float)
-    b = np.zeros(B.shape[0]) if b is None else np.asarray(b, float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("non-finite entry in b")
-    Bh = np.hstack([B, -b[:, None]])
-    c_h = np.concatenate([c, [0.0]])
-    pin = np.zeros((1, n + 1))
-    pin[0, n] = 1.0
-    if E is None or np.size(E) == 0:
-        E_h, f_h = pin, np.array([1.0])
-    else:
-        E = np.asarray(E, float)
-        f = np.asarray(f, float)
-        E_h = np.vstack([np.hstack([E, np.zeros((E.shape[0], 1))]), pin])
-        f_h = np.concatenate([f, [1.0]])
-    if bounds is None:
-        bounds_h = [(-np.inf, np.inf)] * n + [(0.0, 2.0)]
-    else:
-        bounds_h = list(bounds) + [(0.0, 2.0)]
-    sol = solve_lp(c_h, Bh, E_h, f_h, bounds_h)
-    return LPSolution(x=sol.x[:n], objective=float(c @ sol.x[:n]))
-
-
 def cone_dimension(M: np.ndarray) -> int:
     """Dimension of the cone ``{x : M x >= 0}``, from one LP; 0 means {0}.
 

@@ -34,8 +34,7 @@ import numpy as np
 
 from .design import Dataset, DesignMatrix, build_design
 from .estimator import reconstruct
-from .fan import (NoCarrier, SimplicialFan, c_delta, carrier_blocks, carriers,
-                  row_norms)
+from .fan import NoCarrier, SimplicialFan, c_delta, carrier_blocks, row_norms
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import hausdorff, support_values
 
@@ -278,41 +277,42 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
     The barycentric coefficients of ``x``, scaled by the ray norms, must be
     within ``t`` of the j-th unit vector in the sup norm.  A relative slack
     of 1e-9 absorbs round-off so the exact normalized ray passes at t = 0.
+    The rule is ``_in_neighborhoods`` on the d columns of the one
+    ``carrier_blocks`` block of ``x``, with ray j's position among the
+    cell's generators, or -1 (outside) when ray j is not one of them.
     """
     x = np.asarray(x, float)
-    cells, coeffs = carriers(fan, x[None])
-    if cells[0] < 0:
+    blocks = carrier_blocks(fan, x[None])
+    if not blocks:
         raise NoCarrier.for_vector(fan, x)
-    return bool(_in_neighborhoods(coeffs, fan.constants.ray_norms, np.array([j]), t)[0])
+    c, _, lam = blocks[0]
+    cell = list(fan.cells[c])
+    k = cell.index(j) if j in cell else -1
+    return bool(_in_neighborhoods(lam, fan.constants.ray_norms[cell], np.array([k]), t)[0])
 
 
-def _in_neighborhoods(coeffs: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,
+def _in_neighborhoods(lam: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,
                       t: float) -> np.ndarray:
-    """The one membership rule of the neighborhoods: row i of the barycentric
-    coefficients, scaled by the ray norms, lies within ``t`` (plus 1e-9) of
-    the unit vector of column ``J[i]`` in the sup norm.
-
-    The columns are either all n rays (dense carrier rows, with ``J[i]``
-    the target ray) or the d generators of one cell (a block of
-    ``carrier_blocks``, with ``ray_norms`` those of its generators and
-    ``J[i]`` the target ray's position among them).  ``J[i] = -1`` says the
-    target ray is not a generator of the row's cell: its dense row has 0 in
-    that ray's column, 1 away from the unit vector, so the row is outside
-    (t < 1/2).  Both forms give the same answer, since the dense row's
-    other entries are zeros.  The sup norm is a column-wise running maximum,
-    exact like ``fan.row_min`` and much faster than a reduction over a
-    short axis."""
-    worst = np.abs(coeffs[:, 0] * ray_norms[0] - (J == 0))
-    for k in range(1, coeffs.shape[1]):
-        np.maximum(worst, np.abs(coeffs[:, k] * ray_norms[k] - (J == k)), out=worst)
+    """The one membership rule of the neighborhoods, on a block of
+    ``carrier_blocks``: row i of the coefficients ``lam`` on one cell's d
+    generators, scaled by their ``ray_norms``, lies within ``t`` (plus
+    1e-9) of the unit vector of column ``J[i]`` in the sup norm.
+    ``J[i]`` is the target ray's position among the generators, or -1 when
+    the target ray is not one of them: the row's coefficient on that ray is
+    0, 1 away from the unit vector, so the row is outside (t < 1/2).  The
+    sup norm is a column-wise running maximum, exact like ``fan.row_min``
+    and much faster than a reduction over a short axis."""
+    worst = np.abs(lam[:, 0] * ray_norms[0] - (J == 0))
+    for k in range(1, lam.shape[1]):
+        np.maximum(worst, np.abs(lam[:, k] * ray_norms[k] - (J == k)), out=worst)
     return (worst <= t + 1e-9) & (J >= 0)
 
 
 def _concentration_counts(design: DesignMatrix, ray_norms: np.ndarray,
                           t: float) -> np.ndarray:
-    """Per-ray neighborhood counts of the design's rows, from its blocks in
-    the column form of ``_in_neighborhoods``: a row counts only for the
-    generators of its cell."""
+    """Per-ray neighborhood counts of the design's rows, from its blocks
+    through ``_in_neighborhoods``: a row counts only for the generators of
+    its cell."""
     counts = np.zeros(design.n, int)
     for rows, cols, lam in design.blocks.blocks:
         norms = ray_norms[cols]

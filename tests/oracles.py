@@ -8,6 +8,7 @@ cone projections use scipy's Lawson-Hanson NNLS, the same projection after
 numpy's QR, and the active set run on the full m x n design; cone
 dimensions come from one HiGHS implicit-equality LP per inequality row,
 solution-set extents from two one-variable HiGHS LPs per kernel vector,
+support values of a possibly redundant ``P(h)`` from one HiGHS LP per ray,
 and the tableau simplex runs with a Python loop for every row operation.
 Exact cone-cap maxima, c_delta and Hausdorff distances also have a loop
 reference, one (cell, vector) pair and one face at a time.
@@ -27,7 +28,7 @@ from scipy.optimize import linprog, nnls
 
 from facetfit import sim
 from facetfit.design import POSITIVITY_TOL, DirectionGraph
-from facetfit.fan import NoCarrier
+from facetfit.fan import NoCarrier, carrier_blocks
 from facetfit.qp import Infeasible, Unbounded
 
 
@@ -397,6 +398,22 @@ def highs_extents(B: np.ndarray, h: np.ndarray, z: np.ndarray) -> tuple[float, f
     return out[0], out[1]
 
 
+def highs_support_values(fan, h) -> np.ndarray | None:
+    """``max <v_i, x>`` over ``P(h) = {x : V x <= h}`` for each ray i, one
+    HiGHS LP per ray; None when ``P(h)`` is empty (status 2)."""
+    h = np.asarray(h, float)
+    out = np.empty(fan.n_rays)
+    for i, v in enumerate(fan.rays):
+        res = linprog(-v, A_ub=fan.rays, b_ub=h, bounds=[(None, None)] * fan.dim,
+                      method="highs")
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise ArithmeticError(f"support LP for ray {i}: {res.message}")
+        out[i] = -res.fun
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The tableau simplex one row and one column at a time
 # ---------------------------------------------------------------------------
@@ -498,6 +515,19 @@ def _loop_pivot(tab, row, col):
 
 def cell_inverses(fan) -> list[np.ndarray]:
     return [np.linalg.inv(fan.rays[list(cell)].T) for cell in fan.cells]
+
+
+def scatter_carriers(fan, U) -> tuple[np.ndarray, np.ndarray]:
+    """``(cells, coeffs)`` of the rows of ``U``: the blocks of
+    ``fan.carrier_blocks`` scattered into a cell per row, -1 for a row
+    without a carrier, and an (m, n) coefficient matrix."""
+    U = np.asarray(U, float)
+    cells = np.full(len(U), -1)
+    coeffs = np.zeros((len(U), fan.n_rays))
+    for ci, rows, lam in carrier_blocks(fan, U):
+        cells[rows] = ci
+        coeffs[rows[:, None], list(fan.cells[ci])] = lam
+    return cells, coeffs
 
 
 def loop_carrier(fan, u, inverses) -> tuple[int, np.ndarray]:

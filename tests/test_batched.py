@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from facetfit import catalog, sim
 from facetfit import fan as fan_mod
 from facetfit.design import DesignMatrix, build_design, direction_graph
-from facetfit.fan import (NoCarrier, SimplicialFan, ValidationReport, carriers,
-                          row_min, validate)
+from facetfit.fan import NoCarrier, SimplicialFan, ValidationReport, row_min, validate
 from facetfit.qp import BlockMatrix
 from facetfit.sim import make_plan, sample_concentrated, sample_uniform_sphere
 
@@ -26,7 +25,9 @@ from oracles import (
     loop_concentrated,
     loop_design,
     loop_direction_graph,
+    loop_in_ct,
     loop_uniform_sphere,
+    scatter_carriers,
 )
 
 
@@ -63,7 +64,7 @@ def mixed_directions(fan, seed: int, scale: float) -> np.ndarray:
 def test_carriers_equal_loop(index, seed, scale):
     fan = fans()[index]
     U = mixed_directions(fan, seed, scale)
-    cells, coeffs = carriers(fan, U)
+    cells, coeffs = scatter_carriers(fan, U)
     inverses = cell_inverses(fan)
     for i, u in enumerate(U):
         if not np.any(u):
@@ -202,9 +203,10 @@ def test_completeness_probe_equals_loop():
 
 
 def assert_carriers_equal_loop(fan, U):
-    """``carriers`` on the stack ``U`` equals ``loop_carrier`` row by row,
-    with -1 and a zero row wherever the loop finds no carrier."""
-    cells, coeffs = carriers(fan, U)
+    """``carrier_blocks`` on the stack ``U``, scattered, equals
+    ``loop_carrier`` row by row, with -1 and a zero row wherever the loop
+    finds no carrier."""
+    cells, coeffs = scatter_carriers(fan, U)
     inverses = cell_inverses(fan)
     for i, u in enumerate(U):
         try:
@@ -291,9 +293,9 @@ def test_rows_scaled_by_powers_of_two_keep_their_carriers(index):
     of u and 2^±900 times its coefficients."""
     fan = fans()[index]
     U = np.random.default_rng(index).standard_normal((200, fan.dim))
-    cells, coeffs = carriers(fan, U)
+    cells, coeffs = scatter_carriers(fan, U)
     for e in (900, -900):
-        scaled_cells, scaled = carriers(fan, np.ldexp(U, e))
+        scaled_cells, scaled = scatter_carriers(fan, np.ldexp(U, e))
         assert scaled_cells.tobytes() == cells.tobytes()
         assert scaled.tobytes() == np.ldexp(coeffs, e).tobytes()
     assert_carriers_equal_loop(fan, np.ldexp(U[:20], 900))
@@ -317,7 +319,7 @@ def test_guess_places_gaussian_rows_without_the_scan(monkeypatch):
     fan = catalog.random_polytopal_fan(3, 12, seed=7)
     U = np.random.default_rng(3).standard_normal((5000, 3))
     sizes = scan_sizes(monkeypatch)
-    cells, _ = carriers(fan, U)
+    cells, _ = scatter_carriers(fan, U)
     assert sizes == [0] and np.all(cells >= 0)
 
 
@@ -325,8 +327,32 @@ def test_exact_rays_all_go_to_the_scan(monkeypatch):
     hexagon = catalog.hexagon_fan()
     U = np.tile(hexagon.rays, (5, 1))
     sizes = scan_sizes(monkeypatch)
-    carriers(hexagon, U)
+    scatter_carriers(hexagon, U)
     assert sizes == [len(U)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(0.0, 0.49))
+def test_in_ct_equals_loop(index, seed, t):
+    """Normalized rays perturbed at the sampler's radius and beyond, and
+    Gaussian rows, tested against every ray: the targets include the rays
+    that are not generators of the row's cell."""
+    fan = fans()[index]
+    rng = np.random.default_rng(seed)
+    norms = np.linalg.norm(fan.rays, axis=1)
+    units = fan.rays / norms[:, None]
+    radius = 0.5 * t * norms.min() * rng.choice([0.5, 1.0, 3.0], (fan.n_rays, 1))
+    X = np.vstack([units, units + radius * rng.standard_normal(units.shape),
+                   rng.standard_normal((8, fan.dim))])
+    inverses = cell_inverses(fan)
+    outside = 0
+    for x in X:
+        cell = fan.cells[loop_carrier(fan, x, inverses)[0]]
+        for j in range(fan.n_rays):
+            assert sim.in_ct(fan, x, j, t) == loop_in_ct(fan, x, j, t, inverses)
+            outside += j not in cell
+    assert outside > 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,13 +15,13 @@ from facetfit.fan import (
     ValidationReport,
     c_delta,
     carrier,
-    carriers,
+    carrier_blocks,
     max_linear_over_cone_cap,
     validate,
     wall_crossings,
 )
 
-from oracles import grid_cap_max, sampled_coefficient_max
+from oracles import grid_cap_max, sampled_coefficient_max, scatter_carriers
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,29 @@ def test_operations_refuse_invalid_fan(hexagon):
         carrier(broken, np.array([1.0, 0.1]))
 
 
+# Each public entry that takes directions or cap vectors, called with one
+# direction u (the batch forms get it as the last of three rows).
+DIRECTION_ENTRIES = {
+    "carrier": lambda fan, u: carrier(fan, u),
+    "carrier_blocks": lambda fan, u: carrier_blocks(fan, np.vstack([fan.rays[:2], u])),
+    "in_ct": lambda fan, u: sim.in_ct(fan, u, 0, 0.2),
+    "support_value": lambda fan, u: geometry.support_value(fan, np.ones(fan.n_rays), u),
+    "support_values": lambda fan, u: geometry.support_values(
+        fan, np.ones(fan.n_rays), np.vstack([fan.rays[:2], u])),
+    "cap_maxima": lambda fan, u: fan_mod.cap_maxima(fan, [0, 1, 2],
+                                                    np.vstack([fan.rays[:2], u])),
+    "max_linear_over_cone_cap": lambda fan, u: max_linear_over_cone_cap(fan, 0, u),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECTION_ENTRIES))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_directions_are_refused(hexagon, entry, value):
+    for u in (np.array([value, 0.0]), np.array([1.0, value])):
+        with pytest.raises(ValueError, match=r"^(directions|vectors) must be finite$"):
+            DIRECTION_ENTRIES[entry](hexagon, u)
+
+
 # ---------------------------------------------------------------------------
 # Carrier
 # ---------------------------------------------------------------------------
@@ -105,7 +128,7 @@ def test_operations_refuse_invalid_fan(hexagon):
 def test_carriers_refuse_directions_of_the_wrong_shape(hexagon, shape):
     message = rf"rows of width 2, the fan's dimension; .*shape {re.escape(str(shape))}"
     with pytest.raises(ValueError, match=message):
-        carriers(hexagon, np.ones(shape))
+        carrier_blocks(hexagon, np.ones(shape))
 
 
 @pytest.mark.parametrize("U", [np.ones((4, 3)), np.ones(3)])
@@ -311,7 +334,7 @@ def test_c_delta_is_computed_on_first_read_only(monkeypatch):
         fan.require_valid()
         h0 = np.ones(fan.n_rays)
         U = np.random.default_rng(4).standard_normal((30, fan.dim))
-        assert np.all(carriers(fan, U)[0] >= 0)
+        assert np.all(scatter_carriers(fan, U)[0] >= 0)
         res = reconstruct(fan, Dataset(U, build_design(fan, U).matrix @ h0))
         assert geometry.hausdorff(fan, res.h_hat, h0) < 1e-6
         records = sim.run_convergence(

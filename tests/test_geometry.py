@@ -17,7 +17,7 @@ from facetfit.geometry import (
 )
 
 from conftest import random_members
-from oracles import vertex_distance_hausdorff
+from oracles import highs_support_values, vertex_distance_hausdorff
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +146,29 @@ def test_support_values_refuse_h_outside_the_cone_and_other_shapes(roof_y):
         support_values(roof_y, [4, 4, 2, 2, 0], np.ones(3))
 
 
+def test_support_value_refuses_h_outside_the_cone(hexagon):
+    # <h, [u]> at ray 5 would be 5; the true support value of P(h) there is
+    # 2, and the bound h_5 = 5 is not attained.
+    h = np.array([1.0, 1, 1, 1, 1, 5])
+    with pytest.raises(NotInDeformationCone, match="violates the wall inequalities"):
+        support_value(hexagon, h, hexagon.rays[5])
+    assert is_irredundant(hexagon, h) == [True] * 5 + [False]
+
+
+def test_support_value_is_support_values_on_one_row(hexagon, roof_y, roof_x,
+                                                    random_fans):
+    rng = np.random.default_rng(21)
+    for fan in [hexagon, roof_y, roof_x] + random_fans[::3]:
+        for h in random_members(fan, 4, seed=fan.n_rays):
+            U = np.vstack([rng.standard_normal((20, fan.dim)), fan.rays, np.zeros(fan.dim)])
+            one = np.array([support_value(fan, h, u) for u in U])
+            single = np.array([support_values(fan, h, u[None])[0] for u in U])
+            assert one.tobytes() == single.tobytes()
+            # A stacked product may round differently from a one-row one.
+            rows = support_values(fan, h, U)
+            assert np.all(np.abs(one - rows) <= 1e-15 * (1.0 + np.abs(rows)))
+
+
 def test_support_additive_and_homogeneous(hexagon):
     rng = np.random.default_rng(3)
     members = random_members(hexagon, 10, seed=17)
@@ -174,6 +197,43 @@ def test_irredundancy_examples(hexagon, roof_y):
 def test_irredundancy_empty_polytope_raises(hexagon):
     with pytest.raises(NotInDeformationCone):
         is_irredundant(hexagon, -np.ones(6))
+
+
+IRREDUNDANCY_FANS = {
+    "hexagon": catalog.hexagon_fan, "octagon": lambda: catalog.regular_polygon_fan(8),
+    "roof_y": catalog.roof_fan_y,
+    "random2d": lambda: catalog.random_polytopal_fan(2, 7, seed=101),
+    "random3d-8": lambda: catalog.random_polytopal_fan(3, 8, seed=204),
+    "random3d-12": lambda: catalog.random_polytopal_fan(3, 12, seed=7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IRREDUNDANCY_FANS))
+def test_irredundancy_off_the_cone_equals_highs(name):
+    """Random h outside the deformation cone, every third one drawn around
+    -0.5 so that some P(h) are empty: each flag against HiGHS's support
+    value of P(h) at the ray.  Every gap is either round-off or far above
+    the tolerance, so the flags do not hang on the solvers' last digits."""
+    fan = IRREDUNDANCY_FANS[name]()
+    rng = np.random.default_rng(fan.n_cells)
+    outcomes = set()
+    for k in range(30):
+        h = rng.normal(-0.5 if k % 3 == 0 else 1.0, 0.7, fan.n_rays)
+        if is_deformation(fan, h):
+            continue
+        best = highs_support_values(fan, h)
+        if best is None:
+            with pytest.raises(NotInDeformationCone, match="P\\(h\\) is empty"):
+                is_irredundant(fan, h)
+            outcomes.add("empty")
+            continue
+        gap = (h - best) / (1.0 + np.linalg.norm(h))
+        assert np.all((np.abs(gap) <= 1e-10) | (gap >= 1e-6))
+        assert is_irredundant(fan, h) == (gap <= 1e-10).tolist()
+        outcomes.add("redundant" if np.any(gap >= 1e-6) else "attained")
+    # roof_y has h off the cone with every bound attained; the others have
+    # redundant bounds.
+    assert "empty" in outcomes and outcomes - {"empty"}
 
 
 # ---------------------------------------------------------------------------

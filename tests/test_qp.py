@@ -8,7 +8,6 @@ from facetfit.qp import (
     SolverOptions,
     Unbounded,
     rank_and_kernel,
-    solve_affine_lp,
     solve_cls,
     solve_lp,
 )
@@ -58,13 +57,17 @@ def assert_kkt(problem: ConstrainedLS, sol):
 
 def test_lp_segment_extent_of_cycle_problem():
     # Range of movement along the alternating kernel direction inside the
-    # hexagon wall cone, anchored at the all-ones vector.
+    # hexagon wall cone, anchored at the all-ones vector: B (1 + x z) >= 0
+    # posed as (B z) x - s = -B 1 with slacks s >= 0.
     B = hexagon_walls()
     z = np.array([1.0, -1, 1, -1, 1, -1])
-    rows = (B @ z)[:, None]
-    rhs = -(B @ np.ones(6))
-    hi = solve_affine_lp(np.array([-1.0]), rows, rhs)
-    lo = solve_affine_lp(np.array([1.0]), rows, rhs)
+    E = np.hstack([(B @ z)[:, None], -np.eye(6)])
+    f = -(B @ np.ones(6))
+    bounds = [(-np.inf, np.inf)] + [(0.0, np.inf)] * 6
+    c = np.zeros(7)
+    c[0] = 1.0
+    hi = solve_lp(-c, E=E, f=f, bounds=bounds)
+    lo = solve_lp(c, E=E, f=f, bounds=bounds)
     assert hi.x[0] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert lo.x[0] == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
@@ -82,9 +85,10 @@ def test_lp_unbounded_detection():
 
 
 def test_lp_infeasible_detection():
+    # -x >= 1 with x >= 0, posed as -x - s = 1 with a slack s >= 0.
     with pytest.raises(Infeasible):
-        solve_affine_lp(np.array([1.0]), np.array([[-1.0]]), np.array([1.0]),
-                        bounds=[(0.0, np.inf)])
+        solve_lp(np.array([1.0, 0.0]), E=np.array([[-1.0, -1.0]]), f=np.array([1.0]),
+                 bounds=[(0.0, np.inf), (0.0, np.inf)])
 
 
 def test_lp_equality_and_bounds():

@@ -70,7 +70,8 @@ def test_membership_rule_on_blocks_equals_dense_rows(roof_y):
         dense[:, list(cell)] = lam
         column = np.full(roof_y.n_rays, -1)
         column[list(cell)] = np.arange(3)
-        expected = facetfit.sim._in_neighborhoods(dense, norms, J, 0.3)
+        # The rule on dense rows: the sup distance to the unit vector of J.
+        expected = np.abs(dense * norms - np.eye(roof_y.n_rays)[J]).max(axis=1) <= 0.3 + 1e-9
         got = facetfit.sim._in_neighborhoods(lam, norms[list(cell)], column[J], 0.3)
         assert np.array_equal(got, expected) and 0 < expected.sum() < 400
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from facetfit import catalog, qp
 from facetfit.design import Dataset, build_design, numeric_rank
 from facetfit.estimator import reconstruct
-from facetfit.qp import Infeasible, Unbounded, cone_dimension, solve_affine_lp, solve_lp
+from facetfit.qp import Infeasible, Unbounded, cone_dimension, solve_lp
 from perfbench import oracle as bench_oracle
 
 from oracles import loop_two_phase_simplex
@@ -99,13 +99,9 @@ def lps(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lp=lps(), affine=st.booleans())
-def test_solve_lp_equals_the_loop_engine(lp, affine):
-    c, B, E, f, bounds = lp
-    b = np.arange(B.shape[0], dtype=float) - 1.0
-    solve = ((lambda: solve_affine_lp(c, B, b, E, f, bounds)) if affine
-             else (lambda: solve_lp(c, B, E, f, bounds)))
-    fast, slow = both_engines(solve, lambda sol: sol.x.tobytes())
+@given(lp=lps())
+def test_solve_lp_equals_the_loop_engine(lp):
+    fast, slow = both_engines(lambda: solve_lp(*lp), lambda sol: sol.x.tobytes())
     assert fast == slow
 
 
@@ -367,8 +363,6 @@ def test_non_finite_lp_data_is_refused(field, value):
     data[field][0] = value
     with pytest.raises(ValueError, match="non-finite"):
         solve_lp(data["c"], data["B"], data["E"], data["f"])
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_affine_lp(data["c"], data["B"], np.zeros(2), data["E"], data["f"])
 
 
 @pytest.mark.parametrize("bound", [(np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf),
@@ -376,11 +370,6 @@ def test_non_finite_lp_data_is_refused(field, value):
 def test_bounds_that_admit_no_number_are_refused(bound):
     with pytest.raises(ValueError, match="bound"):
         solve_lp(np.array([1.0, 0.0]), bounds=[bound, (0.0, 1.0)])
-
-
-def test_non_finite_affine_rhs_is_refused():
-    with pytest.raises(ValueError, match="non-finite entry in b"):
-        solve_affine_lp(np.array([1.0]), np.array([[1.0]]), np.array([np.nan]))
 
 
 def test_bounds_of_the_wrong_length_are_refused():
