@@ -2,8 +2,10 @@
 
 These cover the recurring geometries of the test suite and give the CLI
 something to write example files from.  ``random_polytopal_fan`` builds a
-fan as the normal fan of a randomly generated simple polytope, so the
-result is polytopal by construction.
+fan in any dimension d >= 2 as the normal fan of a randomly generated
+simple polytope, so the result is polytopal by construction; its cells
+come from one pivot walk over the polytope's vertices, never from a loop
+over all d-subsets of the rays.
 """
 
 from __future__ import annotations
@@ -67,22 +69,24 @@ def orthant_fan(d: int) -> SimplicialFan:
 
 def random_polytopal_fan(d: int, n: int, seed: int,
                          max_attempts: int = 200) -> SimplicialFan:
-    """Normal fan of a random simple polytope with n facets in R^d.
+    """Normal fan of a random simple polytope with n facets in R^d, any d >= 2.
 
     Samples unit facet normals and keeps a draw when the polytope
-    ``{x : <v_i, x> <= 1}`` is bounded, simple and has all n facets; its
-    vertex normal cones are then the maximal cells.  The support vector of
-    all ones lies strictly inside the deformation cone of the result.
+    ``P = {x : <v_i, x> <= 1}`` is bounded, simple and has all n facets; its
+    vertex normal cones are then the maximal cells, which
+    ``_pivot_walk_cells`` finds by walking the edges of P.  The support
+    vector of all ones lies strictly inside the deformation cone of the
+    result.
     """
-    if d not in (2, 3):
-        raise ValueError("random fans are generated for d in {2, 3}")
+    if d < 2:
+        raise ValueError("random fans need d >= 2")
     if n < d + 1:
         raise ValueError("need at least d+1 facet normals")
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         rays = rng.standard_normal((n, d))
         rays /= np.linalg.norm(rays, axis=1)[:, None]
-        cells = _simple_polytope_cells(rays)
+        cells = _pivot_walk_cells(rays)
         if cells is None:
             continue
         fan = SimplicialFan(rays, cells)
@@ -94,28 +98,64 @@ def random_polytopal_fan(d: int, n: int, seed: int,
     raise RuntimeError(f"no valid random fan after {max_attempts} attempts")
 
 
-def _simple_polytope_cells(rays: np.ndarray):
-    """Vertex/facet incidences of ``{x : rays @ x <= 1}`` if simple, else None."""
+def _pivot_walk_cells(rays: np.ndarray):
+    """Vertex/facet incidences of ``P = {x : rays @ x <= 1}`` if P is bounded
+    and simple and uses every facet, else None; sorted, as index tuples.
+
+    The graph of a d-polytope is connected (Balinski, 1961), so a walk
+    along its edges from one vertex visits every vertex (Avis & Fukuda,
+    1992).  The first vertex is reached from the interior point 0 by d
+    ratio tests, each along a unit direction orthogonal to the rows already
+    tight, in the sign whose blocking row comes first.  At a vertex whose
+    tight rows form the cell, edge k is ``-inv(rays[cell])[:, k]``: it
+    leaves row k and keeps the others tight.  One ratio test over all rows
+    and edges names the row each edge enters.  Each vertex is solved and checked
+    from its sorted cell (a nonsingular cell, no slack above 1e-9, exactly
+    d tight rows, ``||x|| <= 1e6``); a failed check, an edge no row blocks
+    (P unbounded) and an unused facet each reject the draw.
+    """
     n, d = rays.shape
     tol = 1e-9
-    cells = []
+    x = np.zeros(d)
+    tight: list[int] = []
+    for _ in range(d):
+        e = np.linalg.qr(rays[tight].T, mode="complete")[0][:, len(tight)]
+        E = np.column_stack([e, -e])
+        rate = rays @ E
+        rate[tight] = 0.0
+        step = np.divide((1.0 - rays @ x)[:, None], rate,
+                         out=np.full_like(rate, np.inf), where=rate > 0.0)
+        enter, sign = np.unravel_index(np.argmin(step), step.shape)
+        if step[enter, sign] == np.inf:
+            return None  # P contains a line
+        x = x + step[enter, sign] * E[:, sign]
+        tight.append(int(enter))
+    start = tuple(sorted(tight))
+    seen, todo = {start}, [start]
     used = np.zeros(n, bool)
-    for subset in itertools.combinations(range(n), d):
-        M = rays[list(subset)]
+    while todo:
+        cell = todo.pop()
+        M = rays[list(cell)]
         if abs(np.linalg.det(M)) < 1e-9:
-            continue
+            return None
         x = np.linalg.solve(M, np.ones(d))
         slack = rays @ x - 1.0
-        if np.max(slack) > tol:
-            continue
-        # Simplicity: exactly d constraints tight at the vertex.
-        tight = np.sum(slack > -tol)
-        if tight != d:
+        if (np.max(slack) > tol or np.sum(slack > -tol) != d
+                or np.linalg.norm(x) > 1e6):
             return None
-        if np.linalg.norm(x) > 1e6:
-            return None
-        cells.append(subset)
-        used[list(subset)] = True
-    if not cells or not used.all():
-        return None  # unbounded or a redundant facet
-    return cells
+        used[list(cell)] = True
+        rate = rays @ -np.linalg.inv(M)
+        rate[list(cell)] = 0.0
+        step = np.divide(-slack[:, None], rate, out=np.full_like(rate, np.inf),
+                         where=rate > 0.0)
+        enter = np.argmin(step, axis=0)
+        if np.any(step[enter, np.arange(d)] == np.inf):
+            return None  # an unbounded edge
+        for k in range(d):
+            nxt = tuple(sorted(cell[:k] + cell[k + 1:] + (int(enter[k]),)))
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    if not used.all():
+        return None  # a redundant facet
+    return sorted(seen)

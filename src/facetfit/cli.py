@@ -298,10 +298,7 @@ def cmd_fan_info(args) -> int:
         tag = "" if essential[k] else "   (implied)"
         print(f"  {wall_inequality_text(walls.matrix[k])}   "
               f"(cells {a} | {b}){tag}")
-    adjacency = np.zeros(fan.n_cells, int)
-    for a, b in walls.pairs:
-        adjacency[a] += 1
-        adjacency[b] += 1
+    adjacency = np.bincount(np.array(walls.pairs, int).reshape(-1), minlength=fan.n_cells)
     print("cell adjacency counts:", " ".join(str(c) for c in adjacency))
     print(f"coefficient bound c_delta = {fmt(fan_mod.c_delta(fan))}")
     return EXIT_OK

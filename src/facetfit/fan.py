@@ -98,6 +98,10 @@ class FanConstants:
     """What carrier lookups read from a fan: cell generator inverses, ray
     norms, and the vertices and margins behind the carrier guess.
 
+    ``cell_inverses`` is the fan's one stacked generator table, a
+    C-contiguous (cells, d, d) array whose entry c is the inverse of the
+    d x d matrix with cell c's generators as columns.
+
     ``vertices[c]`` is the vertex ``x_c = inv_cᵀ h°_c`` of the polytope
     ``P(h°) = {x : <v_i, x> <= ||v_i||}``, whose facet normals are the rays
     and which circumscribes the unit ball; it solves ``<v_i, x> = ||v_i||``
@@ -112,7 +116,7 @@ class FanConstants:
     call, since only the convergence bound and ``hausdorff_bound`` read it.
     """
 
-    cell_inverses: tuple[np.ndarray, ...]
+    cell_inverses: np.ndarray
     ray_norms: np.ndarray
     vertices: np.ndarray
     guess_margins: np.ndarray
@@ -122,19 +126,19 @@ class FanConstants:
 class CapFaces:
     """What ``cap_maxima`` reads from a fan, built on its first call and
     cached on the fan (not in ``FanConstants``, so that validation and
-    carrier lookups never pay for it).
+    carrier lookups never pay for it).  The cell inverses are not here:
+    ``cap_maxima`` reads ``FanConstants.cell_inverses``.
 
-    ``inverses`` stacks the cell inverses, (cells, d, d).  ``faces`` has one
-    entry ``(generators, projectors, usable)`` per proper nonempty subset S
-    of a cell's d generator positions, in ``itertools.combinations`` order
-    by size: ``generators[c]`` is the d x |S| matrix G_S of cell c's
-    generators at S, ``projectors[c]`` is ``(G_Sᵀ G_S)⁻¹ G_Sᵀ``, which maps
-    r to the coefficients of its projection onto span(G_S), and
-    ``usable[c]`` is False where that Gram matrix is singular (its
-    projector is then zero, and that face is skipped).
+    ``faces`` has one entry ``(generators, projectors, usable)`` per proper
+    nonempty subset S of a cell's d generator positions, in
+    ``itertools.combinations`` order by size: ``generators[c]`` is the
+    d x |S| matrix G_S of cell c's generators at S, ``projectors[c]`` is
+    ``(G_Sᵀ G_S)⁻¹ G_Sᵀ``, which maps r to the coefficients of its
+    projection onto span(G_S), and ``usable[c]`` is False where that Gram
+    matrix is singular (its projector is then zero, and that face is
+    skipped).
     """
 
-    inverses: np.ndarray
     faces: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
@@ -207,11 +211,20 @@ class SimplicialFan:
         return wall_crossings(self)
 
     @functools.cached_property
-    def _inverses(self) -> tuple[np.ndarray | None, ...]:
-        """Each cell's generator inverse, or None where the generators are
-        numerically dependent: the one independence test, read by
-        ``validate`` and by the constants."""
-        return tuple(_inverse(self.rays[list(cell)].T) for cell in self.cells)
+    def _inverses(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(inverses, independent)``: the one independence test, read by
+        ``validate``, and the stacked generator table, read by the
+        constants and ``cell_vertices``.  Cell c's generators, the columns of ``M_c``, are
+        independent when ``|det M_c|`` exceeds 1e-12 times the product of
+        their norms; ``inverses`` is a C-contiguous (cells, d, d) array
+        holding ``inv(M_c)`` there and zeros elsewhere.  One ``det`` and one
+        ``inv`` call over the stack."""
+        M = self.rays[np.array(self.cells, int).reshape(-1, self.dim)].transpose(0, 2, 1)
+        scale = np.prod(np.linalg.norm(M, axis=1), axis=1)
+        independent = np.abs(np.linalg.det(M)) > 1e-12 * np.maximum(scale, 1e-300)
+        inverses = np.zeros(M.shape)
+        inverses[independent] = np.linalg.inv(M[independent])
+        return inverses, independent
 
     @functools.cached_property
     def _cap_faces(self) -> CapFaces:
@@ -240,21 +253,13 @@ def _index(value, what: str) -> int:
     return operator.index(value)
 
 
-def _inverse(M: np.ndarray) -> np.ndarray | None:
-    """``M``'s inverse, or None when its columns are numerically dependent."""
-    scale = np.prod(np.linalg.norm(M, axis=0))
-    if abs(np.linalg.det(M)) > 1e-12 * max(scale, 1e-300):
-        return np.linalg.inv(M)
-    return None
-
-
 def _build_constants(fan: SimplicialFan) -> FanConstants:
-    invs = fan._inverses
-    for cell, inv in zip(fan.cells, invs):
-        if inv is None:
-            raise InvalidFan(f"cell {cell} has numerically dependent generators")
+    invs, independent = fan._inverses
+    if not independent.all():
+        cell = fan.cells[np.argmin(independent)]
+        raise InvalidFan(f"cell {cell} has numerically dependent generators")
     norms = np.linalg.norm(fan.rays, axis=1)
-    inv_norms = row_norms(np.concatenate(invs)).reshape(fan.n_cells, fan.dim).max(axis=1)
+    inv_norms = row_norms(invs.reshape(-1, fan.dim)).reshape(fan.n_cells, fan.dim).max(axis=1)
     # A length-d dot product rounds by at most d eps |a| |b|; the guess is
     # sound while that stays within half the scan tolerance for every cell.
     rounding = fan.dim * np.finfo(float).eps * inv_norms.max() * norms.min()
@@ -271,7 +276,7 @@ def cell_vertices(fan: SimplicialFan, h) -> np.ndarray:
     c's rays meet: a vertex of ``P(h)`` when h is in the deformation cone.
     The cells must be independent (``validate`` checks it)."""
     h = np.asarray(h, float)
-    return np.array([inv.T @ h[list(cell)] for cell, inv in zip(fan.cells, fan._inverses)])
+    return np.array([inv.T @ h[list(cell)] for cell, inv in zip(fan.cells, fan._inverses[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -455,41 +460,61 @@ def carrier(fan: SimplicialFan, u) -> BarycentricVector:
 def wall_crossings(fan: SimplicialFan) -> WallCrossingSystem:
     """Inequality rows for all adjacent maximal-cell pairs.
 
-    For each pair sharing exactly d-1 generators, solves the unique linear
-    dependence on the d+1 involved rays normalized so the two non-shared
-    coefficients sum to 2, and records it as a row of the system.
+    Two cells are adjacent when they share exactly d-1 generators, a ridge.
+    A table of every cell's d ridges (its sorted generators less one),
+    sorted, puts the cells of each ridge next to each other, so the pairs
+    come from comparing neighbouring entries, never from a loop over all
+    pairs of cells; a ridge in k cells gives all k(k-1)/2 pairs.  For each
+    pair (a, b), in lexicographic pair order, the row is the unique linear
+    dependence on the d+1 involved rays ``[j1, j2, *shared]``, j1 and j2
+    the generators of a and b off the ridge, normalized so that the
+    coefficients of j1 and j2 sum to 2.  One batched SVD checks every
+    dependence system for rank (``DegenerateWall`` names the first pair
+    that fails) and one batched solve gives all rows.
     """
     fan.require_valid()
-    rays = fan.rays
-    rows = []
-    pairs = []
-    for a, b in itertools.combinations(range(fan.n_cells), 2):
-        shared = sorted(set(fan.cells[a]) & set(fan.cells[b]))
-        if len(shared) != fan.dim - 1:
-            continue
-        j1 = next(i for i in fan.cells[a] if i not in shared)
-        j2 = next(i for i in fan.cells[b] if i not in shared)
-        involved = [j1, j2] + shared
-        # Unknown coefficients c over `involved`: sum c_j v_j = 0 and
-        # c_{j1} + c_{j2} = 2.
-        system = np.zeros((fan.dim + 1, fan.dim + 1))
-        system[:fan.dim, :] = rays[involved].T
-        system[fan.dim, 0] = 1.0
-        system[fan.dim, 1] = 1.0
-        rhs = np.zeros(fan.dim + 1)
-        rhs[fan.dim] = 2.0
-        smin = np.linalg.svd(system, compute_uv=False)[-1]
-        if smin <= 1e-10 * float(np.max(np.abs(system))):
-            raise DegenerateWall(
-                f"wall between cells {a} and {b} has a rank-deficient dependence")
-        coeff = np.linalg.solve(system, rhs)
-        coeff *= 2.0 / (coeff[0] + coeff[1])  # make the normalization exact
-        row = np.zeros(fan.n_rays)
-        row[involved] = coeff
-        rows.append(row)
-        pairs.append((a, b))
-    matrix = np.array(rows) if rows else np.zeros((0, fan.n_rays))
-    return WallCrossingSystem(matrix=matrix, pairs=tuple(pairs))
+    n, d = fan.n_rays, fan.dim
+    cells = np.sort(np.array(fan.cells, int).reshape(-1, d), axis=1)
+    # Entry (c, k) of the ridge table: cell c less its k-th generator.
+    drop = np.array([[i for i in range(d) if i != k] for k in range(d)])
+    ridges = cells[:, drop].reshape(-1, d - 1)
+    apex = cells.reshape(-1)
+    owner = np.repeat(np.arange(len(cells)), d)
+    order = np.lexsort((owner, *ridges.T[::-1]))
+    ridges, apex, owner = ridges[order], apex[order], owner[order]
+    # Entries p and p + s share a ridge when every entry between them does.
+    first, second = [np.zeros(0, int)], [np.zeros(0, int)]
+    for s in range(1, len(ridges)):
+        same = np.flatnonzero((ridges[s:] == ridges[:-s]).all(axis=1))
+        if same.size == 0:
+            break
+        first.append(same)
+        second.append(same + s)
+    first, second = np.concatenate(first), np.concatenate(second)
+    # Equal apexes mean the two cells are one set of generators.
+    keep = apex[first] != apex[second]
+    first, second = first[keep], second[keep]
+    keep = np.lexsort((owner[second], owner[first]))  # lexicographic pair order
+    first, second = first[keep], second[keep]
+    a, b = owner[first], owner[second]
+    involved = np.column_stack([apex[first], apex[second], ridges[first]])
+    # Unknown coefficients c over `involved`: sum c_j v_j = 0 and
+    # c_{j1} + c_{j2} = 2.
+    system = np.zeros((len(involved), d + 1, d + 1))
+    system[:, :d, :] = fan.rays[involved].transpose(0, 2, 1)
+    system[:, d, :2] = 1.0
+    rhs = np.zeros((len(involved), d + 1, 1))
+    rhs[:, d] = 2.0
+    smin = np.linalg.svd(system, compute_uv=False)[:, -1]
+    bad = np.flatnonzero(smin <= 1e-10 * np.abs(system).max(axis=(1, 2)))
+    if bad.size:
+        raise DegenerateWall(f"wall between cells {a[bad[0]]} and {b[bad[0]]} "
+                             f"has a rank-deficient dependence")
+    coeff = np.linalg.solve(system, rhs)[..., 0]
+    coeff *= (2.0 / (coeff[:, 0] + coeff[:, 1]))[:, None]  # make the normalization exact
+    matrix = np.zeros((len(involved), n))
+    matrix[np.arange(len(involved))[:, None], involved] = coeff
+    return WallCrossingSystem(matrix=matrix, pairs=tuple(zip(a.tolist(), b.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +522,6 @@ def wall_crossings(fan: SimplicialFan) -> WallCrossingSystem:
 # ---------------------------------------------------------------------------
 
 def _build_cap_faces(fan: SimplicialFan) -> CapFaces:
-    inverses = np.array(fan.constants.cell_inverses)
     generators = np.array([fan.rays[list(cell)].T for cell in fan.cells])
     faces = []
     for size in range(1, fan.dim):
@@ -511,7 +535,7 @@ def _build_cap_faces(fan: SimplicialFan) -> CapFaces:
                 except np.linalg.LinAlgError:
                     usable[c] = False
             faces.append((G, projectors, usable))
-    return CapFaces(inverses=inverses, faces=tuple(faces))
+    return CapFaces(faces=tuple(faces))
 
 
 def cap_maxima(fan: SimplicialFan, cells, R) -> np.ndarray:
@@ -537,7 +561,7 @@ def cap_maxima(fan: SimplicialFan, cells, R) -> np.ndarray:
                          f"got an array of shape {cells.shape}")
     table = fan._cap_faces
     norms = row_norms(R)
-    lam = np.matmul(table.inverses[cells], R[:, :, None])[..., 0]
+    lam = np.matmul(fan.constants.cell_inverses[cells], R[:, :, None])[..., 0]
     out = norms.copy()
     rows = np.flatnonzero(row_min(lam) < -1e-12 * norms)
     R, cells, norms = R[rows, :, None], cells[rows], norms[rows]
@@ -561,9 +585,9 @@ def max_linear_over_cone_cap(fan: SimplicialFan, cell: int, r) -> float:
 def _c_delta_exact(fan: SimplicialFan) -> float:
     # Coefficient k on cell c is linear in u with gradient inv_c[k]: one
     # cone-cap maximum per (cell, k), all in one call.
-    inverses = fan._cap_faces.inverses
     cells = np.repeat(np.arange(fan.n_cells), fan.dim)
-    return float(cap_maxima(fan, cells, inverses.reshape(-1, fan.dim)).max())
+    gradients = fan.constants.cell_inverses.reshape(-1, fan.dim)
+    return float(cap_maxima(fan, cells, gradients).max())
 
 
 def c_delta(fan: SimplicialFan) -> float:
@@ -584,20 +608,23 @@ PROBE_SEED = 20210
 def validate(fan: SimplicialFan, strict: bool = False) -> ValidationReport:
     """Check the structural invariants of a complete simplicial fan.
 
-    Runs the per-cell independence test, the positive-span cone LP,
-    pairwise ray-direction distinctness, the ray/cell incidence
-    count, and a randomized completeness probe (every sampled unit vector
-    must have exactly one carrier).  ``strict=True`` additionally verifies
-    that every pair of cells intersects in a common face, which is
-    quadratic in the number of cells.  ``require_valid`` reuses the report.
+    Runs the per-cell independence test (the mask of the stacked
+    generator table), the positive-span cone LP, ray-direction
+    distinctness (one ``row_norms`` over the differences of all pairs of
+    unit rays, in ``np.triu_indices`` order), the ray/cell incidence count
+    (one ``np.bincount``), and a randomized completeness probe (every
+    sampled unit vector must have exactly one carrier).  Messages follow
+    that order, and within a check the order of cells, pairs or rays.
+    ``strict=True`` additionally verifies that every pair of cells
+    intersects in a common face, which is quadratic in the number of
+    cells.  ``require_valid`` reuses the report.
     """
     messages: list[str] = []
 
-    cells_ok = True
-    for cell, inv in zip(fan.cells, fan._inverses):
-        if inv is None:
-            cells_ok = False
-            messages.append(f"cell {cell}: generators numerically dependent")
+    independent = fan._inverses[1]
+    cells_ok = bool(independent.all())
+    for c in np.flatnonzero(~independent):
+        messages.append(f"cell {fan.cells[c]}: generators numerically dependent")
 
     rays_ok = True
     norms = np.linalg.norm(fan.rays, axis=1)
@@ -606,23 +633,21 @@ def validate(fan: SimplicialFan, strict: bool = False) -> ValidationReport:
         messages.append("zero ray generator")
     else:
         unit = fan.rays / norms[:, None]
-        for i, j in itertools.combinations(range(fan.n_rays), 2):
-            if np.linalg.norm(unit[i] - unit[j]) < 1e-9:
-                rays_ok = False
-                messages.append(f"rays {i} and {j} are positive multiples")
+        i, j = np.triu_indices(fan.n_rays, 1)
+        close = np.flatnonzero(row_norms(unit[i] - unit[j]) < 1e-9)
+        rays_ok = close.size == 0
+        for k in close:
+            messages.append(f"rays {i[k]} and {j[k]} are positive multiples")
 
     span_ok = rays_ok and _positively_spanning(unit)
     if rays_ok and not span_ok:
         messages.append("rays do not positively span the ambient space")
 
-    incidence_ok = True
-    counts = np.zeros(fan.n_rays, int)
-    for cell in fan.cells:
-        counts[list(cell)] += 1
-    for i in range(fan.n_rays):
-        if counts[i] < fan.dim:
-            incidence_ok = False
-            messages.append(f"ray {i} appears in {counts[i]} < d cells")
+    counts = np.bincount(np.array(fan.cells, int).reshape(-1), minlength=fan.n_rays)
+    few = np.flatnonzero(counts < fan.dim)
+    incidence_ok = few.size == 0
+    for i in few:
+        messages.append(f"ray {i} appears in {counts[i]} < d cells")
 
     probe_ok = cells_ok and rays_ok
     if probe_ok:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import qp
 from .fan import (SimplicialFan, as_rows, c_delta, cap_maxima, cell_vertices,
-                  vertex_max)
+                  row_norms, vertex_max)
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps geometry.carrier
 from .fan import max_linear_over_cone_cap  # noqa: F401 - perfbench's tracer wraps it here
 
@@ -75,19 +75,17 @@ def vertices(fan: SimplicialFan, h) -> VertexMap:
     h = _require_member(fan, h)
     points = cell_vertices(fan, h)
     tol = 1e-9 * (1.0 + np.linalg.norm(h))
-    assigned = [-1] * fan.n_cells
+    # Each cell not yet in a group starts one with every later free cell
+    # within tol: one row_norms per cell, O(cells) memory.
+    free = np.ones(fan.n_cells, bool)
     groups: list[list[int]] = []
-    for i in range(fan.n_cells):
-        if assigned[i] >= 0:
-            continue
-        group = [i]
-        assigned[i] = i
-        for j in range(i + 1, fan.n_cells):
-            if assigned[j] < 0 and np.linalg.norm(points[i] - points[j]) <= tol:
-                assigned[j] = i
-                group.append(j)
-        if len(group) > 1:
-            groups.append(group)
+    for c in range(fan.n_cells):
+        if free[c]:
+            mates = c + 1 + np.flatnonzero(
+                free[c + 1:] & (row_norms(points[c] - points[c + 1:]) <= tol))
+            free[mates] = False
+            if mates.size:
+                groups.append([c, *mates.tolist()])
     return VertexMap(points=points,
                      merged_groups=tuple(tuple(g) for g in groups))
 

@@ -34,7 +34,8 @@ import numpy as np
 
 from .design import Dataset, DesignMatrix, build_design
 from .estimator import reconstruct
-from .fan import NoCarrier, SimplicialFan, c_delta, carrier_blocks, row_norms
+from .fan import (NoCarrier, SimplicialFan, _index, c_delta, carrier_blocks,
+                  row_norms)
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import hausdorff, support_values
 
@@ -280,7 +281,12 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
     The rule is ``_in_neighborhoods`` on the d columns of the one
     ``carrier_blocks`` block of ``x``, with ray j's position among the
     cell's generators, or -1 (outside) when ray j is not one of them.
+    ``ValueError`` for a j that is not an integer (a bool or a float is
+    not) or is outside 0..n-1.
     """
+    j = _index(j, "ray index")
+    if not 0 <= j < fan.n_rays:
+        raise ValueError(f"ray index {j} is outside 0..{fan.n_rays - 1}")
     x = np.asarray(x, float)
     blocks = carrier_blocks(fan, x[None])
     if not blocks:

@@ -13,10 +13,14 @@ and the tableau simplex runs with a Python loop for every row operation.
 Exact cone-cap maxima, c_delta and Hausdorff distances also have a loop
 reference, one (cell, vector) pair and one face at a time.
 
-The per-row loops at the end are the slow references of the batched
+The per-row loops near the end are the slow references of the batched
 carrier, direction-graph, sampling and probe paths: one direction, one
 matrix entry, one Gaussian draw and one cell at a time, with the same
-arithmetic, so the batched results must equal them bit for bit.
+arithmetic, so the batched results must equal them bit for bit.  The
+last section holds the loop references of fan construction and set-up:
+the cells of a random fan from all d-subsets of its rays, and the wall
+system, the independence test, the ray checks of ``validate`` and the
+merged vertex groups one pair at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from scipy.optimize import linprog, nnls
 
 from facetfit import sim
 from facetfit.design import POSITIVITY_TOL, DirectionGraph
-from facetfit.fan import NoCarrier, carrier_blocks
+from facetfit.fan import (DegenerateWall, NoCarrier, SimplicialFan,
+                          WallCrossingSystem, carrier_blocks)
 from facetfit.qp import Infeasible, Unbounded
 
 
@@ -650,3 +655,147 @@ def loop_completeness_probe(fan, probes=1000, seed=20210) -> tuple[bool, list[st
         if hits != 1:
             return False, [f"direction {u.tolist()} has {hits} carriers (expected 1)"]
     return True, []
+
+
+# ---------------------------------------------------------------------------
+# Loop references of fan construction and set-up
+# ---------------------------------------------------------------------------
+
+def subset_polytope_cells(rays: np.ndarray):
+    """Vertex/facet incidences of ``{x : rays @ x <= 1}`` if simple, else None."""
+    n, d = rays.shape
+    tol = 1e-9
+    cells = []
+    used = np.zeros(n, bool)
+    for subset in itertools.combinations(range(n), d):
+        M = rays[list(subset)]
+        if abs(np.linalg.det(M)) < 1e-9:
+            continue
+        x = np.linalg.solve(M, np.ones(d))
+        slack = rays @ x - 1.0
+        if np.max(slack) > tol:
+            continue
+        # Simplicity: exactly d constraints tight at the vertex.
+        tight = np.sum(slack > -tol)
+        if tight != d:
+            return None
+        if np.linalg.norm(x) > 1e6:
+            return None
+        cells.append(subset)
+        used[list(subset)] = True
+    if not cells or not used.all():
+        return None  # unbounded or a redundant facet
+    return cells
+
+
+def subset_random_polytopal_fan(d: int, n: int, seed: int,
+                                max_attempts: int = 200) -> SimplicialFan:
+    """``catalog.random_polytopal_fan`` with the cells of each draw from the
+    loop over all d-subsets of the rays."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        rays = rng.standard_normal((n, d))
+        rays /= np.linalg.norm(rays, axis=1)[:, None]
+        cells = subset_polytope_cells(rays)
+        if cells is None:
+            continue
+        fan = SimplicialFan(rays, cells)
+        try:
+            fan.require_valid()
+        except Exception:
+            continue
+        return fan
+    raise RuntimeError(f"no valid random fan after {max_attempts} attempts")
+
+
+def loop_wall_crossings(fan) -> WallCrossingSystem:
+    """The wall system one pair of cells and one dependence solve at a time."""
+    fan.require_valid()
+    rays = fan.rays
+    rows = []
+    pairs = []
+    for a, b in itertools.combinations(range(fan.n_cells), 2):
+        shared = sorted(set(fan.cells[a]) & set(fan.cells[b]))
+        if len(shared) != fan.dim - 1:
+            continue
+        j1 = next(i for i in fan.cells[a] if i not in shared)
+        j2 = next(i for i in fan.cells[b] if i not in shared)
+        involved = [j1, j2] + shared
+        # Unknown coefficients c over `involved`: sum c_j v_j = 0 and
+        # c_{j1} + c_{j2} = 2.
+        system = np.zeros((fan.dim + 1, fan.dim + 1))
+        system[:fan.dim, :] = rays[involved].T
+        system[fan.dim, 0] = 1.0
+        system[fan.dim, 1] = 1.0
+        rhs = np.zeros(fan.dim + 1)
+        rhs[fan.dim] = 2.0
+        smin = np.linalg.svd(system, compute_uv=False)[-1]
+        if smin <= 1e-10 * float(np.max(np.abs(system))):
+            raise DegenerateWall(
+                f"wall between cells {a} and {b} has a rank-deficient dependence")
+        coeff = np.linalg.solve(system, rhs)
+        coeff *= 2.0 / (coeff[0] + coeff[1])  # make the normalization exact
+        row = np.zeros(fan.n_rays)
+        row[involved] = coeff
+        rows.append(row)
+        pairs.append((a, b))
+    matrix = np.array(rows) if rows else np.zeros((0, fan.n_rays))
+    return WallCrossingSystem(matrix=matrix, pairs=tuple(pairs))
+
+
+def loop_independent_cells(fan) -> list[bool]:
+    """Per cell: are its generators numerically independent?  One
+    determinant against the product of the generator norms per cell."""
+    out = []
+    for cell in fan.cells:
+        M = fan.rays[list(cell)].T
+        scale = np.prod(np.linalg.norm(M, axis=0))
+        out.append(bool(abs(np.linalg.det(M)) > 1e-12 * max(scale, 1e-300)))
+    return out
+
+
+def loop_ray_checks(fan) -> tuple[bool, list[str], bool, list[str]]:
+    """(rays distinct, its messages, ray incidence, its messages) of
+    ``validate``, one pair of rays and one cell at a time."""
+    ray_messages = []
+    rays_ok = True
+    norms = np.linalg.norm(fan.rays, axis=1)
+    if np.any(norms <= 0):
+        rays_ok = False
+        ray_messages.append("zero ray generator")
+    else:
+        unit = fan.rays / norms[:, None]
+        for i, j in itertools.combinations(range(fan.n_rays), 2):
+            if np.linalg.norm(unit[i] - unit[j]) < 1e-9:
+                rays_ok = False
+                ray_messages.append(f"rays {i} and {j} are positive multiples")
+    incidence_messages = []
+    incidence_ok = True
+    counts = np.zeros(fan.n_rays, int)
+    for cell in fan.cells:
+        counts[list(cell)] += 1
+    for i in range(fan.n_rays):
+        if counts[i] < fan.dim:
+            incidence_ok = False
+            incidence_messages.append(f"ray {i} appears in {counts[i]} < d cells")
+    return rays_ok, ray_messages, incidence_ok, incidence_messages
+
+
+def loop_merged_groups(points: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
+    """The merged groups of ``geometry.vertices``, one pair of points at a
+    time: each point not yet in a group starts one with every later free
+    point within ``tol``; groups of one are dropped."""
+    assigned = [-1] * len(points)
+    groups = []
+    for i in range(len(points)):
+        if assigned[i] >= 0:
+            continue
+        group = [i]
+        assigned[i] = i
+        for j in range(i + 1, len(points)):
+            if assigned[j] < 0 and np.linalg.norm(points[i] - points[j]) <= tol:
+                assigned[j] = i
+                group.append(j)
+        if len(group) > 1:
+            groups.append(tuple(group))
+    return tuple(groups)

@@ -87,6 +87,24 @@ def test_fan_info_hexagon(workdir, capsys):
     assert "c_delta" in out
 
 
+@pytest.mark.parametrize("fan", [catalog.cube_fan(4),
+                                 catalog.random_polytopal_fan(4, 12, seed=1)])
+def test_fan_info_counts_adjacent_cells_of_four_dimensional_fans(workdir, capsys, fan):
+    cli.save_fan(fan, str(workdir / "fan4.json"))
+    rc = run(["fan-info", workdir / "fan4.json"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_OK
+    assert "validation: PASS" in out
+    counts = [0] * fan.n_cells
+    for a, b in fan.wall_system.pairs:
+        counts[a] += 1
+        counts[b] += 1
+    assert "cell adjacency counts: " + " ".join(map(str, counts)) + "\n" in out
+    if fan.n_rays == 8:  # the 4-cube: four neighbours per orthant
+        assert "wall-crossing inequalities (32, 4 essential):" in out
+        assert counts == [4] * 16
+
+
 def test_fan_info_invalid_fan_exits_3(workdir):
     hexa = catalog.hexagon_fan()
     broken = SimplicialFan(hexa.rays, hexa.cells[:-1])

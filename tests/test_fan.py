@@ -21,7 +21,14 @@ from facetfit.fan import (
     wall_crossings,
 )
 
-from oracles import grid_cap_max, sampled_coefficient_max, scatter_carriers
+from oracles import (
+    grid_cap_max,
+    loop_independent_cells,
+    loop_ray_checks,
+    loop_wall_crossings,
+    sampled_coefficient_max,
+    scatter_carriers,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +73,74 @@ def test_dependent_cell_generators_fail():
     fan = SimplicialFan(rays, [(0, 1), (1, 2), (2, 3), (3, 0)])
     report = validate(fan)
     assert not report.cells_independent
+
+
+def square_with_a_dependent_cell():
+    # Cell (0, 2) spans two opposite rays.
+    rays = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    return SimplicialFan(rays, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+
+
+def near_duplicate_rays(gap):
+    # The hexagon plus rays 6 and 7, positive multiples of rays 0 and 3
+    # turned by `gap` radians: their unit vectors are `gap` apart.
+    hexagon = catalog.hexagon_fan()
+    turned = [3.0 * np.array([np.cos(gap), np.sin(gap)]),
+              -0.5 * np.array([np.cos(gap), -np.sin(gap)])]
+    return SimplicialFan(np.vstack([hexagon.rays, turned]), hexagon.cells)
+
+
+@pytest.mark.parametrize("fan", [
+    near_duplicate_rays(0.9e-9), near_duplicate_rays(1.1e-9),
+    square_with_a_dependent_cell(),
+    SimplicialFan([[1.0, 0.0], [2.0, 1e-13], [0.0, 1.0], [-1.0, -1.0]],
+                  [(0, 1), (1, 2), (2, 3), (3, 0)]),
+], ids=["gap-below-1e-9", "gap-above-1e-9", "dependent-cell", "dependent-and-parallel"])
+def test_validation_report_equals_the_pair_and_cell_loops(fan, monkeypatch):
+    # The positive-span LP raises on unit rays 1e-9 apart (qp.Unbounded or
+    # qp.Inaccurate); these fans all span the plane, and the LP is not
+    # what is compared here.
+    monkeypatch.setattr(fan_mod, "_positively_spanning", lambda unit: True)
+    report = validate(fan)
+    independent = loop_independent_cells(fan)
+    rays_ok, ray_messages, incidence_ok, incidence_messages = loop_ray_checks(fan)
+    assert report.cells_independent == all(independent)
+    assert report.rays_distinct == rays_ok
+    assert report.ray_incidence == incidence_ok
+    # Each fan here spans the plane and passes the probe where it runs.
+    assert report.messages == (
+        [f"cell {cell}: generators numerically dependent"
+         for cell, ok in zip(fan.cells, independent) if not ok]
+        + ray_messages + incidence_messages)
+    assert not report.ok
+
+
+def test_near_duplicate_rays_are_flagged_below_1e_9_only(monkeypatch):
+    monkeypatch.setattr(fan_mod, "_positively_spanning", lambda unit: True)
+    below = validate(near_duplicate_rays(0.9e-9))
+    above = validate(near_duplicate_rays(1.1e-9))
+    assert below.messages[:2] == ["rays 0 and 6 are positive multiples",
+                                  "rays 3 and 7 are positive multiples"]
+    assert not below.rays_distinct and above.rays_distinct
+
+
+@pytest.mark.parametrize("fan", [
+    catalog.hexagon_fan(), catalog.roof_fan_y(), catalog.cube_fan(4),
+    catalog.random_polytopal_fan(3, 12, seed=7), catalog.random_polytopal_fan(5, 9, seed=2),
+    square_with_a_dependent_cell(),
+])
+def test_inverse_table_is_one_c_contiguous_stack(fan):
+    inverses, independent = fan._inverses
+    assert inverses.shape == (fan.n_cells, fan.dim, fan.dim)
+    assert inverses.flags.c_contiguous
+    assert independent.tolist() == loop_independent_cells(fan)
+    for cell, inv, ok in zip(fan.cells, inverses, independent):
+        if ok:
+            assert inv.tobytes() == np.linalg.inv(fan.rays[list(cell)].T).tobytes()
+        else:
+            assert not inv.any()
+    if independent.all():
+        assert fan.constants.cell_inverses is inverses
 
 
 def test_not_positively_spanning_fails():
@@ -261,6 +336,64 @@ def test_degenerate_wall_guard():
     fan._validation = ValidationReport(True, True, True, True, True)
     with pytest.raises(DegenerateWall):
         wall_crossings(fan)
+
+
+def fans_for_the_wall_table():
+    fans = [catalog.hexagon_fan(), catalog.regular_polygon_fan(7), catalog.roof_fan_x(),
+            catalog.roof_fan_y(), catalog.cube_fan(2), catalog.cube_fan(3),
+            catalog.cube_fan(4), catalog.cube_fan(5)]
+    for d, count in [(2, 20), (3, 30), (4, 25), (5, 15)]:
+        fans += [catalog.random_polytopal_fan(d, d + 2 + k % 5, seed=k) for k in range(count)]
+    return fans
+
+
+def test_wall_crossings_equal_the_pair_loop():
+    fans = fans_for_the_wall_table()
+    assert sum(fan.dim >= 4 for fan in fans) >= 40
+    for fan in fans:
+        walls, expected = wall_crossings(fan), loop_wall_crossings(fan)
+        assert walls.pairs == expected.pairs
+        assert walls.matrix.shape == expected.matrix.shape
+        assert walls.matrix.tobytes() == expected.matrix.tobytes()
+
+
+def unvalidated(rays, cells):
+    fan = SimplicialFan(rays, cells)
+    fan._validation = ValidationReport(True, True, True, True, True)
+    return fan
+
+
+E3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 1.0, 2.0]]
+
+
+@pytest.mark.parametrize("cells, pairs", [
+    # One ridge, {0, 1}, in three cells: all three pairs.
+    ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], ((0, 1), (0, 2), (1, 2))),
+    # Cells 0 and 1 are one set of generators: they share d, not d - 1.
+    ([(0, 1, 2), (2, 1, 0), (1, 0, 3)], ((0, 2), (1, 2))),
+])
+def test_ridge_in_several_cells_gives_every_pair(cells, pairs):
+    walls = wall_crossings(unvalidated(E3, cells))
+    expected = loop_wall_crossings(unvalidated(E3, cells))
+    assert walls.pairs == expected.pairs == pairs
+    assert walls.matrix.tobytes() == expected.matrix.tobytes()
+
+
+@pytest.mark.parametrize("cells", [
+    [(0, 1, 3), (2, 1, 3)],
+    [(0, 1, 4), (0, 1, 3), (2, 1, 3)],
+    # Pairs (0, 3) and (1, 2) are both degenerate; (0, 3) comes first in
+    # pair order, (1, 2) first in the ridge table.
+    [(0, 1, 4), (0, 1, 3), (2, 1, 3), (2, 1, 4)],
+])
+def test_degenerate_wall_names_the_pair_of_the_loop(cells):
+    rays = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    with pytest.raises(DegenerateWall) as expected:
+        loop_wall_crossings(unvalidated(rays, cells))
+    with pytest.raises(DegenerateWall) as raised:
+        wall_crossings(unvalidated(rays, cells))
+    assert str(raised.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from facetfit.geometry import (
 )
 
 from conftest import random_members
-from oracles import highs_support_values, vertex_distance_hausdorff
+from facetfit.fan import cell_vertices
+from oracles import highs_support_values, loop_merged_groups, vertex_distance_hausdorff
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +72,25 @@ def test_vertex_equations_hold(hexagon, roof_y, random_fans):
                 assert np.allclose(fan.rays[list(cell)] @ x, h[list(cell)],
                                    atol=tol)
                 assert np.all(fan.rays @ x <= h + tol)
+
+
+@pytest.mark.parametrize("fan, h", [
+    (catalog.roof_fan_y(), [2, 2, 2, 2, 0]),
+    (catalog.roof_fan_y(), [4, 4, 2, 2, 0]),
+    (catalog.hexagon_fan(), np.zeros(6)),
+    (catalog.cube_fan(3), [1, 0, 0, 1, 0, 0]),
+    (catalog.cube_fan(4), [1, 1, 0, 0, 1, 1, 0, 0]),
+    (catalog.cube_fan(4), [2, 1, 0, 3, 1, 1, 0, 1]),
+    (catalog.random_polytopal_fan(3, 12, seed=7), np.ones(12)),
+    # A translate of the zero vector: P(h) is one point, every cell merges.
+    (catalog.random_polytopal_fan(3, 12, seed=7),
+     catalog.random_polytopal_fan(3, 12, seed=7).rays @ [0.3, -1.0, 2.0]),
+    (catalog.random_polytopal_fan(4, 9, seed=3), np.zeros(9)),
+])
+def test_merged_groups_equal_the_pair_loop(fan, h):
+    h = np.asarray(h, float)
+    tol = 1e-9 * (1.0 + np.linalg.norm(h))
+    assert vertices(fan, h).merged_groups == loop_merged_groups(cell_vertices(fan, h), tol)
 
 
 def test_vertices_requires_membership(roof_y):

@@ -46,6 +46,16 @@ def test_in_ct_at_rays(hexagon, roof_y):
                     assert not in_ct(fan, fan.rays[i] / norms[i], j, 0.99)
 
 
+@pytest.mark.parametrize("j", [6, -6, -1, 2.5, 2.0, True, "1"])
+def test_in_ct_refuses_a_bad_ray_index(hexagon, j):
+    with pytest.raises(ValueError):
+        in_ct(hexagon, hexagon.rays[0], j, 0.2)
+
+
+def test_in_ct_takes_numpy_integers(hexagon):
+    assert in_ct(hexagon, hexagon.rays[5], np.int64(5), 0.0)
+
+
 def test_in_ct_ten_degrees(hexagon):
     # At 10 degrees from the first ray the scaled coefficients are
     # (sin 50 / sin 60, sin 10 / sin 60); the sup distance to e_1 is the
