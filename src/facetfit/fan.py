@@ -142,6 +142,31 @@ class CapFaces:
     faces: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
+@dataclass(frozen=True)
+class _RidgeTable:
+    """The fan's ridges, from its cells alone: read by ``validate``'s
+    complex check and by ``wall_crossings``.
+
+    Entry (c, k) of the table is cell c less its k-th generator: its ridge,
+    the other d-1 generators sorted, and its apex, the k-th.  The entries
+    are sorted by ridge, then by cell, so the cells of each ridge sit next
+    to each other.  ``starts`` and ``counts`` give each distinct ridge's
+    first entry and its number of cells.  ``paired`` holds the first entry
+    p of every ridge in exactly two cells, ``owner[p] < owner[p + 1]``, in
+    lexicographic order of those two cells; the apexes of the pair are
+    ``apex[p]`` and ``apex[p + 1]``, and ``position[p]`` is the place of
+    ``apex[p]`` among the generators of its cell.
+    """
+
+    ridges: np.ndarray
+    apex: np.ndarray
+    position: np.ndarray
+    owner: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    paired: np.ndarray
+
+
 @dataclass
 class ValidationReport:
     cells_independent: bool
@@ -165,10 +190,10 @@ class SimplicialFan:
     """A complete simplicial fan in R^d with n rays and explicit maximal cells.
 
     Rays need not be unit length.  ``rays`` is a read-only copy of the
-    input, so the cached inverses cannot go stale.  Validation, the wall
-    system, the constants, the cone-cap face table and ``c_delta`` are each
-    computed when first read and cached; a validated fan is immutable and
-    safe for concurrent readers.
+    input, so the cached inverses cannot go stale.  Validation, the ridge
+    table, the wall system, the constants, the cone-cap face table and
+    ``c_delta`` are each computed when first read and cached; a validated
+    fan is immutable and safe for concurrent readers.
     """
 
     def __init__(self, rays, cells, dim: int | None = None):
@@ -225,6 +250,10 @@ class SimplicialFan:
         inverses = np.zeros(M.shape)
         inverses[independent] = np.linalg.inv(M[independent])
         return inverses, independent
+
+    @functools.cached_property
+    def _ridges(self) -> _RidgeTable:
+        return _build_ridges(self)
 
     @functools.cached_property
     def _cap_faces(self) -> CapFaces:
@@ -457,47 +486,49 @@ def carrier(fan: SimplicialFan, u) -> BarycentricVector:
 # Wall crossings
 # ---------------------------------------------------------------------------
 
+def _build_ridges(fan: SimplicialFan) -> _RidgeTable:
+    """The ridge table of ``fan.cells``: one sort of the cells' d ridges
+    each, then neighbouring entries compared, never a loop over pairs of
+    cells."""
+    d = fan.dim
+    cells = np.array(fan.cells, int).reshape(-1, d)
+    drop = np.array([[i for i in range(d) if i != k] for k in range(d)])
+    ridges = np.sort(cells[:, drop], axis=2).reshape(-1, d - 1)
+    # Entry c d + k is (c, k); the sort is stable, so within a ridge the
+    # entries stay in cell order.
+    order = np.lexsort(ridges.T[::-1])
+    ridges, apex = ridges[order], cells.reshape(-1)[order]
+    owner, position = np.divmod(order, d)
+    new = np.ones(len(ridges), bool)
+    new[1:] = (ridges[1:] != ridges[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(ridges)))
+    paired = starts[counts == 2]
+    paired = paired[np.lexsort((owner[paired + 1], owner[paired]))]
+    return _RidgeTable(ridges=ridges, apex=apex, position=position, owner=owner,
+                       starts=starts, counts=counts, paired=paired)
+
+
 def wall_crossings(fan: SimplicialFan) -> WallCrossingSystem:
     """Inequality rows for all adjacent maximal-cell pairs.
 
-    Two cells are adjacent when they share exactly d-1 generators, a ridge.
-    A table of every cell's d ridges (its sorted generators less one),
-    sorted, puts the cells of each ridge next to each other, so the pairs
-    come from comparing neighbouring entries, never from a loop over all
-    pairs of cells; a ridge in k cells gives all k(k-1)/2 pairs.  For each
-    pair (a, b), in lexicographic pair order, the row is the unique linear
-    dependence on the d+1 involved rays ``[j1, j2, *shared]``, j1 and j2
-    the generators of a and b off the ridge, normalized so that the
-    coefficients of j1 and j2 sum to 2.  One batched SVD checks every
-    dependence system for rank (``DegenerateWall`` names the first pair
-    that fails) and one batched solve gives all rows.
+    Two cells are adjacent when they share exactly d-1 generators, a ridge;
+    on a validated fan every ridge lies in exactly two cells, so the pairs
+    are those of the fan's ridge table, in lexicographic pair order, never
+    found by a loop over all pairs of cells.  For each pair (a, b) the row
+    is the unique linear dependence on the d+1 involved rays
+    ``[j1, j2, *shared]``, j1 and j2 the generators of a and b off the
+    ridge, normalized so that the coefficients of j1 and j2 sum to 2.  One
+    batched SVD checks every dependence system for rank (``DegenerateWall``
+    names the first pair that fails) and one batched solve gives all rows.
     """
     fan.require_valid()
     n, d = fan.n_rays, fan.dim
-    cells = np.sort(np.array(fan.cells, int).reshape(-1, d), axis=1)
-    # Entry (c, k) of the ridge table: cell c less its k-th generator.
-    drop = np.array([[i for i in range(d) if i != k] for k in range(d)])
-    ridges = cells[:, drop].reshape(-1, d - 1)
-    apex = cells.reshape(-1)
-    owner = np.repeat(np.arange(len(cells)), d)
-    order = np.lexsort((owner, *ridges.T[::-1]))
-    ridges, apex, owner = ridges[order], apex[order], owner[order]
-    # Entries p and p + s share a ridge when every entry between them does.
-    first, second = [np.zeros(0, int)], [np.zeros(0, int)]
-    for s in range(1, len(ridges)):
-        same = np.flatnonzero((ridges[s:] == ridges[:-s]).all(axis=1))
-        if same.size == 0:
-            break
-        first.append(same)
-        second.append(same + s)
-    first, second = np.concatenate(first), np.concatenate(second)
-    # Equal apexes mean the two cells are one set of generators.
-    keep = apex[first] != apex[second]
-    first, second = first[keep], second[keep]
-    keep = np.lexsort((owner[second], owner[first]))  # lexicographic pair order
-    first, second = first[keep], second[keep]
-    a, b = owner[first], owner[second]
-    involved = np.column_stack([apex[first], apex[second], ridges[first]])
+    table = fan._ridges
+    first, second = table.paired, table.paired + 1
+    a, b = table.owner[first], table.owner[second]
+    involved = np.column_stack([table.apex[first], table.apex[second],
+                                table.ridges[first]])
     # Unknown coefficients c over `involved`: sum c_j v_j = 0 and
     # c_{j1} + c_{j2} = 2.
     system = np.zeros((len(involved), d + 1, d + 1))
@@ -527,13 +558,12 @@ def _build_cap_faces(fan: SimplicialFan) -> CapFaces:
     for size in range(1, fan.dim):
         for subset in itertools.combinations(range(fan.dim), size):
             G = generators[:, :, list(subset)]
+            Gt = G.transpose(0, 2, 1)
+            gram = np.matmul(Gt, G)
+            # A zero determinant is a zero pivot of the LU that `solve` uses.
+            usable = np.linalg.det(gram) != 0.0
             projectors = np.zeros((fan.n_cells, size, fan.dim))
-            usable = np.ones(fan.n_cells, bool)
-            for c in range(fan.n_cells):
-                try:
-                    projectors[c] = np.linalg.solve(G[c].T @ G[c], G[c].T)
-                except np.linalg.LinAlgError:
-                    usable[c] = False
+            projectors[usable] = np.linalg.solve(gram[usable], Gt[usable])
             faces.append((G, projectors, usable))
     return CapFaces(faces=tuple(faces))
 
@@ -605,19 +635,19 @@ PROBES = 1000
 PROBE_SEED = 20210
 
 
-def validate(fan: SimplicialFan, strict: bool = False) -> ValidationReport:
+def validate(fan: SimplicialFan) -> ValidationReport:
     """Check the structural invariants of a complete simplicial fan.
 
     Runs the per-cell independence test (the mask of the stacked
-    generator table), the positive-span cone LP, ray-direction
-    distinctness (one ``row_norms`` over the differences of all pairs of
-    unit rays, in ``np.triu_indices`` order), the ray/cell incidence count
-    (one ``np.bincount``), and a randomized completeness probe (every
-    sampled unit vector must have exactly one carrier).  Messages follow
-    that order, and within a check the order of cells, pairs or rays.
-    ``strict=True`` additionally verifies that every pair of cells
-    intersects in a common face, which is quadratic in the number of
-    cells.  ``require_valid`` reuses the report.
+    generator table), the positive-span cone LP (an LP that fails, e.g. on
+    rays about 1e-9 apart, is reported as not spanning, never raised),
+    ray-direction distinctness (one ``row_norms`` over the differences of
+    all pairs of unit rays, in ``np.triu_indices`` order), the ray/cell
+    incidence count (one ``np.bincount``), a randomized completeness probe
+    (every sampled unit vector must have exactly one carrier) and, when the
+    cells are independent, the ridge check of ``_complex_check``.  Messages
+    follow that order, and within a check the order of cells, pairs, rays
+    or ridges.  ``require_valid`` reuses the report.
     """
     messages: list[str] = []
 
@@ -639,9 +669,14 @@ def validate(fan: SimplicialFan, strict: bool = False) -> ValidationReport:
         for k in close:
             messages.append(f"rays {i[k]} and {j[k]} are positive multiples")
 
-    span_ok = rays_ok and _positively_spanning(unit)
-    if rays_ok and not span_ok:
-        messages.append("rays do not positively span the ambient space")
+    span_ok = False
+    if rays_ok:
+        try:
+            span_ok = _positively_spanning(unit)
+            if not span_ok:
+                messages.append("rays do not positively span the ambient space")
+        except (qp.Infeasible, qp.Unbounded, qp.Inaccurate) as exc:
+            messages.append(f"positive-span LP failed: {exc!r}")
 
     counts = np.bincount(np.array(fan.cells, int).reshape(-1), minlength=fan.n_rays)
     few = np.flatnonzero(counts < fan.dim)
@@ -653,9 +688,7 @@ def validate(fan: SimplicialFan, strict: bool = False) -> ValidationReport:
     if probe_ok:
         probe_ok = _completeness_probe(fan, messages)
 
-    complex_ok = None
-    if strict and cells_ok:
-        complex_ok = _pairwise_face_check(fan, messages)
+    complex_ok = _complex_check(fan, messages) if cells_ok else None
 
     fan._validation = ValidationReport(
         cells_independent=cells_ok,
@@ -692,34 +725,33 @@ def _completeness_probe(fan: SimplicialFan, messages: list[str]) -> bool:
     return True
 
 
-def _pairwise_face_check(fan: SimplicialFan, messages: list[str]) -> bool:
-    """Strict complex condition: cells intersect in the common-generator cone."""
-    ok = True
-    for a, b in itertools.combinations(range(fan.n_cells), 2):
-        ca, cb = fan.cells[a], fan.cells[b]
-        shared = sorted(set(ca) & set(cb))
-        only_a = [i for i in ca if i not in shared]
-        only_b = [i for i in cb if i not in shared]
-        if not only_a:
-            continue  # identical cells are caught by the probe
-        # max sum of the a-only coefficients over points common to both
-        # cones, normalized; positive optimum means the intersection
-        # leaks outside the shared face.
-        na, nb = len(ca), len(cb)
-        c = np.zeros(na + nb)
-        for k, i in enumerate(ca):
-            if i in only_a:
-                c[k] = -1.0
-        E = np.zeros((fan.dim, na + nb))
-        E[:, :na] = fan.rays[list(ca)].T
-        E[:, na:] = -fan.rays[list(cb)].T
-        f = np.zeros(fan.dim)
-        bounds = [(0.0, 1.0)] * (na + nb)
-        try:
-            sol = qp.solve_lp(c, None, E, f, bounds)
-        except qp.Infeasible:
-            continue
-        if -sol.objective > 1e-9:
-            ok = False
-            messages.append(f"cells {a} and {b} do not meet in a common face")
-    return ok
+def _complex_check(fan: SimplicialFan, messages: list[str]) -> bool:
+    """Do the cells meet face to face?  Read from the ridge table: every
+    ridge must lie in exactly two cells, and for each such pair (a, b) the
+    apex of b must have a strictly negative coefficient on the apex of a
+    in a's generators, so that the two cells lie on opposite sides of
+    their ridge (one stacked product with the generator inverses).
+
+    Full-dimensional simplicial cones form a triangulation, here a complete
+    simplicial fan, exactly when every interior ridge lies in two cells on
+    opposite sides and some generic point lies in exactly one cell (De
+    Loera, Rambau & Santos, *Triangulations*, 2010, §4.5).  In a complete
+    fan every ridge is interior, and the completeness probe checks the
+    second condition, so this check and the probe together certify the
+    fan.  Needs independent cells.  Reports each ridge not in two cells,
+    then each pair on one side, in ridge-table order.
+    """
+    table = fan._ridges
+    unpaired = np.flatnonzero(table.counts != 2)
+    for start, count in zip(table.starts[unpaired], table.counts[unpaired].tolist()):
+        messages.append(f"ridge {tuple(table.ridges[start].tolist())} lies in "
+                        f"{count} cell{'' if count == 1 else 's'}")
+    first = table.paired
+    rows = fan._inverses[0][table.owner[first], table.position[first]]
+    apex = fan.rays[table.apex[first + 1]]
+    coefficient = np.matmul(rows[:, None, :], apex[:, :, None])[:, 0, 0]
+    one_side = first[~(coefficient < 0.0)]
+    for p in one_side:
+        messages.append(f"cells {table.owner[p]} and {table.owner[p + 1]} lie on one "
+                        f"side of ridge {tuple(table.ridges[p].tolist())}")
+    return unpaired.size == 0 and one_side.size == 0

@@ -26,6 +26,7 @@ asymptotics.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,8 @@ class Unbounded(Exception):
 
 
 class Inaccurate(Exception):
-    """Raised when a simplex point violates its own constraints."""
+    """Raised when a simplex point violates its own constraints, or when
+    the simplex makes its cap of pivots without reaching an optimum."""
 
 
 class IterationLimit(Exception):
@@ -494,10 +496,12 @@ def solve_lp(
     ``inf`` for one-sided or free variables (the default).  Pivoting is
     Bland's smallest-index rule throughout, so the path and the optimizer
     are deterministic.  Raises ``Infeasible`` or ``Unbounded``; both are
-    informative outcomes rather than failures.  Raises ``ValueError`` for
-    inconsistent shapes, a non-finite entry in ``c``, ``B``, ``E`` or
-    ``f``, and a bound that is NaN, ``lo = +inf`` or ``hi = -inf``;
-    ``lo > hi`` is an infeasible LP.
+    informative outcomes rather than failures.  Raises ``Inaccurate`` when
+    a phase makes ``50 (rows + columns)`` pivots of its tableau without an
+    optimum (Bland's rule cycles under the pivot tolerances).  Raises
+    ``ValueError`` for inconsistent shapes, a non-finite entry in ``c``,
+    ``B``, ``E`` or ``f``, and a bound that is NaN, ``lo = +inf`` or
+    ``hi = -inf``; ``lo > hi`` is an infeasible LP.
     """
     c = np.asarray(c, float)
     n = c.shape[0]
@@ -665,9 +669,11 @@ def _simplex_iterate(tab, basis, cost, ncols):
     and the entering column is the first nonbasic one below -1e-9.  Of the
     rows whose entering entry exceeds the pivot tolerance, the smallest
     ratio leaves; ratios within 1e-12 of it tie, and a tie goes to the
-    smaller basic index.
+    smaller basic index.  Under these tolerances Bland's rule can cycle,
+    so after ``50 (rows + ncols)`` pivots the call raises ``Inaccurate``.
     """
-    while True:
+    cap = 50 * (tab.shape[0] + ncols)
+    for pivots in itertools.count():
         priced = (np.abs(cost[basis]) > 0).nonzero()[0]
         terms = np.concatenate([cost[None, :ncols],
                                 cost[basis[priced], None] * tab[priced, :ncols]])
@@ -677,6 +683,9 @@ def _simplex_iterate(tab, basis, cost, ncols):
         candidates = candidates.nonzero()[0]
         if candidates.size == 0:
             return
+        if pivots == cap:
+            raise Inaccurate(f"no optimum after {cap} pivots on a {tab.shape[0]} x "
+                             f"{ncols} tableau: the pivots cycle")
         entering = int(candidates[0])
         # The tie rule depends on the scan order, so the scan stays a loop:
         # over the candidate rows only, on Python floats, whose arithmetic

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -9,6 +12,26 @@ from facetfit.fan import SimplicialFan
 # run to the next.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+class TimeLimit(Exception):
+    """A call guarded by ``time_limit`` ran past its limit."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise ``TimeLimit`` in the guarded block after ``seconds``, so that a
+    call that never ends fails its test instead of stalling the run."""
+    def expire(signum, frame):
+        raise TimeLimit(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

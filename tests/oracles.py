@@ -10,8 +10,9 @@ dimensions come from one HiGHS implicit-equality LP per inequality row,
 solution-set extents from two one-variable HiGHS LPs per kernel vector,
 support values of a possibly redundant ``P(h)`` from one HiGHS LP per ray,
 and the tableau simplex runs with a Python loop for every row operation.
-Exact cone-cap maxima, c_delta and Hausdorff distances also have a loop
-reference, one (cell, vector) pair and one face at a time.
+Exact cone-cap maxima, their face table, c_delta and Hausdorff distances
+also have a loop reference, one (cell, vector) pair and one face at a time.
+Irredundant wall subsets come from one HiGHS implication LP per wall.
 
 The per-row loops near the end are the slow references of the batched
 carrier, direction-graph, sampling and probe paths: one direction, one
@@ -19,8 +20,9 @@ matrix entry, one Gaussian draw and one cell at a time, with the same
 arithmetic, so the batched results must equal them bit for bit.  The
 last section holds the loop references of fan construction and set-up:
 the cells of a random fan from all d-subsets of its rays, and the wall
-system, the independence test, the ray checks of ``validate`` and the
-merged vertex groups one pair at a time.
+system, the face-to-face check (one LP per pair of cells), the
+independence test, the ray checks of ``validate`` and the merged vertex
+groups one pair at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from facetfit import sim
+from facetfit import qp, sim
 from facetfit.design import POSITIVITY_TOL, DirectionGraph
 from facetfit.fan import (DegenerateWall, NoCarrier, SimplicialFan,
                           WallCrossingSystem, carrier_blocks)
@@ -143,6 +145,26 @@ def loop_cap_max(fan, cell: int, r) -> float:
             if np.min(coef) >= -1e-12 * norm_p:
                 best = max(best, float(norm_p))
     return best
+
+
+def loop_cap_faces(fan) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The faces of ``fan._cap_faces``, one (cell, face) at a time: each
+    projector from its own ``np.linalg.solve``, and a face unusable where
+    that solve raises ``LinAlgError``."""
+    generators = np.array([fan.rays[list(cell)].T for cell in fan.cells])
+    faces = []
+    for size in range(1, fan.dim):
+        for subset in itertools.combinations(range(fan.dim), size):
+            G = generators[:, :, list(subset)]
+            projectors = np.zeros((fan.n_cells, size, fan.dim))
+            usable = np.ones(fan.n_cells, bool)
+            for c in range(fan.n_cells):
+                try:
+                    projectors[c] = np.linalg.solve(G[c].T @ G[c], G[c].T)
+                except np.linalg.LinAlgError:
+                    usable[c] = False
+            faces.append((G, projectors, usable))
+    return faces
 
 
 def loop_c_delta(fan) -> float:
@@ -417,6 +439,25 @@ def highs_support_values(fan, h) -> np.ndarray | None:
             raise ArithmeticError(f"support LP for ray {i}: {res.message}")
         out[i] = -res.fun
     return out
+
+
+def highs_essential_rows(matrix: np.ndarray) -> list[bool]:
+    """``cli._essential_rows`` by scipy's HiGHS: rows are dropped in order,
+    each when it is a nonnegative combination of the rows still present
+    (``B_P^T y = b_k``, ``y >= 0`` feasible, status 0) and kept when that
+    LP is infeasible (status 2)."""
+    p = matrix.shape[0]
+    present = [True] * p
+    for k in range(p):
+        others = [j for j in range(p) if j != k and present[j]]
+        if not others:
+            continue
+        res = linprog(np.zeros(len(others)), A_eq=matrix[others].T, b_eq=matrix[k],
+                      bounds=[(0.0, None)] * len(others), method="highs")
+        if res.status not in (0, 2):
+            raise ArithmeticError(f"implication LP for row {k}: {res.message}")
+        present[k] = res.status == 2
+    return present
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +782,39 @@ def loop_wall_crossings(fan) -> WallCrossingSystem:
         pairs.append((a, b))
     matrix = np.array(rows) if rows else np.zeros((0, fan.n_rays))
     return WallCrossingSystem(matrix=matrix, pairs=tuple(pairs))
+
+
+def loop_pairwise_face_check(fan, messages: list[str]) -> bool:
+    """Strict complex condition: cells intersect in the common-generator cone."""
+    ok = True
+    for a, b in itertools.combinations(range(fan.n_cells), 2):
+        ca, cb = fan.cells[a], fan.cells[b]
+        shared = sorted(set(ca) & set(cb))
+        only_a = [i for i in ca if i not in shared]
+        only_b = [i for i in cb if i not in shared]
+        if not only_a:
+            continue  # identical cells are caught by the probe
+        # max sum of the a-only coefficients over points common to both
+        # cones, normalized; positive optimum means the intersection
+        # leaks outside the shared face.
+        na, nb = len(ca), len(cb)
+        c = np.zeros(na + nb)
+        for k, i in enumerate(ca):
+            if i in only_a:
+                c[k] = -1.0
+        E = np.zeros((fan.dim, na + nb))
+        E[:, :na] = fan.rays[list(ca)].T
+        E[:, na:] = -fan.rays[list(cb)].T
+        f = np.zeros(fan.dim)
+        bounds = [(0.0, 1.0)] * (na + nb)
+        try:
+            sol = qp.solve_lp(c, None, E, f, bounds)
+        except qp.Infeasible:
+            continue
+        if -sol.objective > 1e-9:
+            ok = False
+            messages.append(f"cells {a} and {b} do not meet in a common face")
+    return ok
 
 
 def loop_independent_cells(fan) -> list[bool]:

@@ -18,7 +18,7 @@ from facetfit.fan import SimplicialFan, c_delta, cap_maxima, max_linear_over_con
 from facetfit.geometry import hausdorff
 
 from conftest import random_members
-from oracles import cell_inverses, loop_c_delta, loop_cap_max, loop_hausdorff
+from oracles import cell_inverses, loop_c_delta, loop_cap_faces, loop_cap_max, loop_hausdorff
 
 RTOL = 1e-12
 
@@ -100,6 +100,25 @@ def test_a_batch_matches_the_loop_pair_by_pair(batch):
     assert np.all(np.abs(got - expected) <= RTOL * expected)
     # A pair's value does not depend on the rest of the batch.
     assert got.tolist() == [max_linear_over_cone_cap(fan, c, r) for c, r in zip(cells, R)]
+
+
+@pytest.mark.parametrize("fan", [
+    *fans(), catalog.cube_fan(5), catalog.random_polytopal_fan(5, 12, seed=4),
+    catalog.random_polytopal_fan(3, 60, seed=7),
+    # Face {0, 1} of cell 0 spans a line: its Gram matrix is singular.
+    SimplicialFan([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  [(0, 1, 2), (0, 2, 3)]),
+])
+def test_face_table_equals_the_per_cell_loop(fan):
+    faces = fan._cap_faces.faces
+    expected = loop_cap_faces(fan)
+    assert len(faces) == len(expected) == 2 ** fan.dim - 2
+    for (G, projectors, usable), (G0, projectors0, usable0) in zip(faces, expected):
+        assert G.tobytes() == G0.tobytes()
+        assert projectors.tobytes() == projectors0.tobytes()
+        assert usable.tolist() == usable0.tolist()
+    if fan.n_rays == 4:
+        assert not faces[3][2][0] and faces[3][2][1]
 
 
 @pytest.mark.parametrize("index", range(len(fans())))

@@ -9,6 +9,8 @@ from facetfit import fan as fan_mod
 from facetfit.design import Dataset
 from facetfit.fan import SimplicialFan
 
+from conftest import time_limit
+from oracles import highs_essential_rows
 from test_design import ROOF_DIRECTIONS
 
 
@@ -83,6 +85,7 @@ def test_fan_info_hexagon(workdir, capsys):
     out = capsys.readouterr().out
     assert rc == cli.EXIT_OK
     assert "validation: PASS" in out
+    assert "  ridges face to face:  True\n" in out
     assert "h1 - h2 + h3 >= 0" in out
     assert "c_delta" in out
 
@@ -103,6 +106,55 @@ def test_fan_info_counts_adjacent_cells_of_four_dimensional_fans(workdir, capsys
     if fan.n_rays == 8:  # the 4-cube: four neighbours per orthant
         assert "wall-crossing inequalities (32, 4 essential):" in out
         assert counts == [4] * 16
+
+
+@pytest.mark.parametrize("fan", [
+    catalog.hexagon_fan(), catalog.roof_fan_x(), catalog.cube_fan(3), catalog.cube_fan(4),
+    *[catalog.random_polytopal_fan(3, n, seed=seed)
+      for n in (8, 10, 12, 14) for seed in (7, 11, 13, 203)],
+    catalog.random_polytopal_fan(4, 12, seed=1), catalog.random_polytopal_fan(3, 20, seed=7),
+])
+def test_essential_walls_equal_highs(fan):
+    matrix = fan.wall_system.matrix
+    with time_limit(60):
+        essential = cli._essential_rows(matrix)
+    assert essential == highs_essential_rows(matrix)
+
+
+def test_fan_info_counts_the_essential_walls_of_a_random_fan(workdir, capsys):
+    cli.save_fan(catalog.random_polytopal_fan(3, 12, seed=203), str(workdir / "fan.json"))
+    rc = run(["fan-info", workdir / "fan.json"])
+    assert rc == cli.EXIT_OK
+    assert "\nwall-crossing inequalities (30, 15 essential):\n" in capsys.readouterr().out
+
+
+def test_fan_info_refuses_where_the_simplex_fails(workdir, capsys):
+    # On this fan the simplex answers the implication LP of wall 6 with a
+    # point 3.7e-9 off its equations, just over its tolerance, and cycles
+    # on that of wall 19 (test_simplex).  Either refusal exits 6, where
+    # fan-info used to hang.
+    cli.save_fan(catalog.random_polytopal_fan(3, 30, seed=7), str(workdir / "fan.json"))
+    with time_limit(60):
+        rc = run(["fan-info", workdir / "fan.json"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_LP
+    assert_refused(captured, "linear program failed: Inaccurate(")
+
+
+def test_fan_info_near_duplicate_rays_fail_with_exit_3(workdir, capsys):
+    # The hexagon plus a ray turned 1.1e-9 from ray 0: the positive-span LP
+    # fails, and the report says so instead of raising.
+    hexa = catalog.hexagon_fan()
+    turned = [[np.cos(1.1e-9), np.sin(1.1e-9)]]
+    cli.save_fan(SimplicialFan(np.vstack([hexa.rays, turned]), hexa.cells),
+                 str(workdir / "near.json"))
+    rc = run(["fan-info", workdir / "near.json"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert "  positively spanning:  False\n" in captured.out
+    assert "  ! positive-span LP failed: " in captured.out
+    assert captured.out.endswith("validation: FAIL\n")
+    assert captured.err == ""
 
 
 def test_fan_info_invalid_fan_exits_3(workdir):
@@ -489,7 +541,7 @@ def test_invalid_fan_exits_3_and_names_the_failed_checks(
 
 @pytest.mark.parametrize("args, fans", [
     (["fan-info", "hex.json"], 1),
-    (["fan-info", "--strict", "d1.json"], 1),
+    (["fan-info", "d1.json"], 1),
     (["reconstruct", "--fan", "hex.json", "--data", "cycle.txt"], 1),
     (["reconstruct", "--fan", "d1.json", "--fan", "d2.json", "--data", "roof.txt"], 2),
     (["uniqueness", "--fan", "hex.json", "--data", "cycle.txt"], 1),

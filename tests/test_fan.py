@@ -23,7 +23,9 @@ from facetfit.fan import (
 
 from oracles import (
     grid_cap_max,
+    loop_cap_faces,
     loop_independent_cells,
+    loop_pairwise_face_check,
     loop_ray_checks,
     loop_wall_crossings,
     sampled_coefficient_max,
@@ -53,19 +55,128 @@ def test_roof_fans_validate(roof_y, roof_x):
     assert validate(roof_x).ok
 
 
-def test_strict_mode_passes_on_good_fans(hexagon, roof_y):
-    assert validate(hexagon, strict=True).ok
-    assert validate(roof_y, strict=True).ok
+def test_complex_check_passes_on_good_fans(hexagon, roof_y):
+    assert validate(hexagon).complex_check is True
+    assert validate(roof_y).complex_check is True
+    assert validate(hexagon).ok and validate(roof_y).ok
 
 
-def test_strict_mode_catches_overlapping_cells():
+def overlapping_plane_fan():
     # Second cell folds back over the first: pos{v0,v1} and pos{v1,v2}
     # overlap because v2 points into the first cell.
-    rays = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    cells = [(0, 1), (1, 2), (1, 3), (3, 4), (4, 0)]
-    fan = SimplicialFan(rays, cells)
-    report = validate(fan, strict=True)
+    rays = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    return SimplicialFan(rays, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 0)])
+
+
+def test_complex_check_catches_overlapping_cells():
+    report = validate(overlapping_plane_fan())
+    assert report.complex_check is False
     assert not report.ok
+    assert report.messages[-2:] == ["ridge (1,) lies in 3 cells", "ridge (2,) lies in 1 cell"]
+
+
+def flipped(fan, count):
+    """``fan`` with the first ``count`` pairs of its ridge table flipped one
+    at a time: cells a and b, with apexes ja and jb across the ridge
+    {r1, r2}, become (ja, jb, r1) and (ja, jb, r2).  The result is a fan
+    when the two cells' union is convex, and overlaps when it is not."""
+    table = fan._ridges
+    out = []
+    for p in table.paired[:count]:
+        a, b = table.owner[p], table.owner[p + 1]
+        ja, jb = table.apex[p], table.apex[p + 1]
+        r1, r2 = table.ridges[p].tolist()
+        cells = [c for k, c in enumerate(fan.cells) if k not in (a, b)]
+        out.append(SimplicialFan(fan.rays, cells + [(ja, jb, r1), (ja, jb, r2)]))
+    return out
+
+
+def test_complex_check_equals_the_pairwise_face_loop():
+    fans = [catalog.hexagon_fan(), catalog.regular_polygon_fan(7), catalog.roof_fan_x(),
+            catalog.roof_fan_y(), catalog.cube_fan(2), catalog.cube_fan(3),
+            catalog.cube_fan(4), catalog.cube_fan(5)]
+    fans += [catalog.random_polytopal_fan(d, n, seed=seed) for d, n, seed in
+             [(2, 8, 1), (3, 6, 203), (3, 12, 7), (3, 14, 13), (3, 20, 7),
+              (4, 9, 3), (4, 12, 1), (5, 9, 2)]]
+    flips = flipped(catalog.random_polytopal_fan(3, 12, seed=7), 5)
+    verdicts = []
+    for fan in fans + flips + [overlapping_plane_fan()]:
+        report = validate(fan)
+        expected = loop_pairwise_face_check(fan, [])
+        verdicts.append(report.complex_check)
+        if report.completeness_probe:
+            assert report.complex_check == expected
+        else:
+            assert not report.ok and not expected
+    # Convex and non-convex flips, and the overlapping fan, are all seen.
+    assert verdicts[:len(fans)] == [True] * len(fans)
+    assert set(verdicts[len(fans):-1]) == {True, False}
+    assert verdicts[-1] is False
+
+
+def hanging_ray_fan():
+    """``cube_fan(3)`` with its cell (0, 1, 2) cut into six cells around
+    rays 6 = (e1 + e2)/sqrt(2), 7 and 8; ray 6 lies on the edge 0-1 of the
+    neighbouring cell (0, 1, 5), which is not cut, so the cells do not meet
+    face to face across that edge."""
+    cube = catalog.cube_fan(3)
+    X, Y = np.array([0.5, 0.2, 0.6]), np.array([0.2, 0.5, 0.6])
+    rays = np.vstack([cube.rays, [np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
+                                  X / np.linalg.norm(X), Y / np.linalg.norm(Y)]])
+    cells = [c for c in cube.cells if sorted(c) != [0, 1, 2]]
+    cells += [(0, 6, 7), (7, 6, 8), (8, 6, 1), (0, 7, 2), (7, 8, 2), (8, 1, 2)]
+    return SimplicialFan(rays, cells)
+
+
+def test_hanging_ray_fan_is_refused():
+    fan = hanging_ray_fan()
+    report = validate(fan)
+    assert report.completeness_probe and report.positively_spanning
+    assert report.complex_check is False and not report.ok
+    assert report.messages == ["ridge (0, 1) lies in 1 cell", "ridge (0, 6) lies in 1 cell",
+                               "ridge (1, 6) lies in 1 cell"]
+    assert not loop_pairwise_face_check(fan, [])
+    U = np.random.default_rng(3).standard_normal((40, 3))
+    with pytest.raises(InvalidFan, match=r"ridge \(0, 6\) lies in 1 cell"):
+        reconstruct(SimplicialFan(fan.rays, fan.cells), Dataset(U, np.ones(40)))
+
+
+def test_ridge_in_three_cells_and_repeated_cell_are_refused():
+    cube = catalog.cube_fan(3)
+    # Cell (0, 1, 6) overlaps (0, 1, 2): ridge (0, 1) is in three cells.
+    rays = np.vstack([cube.rays, [[1.0, 1.0, 1.0]]])
+    report = validate(SimplicialFan(rays, cube.cells + ((0, 1, 6),)))
+    assert report.complex_check is False and not report.ok
+    assert "ridge (0, 1) lies in 3 cells" in report.messages
+    # Cell 8 repeats cell 1 in another order.
+    report = validate(SimplicialFan(cube.rays, cube.cells + ((5, 1, 0),)))
+    assert report.complex_check is False and not report.ok
+    assert report.messages[-3:] == ["ridge (0, 1) lies in 3 cells",
+                                    "ridge (0, 5) lies in 3 cells",
+                                    "ridge (1, 5) lies in 3 cells"]
+
+
+def test_cells_on_one_side_of_their_ridge_are_named():
+    # Cell (0, 2) of the square folded over (0, 1): rays 1 and 2 lie on
+    # one side of ray 0.
+    rays = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    fan = SimplicialFan(rays, [(0, 1), (2, 0), (1, 3), (3, 4), (4, 2)])
+    report = validate(fan)
+    assert report.complex_check is False
+    assert "cells 0 and 1 lie on one side of ridge (0,)" in report.messages
+
+
+def test_near_duplicate_rays_give_a_report_not_an_lp_error():
+    # The hexagon plus a ray turned 1.1e-9 from ray 0: the positive-span
+    # LP fails there, and validation reports it.
+    hexagon = catalog.hexagon_fan()
+    turned = [[np.cos(1.1e-9), np.sin(1.1e-9)]]
+    fan = SimplicialFan(np.vstack([hexagon.rays, turned]), hexagon.cells)
+    report = validate(fan)
+    assert report.rays_distinct and not report.positively_spanning and not report.ok
+    assert report.messages[0].startswith("positive-span LP failed: ")
+    with pytest.raises(InvalidFan, match="positive-span LP failed"):
+        fan.require_valid()
 
 
 def test_dependent_cell_generators_fail():
@@ -96,27 +207,25 @@ def near_duplicate_rays(gap):
     SimplicialFan([[1.0, 0.0], [2.0, 1e-13], [0.0, 1.0], [-1.0, -1.0]],
                   [(0, 1), (1, 2), (2, 3), (3, 0)]),
 ], ids=["gap-below-1e-9", "gap-above-1e-9", "dependent-cell", "dependent-and-parallel"])
-def test_validation_report_equals_the_pair_and_cell_loops(fan, monkeypatch):
-    # The positive-span LP raises on unit rays 1e-9 apart (qp.Unbounded or
-    # qp.Inaccurate); these fans all span the plane, and the LP is not
-    # what is compared here.
-    monkeypatch.setattr(fan_mod, "_positively_spanning", lambda unit: True)
+def test_validation_report_equals_the_pair_and_cell_loops(fan):
     report = validate(fan)
     independent = loop_independent_cells(fan)
     rays_ok, ray_messages, incidence_ok, incidence_messages = loop_ray_checks(fan)
     assert report.cells_independent == all(independent)
     assert report.rays_distinct == rays_ok
     assert report.ray_incidence == incidence_ok
-    # Each fan here spans the plane and passes the probe where it runs.
+    # Each fan here spans the plane and passes the probe where it runs.  On
+    # unit rays 1e-9 apart the positive-span LP fails, which is reported.
+    span_messages = [m for m in report.messages if m.startswith("positive-span LP failed: ")]
+    assert len(span_messages) == (not report.positively_spanning and report.rays_distinct)
     assert report.messages == (
         [f"cell {cell}: generators numerically dependent"
          for cell, ok in zip(fan.cells, independent) if not ok]
-        + ray_messages + incidence_messages)
+        + ray_messages + span_messages + incidence_messages)
     assert not report.ok
 
 
-def test_near_duplicate_rays_are_flagged_below_1e_9_only(monkeypatch):
-    monkeypatch.setattr(fan_mod, "_positively_spanning", lambda unit: True)
+def test_near_duplicate_rays_are_flagged_below_1e_9_only():
     below = validate(near_duplicate_rays(0.9e-9))
     above = validate(near_duplicate_rays(1.1e-9))
     assert below.messages[:2] == ["rays 0 and 6 are positive multiples",
@@ -361,22 +470,6 @@ def unvalidated(rays, cells):
     fan = SimplicialFan(rays, cells)
     fan._validation = ValidationReport(True, True, True, True, True)
     return fan
-
-
-E3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 1.0, 2.0]]
-
-
-@pytest.mark.parametrize("cells, pairs", [
-    # One ridge, {0, 1}, in three cells: all three pairs.
-    ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], ((0, 1), (0, 2), (1, 2))),
-    # Cells 0 and 1 are one set of generators: they share d, not d - 1.
-    ([(0, 1, 2), (2, 1, 0), (1, 0, 3)], ((0, 2), (1, 2))),
-])
-def test_ridge_in_several_cells_gives_every_pair(cells, pairs):
-    walls = wall_crossings(unvalidated(E3, cells))
-    expected = loop_wall_crossings(unvalidated(E3, cells))
-    assert walls.pairs == expected.pairs == pairs
-    assert walls.matrix.tobytes() == expected.matrix.tobytes()
 
 
 @pytest.mark.parametrize("cells", [

@@ -22,7 +22,8 @@ from facetfit.estimator import reconstruct
 from facetfit.qp import Infeasible, Unbounded, cone_dimension, solve_lp
 from perfbench import oracle as bench_oracle
 
-from oracles import loop_two_phase_simplex
+from conftest import time_limit
+from oracles import highs_essential_rows, loop_two_phase_simplex
 from test_cone_dimension import cone_matrices, fans
 
 
@@ -380,3 +381,18 @@ def test_bounds_of_the_wrong_length_are_refused():
 def test_an_empty_box_stays_infeasible():
     with pytest.raises(Infeasible):
         solve_lp(np.array([1.0]), bounds=[(1.0, 0.0)])
+
+
+def test_a_cycling_simplex_stops_at_its_pivot_cap():
+    # The implication LP of wall 19 of random_polytopal_fan(3, 30, seed=7),
+    # as `fan-info` poses it after dropping the implied walls before it:
+    # Bland's rule cycles on its 30 x 108 phase-1 tableau, where HiGHS
+    # finds the wall implied.  Without the cap of 50 (30 + 108) pivots the
+    # loop never ends.
+    B = catalog.random_polytopal_fan(3, 30, seed=7).wall_system.matrix
+    essential = highs_essential_rows(B)
+    assert not essential[19]
+    others = [j for j in range(len(B)) if j != 19 and (j > 19 or essential[j])]
+    with time_limit(60), pytest.raises(qp.Inaccurate, match="after 6900 pivots"):
+        solve_lp(np.zeros(len(others)), E=B[others].T, f=B[19],
+                 bounds=[(0.0, np.inf)] * len(others))
