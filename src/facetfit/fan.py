@@ -239,11 +239,12 @@ class SimplicialFan:
     def _inverses(self) -> tuple[np.ndarray, np.ndarray]:
         """``(inverses, independent)``: the one independence test, read by
         ``validate``, and the stacked generator table, read by the
-        constants and ``cell_vertices``.  Cell c's generators, the columns of ``M_c``, are
-        independent when ``|det M_c|`` exceeds 1e-12 times the product of
-        their norms; ``inverses`` is a C-contiguous (cells, d, d) array
-        holding ``inv(M_c)`` there and zeros elsewhere.  One ``det`` and one
-        ``inv`` call over the stack."""
+        completeness probe, the constants and ``cell_vertices``.  Cell c's
+        generators, the columns of ``M_c``, are independent when
+        ``|det M_c|`` exceeds 1e-12 times the product of their norms;
+        ``inverses`` is a C-contiguous (cells, d, d) array holding
+        ``inv(M_c)`` there and zeros elsewhere.  One ``det`` and one ``inv``
+        call over the stack."""
         M = self.rays[np.array(self.cells, int).reshape(-1, self.dim)].transpose(0, 2, 1)
         scale = np.prod(np.linalg.norm(M, axis=1), axis=1)
         independent = np.abs(np.linalg.det(M)) > 1e-12 * np.maximum(scale, 1e-300)
@@ -639,15 +640,23 @@ def validate(fan: SimplicialFan) -> ValidationReport:
     """Check the structural invariants of a complete simplicial fan.
 
     Runs the per-cell independence test (the mask of the stacked
-    generator table), the positive-span cone LP (an LP that fails, e.g. on
-    rays about 1e-9 apart, is reported as not spanning, never raised),
-    ray-direction distinctness (one ``row_norms`` over the differences of
-    all pairs of unit rays, in ``np.triu_indices`` order), the ray/cell
-    incidence count (one ``np.bincount``), a randomized completeness probe
-    (every sampled unit vector must have exactly one carrier) and, when the
-    cells are independent, the ridge check of ``_complex_check``.  Messages
-    follow that order, and within a check the order of cells, pairs, rays
-    or ridges.  ``require_valid`` reuses the report.
+    generator table), ray-direction distinctness (one ``row_norms`` over
+    the differences of all pairs of unit rays, in ``np.triu_indices``
+    order), the ray/cell incidence count (one ``np.bincount``), a
+    randomized completeness probe (every sampled unit vector must have
+    exactly one carrier; ``_completeness_probe``) and, when the cells are
+    independent, the ridge check of ``_complex_check``.
+
+    A fan that passes all of these is complete: the ridge check and the
+    probe certify it (De Loera, Rambau & Santos, *Triangulations*, 2010,
+    §4.5), and the rays of a complete fan positively span R^d, so it is
+    reported as positively spanning without an LP.  Only a fan that fails
+    one of them, with distinct rays, gets the positive-span cone LP, to
+    explain the failure (an LP that fails, e.g. on rays about 1e-9 apart,
+    is reported as not spanning, never raised).  Messages follow the order
+    cells, rays, positive span, incidence, probe, ridges, and within a
+    check the order of cells, pairs, rays or ridges.  ``require_valid``
+    reuses the report.
     """
     messages: list[str] = []
 
@@ -669,14 +678,8 @@ def validate(fan: SimplicialFan) -> ValidationReport:
         for k in close:
             messages.append(f"rays {i[k]} and {j[k]} are positive multiples")
 
-    span_ok = False
-    if rays_ok:
-        try:
-            span_ok = _positively_spanning(unit)
-            if not span_ok:
-                messages.append("rays do not positively span the ambient space")
-        except (qp.Infeasible, qp.Unbounded, qp.Inaccurate) as exc:
-            messages.append(f"positive-span LP failed: {exc!r}")
+    # The positive-span message goes here, once the later checks are known.
+    span_at = len(messages)
 
     counts = np.bincount(np.array(fan.cells, int).reshape(-1), minlength=fan.n_rays)
     few = np.flatnonzero(counts < fan.dim)
@@ -689,6 +692,16 @@ def validate(fan: SimplicialFan) -> ValidationReport:
         probe_ok = _completeness_probe(fan, messages)
 
     complex_ok = _complex_check(fan, messages) if cells_ok else None
+
+    span_ok = rays_ok
+    if rays_ok and not (cells_ok and incidence_ok and probe_ok and complex_ok):
+        try:
+            span_ok = _positively_spanning(unit)
+            if not span_ok:
+                messages.insert(span_at, "rays do not positively span the ambient space")
+        except (qp.Infeasible, qp.Unbounded, qp.Inaccurate) as exc:
+            span_ok = False
+            messages.insert(span_at, f"positive-span LP failed: {exc!r}")
 
     fan._validation = ValidationReport(
         cells_independent=cells_ok,
@@ -709,14 +722,33 @@ def _positively_spanning(unit: np.ndarray) -> bool:
 
 def _completeness_probe(fan: SimplicialFan, messages: list[str]) -> bool:
     """Every sampled unit direction must lie in exactly one cell (within
-    1e-9); reports the first that does not."""
+    1e-9); reports the first that does not.
+
+    One matrix product gives every coefficient of every direction in every
+    cell, and a column-wise minimum over each cell's d columns its smallest.
+    That product rounds differently from the stacked product ``inv_c @ u``
+    that decides a hit, but each d-term dot product of a unit u with row k
+    of ``inv_c`` rounds by at most ``d eps ||inv_c[k]||`` either way, so the
+    two minima differ by at most ``2 d eps max_k ||inv_c[k]||``.  The
+    (direction, cell) pairs whose minimum lies within twice that of -1e-9
+    are redone with the stacked product, so the hits and the message equal
+    those of the stacked product on every pair.  Reads the generator table
+    ``fan._inverses``, not ``fan.constants``, so a fan with no cells
+    reports 0 carriers for every direction.
+    """
     U = np.random.default_rng(PROBE_SEED).standard_normal((PROBES, fan.dim))
     norms = row_norms(U)
     keep = norms >= 1e-12
     U = U[keep] / norms[keep, None]
-    hits = np.zeros(U.shape[0], int)
-    for inv in fan.constants.cell_inverses:
-        hits += row_min(np.matmul(inv[None], U[:, :, None])[..., 0]) >= -1e-9
+    inverses, d = fan._inverses[0], fan.dim
+    rows = inverses.reshape(-1, d)
+    # Entry (p, c) is direction p's smallest coefficient in cell c.
+    lowest = row_min((U @ rows.T).reshape(-1, d)).reshape(len(U), fan.n_cells)
+    band = 4.0 * d * np.finfo(float).eps * row_norms(rows).reshape(-1, d).max(axis=1)
+    inside = lowest >= -1e-9
+    p, c = np.nonzero(np.abs(lowest + 1e-9) <= band)
+    inside[p, c] = row_min(np.matmul(inverses[c], U[p, :, None])[..., 0]) >= -1e-9
+    hits = np.count_nonzero(inside, axis=1)
     bad = np.flatnonzero(hits != 1)
     if bad.size:
         messages.append(f"direction {U[bad[0]].tolist()} has {hits[bad[0]]} "

@@ -15,9 +15,8 @@ Two engines live here:
     pivoting for ``min <c, x>  subject to  B x >= 0,  E x = f`` and
     componentwise bounds.  Every tableau operation is a numpy operation
     over whole rows or columns, and phase 1, which never reads the cost,
-    is shared between consecutive LPs over one feasible region: the
-    positive-span LP when one fan is validated again, and the n LPs of
-    ``geometry.is_irredundant`` off the deformation cone.
+    is shared between consecutive LPs over one feasible region, such as
+    the n LPs of ``geometry.is_irredundant`` off the deformation cone.
 
 Both are written for desk-scale instances (tens of variables, hundreds of
 constraints) where determinism and verifiable optimality matter more than
@@ -606,9 +605,8 @@ def _two_phase_simplex(T: np.ndarray, rhs: np.ndarray, cost: np.ndarray) -> np.n
 
     Phase 1 never reads the cost, so its result is kept for the next call,
     keyed on the exact bytes of ``T`` and ``rhs``: LPs that differ only in
-    the cost, like the per-ray support LPs of ``geometry.is_irredundant``
-    or the positive-span LP of a fan validated again, pivot their way to a
-    feasible basis once.  Phase 2 runs on a copy.
+    the cost, like the per-ray support LPs of ``geometry.is_irredundant``,
+    pivot their way to a feasible basis once.  Phase 2 runs on a copy.
     """
     global _phase_one_memo
     key = (T.shape, T.tobytes(), rhs.tobytes())

@@ -187,19 +187,53 @@ def test_exact_ray_plan_equals_loop():
         loop_concentrated(fan, plan).tobytes()
 
 
-def test_completeness_probe_equals_loop():
-    for fan in fans():
-        report = validate(fan)
-        assert report.ok and loop_completeness_probe(fan) == (True, [])
+def probe_broken_fans():
+    """A cell missing from the hexagon and from the 3-cube, and a cell of
+    the 3-cube repeated: each fails the completeness probe."""
     hexagon = catalog.hexagon_fan()
     cube = catalog.cube_fan(3)
-    for broken in (SimplicialFan(hexagon.rays, hexagon.cells[:-1]),
-                   SimplicialFan(cube.rays, cube.cells[1:]),
-                   SimplicialFan(cube.rays, cube.cells + cube.cells[:1])):
+    return (SimplicialFan(hexagon.rays, hexagon.cells[:-1]),
+            SimplicialFan(cube.rays, cube.cells[1:]),
+            SimplicialFan(cube.rays, cube.cells + cube.cells[:1]))
+
+
+def test_completeness_probe_equals_loop():
+    large = (catalog.random_polytopal_fan(3, 100, seed=7),
+             catalog.random_polytopal_fan(5, 40, seed=7))
+    for fan in fans() + large:
+        report = validate(fan)
+        assert report.ok and loop_completeness_probe(fan) == (True, [])
+    for broken in probe_broken_fans():
         report = validate(broken)
         ok, messages = loop_completeness_probe(broken)
         assert not ok and not report.completeness_probe
         assert messages[0] in report.messages
+
+
+def turned_square(offset):
+    """The square fan turned so that ray 0 lies ``offset`` radians
+    counterclockwise of the first probe direction u: u's coefficient on
+    ray 1 in cell (0, 1) is about ``-offset``."""
+    u = np.random.default_rng(fan_mod.PROBE_SEED).standard_normal(2)
+    angles = np.arctan2(u[1], u[0]) + offset + np.arange(4) * np.pi / 2
+    return SimplicialFan(np.column_stack([np.cos(angles), np.sin(angles)]),
+                         [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.mark.parametrize("offset, ok", [(1e-9 * (1 - 1e-7), False), (1e-9 * (1 + 1e-7), True)])
+def test_completeness_probe_rechecks_the_band_exactly(monkeypatch, offset, ok):
+    # Within 1e-7 relative of 1e-9 the coefficient lies within the band of
+    # -1e-9, so the probe redoes that (direction, cell) pair with the
+    # stacked product: a second row_min call, over that one pair.
+    fan = turned_square(offset)
+    shapes = []
+    monkeypatch.setattr(fan_mod, "row_min", lambda X: shapes.append(X.shape) or row_min(X))
+    report = validate(fan)
+    assert len(shapes) == 2 and shapes[1] == (1, 2)
+    assert report.ok == report.completeness_probe == ok
+    assert loop_completeness_probe(fan) == (ok, report.messages)
+    if not ok:
+        assert report.messages[0].endswith(" has 2 carriers (expected 1)")
 
 
 def assert_carriers_equal_loop(fan, U):

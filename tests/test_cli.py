@@ -165,6 +165,16 @@ def test_fan_info_invalid_fan_exits_3(workdir):
     assert rc == cli.EXIT_VALIDATION
 
 
+def test_fan_info_fan_without_cells_exits_3(workdir, capsys):
+    cli.save_fan(SimplicialFan(catalog.hexagon_fan().rays, []), str(workdir / "empty.json"))
+    rc = run(["fan-info", workdir / "empty.json"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert "  ! ray 0 appears in 0 < d cells\n" in captured.out
+    assert captured.out.endswith("has 0 carriers (expected 1)\nvalidation: FAIL\n")
+    assert captured.err == ""
+
+
 def test_fan_info_roof_inequalities(workdir, capsys):
     rc = run(["fan-info", workdir / "d1.json"])
     out = capsys.readouterr().out

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facetfit import catalog
+from facetfit import catalog, qp
+from facetfit import fan as fan_mod
 from facetfit.design import build_design, numeric_rank
 from facetfit.estimator import detect_unbounded
 from facetfit.fan import SimplicialFan, validate
 from facetfit.qp import cone_dimension
 
 from oracles import highs_cone_dimension
+from test_batched import probe_broken_fans
 
 
 @st.composite
@@ -136,3 +138,38 @@ def test_polytopal_fans_positively_span(fan):
     unit = fan.rays / np.linalg.norm(fan.rays, axis=1)[:, None]
     assert validate(fan).positively_spanning
     assert highs_cone_dimension(unit) == 0
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an LP ran during validation")
+
+
+@pytest.mark.parametrize("fan", [
+    catalog.hexagon_fan(), catalog.regular_polygon_fan(8), catalog.roof_fan_x(),
+    catalog.roof_fan_y(), catalog.cube_fan(3), catalog.cube_fan(4), catalog.cube_fan(5),
+    catalog.random_polytopal_fan(2, 9, seed=1), catalog.random_polytopal_fan(3, 12, seed=7),
+    catalog.random_polytopal_fan(3, 200, seed=7), catalog.random_polytopal_fan(4, 12, seed=1),
+    catalog.random_polytopal_fan(5, 9, seed=2),
+], ids=lambda fan: repr(fan))
+def test_valid_fans_solve_no_lp(monkeypatch, fan):
+    # The ridge check and the probe certify a complete fan, whose rays
+    # positively span R^d: no positive-span LP, nor any other, runs.
+    monkeypatch.setattr(fan_mod, "_positively_spanning", refuse)
+    monkeypatch.setattr(qp, "solve_lp", refuse)
+    report = validate(SimplicialFan(fan.rays, fan.cells))
+    assert report.ok and report.positively_spanning
+
+
+@pytest.mark.parametrize("broken", probe_broken_fans() + (catalog.orthant_fan(3),),
+                         ids=["hexagon-less-a-cell", "cube-less-a-cell", "cube-cell-twice",
+                              "orthant"])
+def test_failing_fans_still_solve_the_positive_span_lp(monkeypatch, broken):
+    # The orthant's rays do not positively span R^3; the others' do.
+    verdicts = []
+    spanning = fan_mod._positively_spanning
+    monkeypatch.setattr(fan_mod, "_positively_spanning",
+                        lambda unit: verdicts.append(spanning(unit)) or verdicts[-1])
+    report = validate(broken)
+    assert not report.ok and verdicts == [report.positively_spanning]
+    unit = broken.rays / np.linalg.norm(broken.rays, axis=1)[:, None]
+    assert report.positively_spanning == (highs_cone_dimension(unit) == 0)

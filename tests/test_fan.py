@@ -50,6 +50,19 @@ def test_hexagon_missing_cell_fails_completeness(hexagon):
     assert not report.ok
 
 
+def test_fan_without_cells_fails_validation(hexagon):
+    # The probe reads the generator table, which is empty here, so every
+    # direction has 0 carriers; nothing raises.
+    report = validate(SimplicialFan(hexagon.rays, []))
+    assert not report.ok
+    assert (report.cells_independent, report.rays_distinct, report.ray_incidence,
+            report.completeness_probe, report.complex_check) == (True, True, False, False, True)
+    assert report.positively_spanning
+    assert report.messages == (
+        [f"ray {i} appears in 0 < d cells" for i in range(6)]
+        + ["direction [0.9467297875415379, -0.32202905052425673] has 0 carriers (expected 1)"])
+
+
 def test_roof_fans_validate(roof_y, roof_x):
     assert validate(roof_y).ok
     assert validate(roof_x).ok

@@ -61,7 +61,7 @@ def slow_simplex_case():
 def test_rank_deficient_reconstruct_solves_one_lp(hexagon, case):
     fan, data = ((hexagon, cycle_dataset(hexagon)) if case == "hexagon cycle"
                  else slow_simplex_case())
-    fan.require_valid()   # the positive-span LP of validation runs once per fan
+    fan.require_valid()   # validating a valid fan solves no LP; the trace is reconstruct's
     trace = lp_trace(lambda: reconstruct(fan, data),
                      lambda result: result.solution_set.dimension)
     assert len(trace) == 2 and isinstance(trace[0], bytes)
