@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .fan import SimplicialFan
+from .fan import InvalidFan, SimplicialFan
 
 
 def regular_polygon_fan(k: int) -> SimplicialFan:
@@ -74,9 +74,10 @@ def random_polytopal_fan(d: int, n: int, seed: int,
     Samples unit facet normals and keeps a draw when the polytope
     ``P = {x : <v_i, x> <= 1}`` is bounded, simple and has all n facets; its
     vertex normal cones are then the maximal cells, which
-    ``_pivot_walk_cells`` finds by walking the edges of P.  The support
-    vector of all ones lies strictly inside the deformation cone of the
-    result.
+    ``_pivot_walk_cells`` finds by walking the edges of P.  A draw that
+    fails validation (``InvalidFan``) is redrawn; any other error raised
+    by validation propagates.  The support vector of all ones lies
+    strictly inside the deformation cone of the result.
     """
     if d < 2:
         raise ValueError("random fans need d >= 2")
@@ -92,7 +93,7 @@ def random_polytopal_fan(d: int, n: int, seed: int,
         fan = SimplicialFan(rays, cells)
         try:
             fan.require_valid()
-        except Exception:
+        except InvalidFan:
             continue
         return fan
     raise RuntimeError(f"no valid random fan after {max_attempts} attempts")

@@ -91,9 +91,10 @@ class DesignMatrix:
 
     @cached_property
     def factor(self) -> TriangularFactor:
-        """The design's one factorization, made on first use: one QR per
-        block and one of the stacked triangles when m > n, the matrix
-        itself otherwise."""
+        """The design's one factorization, made on first use: when m > n,
+        one thin QR per large block and one of the stacked triangles and
+        small blocks, each keeping its Q for ``reduce``; the matrix itself
+        otherwise."""
         return triangular_factor(self.operator)
 
     @cached_property

@@ -634,6 +634,9 @@ def c_delta(fan: SimplicialFan) -> float:
 
 PROBES = 1000
 PROBE_SEED = 20210
+# Cells per product of the completeness probe.  At d = 3 a block of 64
+# cells peaks at about 2.7 MB; a fan of at most 64 cells makes one product.
+PROBE_CELLS = 64
 
 
 def validate(fan: SimplicialFan) -> ValidationReport:
@@ -732,23 +735,28 @@ def _completeness_probe(fan: SimplicialFan, messages: list[str]) -> bool:
     two minima differ by at most ``2 d eps max_k ||inv_c[k]||``.  The
     (direction, cell) pairs whose minimum lies within twice that of -1e-9
     are redone with the stacked product, so the hits and the message equal
-    those of the stacked product on every pair.  Reads the generator table
-    ``fan._inverses``, not ``fan.constants``, so a fan with no cells
-    reports 0 carriers for every direction.
+    those of the stacked product on every pair.  The cells go through in
+    blocks of ``PROBE_CELLS``, so memory stays bounded however many cells
+    the fan has.  Reads the generator table ``fan._inverses``, not
+    ``fan.constants``, so a fan with no cells reports 0 carriers for every
+    direction.
     """
     U = np.random.default_rng(PROBE_SEED).standard_normal((PROBES, fan.dim))
     norms = row_norms(U)
     keep = norms >= 1e-12
     U = U[keep] / norms[keep, None]
-    inverses, d = fan._inverses[0], fan.dim
-    rows = inverses.reshape(-1, d)
-    # Entry (p, c) is direction p's smallest coefficient in cell c.
-    lowest = row_min((U @ rows.T).reshape(-1, d)).reshape(len(U), fan.n_cells)
-    band = 4.0 * d * np.finfo(float).eps * row_norms(rows).reshape(-1, d).max(axis=1)
-    inside = lowest >= -1e-9
-    p, c = np.nonzero(np.abs(lowest + 1e-9) <= band)
-    inside[p, c] = row_min(np.matmul(inverses[c], U[p, :, None])[..., 0]) >= -1e-9
-    hits = np.count_nonzero(inside, axis=1)
+    d = fan.dim
+    hits = np.zeros(len(U), int)
+    for start in range(0, fan.n_cells, PROBE_CELLS):
+        inverses = fan._inverses[0][start:start + PROBE_CELLS]
+        rows = inverses.reshape(-1, d)
+        # Entry (p, c) is direction p's smallest coefficient in cell c.
+        lowest = row_min((U @ rows.T).reshape(-1, d)).reshape(len(U), len(inverses))
+        band = 4.0 * d * np.finfo(float).eps * row_norms(rows).reshape(-1, d).max(axis=1)
+        inside = lowest >= -1e-9
+        p, c = np.nonzero(np.abs(lowest + 1e-9) <= band)
+        inside[p, c] = row_min(np.matmul(inverses[c], U[p, :, None])[..., 0]) >= -1e-9
+        hits += np.count_nonzero(inside, axis=1)
     bad = np.flatnonzero(hits != 1)
     if bad.size:
         messages.append(f"direction {U[bad[0]].tolist()} has {hits[bad[0]]} "

@@ -6,11 +6,12 @@ Two engines live here:
     ``min ||A h - y||^2  subject to  B h >= 0``.  A is dense or held as
     row blocks over a few columns (``BlockMatrix``: a design in cell form,
     O(m d) memory).  A tall A (m > n) is factored once, ``A = Q R``, by one
-    Householder QR per block and one of the stacked triangles, and every
-    iteration runs on the n x n factor R and ``Q^T y``; the KKT residual
-    attached to every solution, and the certificate that compares it with
-    its tolerance, are measured on the original (A, y, B), through the
-    products ``A h`` and ``A^T r`` of the blocks.
+    thin QR per large block and one of the stacked triangles and small
+    blocks, each keeping its Q, and every iteration runs on the n x n
+    factor R and ``Q^T y``; the KKT residual attached to every solution,
+    and the certificate that compares it with its tolerance, are measured
+    on the original (A, y, B), through the products ``A h`` and ``A^T r``
+    of the blocks.
   - ``solve_lp``: two-phase tableau simplex with Bland's smallest-index
     pivoting for ``min <c, x>  subject to  B x >= 0,  E x = f`` and
     componentwise bounds.  Every tableau operation is a numpy operation
@@ -95,7 +96,11 @@ class ConstrainedLS:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunables for ``solve_cls``; the default cap follows the problem scale."""
+    """Tunables for ``solve_cls``; the default cap follows the problem scale.
+
+    ``warm_start`` must be a finite array of shape (n,); one outside the
+    cone ``B h >= 0`` is set aside for the cold start at 0.
+    """
 
     max_iter: int | None = None
     warm_start: np.ndarray | None = None
@@ -185,64 +190,32 @@ class TriangularFactor:
 
     ``R`` is n x n and ``reduce(y)`` the n entries of ``Q^T y``, so
     ``A^T (A h - y) = R^T (R h - reduce(y))`` and ``||A h - y||^2`` differs
-    from ``||R h - reduce(y)||^2`` by a constant.  Q is a product of
-    Householder QRs (Golub & Van Loan, *Matrix Computations*, §5.2-5.3;
-    Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34 (2012)):
-    one of each large row block of A, then one of the stack that holds
-    their triangles and the other blocks' rows, each placed in its block's
-    columns.  ``blocks`` holds each block's rows with its reflectors and
-    scales, or None for a block stacked as it is; ``stack`` holds those of
-    the stack's QR.  Row k of a reflector array is the Householder vector
-    of step k, 0 before entry k and 1 at it, with its scale at entry k of
-    the scales, from LAPACK's ``geqrf`` as ``np.linalg.qr(mode="raw")``
-    returns them.  When the stack has fewer than n rows, R and ``reduce(y)``
-    end in zeros.  A matrix with m <= n is its own factor: ``R`` is A, with
-    no blocks and no stack, and ``reduce`` returns y.
+    from ``||R h - reduce(y)||^2`` by a constant.  Q is a product of thin
+    QRs (Golub & Van Loan, *Matrix Computations*, §5.2; Demmel, Grigori,
+    Hoemmen & Langou, SIAM J. Sci. Comput. 34 (2012)): one of each large
+    row block of A, then one of the stack that holds their triangles and
+    the other blocks' rows, each placed in its block's columns.  ``blocks``
+    holds each block's rows with the thin Q of its QR, or None for a block
+    stacked as it is; ``stack`` is the thin Q of the stack's QR.  When the
+    stack has fewer than n rows, R and ``reduce(y)`` end in zeros.  A
+    matrix with m <= n is its own factor: ``R`` is A, with no blocks and no
+    stack, and ``reduce`` returns y.
     """
 
     R: np.ndarray
     shape: tuple[int, int]
     blocks: tuple[tuple, ...] = ()
-    stack: tuple[np.ndarray, np.ndarray] | None = None
+    stack: np.ndarray | None = None
 
     def reduce(self, y: np.ndarray) -> np.ndarray:
-        """``Q^T y`` cut to n entries: each block's reflectors applied to its
+        """``Q^T y`` cut to n entries: each block's ``Q^T`` applied to its
         rows of y, then the stack's to the stacked results."""
         if self.stack is None:
             return y
-        z = np.concatenate([y[rows] if v is None else _reflect(y[rows], v, tau)
-                            for rows, v, tau in self.blocks])
-        z = _reflect(z, *self.stack)
+        z = np.concatenate([y[rows] if Q is None else Q.T @ y[rows]
+                            for rows, Q in self.blocks])
+        z = self.stack.T @ z
         return np.concatenate([z, np.zeros(len(self.R) - len(z))])
-
-
-def _reflect(y: np.ndarray, reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The reflectors applied to y in turn, cut to as many entries as there
-    are reflectors."""
-    z = np.array(y, float)
-    for v, t in zip(reflectors, tau):
-        z -= (t * (v @ z)) * v
-    return z[:len(tau)]
-
-
-def _householder_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Householder QR of M (r x c): the upper trapezoid R, min(r, c) x c,
-    and the reflectors and their scales in ``TriangularFactor``'s layout."""
-    k = min(M.shape)
-    # LAPACK factors a column-major copy; handing it one skips numpy's
-    # slower conversion, and its reflectors then come back as contiguous
-    # rows, so that ``_reflect`` reads each one in a single sweep.
-    raw, tau = np.linalg.qr(np.asfortranarray(M), mode="raw")
-    raw = np.ascontiguousarray(raw)
-    # Row j holds column j of R up to entry j, then reflector j; the
-    # reflector's implicit 1 takes entry j's place.
-    below = np.tri(k, k, -1, dtype=bool)
-    R = raw[:, :k].T.copy()
-    R[:, :k][below] = 0.0
-    raw = raw[:k]
-    raw[:, :k][below] = 0.0
-    np.fill_diagonal(raw, 1.0)
-    return R, raw, tau
 
 
 # A block is stacked as it is, with no QR of its own, unless it has fewer
@@ -262,7 +235,7 @@ def triangular_factor(A) -> TriangularFactor:
     One QR of the stack then gives R.  So a design in cell form costs
     O(m d^2 + cells d n^2) instead of O(m n^2), and its stack is no larger
     than m x n.  A dense A is one block over every column, factored by one
-    Householder QR as before.
+    ``np.linalg.qr``.
     """
     A = BlockMatrix.of(A)
     m, n = A.shape
@@ -270,21 +243,19 @@ def triangular_factor(A) -> TriangularFactor:
         return TriangularFactor(R=A.dense(), shape=(m, n))
     blocks, parts = [], []
     for rows, cols, values in A.blocks:
+        Q = None
         if values.shape[1] < n and values.shape[0] * n * n > _BLOCK_QR_WORK:
-            values, reflectors, tau = _householder_qr(values)
-            blocks.append((rows, reflectors, tau))
-        else:
-            blocks.append((rows, None, None))
+            Q, values = np.linalg.qr(values)
+        blocks.append((rows, Q))
         parts.append((cols, values))
     stack = np.zeros((sum(len(values) for _, values in parts), n))
     top = 0
     for cols, values in parts:
         stack[top:top + len(values), cols] = values
         top += len(values)
-    R, reflectors, tau = _householder_qr(stack)
+    Q, R = np.linalg.qr(stack)
     R = np.vstack([R, np.zeros((n - len(R), n))])
-    return TriangularFactor(R=R, shape=(m, n), blocks=tuple(blocks),
-                            stack=(reflectors, tau))
+    return TriangularFactor(R=R, shape=(m, n), blocks=tuple(blocks), stack=Q)
 
 
 def rank_tolerance(M: np.ndarray, m: int | None = None) -> float:
@@ -352,7 +323,8 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
     ``certified`` compares with ``1e-8 (1 + ||A^T y||)``; an uncertified
     result is returned, not raised.  Raises ``IterationLimit`` with the
     best iterate attached if the cap of ``50 * (n + p)`` subproblems is
-    exhausted.
+    exhausted, and ``ValueError`` for a warm start that is not a finite
+    array of shape (n,).
     """
     if opts is None:
         opts = SolverOptions()
@@ -374,7 +346,10 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
     h = np.zeros(n)
     if opts.warm_start is not None:
         h0 = np.asarray(opts.warm_start, float)
-        if h0.shape == (n,) and (p == 0 or np.min(B @ h0) >= -feas_tol(h0)):
+        if h0.shape != (n,) or not np.all(np.isfinite(h0)):
+            raise ValueError(f"warm_start must be a finite array of shape ({n},); "
+                             f"got one of shape {h0.shape}")
+        if p == 0 or np.min(B @ h0) >= -feas_tol(h0):
             h = h0.copy()
 
     working: list[int] = []

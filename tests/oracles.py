@@ -5,7 +5,8 @@ cone caps come from dense grids, Hausdorff distances from vertex-to-body
 projections enumerated over faces, matchings from backtracking, and the
 constrained least-squares checks are a projected-gradient iteration whose
 cone projections use scipy's Lawson-Hanson NNLS, the same projection after
-numpy's QR, and the active set run on the full m x n design; cone
+numpy's QR, and the active set run on the full m x n design; the R of
+the design's block QR comes from LAPACK's raw reflector layout; cone
 dimensions come from one HiGHS implicit-equality LP per inequality row,
 solution-set extents from two one-variable HiGHS LPs per kernel vector,
 support values of a possibly redundant ``P(h)`` from one HiGHS LP per ray,
@@ -34,7 +35,7 @@ from scipy.optimize import linprog, nnls
 
 from facetfit import qp, sim
 from facetfit.design import POSITIVITY_TOL, DirectionGraph
-from facetfit.fan import (DegenerateWall, NoCarrier, SimplicialFan,
+from facetfit.fan import (DegenerateWall, InvalidFan, NoCarrier, SimplicialFan,
                           WallCrossingSystem, carrier_blocks)
 from facetfit.qp import Infeasible, Unbounded
 
@@ -369,6 +370,27 @@ def full_design_cls(A: np.ndarray, y: np.ndarray, B: np.ndarray) -> tuple[np.nda
         raise RuntimeError("full-design active set did not converge")
     r = A @ h - y
     return h, float(r @ r)
+
+
+def raw_mode_block_r(A: qp.BlockMatrix, work: int) -> np.ndarray:
+    """R of the block QR of a tall design, read from LAPACK's raw layout
+    (``np.linalg.qr(mode="raw")``, reflectors below the diagonal of R's
+    transpose) of a column-major copy of each matrix factored, with
+    ``qp.triangular_factor``'s rule for the blocks factored on their own."""
+    def raw_r(M):
+        raw, _ = np.linalg.qr(np.asfortranarray(M), mode="raw")
+        return np.triu(raw[:, :min(M.shape)].T)
+
+    n = A.shape[1]
+    parts = [(cols, raw_r(values) if values.shape[1] < n and len(values) * n * n > work
+              else values) for _, cols, values in A.blocks]
+    stack = np.zeros((sum(len(values) for _, values in parts), n))
+    top = 0
+    for cols, values in parts:
+        stack[top:top + len(values), cols] = values
+        top += len(values)
+    R = raw_r(stack)
+    return np.vstack([R, np.zeros((n - len(R), n))])
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +765,7 @@ def subset_random_polytopal_fan(d: int, n: int, seed: int,
         fan = SimplicialFan(rays, cells)
         try:
             fan.require_valid()
-        except Exception:
+        except InvalidFan:
             continue
         return fan
     raise RuntimeError(f"no valid random fan after {max_attempts} attempts")

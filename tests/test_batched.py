@@ -5,6 +5,7 @@ same carrier cells, coefficients, samples and random stream.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,30 @@ def test_completeness_probe_equals_loop():
         ok, messages = loop_completeness_probe(broken)
         assert not ok and not report.completeness_probe
         assert messages[0] in report.messages
+
+
+def test_completeness_probe_memory_is_bounded_in_the_cells():
+    fan = catalog.random_polytopal_fan(3, 400, seed=7)
+    assert fan.n_cells == 796
+    tracemalloc.start()
+    try:
+        report = validate(fan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and peak <= 8e6
+
+
+def test_completeness_probe_counts_hits_across_blocks():
+    # A cell of the third block repeated in the fourth: its directions
+    # have one carrier in each block.
+    fan = catalog.random_polytopal_fan(3, 100, seed=7)
+    assert 3 * fan_mod.PROBE_CELLS < fan.n_cells + 1 <= 4 * fan_mod.PROBE_CELLS
+    broken = SimplicialFan(fan.rays, fan.cells + fan.cells[150:151])
+    messages = []
+    ok = fan_mod._completeness_probe(broken, messages)
+    assert (ok, messages) == loop_completeness_probe(broken)
+    assert not ok and messages[0].endswith(" has 2 carriers (expected 1)")
 
 
 def turned_square(offset):

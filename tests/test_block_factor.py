@@ -5,9 +5,11 @@ more over the stacked triangles (``qp.triangular_factor``), and the
 reconstruction never scatters it into a dense m x n matrix.  The factor's R
 and ``reduce(y)`` must agree with ``np.linalg.qr`` of the scattered matrix
 row by row up to sign when the design has full rank, and in the normal
-equations and the residual otherwise; its rank and kernel projector with an
-SVD of the matrix; and ``solve_cls`` on the cell form with the active set
-on the full design (``oracles.full_design_cls``).
+equations and the residual otherwise; its R byte for byte with the R read
+from LAPACK's raw reflector layout (``oracles.raw_mode_block_r``); its rank
+and kernel projector with an SVD of the matrix; and ``solve_cls`` on the
+cell form with the active set on the full design
+(``oracles.full_design_cls``).
 """
 
 import functools
@@ -23,7 +25,7 @@ from facetfit.design import Dataset, DesignMatrix, build_design
 from facetfit.estimator import reconstruct
 from facetfit.qp import ConstrainedLS, solve_cls
 
-from oracles import full_design_cls
+from oracles import full_design_cls, raw_mode_block_r
 
 
 @functools.cache
@@ -99,10 +101,13 @@ def assert_factor_matches_dense_qr(dm: DesignMatrix, y: np.ndarray):
         assert np.allclose(z, sign * z_d, rtol=0, atol=tol)
 
 
+DESIGNS = dict(index=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+               extra=st.integers(0, 80),
+               kind=st.sampled_from(("gaussian", "few cells", "small blocks", "exact rays")))
+
+
 @settings(max_examples=150, deadline=None)
-@given(index=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 80),
-       kind=st.sampled_from(("gaussian", "few cells", "small blocks", "exact rays")),
-       sigma=st.sampled_from((0.0, 0.1, 1.0)), own_qr=st.booleans())
+@given(**DESIGNS, sigma=st.sampled_from((0.0, 0.1, 1.0)), own_qr=st.booleans())
 def test_block_factor_agrees_with_the_dense_qr(index, seed, extra, kind, sigma, own_qr):
     # At these sizes every block enters the stack as it is, unless the
     # work bound is 0, when every block is factored on its own first.
@@ -114,7 +119,7 @@ def test_block_factor_agrees_with_the_dense_qr(index, seed, extra, kind, sigma, 
     with mock.patch.object(qp, "_BLOCK_QR_WORK", 0 if own_qr else qp._BLOCK_QR_WORK):
         assert_factor_matches_dense_qr(dm, y)
         if own_qr:
-            assert all(reflectors is not None for _, reflectors, _ in dm.factor.blocks)
+            assert all(Q is not None for _, Q in dm.factor.blocks)
 
     A, B = dm.matrix, fan.wall_system.matrix
     sol = solve_cls(ConstrainedLS(dm.operator, y, B), factor=dm.factor)
@@ -123,6 +128,21 @@ def test_block_factor_agrees_with_the_dense_qr(index, seed, extra, kind, sigma, 
     assert abs(sol.objective - obj_ref) <= 1e-9 * (1.0 + obj_ref)
     if dm.rank_kernel[0] == dm.n:
         assert np.max(np.abs(sol.h_star - h_ref)) <= 1e-9 * (1.0 + np.max(np.abs(h_ref)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**DESIGNS)
+def test_block_factor_r_equals_the_raw_layout_r(index, seed, extra, kind):
+    # R decides rank, kernel and uniqueness reports, so it must not move at
+    # the last bit with the way Q is kept.
+    fan = fans()[index]
+    dm = build_design(fan, directions(fan, kind, np.random.default_rng(seed), extra))
+    if dm.m <= dm.n:
+        return
+    for work in (0, qp._BLOCK_QR_WORK):
+        with mock.patch.object(qp, "_BLOCK_QR_WORK", work):
+            R = qp.triangular_factor(dm.operator).R
+        assert R.tobytes() == raw_mode_block_r(dm.blocks, work).tobytes()
 
 
 @pytest.mark.parametrize("own_qr", [False, True])
@@ -143,7 +163,7 @@ def test_block_factor_edge_cases(case, own_qr):
         if case == "stack under n rows":
             # A block of 1000 rows has its own QR even under the default
             # bound, and R and z end in zeros below its triangle.
-            assert len(dm.blocks.blocks) == 1 and len(dm.factor.stack[1]) == 2
+            assert len(dm.blocks.blocks) == 1 and dm.factor.stack.shape == (2, 2)
             assert not np.any(dm.factor.R[2:]) and not np.any(dm.factor.reduce(y)[2:])
 
 
@@ -154,16 +174,12 @@ def test_a_dense_matrix_is_one_block_with_one_householder_qr():
     assert blocks.dense() is blocks.blocks[0][2]
     assert blocks.dot(h).tobytes() == (A @ h).tobytes()
     assert blocks.tdot(r).tobytes() == (A.T @ r).tobytes()
-    # The one Householder QR of A, its R and its reflectors applied in turn.
-    raw, tau = np.linalg.qr(np.asfortranarray(A), mode="raw")
-    z = r.copy()
-    for k in range(5):
-        v = np.concatenate([np.zeros(k), [1.0], raw[k, k + 1:]])
-        z -= (tau[k] * (v @ z)) * v
+    # The one QR of A: its R, and its Q^T applied to r.
+    Q, R = np.linalg.qr(A)
     factor = qp.triangular_factor(A)
     assert factor.blocks[0][1] is None
-    assert factor.R.tobytes() == np.triu(raw[:, :5].T).tobytes()
-    assert factor.reduce(r).tobytes() == z[:5].tobytes()
+    assert factor.R.tobytes() == R.tobytes()
+    assert factor.reduce(r).tobytes() == (Q.T @ r).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facetfit import catalog, geometry, sim
+from facetfit import fan as fan_mod
 
 from oracles import subset_random_polytopal_fan
 
@@ -72,3 +73,16 @@ def test_fans_above_three_dimensions_run_a_convergence_replicate(d, n):
 def test_random_fans_refuse_a_dimension_below_two_or_too_few_rays(d, n):
     with pytest.raises(ValueError):
         catalog.random_polytopal_fan(d, n, seed=1)
+
+
+def test_an_error_inside_validation_is_not_taken_for_an_invalid_draw(monkeypatch):
+    calls = []
+
+    def broken(fan):
+        calls.append(fan)
+        raise TypeError("a fault inside validation")
+
+    monkeypatch.setattr(fan_mod, "validate", broken)
+    with pytest.raises(TypeError, match="a fault inside validation"):
+        catalog.random_polytopal_fan(3, 6, seed=203)
+    assert len(calls) == 1

@@ -225,6 +225,24 @@ def test_warm_start_changes_path_not_fit():
     assert np.allclose(y_cold, y_warm, atol=1e-8)
 
 
+@pytest.mark.parametrize("start", [np.ones(5), np.ones((2, 3)), np.full(6, np.nan),
+                                   np.array([1.0, 1, 1, np.inf, 1, 1])])
+def test_a_warm_start_of_wrong_shape_or_not_finite_is_refused(start):
+    problem = ConstrainedLS(cycle_design(), 2.0 * np.ones(6), hexagon_walls())
+    with pytest.raises(ValueError, match=r"shape \(6,\)"):
+        solve_cls(problem, SolverOptions(warm_start=start))
+
+
+def test_a_warm_start_outside_the_cone_falls_back_to_zero():
+    problem = ConstrainedLS(cycle_design(), 2.0 * np.ones(6), hexagon_walls())
+    outside = np.array([1.0, 0, 0, 0, 0, 0])
+    assert np.min(problem.B @ outside) < 0
+    warm = solve_cls(problem, SolverOptions(warm_start=outside))
+    cold = solve_cls(problem)
+    assert warm.h_star.tobytes() == cold.h_star.tobytes()
+    assert warm.iterations == cold.iterations
+
+
 def test_iteration_limit_carries_best_iterate():
     rng = np.random.default_rng(12)
     problem = random_instance(rng, n_max=6, m_max=12)
