@@ -538,15 +538,22 @@ def cone_dimension(M: np.ndarray) -> int:
 
     Row i is an implicit equality (zero on the whole cone) exactly when some
     ``y >= 0`` with ``M^T y = 0`` has ``y_i > 0`` (Gordan; Schrijver, *Theory
-    of Linear and Integer Programming*, 1986, ch. 8), so the LP ``max sum(u)``
-    over ``M^T y = 0``, ``y >= u``, ``0 <= u <= 1`` puts u = 1 on those rows
-    and 0 on the rest.  The dimension is the column count minus the rank of
-    the rows with ``u > 1/2``.  Rows are scaled to unit length and dropped
-    below 1e-9 of the longest; ``M^T y = 0`` is posed on an orthonormal basis
-    of their span; ranks count singular values above 1e-9 of the largest.
-    Raises ``Inaccurate`` if ``M^T y = 0`` or ``y >= u`` fails by more than
-    ``1e-9 (1 + |y|)``.
+    of Linear and Integer Programming*, 1986, ch. 8).  With ``y = u + w``,
+    the LP ``max sum(u)`` over ``M^T (u + w) = 0``, ``0 <= u <= 1``,
+    ``w >= 0`` is in equality form, with no inequality rows, and puts u = 1
+    on those rows and 0 on the rest.  The dimension is the column count
+    minus the rank of the rows with ``u > 1/2``.  Rows are scaled to unit
+    length and dropped below 1e-9 of the longest; ``M^T y = 0`` is posed on
+    an orthonormal basis of their span; ranks count singular values above
+    1e-9 of the largest.  Raises ``ValueError`` for an M that is not 2-D or
+    has a non-finite entry, and ``Inaccurate`` if ``M^T y = 0`` or
+    ``w >= 0`` fails by more than ``1e-9 (1 + |y|)``.
     """
+    M = np.asarray(M, float)
+    if M.ndim != 2:
+        raise ValueError(f"M must be 2-D, got {M.ndim} dimension(s)")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("non-finite entry in M")
     norms = np.linalg.norm(M, axis=1)
     keep = norms > 1e-9 * norms.max(initial=0.0)
     U = M[keep] / norms[keep, None]
@@ -555,12 +562,12 @@ def cone_dimension(M: np.ndarray) -> int:
         return k
     W, s, _ = np.linalg.svd(U, full_matrices=False)
     E = W[:, s > 1e-9 * s[0]].T
-    sol = solve_lp(np.repeat([0.0, -1.0], q), np.hstack([np.eye(q), -np.eye(q)]),
-                   np.hstack([E, np.zeros_like(E)]), np.zeros(len(E)),
-                   [(0.0, np.inf)] * q + [(0.0, 1.0)] * q)
-    y, u = np.split(sol.x, 2)
+    sol = solve_lp(np.repeat([-1.0, 0.0], q), None, np.hstack([E, E]), np.zeros(len(E)),
+                   [(0.0, 1.0)] * q + [(0.0, np.inf)] * q)
+    u, w = np.split(sol.x, 2)
+    y = u + w
     tol = 1e-9 * (1.0 + np.linalg.norm(y))
-    if np.linalg.norm(U.T @ y) > tol or np.min(y - u) < -tol:
+    if np.linalg.norm(U.T @ y) > tol or np.min(w) < -tol:
         raise Inaccurate("simplex point misses M^T y = 0 or y >= u")
     s = np.linalg.svd(U[u > 0.5], compute_uv=False)
     return k - int(np.sum(s > 1e-9 * s.max(initial=0.0)))

@@ -68,6 +68,44 @@ def test_cone_dimension_edge_cases(M, dim):
     assert cone_dimension(M) == dim == highs_cone_dimension(M)
 
 
+@pytest.mark.parametrize("M, message", [
+    (np.array([[np.inf, 1.0], [1.0, 0.0]]), "non-finite entry in M"),
+    (np.array([[np.nan, 1.0]]), "non-finite entry in M"),
+    (np.array([1.0, 0.0]), "M must be 2-D"),
+], ids=["inf", "nan", "1-D"])
+def test_cone_dimension_refuses_a_non_finite_or_not_2d_matrix(M, message):
+    # A non-finite row norm would make the drop threshold NaN or inf, drop
+    # every row and return the whole space.
+    with pytest.raises(ValueError, match=message):
+        cone_dimension(M)
+
+
+@pytest.mark.parametrize("x", [
+    [1.0, 0.0, 0.0, 0.0],     # y = (1, 0): M^T y = 1
+    [0.0, 0.0, -1.0, -1.0],   # M^T y = 0, but w = -1 breaks w >= 0
+], ids=["misses-MTy=0", "negative-w"])
+def test_cone_dimension_refuses_a_point_that_fails_its_certificate(monkeypatch, x):
+    x = np.array(x)
+    monkeypatch.setattr(qp, "solve_lp", lambda *args: qp.LPSolution(x, -x[:2].sum()))
+    with pytest.raises(qp.Inaccurate, match=r"simplex point misses M\^T y = 0 or y >= u"):
+        cone_dimension(np.array([[1.0], [-1.0]]))
+
+
+def test_cone_dimension_lp_is_in_equality_form(monkeypatch):
+    # q = 5 kept rows (the zero row is dropped) of rank r = 2: the LP over
+    # (u, w) has r equality rows on 2q columns and no inequality rows.
+    calls = []
+    real = qp.solve_lp
+    monkeypatch.setattr(qp, "solve_lp", lambda *args: calls.append(args) or real(*args))
+    M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                  [2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
+    assert cone_dimension(M) == highs_cone_dimension(M)
+    (c, B, E, f, bounds), = calls
+    assert B is None or np.size(B) == 0
+    assert np.shape(E) == (2, 10) and np.shape(f) == (2,)
+    assert bounds == [(0.0, 1.0)] * 5 + [(0.0, np.inf)] * 5
+
+
 @functools.cache
 def fans():
     return (catalog.hexagon_fan(), catalog.regular_polygon_fan(8),
