@@ -290,7 +290,7 @@ def cmd_fan_info(args) -> int:
     print(f"  positively spanning:  {report.positively_spanning}")
     print(f"  rays distinct:        {report.rays_distinct}")
     print(f"  ray/cell incidence:   {report.ray_incidence}")
-    print(f"  completeness probe:   {report.completeness_probe}")
+    print(f"  single cover:         {report.single_cover}")
     print(f"  ridges face to face:  "
           f"{'not checked' if report.complex_check is None else report.complex_check}")
     for msg in report.messages:

@@ -173,14 +173,14 @@ class ValidationReport:
     positively_spanning: bool
     rays_distinct: bool
     ray_incidence: bool
-    completeness_probe: bool
+    single_cover: bool
     complex_check: bool | None = None
     messages: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         checks = [self.cells_independent, self.positively_spanning,
-                  self.rays_distinct, self.ray_incidence, self.completeness_probe]
+                  self.rays_distinct, self.ray_incidence, self.single_cover]
         if self.complex_check is not None:
             checks.append(self.complex_check)
         return all(checks)
@@ -236,16 +236,23 @@ class SimplicialFan:
         return wall_crossings(self)
 
     @functools.cached_property
+    def _cell_array(self) -> np.ndarray:
+        """The cells as a read-only (cells, d) integer array."""
+        cells = np.array(self.cells, int).reshape(-1, self.dim)
+        cells.setflags(write=False)
+        return cells
+
+    @functools.cached_property
     def _inverses(self) -> tuple[np.ndarray, np.ndarray]:
         """``(inverses, independent)``: the one independence test, read by
         ``validate``, and the stacked generator table, read by the
-        completeness probe, the constants and ``cell_vertices``.  Cell c's
-        generators, the columns of ``M_c``, are independent when
+        single-cover and ridge checks, the constants and ``cell_vertices``.
+        Cell c's generators, the columns of ``M_c``, are independent when
         ``|det M_c|`` exceeds 1e-12 times the product of their norms;
         ``inverses`` is a C-contiguous (cells, d, d) array holding
         ``inv(M_c)`` there and zeros elsewhere.  One ``det`` and one ``inv``
         call over the stack."""
-        M = self.rays[np.array(self.cells, int).reshape(-1, self.dim)].transpose(0, 2, 1)
+        M = self.rays[self._cell_array].transpose(0, 2, 1)
         scale = np.prod(np.linalg.norm(M, axis=1), axis=1)
         independent = np.abs(np.linalg.det(M)) > 1e-12 * np.maximum(scale, 1e-300)
         inverses = np.zeros(M.shape)
@@ -304,9 +311,10 @@ def _build_constants(fan: SimplicialFan) -> FanConstants:
 def cell_vertices(fan: SimplicialFan, h) -> np.ndarray:
     """Row c is ``inv_cᵀ h_c``, where the facets ``<v_i, x> = h_i`` of cell
     c's rays meet: a vertex of ``P(h)`` when h is in the deformation cone.
-    The cells must be independent (``validate`` checks it)."""
+    The cells must be independent (``validate`` checks it).  One stacked
+    product, which rounds as ``inv_c.T @ h_c`` does cell by cell."""
     h = np.asarray(h, float)
-    return np.array([inv.T @ h[list(cell)] for cell, inv in zip(fan.cells, fan._inverses[0])])
+    return np.matmul(fan._inverses[0].transpose(0, 2, 1), h[fan._cell_array][..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +500,7 @@ def _build_ridges(fan: SimplicialFan) -> _RidgeTable:
     each, then neighbouring entries compared, never a loop over pairs of
     cells."""
     d = fan.dim
-    cells = np.array(fan.cells, int).reshape(-1, d)
+    cells = fan._cell_array
     drop = np.array([[i for i in range(d) if i != k] for k in range(d)])
     ridges = np.sort(cells[:, drop], axis=2).reshape(-1, d - 1)
     # Entry c d + k is (c, k); the sort is stable, so within a ridge the
@@ -554,7 +562,7 @@ def wall_crossings(fan: SimplicialFan) -> WallCrossingSystem:
 # ---------------------------------------------------------------------------
 
 def _build_cap_faces(fan: SimplicialFan) -> CapFaces:
-    generators = np.array([fan.rays[list(cell)].T for cell in fan.cells])
+    generators = fan.rays[fan._cell_array].transpose(0, 2, 1)
     faces = []
     for size in range(1, fan.dim):
         for subset in itertools.combinations(range(fan.dim), size):
@@ -632,34 +640,28 @@ def c_delta(fan: SimplicialFan) -> float:
 # Validation
 # ---------------------------------------------------------------------------
 
-PROBES = 1000
-PROBE_SEED = 20210
-# Cells per product of the completeness probe.  At d = 3 a block of 64
-# cells peaks at about 2.7 MB; a fan of at most 64 cells makes one product.
-PROBE_CELLS = 64
-
-
 def validate(fan: SimplicialFan) -> ValidationReport:
     """Check the structural invariants of a complete simplicial fan.
 
     Runs the per-cell independence test (the mask of the stacked
     generator table), ray-direction distinctness (one ``row_norms`` over
     the differences of all pairs of unit rays, in ``np.triu_indices``
-    order), the ray/cell incidence count (one ``np.bincount``), a
-    randomized completeness probe (every sampled unit vector must have
-    exactly one carrier; ``_completeness_probe``) and, when the cells are
-    independent, the ridge check of ``_complex_check``.
+    order), the ray/cell incidence count (one ``np.bincount``), when the
+    cells are independent and the rays distinct the single cover of
+    ``_single_cover`` (one interior point must lie in exactly one cell),
+    and when the cells are independent the ridge check of
+    ``_complex_check``.
 
     A fan that passes all of these is complete: the ridge check and the
-    probe certify it (De Loera, Rambau & Santos, *Triangulations*, 2010,
-    §4.5), and the rays of a complete fan positively span R^d, so it is
-    reported as positively spanning without an LP.  Only a fan that fails
-    one of them, with distinct rays, gets the positive-span cone LP, to
-    explain the failure (an LP that fails, e.g. on rays about 1e-9 apart,
-    is reported as not spanning, never raised).  Messages follow the order
-    cells, rays, positive span, incidence, probe, ridges, and within a
-    check the order of cells, pairs, rays or ridges.  ``require_valid``
-    reuses the report.
+    single cover certify it (De Loera, Rambau & Santos, *Triangulations*,
+    2010, §4.5), and the rays of a complete fan positively span R^d, so it
+    is reported as positively spanning without an LP.  Only a fan that
+    fails one of them, with distinct rays, gets the positive-span cone LP,
+    to explain the failure (an LP that fails, e.g. on rays about 1e-9
+    apart, is reported as not spanning, never raised).  Messages follow
+    the order cells, rays, positive span, incidence, single cover, ridges,
+    and within a check the order of cells, pairs, rays or ridges.  Nothing
+    is drawn at random.  ``require_valid`` reuses the report.
     """
     messages: list[str] = []
 
@@ -684,20 +686,20 @@ def validate(fan: SimplicialFan) -> ValidationReport:
     # The positive-span message goes here, once the later checks are known.
     span_at = len(messages)
 
-    counts = np.bincount(np.array(fan.cells, int).reshape(-1), minlength=fan.n_rays)
+    counts = np.bincount(fan._cell_array.reshape(-1), minlength=fan.n_rays)
     few = np.flatnonzero(counts < fan.dim)
     incidence_ok = few.size == 0
     for i in few:
         messages.append(f"ray {i} appears in {counts[i]} < d cells")
 
-    probe_ok = cells_ok and rays_ok
-    if probe_ok:
-        probe_ok = _completeness_probe(fan, messages)
+    cover_ok = cells_ok and rays_ok
+    if cover_ok:
+        cover_ok = _single_cover(fan, unit, messages)
 
     complex_ok = _complex_check(fan, messages) if cells_ok else None
 
     span_ok = rays_ok
-    if rays_ok and not (cells_ok and incidence_ok and probe_ok and complex_ok):
+    if rays_ok and not (cells_ok and incidence_ok and cover_ok and complex_ok):
         try:
             span_ok = _positively_spanning(unit)
             if not span_ok:
@@ -711,7 +713,7 @@ def validate(fan: SimplicialFan) -> ValidationReport:
         positively_spanning=span_ok,
         rays_distinct=rays_ok,
         ray_incidence=incidence_ok,
-        completeness_probe=probe_ok,
+        single_cover=cover_ok,
         complex_check=complex_ok,
         messages=messages,
     )
@@ -723,44 +725,32 @@ def _positively_spanning(unit: np.ndarray) -> bool:
     return qp.cone_dimension(unit) == 0
 
 
-def _completeness_probe(fan: SimplicialFan, messages: list[str]) -> bool:
-    """Every sampled unit direction must lie in exactly one cell (within
-    1e-9); reports the first that does not.
+def _single_cover(fan: SimplicialFan, unit: np.ndarray, messages: list[str]) -> bool:
+    """Does one interior point lie in exactly one cell (every coefficient
+    at least -1e-9)?  Reports the count where it does not.
 
-    One matrix product gives every coefficient of every direction in every
-    cell, and a column-wise minimum over each cell's d columns its smallest.
-    That product rounds differently from the stacked product ``inv_c @ u``
-    that decides a hit, but each d-term dot product of a unit u with row k
-    of ``inv_c`` rounds by at most ``d eps ||inv_c[k]||`` either way, so the
-    two minima differ by at most ``2 d eps max_k ||inv_c[k]||``.  The
-    (direction, cell) pairs whose minimum lies within twice that of -1e-9
-    are redone with the stacked product, so the hits and the message equal
-    those of the stacked product on every pair.  The cells go through in
-    blocks of ``PROBE_CELLS``, so memory stays bounded however many cells
-    the fan has.  Reads the generator table ``fan._inverses``, not
-    ``fan.constants``, so a fan with no cells reports 0 carriers for every
-    direction.
+    Each cell c offers the point p_c, the normalized sum of its unit
+    generators, at depth ``min_k λ_k / ||inv_c[k]||`` with ``λ = inv_c p_c``:
+    its distance to the cell's facet hyperplanes.  The witness is the
+    deepest p_c, the first on ties, and one stacked product gives its
+    coefficients in every cell.  The deepest point, not that of cell 0,
+    because a thin cell's point can lie within 1e-9 of its neighbours'
+    facets, where a valid fan would count it in three cells.  A fan with
+    no cells covers no point.  Needs independent cells and distinct rays.
     """
-    U = np.random.default_rng(PROBE_SEED).standard_normal((PROBES, fan.dim))
-    norms = row_norms(U)
-    keep = norms >= 1e-12
-    U = U[keep] / norms[keep, None]
-    d = fan.dim
-    hits = np.zeros(len(U), int)
-    for start in range(0, fan.n_cells, PROBE_CELLS):
-        inverses = fan._inverses[0][start:start + PROBE_CELLS]
-        rows = inverses.reshape(-1, d)
-        # Entry (p, c) is direction p's smallest coefficient in cell c.
-        lowest = row_min((U @ rows.T).reshape(-1, d)).reshape(len(U), len(inverses))
-        band = 4.0 * d * np.finfo(float).eps * row_norms(rows).reshape(-1, d).max(axis=1)
-        inside = lowest >= -1e-9
-        p, c = np.nonzero(np.abs(lowest + 1e-9) <= band)
-        inside[p, c] = row_min(np.matmul(inverses[c], U[p, :, None])[..., 0]) >= -1e-9
-        hits += np.count_nonzero(inside, axis=1)
-    bad = np.flatnonzero(hits != 1)
-    if bad.size:
-        messages.append(f"direction {U[bad[0]].tolist()} has {hits[bad[0]]} "
-                        f"carriers (expected 1)")
+    if fan.n_cells == 0:
+        messages.append("no cells: no point lies in exactly one cell")
+        return False
+    inverses = fan._inverses[0]
+    points = unit[fan._cell_array].sum(axis=1)
+    points /= row_norms(points)[:, None]
+    lam = np.matmul(inverses, points[:, :, None])[..., 0]
+    depth = row_min(lam / row_norms(inverses.reshape(-1, fan.dim)).reshape(lam.shape))
+    witness = int(np.argmax(depth))
+    hits = np.count_nonzero(row_min(np.matmul(inverses, points[witness])) >= -1e-9)
+    if hits != 1:
+        messages.append(f"interior point {points[witness].tolist()} of cell {witness} "
+                        f"lies in {hits} cells (expected 1)")
         return False
     return True
 
@@ -776,10 +766,11 @@ def _complex_check(fan: SimplicialFan, messages: list[str]) -> bool:
     simplicial fan, exactly when every interior ridge lies in two cells on
     opposite sides and some generic point lies in exactly one cell (De
     Loera, Rambau & Santos, *Triangulations*, 2010, §4.5).  In a complete
-    fan every ridge is interior, and the completeness probe checks the
-    second condition, so this check and the probe together certify the
-    fan.  Needs independent cells.  Reports each ridge not in two cells,
-    then each pair on one side, in ridge-table order.
+    fan every ridge is interior, so this check leaves the number of cells
+    over a generic point the same everywhere, and ``_single_cover`` reads
+    it at one point: together they certify the fan.  Needs independent
+    cells.  Reports each ridge not in two cells, then each pair on one
+    side, in ridge-table order.
     """
     table = fan._ridges
     unpaired = np.flatnonzero(table.counts != 2)

@@ -16,8 +16,8 @@ also have a loop reference, one (cell, vector) pair and one face at a time.
 Irredundant wall subsets come from one HiGHS implication LP per wall.
 
 The per-row loops near the end are the slow references of the batched
-carrier, direction-graph, sampling and probe paths: one direction, one
-matrix entry, one Gaussian draw and one cell at a time, with the same
+carrier, direction-graph, sampling and cell-vertex paths: one direction,
+one matrix entry, one Gaussian draw and one cell at a time, with the same
 arithmetic, so the batched results must equal them bit for bit.  The
 last section holds the loop references of fan construction and set-up:
 the cells of a random fan from all d-subsets of its rays, and the wall
@@ -704,20 +704,10 @@ def loop_concentrated(fan, plan) -> np.ndarray:
     return np.array(out)
 
 
-def loop_completeness_probe(fan, probes=1000, seed=20210) -> tuple[bool, list[str]]:
-    """(verdict, messages) of the probe, one direction and one cell at a time."""
-    rng = np.random.default_rng(seed)
-    inverses = cell_inverses(fan)
-    for _ in range(probes):
-        u = rng.standard_normal(fan.dim)
-        norm = np.linalg.norm(u)
-        if norm < 1e-12:
-            continue
-        u /= norm
-        hits = sum(1 for inv in inverses if np.min(inv @ u) >= -1e-9)
-        if hits != 1:
-            return False, [f"direction {u.tolist()} has {hits} carriers (expected 1)"]
-    return True, []
+def loop_cell_vertices(fan, h) -> np.ndarray:
+    """Row c is ``inv_c.T @ h_c``, one cell at a time."""
+    h = np.asarray(h, float)
+    return np.array([inv.T @ h[list(cell)] for cell, inv in zip(fan.cells, cell_inverses(fan))])
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +805,7 @@ def loop_pairwise_face_check(fan, messages: list[str]) -> bool:
         only_a = [i for i in ca if i not in shared]
         only_b = [i for i in cb if i not in shared]
         if not only_a:
-            continue  # identical cells are caught by the probe
+            continue  # identical cells are caught by the ridge check
         # max sum of the a-only coefficients over points common to both
         # cones, normalized; positive optimum means the intersection
         # leaks outside the shared face.

@@ -1,7 +1,8 @@
-"""The batched carrier, sampling and probe paths against their per-row loops.
+"""The batched carrier, sampling and cell-vertex paths against their per-row
+loops, and ``validate``'s verdicts on valid and broken fans.
 
 Each batched path must reproduce the loop in ``oracles`` bit for bit: the
-same carrier cells, coefficients, samples and random stream.
+same carrier cells, coefficients, vertices, samples and random stream.
 """
 
 import functools
@@ -15,14 +16,15 @@ from hypothesis import strategies as st
 from facetfit import catalog, sim
 from facetfit import fan as fan_mod
 from facetfit.design import DesignMatrix, build_design, direction_graph
-from facetfit.fan import NoCarrier, SimplicialFan, ValidationReport, row_min, validate
+from facetfit.fan import (NoCarrier, SimplicialFan, ValidationReport, cell_vertices, row_min,
+                          validate)
 from facetfit.qp import BlockMatrix
 from facetfit.sim import make_plan, sample_concentrated, sample_uniform_sphere
 
 from oracles import (
     cell_inverses,
     loop_carrier,
-    loop_completeness_probe,
+    loop_cell_vertices,
     loop_concentrated,
     loop_design,
     loop_direction_graph,
@@ -188,9 +190,9 @@ def test_exact_ray_plan_equals_loop():
         loop_concentrated(fan, plan).tobytes()
 
 
-def probe_broken_fans():
+def broken_fans():
     """A cell missing from the hexagon and from the 3-cube, and a cell of
-    the 3-cube repeated: each fails the completeness probe."""
+    the 3-cube repeated: validation refuses each."""
     hexagon = catalog.hexagon_fan()
     cube = catalog.cube_fan(3)
     return (SimplicialFan(hexagon.rays, hexagon.cells[:-1]),
@@ -198,20 +200,19 @@ def probe_broken_fans():
             SimplicialFan(cube.rays, cube.cells + cube.cells[:1]))
 
 
-def test_completeness_probe_equals_loop():
+def test_validate_certifies_valid_fans_and_refuses_broken_ones():
     large = (catalog.random_polytopal_fan(3, 100, seed=7),
              catalog.random_polytopal_fan(5, 40, seed=7))
     for fan in fans() + large:
         report = validate(fan)
-        assert report.ok and loop_completeness_probe(fan) == (True, [])
-    for broken in probe_broken_fans():
+        assert report.ok and report.single_cover and report.messages == []
+    for broken in broken_fans():
         report = validate(broken)
-        ok, messages = loop_completeness_probe(broken)
-        assert not ok and not report.completeness_probe
-        assert messages[0] in report.messages
+        assert not report.ok and report.complex_check is False
 
 
-def test_completeness_probe_memory_is_bounded_in_the_cells():
+def test_validate_memory_is_bounded_in_the_cells():
+    # The peak comes from the pairs of the ray-distinctness check.
     fan = catalog.random_polytopal_fan(3, 400, seed=7)
     assert fan.n_cells == 796
     tracemalloc.start()
@@ -223,42 +224,11 @@ def test_completeness_probe_memory_is_bounded_in_the_cells():
     assert report.ok and peak <= 8e6
 
 
-def test_completeness_probe_counts_hits_across_blocks():
-    # A cell of the third block repeated in the fourth: its directions
-    # have one carrier in each block.
-    fan = catalog.random_polytopal_fan(3, 100, seed=7)
-    assert 3 * fan_mod.PROBE_CELLS < fan.n_cells + 1 <= 4 * fan_mod.PROBE_CELLS
-    broken = SimplicialFan(fan.rays, fan.cells + fan.cells[150:151])
-    messages = []
-    ok = fan_mod._completeness_probe(broken, messages)
-    assert (ok, messages) == loop_completeness_probe(broken)
-    assert not ok and messages[0].endswith(" has 2 carriers (expected 1)")
-
-
-def turned_square(offset):
-    """The square fan turned so that ray 0 lies ``offset`` radians
-    counterclockwise of the first probe direction u: u's coefficient on
-    ray 1 in cell (0, 1) is about ``-offset``."""
-    u = np.random.default_rng(fan_mod.PROBE_SEED).standard_normal(2)
-    angles = np.arctan2(u[1], u[0]) + offset + np.arange(4) * np.pi / 2
-    return SimplicialFan(np.column_stack([np.cos(angles), np.sin(angles)]),
-                         [(0, 1), (1, 2), (2, 3), (3, 0)])
-
-
-@pytest.mark.parametrize("offset, ok", [(1e-9 * (1 - 1e-7), False), (1e-9 * (1 + 1e-7), True)])
-def test_completeness_probe_rechecks_the_band_exactly(monkeypatch, offset, ok):
-    # Within 1e-7 relative of 1e-9 the coefficient lies within the band of
-    # -1e-9, so the probe redoes that (direction, cell) pair with the
-    # stacked product: a second row_min call, over that one pair.
-    fan = turned_square(offset)
-    shapes = []
-    monkeypatch.setattr(fan_mod, "row_min", lambda X: shapes.append(X.shape) or row_min(X))
-    report = validate(fan)
-    assert len(shapes) == 2 and shapes[1] == (1, 2)
-    assert report.ok == report.completeness_probe == ok
-    assert loop_completeness_probe(fan) == (ok, report.messages)
-    if not ok:
-        assert report.messages[0].endswith(" has 2 carriers (expected 1)")
+def test_cell_vertices_equal_the_cell_loop():
+    rng = np.random.default_rng(11)
+    for fan in fans():
+        for h in (fan.constants.ray_norms, rng.standard_normal(fan.n_rays)):
+            assert np.array_equal(cell_vertices(fan, h), loop_cell_vertices(fan, h))
 
 
 def assert_carriers_equal_loop(fan, U):

@@ -12,6 +12,7 @@ from facetfit.fan import SimplicialFan
 from conftest import time_limit
 from oracles import highs_essential_rows
 from test_design import ROOF_DIRECTIONS
+from test_fan import pentagram_fan
 
 
 @pytest.fixture
@@ -171,8 +172,28 @@ def test_fan_info_fan_without_cells_exits_3(workdir, capsys):
     captured = capsys.readouterr()
     assert rc == cli.EXIT_VALIDATION
     assert "  ! ray 0 appears in 0 < d cells\n" in captured.out
-    assert captured.out.endswith("has 0 carriers (expected 1)\nvalidation: FAIL\n")
+    assert captured.out.endswith("  single cover:         False\n"
+                                 "  ridges face to face:  True\n"
+                                 "  ! ray 0 appears in 0 < d cells\n"
+                                 "  ! ray 1 appears in 0 < d cells\n"
+                                 "  ! ray 2 appears in 0 < d cells\n"
+                                 "  ! ray 3 appears in 0 < d cells\n"
+                                 "  ! ray 4 appears in 0 < d cells\n"
+                                 "  ! ray 5 appears in 0 < d cells\n"
+                                 "  ! no cells: no point lies in exactly one cell\n"
+                                 "validation: FAIL\n")
     assert captured.err == ""
+
+
+def test_fan_info_pentagram_exits_3(workdir, capsys):
+    # Every ridge lies in two cells on opposite sides, but the cells cover
+    # the plane twice: only the single cover refuses the fan.
+    cli.save_fan(pentagram_fan(), str(workdir / "pentagram.json"))
+    rc = run(["fan-info", workdir / "pentagram.json"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_VALIDATION
+    assert "  single cover:         False\n  ridges face to face:  True\n" in out
+    assert " lies in 3 cells (expected 1)\nvalidation: FAIL\n" in out
 
 
 def test_fan_info_roof_inequalities(workdir, capsys):

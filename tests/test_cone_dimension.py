@@ -21,7 +21,7 @@ from facetfit.fan import SimplicialFan, validate
 from facetfit.qp import cone_dimension
 
 from oracles import highs_cone_dimension
-from test_batched import probe_broken_fans
+from test_batched import broken_fans
 
 
 @st.composite
@@ -190,7 +190,7 @@ def refuse(*args, **kwargs):
     catalog.random_polytopal_fan(5, 9, seed=2),
 ], ids=lambda fan: repr(fan))
 def test_valid_fans_solve_no_lp(monkeypatch, fan):
-    # The ridge check and the probe certify a complete fan, whose rays
+    # The ridge check and the single cover certify a complete fan, whose rays
     # positively span R^d: no positive-span LP, nor any other, runs.
     monkeypatch.setattr(fan_mod, "_positively_spanning", refuse)
     monkeypatch.setattr(qp, "solve_lp", refuse)
@@ -198,7 +198,7 @@ def test_valid_fans_solve_no_lp(monkeypatch, fan):
     assert report.ok and report.positively_spanning
 
 
-@pytest.mark.parametrize("broken", probe_broken_fans() + (catalog.orthant_fan(3),),
+@pytest.mark.parametrize("broken", broken_fans() + (catalog.orthant_fan(3),),
                          ids=["hexagon-less-a-cell", "cube-less-a-cell", "cube-cell-twice",
                               "orthant"])
 def test_failing_fans_still_solve_the_positive_span_lp(monkeypatch, broken):

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -44,23 +45,79 @@ def test_hexagon_validates(hexagon):
 
 
 def test_hexagon_missing_cell_fails_completeness(hexagon):
+    # The deepest interior point lies in one of the five cells left, so the
+    # single cover holds; the ridges of the missing cell lie in one cell.
     broken = SimplicialFan(hexagon.rays, hexagon.cells[:-1])
     report = validate(broken)
-    assert not report.completeness_probe
+    assert report.single_cover and report.complex_check is False
     assert not report.ok
+    assert report.messages[-2:] == ["ridge (0,) lies in 1 cell", "ridge (5,) lies in 1 cell"]
 
 
 def test_fan_without_cells_fails_validation(hexagon):
-    # The probe reads the generator table, which is empty here, so every
-    # direction has 0 carriers; nothing raises.
+    # No cell offers an interior point, so the single cover fails with its
+    # own message; nothing raises.
     report = validate(SimplicialFan(hexagon.rays, []))
     assert not report.ok
     assert (report.cells_independent, report.rays_distinct, report.ray_incidence,
-            report.completeness_probe, report.complex_check) == (True, True, False, False, True)
+            report.single_cover, report.complex_check) == (True, True, False, False, True)
     assert report.positively_spanning
     assert report.messages == (
         [f"ray {i} appears in 0 < d cells" for i in range(6)]
-        + ["direction [0.9467297875415379, -0.32202905052425673] has 0 carriers (expected 1)"])
+        + ["no cells: no point lies in exactly one cell"])
+
+
+def pentagram_fan():
+    """Rays at angles k 4 pi / 5 and cells (k, k + 1 mod 5): every ridge
+    lies in two cells on opposite sides, but the cells wind twice round
+    the origin."""
+    angles = np.arange(5) * 4.0 * np.pi / 5.0
+    return SimplicialFan(np.column_stack([np.cos(angles), np.sin(angles)]),
+                         [(k, (k + 1) % 5) for k in range(5)])
+
+
+def test_pentagram_passes_the_ridge_check_and_fails_the_single_cover():
+    report = validate(pentagram_fan())
+    assert (report.cells_independent, report.positively_spanning, report.rays_distinct,
+            report.ray_incidence, report.complex_check) == (True, True, True, True, True)
+    assert not report.single_cover and not report.ok
+    # Each cell's interior point lies on a ray, in the boundary of two
+    # other cells.
+    assert len(report.messages) == 1
+    assert re.fullmatch(r"interior point \[.*\] of cell \d lies in 3 cells \(expected 1\)",
+                        report.messages[0])
+
+
+def test_thin_heptagon_validates():
+    # The hexagon with cell (0, 1) cut at a ray 1.5e-9 rad from ray 0: the
+    # interior point of the thin cell 0 lies within 1e-9 of both
+    # neighbouring cells, so only a deeper cell's point can witness.
+    hexagon = catalog.hexagon_fan()
+    turned = [[np.cos(1.5e-9), np.sin(1.5e-9)]]
+    fan = SimplicialFan(np.vstack([hexagon.rays, turned]),
+                        [(0, 6), (6, 1)] + list(hexagon.cells[1:]))
+    inverses = fan._inverses[0]
+    point = fan.rays[[0, 6]].sum(axis=0)
+    point /= np.linalg.norm(point)
+    assert sum(np.min(inv @ point) >= -1e-9 for inv in inverses) == 3
+    report = validate(fan)
+    assert report.ok and report.single_cover and report.messages == []
+
+
+def test_repeated_cell_of_a_large_fan_is_refused():
+    # The deepest interior point lies in cell 268, once, so the single
+    # cover holds; the ridge check sees cell 0 twice.
+    fan = catalog.random_polytopal_fan(3, 200, seed=7)
+    report = validate(SimplicialFan(fan.rays, fan.cells + fan.cells[:1]))
+    assert report.single_cover and report.complex_check is False and not report.ok
+    ridges = [tuple(sorted(pair)) for pair in itertools.combinations(fan.cells[0], 2)]
+    assert report.messages == [f"ridge {r} lies in 3 cells" for r in sorted(ridges)]
+
+
+def test_doubled_cells_fail_the_single_cover(hexagon):
+    report = validate(SimplicialFan(hexagon.rays, hexagon.cells + hexagon.cells))
+    assert not report.single_cover and not report.ok
+    assert report.messages[0].endswith(" lies in 2 cells (expected 1)")
 
 
 def test_roof_fans_validate(roof_y, roof_x):
@@ -117,7 +174,7 @@ def test_complex_check_equals_the_pairwise_face_loop():
         report = validate(fan)
         expected = loop_pairwise_face_check(fan, [])
         verdicts.append(report.complex_check)
-        if report.completeness_probe:
+        if report.single_cover:
             assert report.complex_check == expected
         else:
             assert not report.ok and not expected
@@ -144,7 +201,7 @@ def hanging_ray_fan():
 def test_hanging_ray_fan_is_refused():
     fan = hanging_ray_fan()
     report = validate(fan)
-    assert report.completeness_probe and report.positively_spanning
+    assert report.single_cover and report.positively_spanning
     assert report.complex_check is False and not report.ok
     assert report.messages == ["ridge (0, 1) lies in 1 cell", "ridge (0, 6) lies in 1 cell",
                                "ridge (1, 6) lies in 1 cell"]
@@ -227,7 +284,8 @@ def test_validation_report_equals_the_pair_and_cell_loops(fan):
     assert report.cells_independent == all(independent)
     assert report.rays_distinct == rays_ok
     assert report.ray_incidence == incidence_ok
-    # Each fan here spans the plane and passes the probe where it runs.  On
+    # Each fan here spans the plane and passes the single cover where it
+    # runs.  On
     # unit rays 1e-9 apart the positive-span LP fails, which is reported.
     span_messages = [m for m in report.messages if m.startswith("positive-span LP failed: ")]
     assert len(span_messages) == (not report.positively_spanning and report.rays_distinct)
