@@ -587,17 +587,26 @@ def cap_maxima(fan: SimplicialFan, cells, R) -> np.ndarray:
     so r is projected onto each face span and the projection's norm is kept
     when the projection is longer than ``1e-14 ||r||`` and lies in the face
     cone (coefficients at least ``-1e-12`` times its norm).  The apex
-    contributes 0, which is the floor of every value.
+    contributes 0, which is the floor of every value.  ``ValueError`` for
+    a cell index that is not an integer (a bool or a float is not) or is
+    outside 0..n_cells-1.
 
     One sweep over the faces of the fan's cached ``CapFaces`` evaluates
     every pair outside its cell, so the Python loop runs over the
     ``2^d - 2`` proper faces of a cell, never over the pairs.
     """
-    cells = np.asarray(cells, int)
+    cells = np.asarray(cells)
     R = as_rows(fan, R, "vectors")
     if cells.shape != (R.shape[0],):
         raise ValueError(f"{R.shape[0]} vectors need as many cells, "
                          f"got an array of shape {cells.shape}")
+    if cells.size and cells.dtype.kind not in "iu":
+        raise ValueError(f"cell indices must be integers, not {cells.dtype} "
+                         f"values such as {cells[0].item()!r}")
+    outside = (cells < 0) | (cells >= fan.n_cells)
+    if outside.any():
+        raise ValueError(f"cell index {cells[outside][0]} is outside "
+                         f"0..{fan.n_cells - 1}")
     table = fan._cap_faces
     norms = row_norms(R)
     lam = np.matmul(fan.constants.cell_inverses[cells], R[:, :, None])[..., 0]

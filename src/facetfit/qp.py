@@ -73,6 +73,8 @@ class ConstrainedLS:
     ``A`` is a dense array or a ``BlockMatrix``, such as a design in cell
     form.  ``B`` may have zero rows, in which case the problem is
     unconstrained.  The feasible region always contains the origin.
+    ``ValueError`` for inconsistent shapes or a non-finite entry of A, y or
+    B; a ``BlockMatrix`` is checked through its blocks' values.
     """
 
     A: np.ndarray | BlockMatrix
@@ -92,6 +94,11 @@ class ConstrainedLS:
             raise ValueError("A and y have inconsistent shapes")
         if B.ndim != 2 or B.shape[1] != A.shape[1]:
             raise ValueError("B and A have inconsistent column counts")
+        if not all(np.isfinite(values).all() for _, _, values in BlockMatrix.of(A).blocks):
+            raise ValueError("non-finite entry in A")
+        for name, a in (("y", y), ("B", B)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite entry in {name}")
 
 
 @dataclass(frozen=True)

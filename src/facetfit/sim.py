@@ -7,20 +7,21 @@ exact Hausdorff error decays with the sample count.  The theoretical
 error bound and the eigenvalue inequalities behind it are evaluated from
 the same plan parameters.
 
-All randomness flows through a seeded 64-bit PCG64 generator with
-Gaussians produced by the Marsaglia polar transform, so every experiment
-is reproducible bit for bit from its seeds; ``GENERATOR_ID`` names the
-scheme in output metadata.  Directions are drawn in batches that
-reproduce, row for row, the stream of one ``gaussian_polar`` call per
-direction.  Rejection sampling works in passes: each pass draws a batch
-of trials, makes every trial's candidate for every ray, and tests them all
-with one ``fan.carrier_blocks`` call, reading each block's d coefficient
-columns.  The slots then jump from one event (an accepted candidate, or
-one without a carrier) to the next, one loop step per filled slot.  After
-a pass that drew more trials than it used, the generator is rewound to
-just after the last trial used, so the rows and the stream match one
-``gaussian_polar`` call per trial.  The first pass draws one trial per
-slot, a later one enough for the pending slots at the acceptance rate
+All randomness flows through a seeded 64-bit PCG64 generator and numpy's
+``Generator.standard_normal`` (a ziggurat method), so every experiment is
+reproducible bit for bit from its seeds; ``GENERATOR_ID`` names the
+scheme in output metadata.  A (k, d) batch of ``standard_normal`` equals,
+row for row, k calls of ``standard_normal(d)``, so directions drawn in
+batches are those of one call per direction.  Rejection sampling works
+in passes: each pass draws a batch of trials, makes every trial's
+candidate for every ray, and tests them all with one
+``fan.carrier_blocks`` call, reading each block's d coefficient columns.
+The slots then jump from one event (an accepted candidate, or one
+without a carrier) to the next, one loop step per filled slot.  After a
+pass that drew more trials than it used, the generator is rewound to just
+after the last trial used, so the rows and the stream match one
+``standard_normal(d)`` call per trial.  The first pass draws one trial
+per slot, a later one enough for the pending slots at the acceptance rate
 seen so far, plus a quarter, so most plans take two passes.
 """
 
@@ -39,7 +40,7 @@ from .fan import (NoCarrier, SimplicialFan, _index, c_delta, carrier_blocks,
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import hausdorff, support_values
 
-GENERATOR_ID = "pcg64/marsaglia-polar/1"
+GENERATOR_ID = "pcg64/numpy-standard-normal/2"
 
 # Candidates (trials times rays) that a later rejection pass may draw beyond
 # one trial per pending slot.
@@ -71,7 +72,7 @@ class HypothesisUnmet(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Seeded Gaussian sampling (Marsaglia polar)
+# Seeded Gaussian sampling
 # ---------------------------------------------------------------------------
 
 def _rng(seed) -> np.random.Generator:
@@ -84,80 +85,21 @@ def derive_seed(*key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _polar_pairs(need: int) -> int:
-    """The uniform pairs ``gaussian_polar`` draws at once for ``need`` more
-    normals: a call for d normals starts with ``_polar_pairs(d)``."""
-    return (need + 1) // 2 + 8
-
-
-def gaussian_polar(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normals via the polar rejection transform on ``rng``."""
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        need = size - filled
-        pairs = _polar_pairs(need)
-        u = 2.0 * rng.random(pairs) - 1.0
-        v = 2.0 * rng.random(pairs) - 1.0
-        s = u * u + v * v
-        ok = (s > 0.0) & (s < 1.0)
-        factor = np.sqrt(-2.0 * np.log(s[ok]) / s[ok])
-        draws = np.concatenate([u[ok] * factor, v[ok] * factor])
-        take = min(draws.size, need)
-        out[filled:filled + take] = draws[:take]
-        filled += take
-    return out
-
-
 def _rewind(rng: np.random.Generator, start: dict, rows: int, d: int) -> None:
-    """Set ``rng`` to just after the first ``rows`` rows that ``_polar_rows``
-    drew from ``start``: each row of width d takes ``2 _polar_pairs(d)``
-    uniforms."""
+    """Set ``rng`` to just after the first ``rows`` rows of width d drawn
+    from ``start``.  The ziggurat takes a variable number of words per
+    normal, so the rows are drawn again rather than skipped by count."""
     rng.bit_generator.state = start
-    rng.bit_generator.advance(rows * 2 * _polar_pairs(d))
-
-
-def _polar_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
-    """Up to k rows, row i equal to the i-th of k ``gaussian_polar(rng, d)``
-    calls in turn, leaving ``rng`` just after the last row returned.
-
-    The uniforms of all k calls are drawn at once.  A call whose pairs
-    yield fewer than d normals would draw more; the rows stop with it: the
-    stream is rewound to just before it and that call is made by
-    ``gaussian_polar`` itself.
-    """
-    pairs = _polar_pairs(d)
-    start = rng.bit_generator.state
-    uv = 2.0 * rng.random(2 * pairs * k).reshape(k, 2, pairs) - 1.0
-    u, v = uv[:, 0], uv[:, 1]
-    s = u * u + v * v
-    ok = (s > 0.0) & (s < 1.0)
-    count = ok.sum(axis=1)
-    short = np.flatnonzero(2 * count < d)
-    full = int(short[0]) if short.size else k
-    # Value j of row i is u (j < c) or v (j >= c) of its accepted pair
-    # q = j or j - c.  The accepted pairs of all rows, in order, are one
-    # flat list; row i's start in it is the running count before row i.
-    c = count[:full, None]
-    j = np.arange(d)
-    first = j < c
-    before = np.cumsum(count[:full]) - count[:full]
-    at = np.flatnonzero(ok[:full])[before[:, None] + np.where(first, j, j - c)]
-    comp = np.where(first, u.ravel()[at], v.ravel()[at])
-    sp = s.ravel()[at]
-    rows = comp * np.sqrt(-2.0 * np.log(sp) / sp)
-    if full < k:
-        _rewind(rng, start, full, d)
-        rows = np.vstack([rows, gaussian_polar(rng, d)])
-    return rows
+    rng.standard_normal((rows, d))
 
 
 def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
-    """k unit vectors: normalized ``gaussian_polar`` rows, skipping any of
-    norm at most 1e-12."""
+    """k unit vectors: normalized ``standard_normal`` rows, skipping any of
+    norm at most 1e-12, the rows of one ``standard_normal(d)`` call per
+    vector."""
     parts = [np.empty((0, d))]
     while k > 0:
-        g = _polar_rows(rng, k, d)
+        g = rng.standard_normal((k, d))
         norms = row_norms(g)
         keep = norms > 1e-12
         parts.append(g[keep] / norms[keep, None])
@@ -265,7 +207,7 @@ class NoiseModel:
 
     def sample(self, m: int, key: tuple[int, ...] = ()) -> np.ndarray:
         rng = _rng(derive_seed(self.seed, *key))
-        return self.sigma * gaussian_polar(rng, m)
+        return self.sigma * rng.standard_normal(m)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +324,7 @@ def _rejection_rows(fan: SimplicialFan, rng: np.random.Generator, units: np.ndar
     each trial and ray, the next event, so the slots advance from event to
     event, one loop step per filled slot.  The generator is then rewound to
     just after the last trial used, so the rows and the state left behind
-    are those of one ``gaussian_polar`` call per trial.
+    are those of one ``standard_normal(d)`` call per trial.
     """
     n, d = units.shape
     ray_norms = fan.constants.ray_norms
@@ -394,13 +336,12 @@ def _rejection_rows(fan: SimplicialFan, rng: np.random.Generator, units: np.ndar
     out = np.empty((len(slots), d))
     s = tries = used = 0
     while s < len(slots):
-        pending = want = len(slots) - s
+        pending = k = len(slots) - s
         if used:
-            want = min(math.ceil(1.25 * pending * used / max(s, 1)),
-                       pending + _PASS_ROWS // n)
+            k = min(math.ceil(1.25 * pending * used / max(s, 1)),
+                    pending + _PASS_ROWS // n)
         start = rng.bit_generator.state
-        g = _polar_rows(rng, want, d)
-        k = len(g)
+        g = rng.standard_normal((k, d))
         X = (units[None, :, :] + radius * g[:, None, :]).reshape(k * n, d)
         norms = row_norms(X)
         usable = norms >= 1e-12

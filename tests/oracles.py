@@ -657,21 +657,21 @@ def loop_in_ct(fan, x, j, t, inverses) -> bool:
 
 def _loop_unit(rng, d) -> np.ndarray:
     while True:
-        g = sim.gaussian_polar(rng, d)
+        g = rng.standard_normal(d)
         norm = np.linalg.norm(g)
         if norm > 1e-12:
             return g / norm
 
 
 def loop_uniform_sphere(d, m, seed) -> np.ndarray:
-    """One ``gaussian_polar`` call per unit vector."""
+    """One ``standard_normal(d)`` call per unit vector."""
     rng = sim._rng(seed)
     return np.array([_loop_unit(rng, d) for _ in range(m)])
 
 
 def loop_concentrated(fan, plan) -> np.ndarray:
     """Quota slots round robin by ray, each rejection-sampled with one
-    ``gaussian_polar`` call per trial, then the uniform fill."""
+    ``standard_normal(d)`` call per trial, then the uniform fill."""
     inverses = cell_inverses(fan)
     n = fan.n_rays
     rng = sim._rng(plan.seed)
@@ -689,7 +689,7 @@ def loop_concentrated(fan, plan) -> np.ndarray:
                 out.append(units[j].copy())
                 continue
             for _ in range(10000):
-                x = units[j] + radius * sim.gaussian_polar(rng, fan.dim)
+                x = units[j] + radius * rng.standard_normal(fan.dim)
                 norm = np.linalg.norm(x)
                 if norm < 1e-12:
                     continue

@@ -121,23 +121,9 @@ def test_uniform_sphere_equals_loop(d):
         assert fast.tobytes() == loop_uniform_sphere(d, 500, seed).tobytes()
 
 
-def test_uniform_sphere_refill_row_equals_loop(monkeypatch):
-    # The batched draw hands a row to gaussian_polar only when that row's
-    # pairs fall short; seed 3 first does so at row 15385.
-    calls = []
-    polar = sim.gaussian_polar
-    monkeypatch.setattr(sim, "gaussian_polar",
-                        lambda rng, size: calls.append(size) or polar(rng, size))
-    fast = sample_uniform_sphere(3, 20000, seed=3)
-    monkeypatch.undo()
-    assert calls, "the refill path was not reached"
-    assert fast.tobytes() == loop_uniform_sphere(3, 20000, 3).tobytes()
-
-
 def concentrated_cases():
-    """(fan, t, delta, m) plans.  The last two are pinned below: about half
-    the trials of the 2D fan are rejected, and on the 5D cube a row of the
-    rejection pass can need the ``gaussian_polar`` refill."""
+    """(fan, t, delta, m) plans.  Case 4 is pinned below: about half the
+    trials of its 2D fan are rejected."""
     return [(catalog.hexagon_fan(), 0.008, 0.03, 300),
             (catalog.random_polytopal_fan(3, 6, seed=203), 0.004, 0.08, 300),
             (catalog.cube_fan(4), 0.004, 0.02, 200),
@@ -157,30 +143,23 @@ def test_concentrated_equals_loop(case, seed):
     assert fast.tobytes() == loop_concentrated(fan, plan).tobytes()
 
 
-@pytest.mark.parametrize("case, seed", [(4, 0), (5, 73)])
+@pytest.mark.parametrize("case, seed", [(4, 0), (4, 2)])
 def test_rejection_passes_equal_loop(case, seed, monkeypatch):
-    """Case 4 with seed 0 takes at least three passes, and a later pass
-    draws more trials than it uses, so the stream is rewound; case 5 with
-    seed 73 reaches the ``gaussian_polar`` refill row in its first
-    rejection pass."""
+    """Case 4 takes two passes with seed 0 and three with seed 2, and the
+    last pass draws more trials than it uses, so the stream is rewound."""
     fan, t, delta, m = concentrated_cases()[case]
     plan = make_plan(fan, t, delta, m, seed)
-    passes, refills, rewinds = [], [], []
-    blocks, polar, rewind = sim.carrier_blocks, sim.gaussian_polar, sim._rewind
+    passes, rewinds = [], []
+    blocks, rewind = sim.carrier_blocks, sim._rewind
     monkeypatch.setattr(sim, "carrier_blocks",
                         lambda fan, X: passes.append(len(X)) or blocks(fan, X))
-    monkeypatch.setattr(sim, "gaussian_polar",
-                        lambda rng, size: refills.append(len(passes)) or polar(rng, size))
     monkeypatch.setattr(sim, "_rewind",
                         lambda *args: rewinds.append(len(passes)) or rewind(*args))
     fast = sample_concentrated(fan, plan)
     monkeypatch.undo()
     assert fast.tobytes() == loop_concentrated(fan, plan).tobytes()
-    if case == 4:
-        assert len(passes) >= 3 and not refills
-        assert rewinds and rewinds[-1] == len(passes)
-    else:
-        assert 0 in refills and 0 in rewinds
+    assert len(passes) == {0: 2, 2: 3}[seed]
+    assert rewinds and rewinds[-1] == len(passes)
 
 
 def test_exact_ray_plan_equals_loop():

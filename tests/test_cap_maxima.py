@@ -149,3 +149,17 @@ def test_cap_maxima_refuses_mismatched_shapes(hexagon):
 
 def test_cap_maxima_of_no_pairs_is_empty(hexagon):
     assert cap_maxima(hexagon, np.zeros(0, int), np.zeros((0, 2))).shape == (0,)
+
+
+def test_cap_maxima_refuses_a_bad_cell_index(hexagon):
+    r = np.array([1.0, 0.3])
+    with pytest.raises(ValueError, match=r"^cell index -1 is outside 0\.\.5$"):
+        cap_maxima(hexagon, [-1], r[None])
+    with pytest.raises(ValueError, match="^cell indices must be integers, not float64"):
+        max_linear_over_cone_cap(hexagon, 2.7, r)
+    with pytest.raises(ValueError, match="^cell indices must be integers, not bool"):
+        max_linear_over_cone_cap(hexagon, True, r)
+    with pytest.raises(ValueError, match=r"^cell index 6 is outside 0\.\.5$"):
+        max_linear_over_cone_cap(hexagon, 6, r)
+    assert max_linear_over_cone_cap(hexagon, np.int64(5), r) == \
+        max_linear_over_cone_cap(hexagon, 5, r)

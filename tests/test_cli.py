@@ -325,7 +325,7 @@ def test_simulate_is_reproducible_and_writes_sidecar(workdir, capsys):
     assert rc1 == rc2 == cli.EXIT_OK
     assert (workdir / "a.tsv").read_bytes() == (workdir / "b.tsv").read_bytes()
     meta = json.loads((workdir / "a.tsv.meta.json").read_text())
-    assert meta["generator"] == "pcg64/marsaglia-polar/1"
+    assert meta["generator"] == "pcg64/numpy-standard-normal/2"
     assert "slope" in capsys.readouterr().out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from facetfit.qp import (
+    BlockMatrix,
     ConstrainedLS,
     Infeasible,
     IterationLimit,
@@ -231,6 +232,28 @@ def test_a_warm_start_of_wrong_shape_or_not_finite_is_refused(start):
     problem = ConstrainedLS(cycle_design(), 2.0 * np.ones(6), hexagon_walls())
     with pytest.raises(ValueError, match=r"shape \(6,\)"):
         solve_cls(problem, SolverOptions(warm_start=start))
+
+
+@pytest.mark.parametrize("where", ["A", "y", "B"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_problem_is_refused(where, bad):
+    data = {"A": cycle_design(), "y": 2.0 * np.ones(6), "B": hexagon_walls()}
+    data[where].flat[0] = bad
+    with pytest.raises(ValueError, match=f"^non-finite entry in {where}$"):
+        ConstrainedLS(data["A"], data["y"], data["B"])
+
+
+def test_a_block_matrix_is_checked_through_its_blocks(monkeypatch):
+    values = np.ones((2, 3))
+    values[1, 2] = np.nan
+    A = BlockMatrix(shape=(4, 6), blocks=(
+        (np.array([0, 1]), np.array([0, 1, 2]), np.ones((2, 3))),
+        (np.array([2, 3]), np.array([3, 4, 5]), values)))
+    monkeypatch.setattr(BlockMatrix, "dense", lambda self: pytest.fail("densified"))
+    with pytest.raises(ValueError, match="^non-finite entry in A$"):
+        ConstrainedLS(A, np.ones(4), np.zeros((0, 6)))
+    values[1, 2] = 1.0
+    assert ConstrainedLS(A, np.ones(4), np.zeros((0, 6))).A is A
 
 
 def test_a_warm_start_outside_the_cone_falls_back_to_zero():

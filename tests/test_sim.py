@@ -188,7 +188,7 @@ def test_rejection_sampling_starves_after_10000_trials(hexagon, monkeypatch, tri
     # trial later, slot 0 starves first.
     plan = make_plan(hexagon, 0.008, 0.01, 80, 31)
     rng = facetfit.sim._rng(plan.seed)
-    g = [facetfit.sim.gaussian_polar(rng, 2) for _ in range(trial + 1)][-1]
+    g = [rng.standard_normal(2) for _ in range(trial + 1)][-1]
     norms = hexagon.constants.ray_norms
     x = hexagon.rays[0] / norms[0] + 0.5 * plan.t * float(np.min(norms)) * g
     [(_, _, member)] = facetfit.fan.carrier_blocks(hexagon, [x / np.linalg.norm(x)])
@@ -243,6 +243,16 @@ def test_noise_determinism_and_scale():
     assert not np.array_equal(a, c)
     assert abs(float(np.std(a)) - 0.5) < 0.05
     assert noise.gamma == pytest.approx(0.25)
+
+
+def test_noise_stream_is_the_one_generator_id_names():
+    # Records written under GENERATOR_ID reproduce only while these bits hold
+    # on every supported numpy.
+    assert facetfit.sim.GENERATOR_ID == "pcg64/numpy-standard-normal/2"
+    eps = NoiseModel(sigma=1.0, seed=5).sample(4, key=(30, 0))
+    assert [float(x).hex() for x in eps] == [
+        "-0x1.46c84f559caadp-2", "-0x1.14a7d85b16b6ap-4",
+        "-0x1.a9b0c8fe1231bp-2", "0x1.f1ab5b4a13b17p-2"]
 
 
 def test_noise_variance_bound_enforced():
