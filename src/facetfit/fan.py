@@ -10,12 +10,14 @@ Carrier lookups loop over the cells, never over the directions: each
 direction's cell is guessed from the vertices of one polytope with the fan's
 rays as facet normals and verified, and the directions a guess cannot place
 go through a fan-order scan that applies each cell's inverse to every
-direction still without a carrier.  ``carrier_blocks`` returns the result
-as one block of rows and d coefficients per cell found; ``carrier`` is its
-call on one row.  Cone-cap maxima likewise loop over the faces of a cell,
-never over the queries: ``cap_maxima`` evaluates any number of (cell,
-vector) pairs against a per-fan table of face projectors built on first
-use.  Directions and cap vectors must be finite.
+direction still without a carrier.  Both take their coefficients from
+``coefficients``, which sums each one left to right in elementwise passes
+over all rows, never by a BLAS call per row.  ``carrier_blocks`` returns
+the result as one block of rows and d coefficients per cell found;
+``carrier`` is its call on one row.  Cone-cap maxima likewise loop over
+the faces of a cell, never over the queries: ``cap_maxima`` evaluates any
+number of (cell, vector) pairs against a per-fan table of face projectors
+built on first use.  Directions and cap vectors must be finite.
 """
 
 from __future__ import annotations
@@ -108,9 +110,13 @@ class FanConstants:
     for the d rays i of cell c.  ``guess_margins[c]`` is
     ``2 d max ||v|| max_k ||inv_c[k]||``: ``carrier_blocks`` accepts a
     guess of cell c for u when every coefficient of u in c is at least
-    ``guess_margins[c]`` times the scan tolerance of u.  The margins are
-    infinite, so no guess is accepted, when some coefficient's rounding can
-    exceed half the scan tolerance (``carrier_blocks`` derives both).
+    ``guess_margins[c]`` times the scan tolerance of u.  The coefficients
+    are those of ``coefficients``, each summed left to right, so each is
+    within ``γ_d ||inv_c[k]|| ||u|| <= d eps ||inv_c[k]|| ||u||`` of its
+    exact value (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §3.1).  The margins are infinite, so no guess is accepted, when that
+    bound can exceed half the scan tolerance (``carrier_blocks`` derives
+    both).
 
     The coefficient bound is not here: ``c_delta`` computes it on its first
     call, since only the convergence bound and ``hausdorff_bound`` read it.
@@ -297,8 +303,9 @@ def _build_constants(fan: SimplicialFan) -> FanConstants:
         raise InvalidFan(f"cell {cell} has numerically dependent generators")
     norms = np.linalg.norm(fan.rays, axis=1)
     inv_norms = row_norms(invs.reshape(-1, fan.dim)).reshape(fan.n_cells, fan.dim).max(axis=1)
-    # A length-d dot product rounds by at most d eps |a| |b|; the guess is
-    # sound while that stays within half the scan tolerance for every cell.
+    # A length-d sum of products, summed left to right, rounds by at most
+    # gamma_d |a|·|b| <= d eps ||a|| ||b||; the guess is sound while that
+    # stays within half the scan tolerance for every cell.
     rounding = fan.dim * np.finfo(float).eps * inv_norms.max() * norms.min()
     if rounding <= 0.5 * CARRIER_RTOL:
         margins = 2.0 * fan.dim * norms.max() * inv_norms
@@ -365,6 +372,34 @@ def row_min(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def coefficients(inverses: np.ndarray, cells, U: np.ndarray) -> np.ndarray:
+    """Row i is ``λ = inv u``, the coefficients of row u = ``U[i]`` on the
+    generators of its cell, with ``inv = inverses[cells]`` for one cell
+    index ``cells`` or ``inverses[cells[i]]`` for an array of them.
+
+    Each ``λ_j = Σ_k inv[j, k] u_k`` is summed left to right, as one loop
+    over u would sum it, by d² elementwise multiply and add passes over all
+    rows at once; an array of cells gathers one entry of each row's inverse
+    per pass, never a (rows, d, d) stack.  The bits depend on no BLAS kernel,
+    and each λ_j is within ``γ_d |inv[j]|·|u|`` of the exact value, with
+    ``γ_d = d (eps/2) / (1 - d eps/2) <= d eps`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1).  An overflow gives inf or
+    nan silently, as a matrix product would.  Returns a C-contiguous
+    (rows, d) array."""
+    cells = np.asarray(cells, np.intp)
+    out = np.empty(U.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(U.shape[1]):
+            lam = out[:, j]
+            np.multiply(inverses[:, j, 0].take(cells), U[:, 0], out=lam)
+            for k in range(1, U.shape[1]):
+                # One cell takes a scalar, which `*=` replaces by a new array.
+                term = inverses[:, j, k].take(cells)
+                term *= U[:, k]
+                lam += term
+    return out
+
+
 def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """The rows of ``U`` that have a carrier, grouped by it.
 
@@ -379,7 +414,8 @@ def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndar
     columns of each block and never build the dense (m, n) matrix.
 
     The result is that of a scan over the cells in fan order: a row takes
-    the first cell whose coefficients are all at least ``-tau(u)``, with
+    the first cell whose coefficients, from ``coefficients`` (summed left
+    to right), are all at least ``-tau(u)``, with
     ``tau(u) = 1e-9 ||u|| / min ||v_i||``, so vectors on a wall resolve
     deterministically.  Coefficients within that tolerance below zero are
     clamped to 0.
@@ -389,19 +425,20 @@ def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndar
     maximizes ``<u, x>`` (Ziegler, *Lectures on Polytopes*, 7.1), so each
     row's cell g is guessed as the argmax of ``<u, x_c>`` over the vertices
     ``x_c`` of ``P(h°)``, ``h°`` the ray norms (``FanConstants.vertices``),
-    found in O(m) memory, never as an (m, cells) score matrix.  The guess
-    is accepted only when every coefficient of u in g is at least the margin
-    ``mu_g(u) = 2 tau(u) d max ||v|| max_k ||inv_g[k]||``.  Derivation: if
-    u fitted another cell c within tau, raising its negative coefficients
-    in c to 0 would move u by at most ``d tau max ||v||`` to a point w of
-    c, and each coefficient of w in g would differ from u's by at most
-    ``max_k ||inv_g[k]|| d tau max ||v||``, so w would lie inside g and in
-    c, which cells that meet only on their boundaries exclude.  The factor
-    2 absorbs the rounding of the coefficients, both of the matrix-product
-    pre-check in g and of the scan's test in c, which ``FanConstants``
-    bounds by ``tau / 2`` (no guess is accepted on a fan where it cannot).
-    So no other cell passes the scan's test, and an accepted row gets the
-    scan's cell and, from the same stacked product, its coefficients.
+    the first on ties, found in O(m) memory, never as an (m, cells) score
+    matrix.  The guess is accepted only when every coefficient of u in g is
+    at least the margin ``mu_g(u) = 2 tau(u) d max ||v|| max_k ||inv_g[k]||``.
+    Derivation: if u fitted another cell c within tau, raising its negative
+    coefficients in c to 0 would move u by at most ``d tau max ||v||`` to a
+    point w of c, and each coefficient of w in g would differ from u's by at
+    most ``max_k ||inv_g[k]|| d tau max ||v||``, so w would lie inside g and
+    in c, which cells that meet only on their boundaries exclude.  The
+    factor 2 absorbs the rounding of the coefficients in g and of the scan's
+    test in c, each at most ``γ_d ||inv[k]|| ||u||`` (see ``coefficients``),
+    which ``FanConstants`` bounds by ``tau / 2`` (no guess is accepted on a
+    fan where it cannot).  So no other cell passes the scan's test, and an
+    accepted row gets the scan's cell and the scan's coefficients, which
+    the margin test has already computed with the same ``coefficients``.
 
     Zero rows, rows under the margin and wrong guesses, which arise when
     ``h°`` is not inside the fan's type cone (the roof fans have it on the
@@ -413,22 +450,28 @@ def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndar
     fan.require_valid()
     U = as_rows(fan, U, "directions")
     consts = fan.constants
-    norms = row_norms(U)
-    tol = CARRIER_RTOL * norms / max(float(np.min(consts.ray_norms)), 1e-300)
-    placed = np.zeros(U.shape[0], bool)
-    blocks = []
+    # The norms become the tolerances in place, rounded as
+    # `CARRIER_RTOL * norms / min ||v_i||` is, to keep one (m,) array fewer.
+    tol = row_norms(U)
+    nonzero = tol != 0.0
+    tol *= CARRIER_RTOL
+    tol /= max(float(np.min(consts.ray_norms)), 1e-300)
+    guess = _vertex_labels(consts.vertices, U)
+    lam = coefficients(consts.cell_inverses, guess, U)
+    with np.errstate(invalid="ignore"):   # an infinite margin times tol = 0
+        sure = row_min(lam) >= consts.guess_margins[guess] * tol
     # Rows whose tolerance underflows or overflows are left to the scan.
-    rows = np.flatnonzero((tol > 0.0) & (tol < np.inf))
-    for ci, mine in enumerate(_vertex_groups(consts.vertices, U[rows])):
-        if mine.size == 0:
-            continue
-        mine = rows[mine]
-        inv = consts.cell_inverses[ci]
-        mine = mine[row_min(U[mine] @ inv.T) >= consts.guess_margins[ci] * tol[mine]]
-        if mine.size:
-            placed[mine] = True
-            blocks.append((ci, mine, np.matmul(inv[None], U[mine, :, None])[..., 0]))
-    return blocks + _scan(fan, U, np.flatnonzero((norms != 0.0) & ~placed), tol)
+    rows = np.flatnonzero(sure & (tol > 0.0) & (tol < np.inf))
+    guess = guess[rows]
+    # A stable sort keeps each cell's rows in increasing order.
+    rows = rows[np.argsort(guess, kind="stable")]
+    lam = lam.take(rows, axis=0)
+    placed = np.zeros(U.shape[0], bool)
+    placed[rows] = True
+    ends = np.cumsum(np.bincount(guess, minlength=fan.n_cells)).tolist()
+    blocks = [(ci, rows[a:b], lam[a:b])
+              for ci, (a, b) in enumerate(zip([0] + ends, ends)) if b > a]
+    return blocks + _scan(fan, U, np.flatnonzero(nonzero & ~placed), tol)
 
 
 def vertex_max(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -441,34 +484,36 @@ def vertex_max(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
     return best
 
 
-def _vertex_groups(vertices: np.ndarray, U: np.ndarray) -> list[np.ndarray]:
-    """The rows of ``U`` grouped by the vertex that maximizes ``<u, x>``, the
-    first on ties: one array of row indices per vertex.  ``vertex_max``,
-    then a second pass hands each row to the first vertex whose score
-    reaches it."""
-    best = vertex_max(vertices, U)
-    groups = []
-    for x in vertices:
-        mine = np.flatnonzero(U @ x == best)
-        best[mine] = np.nan   # taken: equal to no later score
-        groups.append(mine)
-    return groups
+def _vertex_labels(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """For each row u of ``U``, the index of the vertex that maximizes
+    ``<u, x>``, the first on ties: one pass over the vertices keeping a
+    running best score and its label, so memory stays O(m)."""
+    best = U @ vertices[0]
+    score = np.empty_like(best)
+    better = np.empty(best.shape, bool)
+    # The smallest integer type: a stable sort of 8- or 16-bit labels is a
+    # radix sort.
+    labels = np.zeros(best.shape, np.min_scalar_type(len(vertices) - 1))
+    for c in range(1, len(vertices)):
+        np.matmul(U, vertices[c], out=score)
+        np.greater(score, best, out=better)
+        np.putmask(labels, better, c)
+        np.maximum(best, score, out=best)
+    return labels
 
 
 def _scan(fan: SimplicialFan, U: np.ndarray, rows: np.ndarray,
           tol: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """The fan-order scan of ``carrier_blocks`` on ``U[rows]``, returning its
-    blocks.  Each pass applies one cell's inverse to every row still
-    without a carrier; a row takes the first cell whose coefficients are
-    all at least ``-tol``."""
-    consts = fan.constants
+    blocks.  Each pass applies one cell's inverse, by ``coefficients``, to
+    every row still without a carrier; a row takes the first cell whose
+    coefficients are all at least ``-tol``."""
+    inverses = fan.constants.cell_inverses
     blocks = []
     for ci in range(fan.n_cells):
         if rows.size == 0:
             break
-        # A stacked matrix-vector product per row: `U @ inv.T` and einsum
-        # round differently from `inv @ u`.
-        lam = np.matmul(consts.cell_inverses[ci][None], U[rows, :, None])[..., 0]
+        lam = coefficients(inverses, ci, U.take(rows, axis=0))
         fits = row_min(lam) >= -tol[rows]
         if fits.any():
             blocks.append((ci, rows[fits], np.maximum(lam[fits], 0.0)))
@@ -609,7 +654,7 @@ def cap_maxima(fan: SimplicialFan, cells, R) -> np.ndarray:
                          f"0..{fan.n_cells - 1}")
     table = fan._cap_faces
     norms = row_norms(R)
-    lam = np.matmul(fan.constants.cell_inverses[cells], R[:, :, None])[..., 0]
+    lam = coefficients(fan.constants.cell_inverses, cells, R)
     out = norms.copy()
     rows = np.flatnonzero(row_min(lam) < -1e-12 * norms)
     R, cells, norms = R[rows, :, None], cells[rows], norms[rows]

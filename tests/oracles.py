@@ -598,12 +598,25 @@ def scatter_carriers(fan, U) -> tuple[np.ndarray, np.ndarray]:
     return cells, coeffs
 
 
+def left_to_right(inv, u) -> np.ndarray:
+    """``inv @ u`` with each entry summed left to right in Python floats:
+    ``(inv[j, 0] u_0 + inv[j, 1] u_1) + ...``, one row at a time."""
+    u = np.asarray(u, float).tolist()
+    lam = []
+    for row in np.asarray(inv, float).tolist():
+        total = row[0] * u[0]
+        for a, x in zip(row[1:], u[1:]):
+            total += a * x
+        lam.append(total)
+    return np.array(lam)
+
+
 def loop_carrier(fan, u, inverses) -> tuple[int, np.ndarray]:
     """(cell, coeffs) of one vector: scan the cells in fan order, take the
-    first whose coefficients clear ``-1e-9 ||u|| / min ||v_i||``.  When the
-    sum of squares of a nonzero u under- or overflows, ``||u||`` is taken
-    from u scaled by a power of 2 that brings its largest entry into
-    [1/2, 1)."""
+    first whose coefficients, summed left to right (``left_to_right``),
+    clear ``-1e-9 ||u|| / min ||v_i||``.  When the sum of squares of a
+    nonzero u under- or overflows, ``||u||`` is taken from u scaled by a
+    power of 2 that brings its largest entry into [1/2, 1)."""
     u = np.asarray(u, float)
     with np.errstate(over="ignore"):
         norm_u = np.linalg.norm(u)
@@ -615,7 +628,7 @@ def loop_carrier(fan, u, inverses) -> tuple[int, np.ndarray]:
     min_norm = float(np.min(np.linalg.norm(fan.rays, axis=1)))
     tol = 1e-9 * norm_u / max(min_norm, 1e-300)
     for ci, cell in enumerate(fan.cells):
-        lam = inverses[ci] @ u
+        lam = left_to_right(inverses[ci], u)
         if np.min(lam) >= -tol:
             coeffs = np.zeros(fan.n_rays)
             coeffs[list(cell)] = np.maximum(lam, 0.0)

@@ -5,6 +5,7 @@ Each batched path must reproduce the loop in ``oracles`` bit for bit: the
 same carrier cells, coefficients, vertices, samples and random stream.
 """
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from facetfit import catalog, sim
 from facetfit import fan as fan_mod
 from facetfit.design import DesignMatrix, build_design, direction_graph
-from facetfit.fan import (NoCarrier, SimplicialFan, ValidationReport, cell_vertices, row_min,
-                          validate)
+from facetfit.fan import (NoCarrier, SimplicialFan, ValidationReport, carrier, carrier_blocks,
+                          cell_vertices, row_min, validate)
 from facetfit.qp import BlockMatrix
 from facetfit.sim import make_plan, sample_concentrated, sample_uniform_sphere
 
@@ -337,6 +338,58 @@ def test_exact_rays_all_go_to_the_scan(monkeypatch):
     sizes = scan_sizes(monkeypatch)
     scatter_carriers(hexagon, U)
     assert sizes == [len(U)]
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_guess_and_scan_share_one_rounding(index, monkeypatch):
+    """With infinite margins every guess is refused and every nonzero row
+    goes through ``_scan``; its cells and coefficient bytes equal those of
+    the default path, which places most rows by their guess."""
+    fan = fans()[index]
+    U = np.vstack([mixed_directions(fan, index, scale) for scale in (1.0, 1e-6, 1e6)])
+    sizes = scan_sizes(monkeypatch)
+    cells, coeffs = scatter_carriers(fan, U)
+    monkeypatch.setattr(fan, "constants", dataclasses.replace(
+        fan.constants, guess_margins=np.full(fan.n_cells, np.inf)))
+    scanned_cells, scanned = scatter_carriers(fan, U)
+    assert sizes[0] < sizes[1] == np.count_nonzero(U.any(axis=1))
+    assert scanned_cells.tobytes() == cells.tobytes()
+    assert scanned.tobytes() == coeffs.tobytes()
+
+
+def test_carrier_coefficients_keep_their_bits():
+    """``carrier`` on (3, 12, 7) for u inside cell 16, for u = v_0 + v_6 on
+    the wall of cells 0 and 1, and for the exact ray v_5, pinned as hex
+    literals.  The coefficients are summed left to right, with no BLAS
+    kernel involved, so they hold under any BLAS build."""
+    fan = catalog.random_polytopal_fan(3, 12, seed=7)
+    cases = [(np.array([0.3, -0.2, 0.9]), 16, {4: "0x1.760c490a36825p+0",
+                                               7: "0x1.3ce4966909178p-4",
+                                               8: "0x1.c53df2de64548p+0"}),
+             (fan.rays[0] + fan.rays[6], 0, {0: "0x1.0000000000002p+0",
+                                             6: "0x1.ffffffffffffcp-1",
+                                             7: "0x1.0000000000000p-53"}),
+             (fan.rays[5], 5, {5: "0x1.0000000000000p+0"})]
+    for u, cell, pinned in cases:
+        found = carrier(fan, u)
+        expected = [pinned.get(i, "0x0.0p+0") for i in range(fan.n_rays)]
+        assert found.cell_index == cell
+        assert [x.hex() for x in found.coeffs.tolist()] == expected
+
+
+def test_carrier_memory_is_bounded_in_the_rows():
+    """No (m, cells) score matrix and no (m, d, d) stack of inverses."""
+    fan = catalog.random_polytopal_fan(3, 12, seed=7)
+    U = np.random.default_rng(0).standard_normal((100_000, 3))
+    carrier_blocks(fan, U[:1])   # the fan's cached tables, outside the trace
+    tracemalloc.start()
+    try:
+        blocks = carrier_blocks(fan, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(rows) for _, rows, _ in blocks) == len(U)
+    assert peak <= 8e6
 
 
 @settings(max_examples=40, deadline=None)
