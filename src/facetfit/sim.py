@@ -7,22 +7,22 @@ exact Hausdorff error decays with the sample count.  The theoretical
 error bound and the eigenvalue inequalities behind it are evaluated from
 the same plan parameters.
 
-All randomness flows through a seeded 64-bit PCG64 generator and numpy's
+All randomness flows through seeded 64-bit PCG64 generators and numpy's
 ``Generator.standard_normal`` (a ziggurat method), so every experiment is
 reproducible bit for bit from its seeds; ``GENERATOR_ID`` names the
 scheme in output metadata.  A (k, d) batch of ``standard_normal`` equals,
 row for row, k calls of ``standard_normal(d)``, so directions drawn in
-batches are those of one call per direction.  Rejection sampling works
-in passes: each pass draws a batch of trials, makes every trial's
-candidate for every ray, and tests them all with one
-``fan.carrier_blocks`` call, reading each block's d coefficient columns.
-The slots then jump from one event (an accepted candidate, or one
-without a carrier) to the next, one loop step per filled slot.  After a
-pass that drew more trials than it used, the generator is rewound to just
-after the last trial used, so the rows and the stream match one
-``standard_normal(d)`` call per trial.  The first pass draws one trial
-per slot, a later one enough for the pending slots at the acceptance rate
-seen so far, plus a quarter, so most plans take two passes.
+batches are those of one call per direction.  The uniform directions of
+a plan come from the plan's seed.  Each ray's rejection trials come from
+its own stream, numpy's independent child ``SeedSequence(seed,
+spawn_key=(j,))`` of the plan's seed, one ``standard_normal(d)`` call
+per trial, so a ray's samples depend on its stream alone: every trial
+makes one candidate, and trials drawn beyond the last one used are
+dropped.  The sampler works in passes of one ``fan.carrier_blocks`` call
+on the trials of every ray that still needs samples, reading each
+block's d coefficient columns.  The first pass draws one trial per
+pending sample, a later one enough for each ray's pending samples at its
+acceptance rate so far, plus a quarter, so most plans take two passes.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from .fan import (NoCarrier, SimplicialFan, _index, c_delta, carrier_blocks,
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import hausdorff, support_values
 
-GENERATOR_ID = "pcg64/numpy-standard-normal/2"
+GENERATOR_ID = "pcg64/numpy-standard-normal/3"
 
-# Candidates (trials times rays) that a later rejection pass may draw beyond
-# one trial per pending slot.
+# Trials that a later rejection pass may draw for one ray beyond one per
+# pending slot, times the number of rays.
 _PASS_ROWS = 1 << 16
 
 
@@ -80,17 +80,10 @@ def _rng(seed) -> np.random.Generator:
 
 
 def derive_seed(*key) -> int:
-    """Stable 64-bit stream seed from a tuple of integers."""
+    """Stable 64-bit stream seed from a tuple of integers, each taken mod
+    2**32 (so keys that differ by a multiple of 2**32 give one seed)."""
     ss = np.random.SeedSequence([int(k) & 0xFFFFFFFF for k in key])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _rewind(rng: np.random.Generator, start: dict, rows: int, d: int) -> None:
-    """Set ``rng`` to just after the first ``rows`` rows of width d drawn
-    from ``start``.  The ziggurat takes a variable number of words per
-    normal, so the rows are drawn again rather than skipped by count."""
-    rng.bit_generator.state = start
-    rng.standard_normal((rows, d))
 
 
 def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
@@ -279,16 +272,16 @@ def sample_concentrated(fan: SimplicialFan, plan: SamplingPlan) -> np.ndarray:
     """Directions honoring the plan: quota samples first, round robin by ray.
 
     Quota samples for ray j are rejection-sampled perturbations of the
-    normalized ray, each kept when it passes ``in_ct`` (``t = 0``
-    short-circuits to the exact ray); the remaining budget is uniform on
-    the sphere.  The interleaving is fixed so every prefix is as balanced
-    as the quotas allow.
+    normalized ray from ray j's own stream, each kept when it passes
+    ``in_ct`` (``t = 0`` short-circuits to the exact ray); the remaining
+    budget is uniform on the sphere, from the plan's seed.  The
+    interleaving is fixed so every prefix is as balanced as the quotas
+    allow.
     """
     fan.require_valid()
     n = fan.n_rays
     if len(plan.quotas) != n:
         raise ValueError("plan quotas do not match the fan's ray count")
-    rng = _rng(plan.seed)
     norms = fan.constants.ray_norms
     units = fan.rays / norms[:, None]
     radius = 0.5 * plan.t * float(np.min(norms))
@@ -300,31 +293,31 @@ def sample_concentrated(fan: SimplicialFan, plan: SamplingPlan) -> np.ndarray:
     if plan.t == 0.0:
         quota_rows = units[slots]
     else:
-        quota_rows = _rejection_rows(fan, rng, units, radius, slots, plan.t)
-    return np.concatenate([quota_rows, _unit_rows(rng, plan.m - len(slots), fan.dim)])
+        quota_rows = _rejection_rows(fan, plan.seed, units, radius, slots, plan.t)
+    uniform = _unit_rows(_rng(plan.seed), plan.m - len(slots), fan.dim)
+    return np.concatenate([quota_rows, uniform])
 
 
-def _rejection_rows(fan: SimplicialFan, rng: np.random.Generator, units: np.ndarray,
-                    radius: float, slots: np.ndarray, t: float) -> np.ndarray:
+def _rejection_rows(fan: SimplicialFan, seed, units: np.ndarray, radius: float,
+                    slots: np.ndarray, t: float) -> np.ndarray:
     """One accepted perturbation of ray ``slots[s]`` for every slot s.
 
-    Trials belong to the current slot: a slot takes the first trial after
-    the previous slot's that lies in its ray's neighborhood, and starves
-    after 10000 trials.  Which ray a trial is for depends on how many
-    earlier trials were accepted, so every trial's candidate is made and
-    tested for every ray.
+    Ray j's trials are ``units[j] + radius * g`` for the Gaussians g of
+    its stream ``SeedSequence(seed, spawn_key=(j,))``, one
+    ``standard_normal(d)`` call per trial.  A trial is an event when its
+    candidate is usable (norm at least 1e-12) and either in ray j's
+    neighborhood or without a carrier; ray j's r-th slot takes its r-th
+    event, raises ``NoCarrier`` when that candidate has no carrier, and
+    starves after 10000 trials without an event.  When several slots fail,
+    the first in round-robin order raises.
 
-    The trials come in passes.  The first draws one trial per slot; a later
-    pass draws 1.25 times the pending slots over the acceptance rate seen
-    so far, at most ``_PASS_ROWS`` candidates beyond one trial per pending
-    slot.  A pass makes one ``carrier_blocks`` call on its candidates and
-    applies the membership rule to each block's d columns.  A trial is an
-    event for a ray when its candidate is usable and either in the ray's
-    neighborhood or without a carrier; a reverse running minimum gives, for
-    each trial and ray, the next event, so the slots advance from event to
-    event, one loop step per filled slot.  The generator is then rewound to
-    just after the last trial used, so the rows and the state left behind
-    are those of one ``standard_normal(d)`` call per trial.
+    The trials come in passes.  The first draws one trial per pending slot
+    of each ray; a later pass draws 1.25 times a ray's pending slots over
+    its acceptance rate so far, at most ``_PASS_ROWS // n`` beyond one
+    per pending slot.  A pass stacks the trials ray by ray, makes one
+    ``carrier_blocks`` call on them and applies the membership rule to
+    each block's d columns.  Trials beyond a ray's last event used are
+    dropped, so the rows do not depend on the pass sizes.
     """
     n, d = units.shape
     ray_norms = fan.constants.ray_norms
@@ -332,56 +325,77 @@ def _rejection_rows(fan: SimplicialFan, rng: np.random.Generator, units: np.ndar
     column = np.full((fan.n_cells, n), -1)
     for c, cell in enumerate(fan.cells):
         column[c, list(cell)] = np.arange(d)
-    order = slots.tolist()
-    out = np.empty((len(slots), d))
-    s = tries = used = 0
-    while s < len(slots):
-        pending = k = len(slots) - s
-        if used:
-            k = min(math.ceil(1.25 * pending * used / max(s, 1)),
-                    pending + _PASS_ROWS // n)
-        start = rng.bit_generator.state
-        g = rng.standard_normal((k, d))
-        X = (units[None, :, :] + radius * g[:, None, :]).reshape(k * n, d)
+    need = np.bincount(slots, minlength=n).tolist()
+    active = [j for j in range(n) if need[j]]
+    streams = {j: _rng(np.random.SeedSequence(seed, spawn_key=(j,))) for j in active}
+    taken = [[] for _ in range(n)]
+    filled = [0] * n
+    drawn = [0] * n
+    # tries[j]: ray j's trials since its last event.  failed[r, j]: the error
+    # of ray j's slot r, the first of ray j's slots that fails.
+    tries = [0] * n
+    failed = {}
+    while active:
+        ks = []
+        for j in active:
+            pending = need[j] - filled[j]
+            ks.append(pending if not drawn[j] else min(
+                math.ceil(1.25 * pending * drawn[j] / max(filled[j], 1)),
+                pending + _PASS_ROWS // n))
+        ray = np.repeat(active, ks)
+        g = np.concatenate([streams[j].standard_normal((k, d)) for j, k in zip(active, ks)])
+        X = units[ray] + radius * g
         norms = row_norms(X)
         usable = norms >= 1e-12
         X /= np.where(usable, norms, 1.0)[:, None]
-        member = np.zeros(k * n, bool)
-        carried = np.zeros(k * n, bool)
+        member = np.zeros(len(X), bool)
+        carried = np.zeros(len(X), bool)
         for c, rows, lam in carrier_blocks(fan, X):
             carried[rows] = True
             member[rows] = _in_neighborhoods(lam, ray_norms[list(fan.cells[c])],
-                                             column[c, rows % n], t)
-        event = (usable & (member | ~carried)).reshape(k, n)
-        # after[i, j]: the first event for ray j at trial i or later, else k
-        # (row k, past the last trial, is all k).
-        after = np.vstack([np.where(event, np.arange(k)[:, None], k), np.full(n, k)])
-        after = np.minimum.accumulate(after[::-1], axis=0)[::-1]
-        # Slot by slot from trial i: the slot's next event fills it or, for a
-        # candidate without a carrier, raises.  ``tries`` counts the trials
-        # the current slot used in earlier passes.
-        taken = []
-        i = 0
-        for j in order[s:]:
-            e = after.item(i, j)
-            if tries + e - i >= 10000:
-                raise RuntimeError(
-                    f"rejection sampling starved for ray {j} at t={t}")
-            if e == k:
-                tries += k - i
-                i = k
-                break
-            if not carried.item(e * n + j):
-                raise NoCarrier.for_vector(fan, X[e * n + j])
-            taken.append(e * n + j)
-            tries = 0
-            i = e + 1
-        out[s:s + len(taken)] = X[taken]
-        s += len(taken)
-        used += i
-        if i < k:
-            _rewind(rng, start, i, d)
+                                             column[c, ray[rows]], t)
+        events = np.flatnonzero(usable & (member | ~carried))
+        # events[cut[i]:cut[i + 1]]: the events among the i-th ray's trials.
+        cut = np.searchsorted(events, np.cumsum([0] + ks)).tolist()
+        lost = not carried.all()
+        still = []
+        start = 0
+        for i, (j, k) in enumerate(zip(active, ks)):
+            drawn[j] += k
+            found = events[cut[i]:cut[i + 1]][:need[j] - filled[j]] - start
+            bad = ()
+            # Only a slot whose trials, those of earlier passes included,
+            # pass 10000 can starve, and only in a pass with a candidate
+            # without a carrier can a slot raise NoCarrier.
+            if lost or tries[j] + k > 10000:
+                gaps = np.diff(found, prepend=-1 - tries[j])
+                bad = np.flatnonzero((gaps > 10000) | ~carried[start + found])
+            if len(bad):
+                b = int(bad[0])
+                failed[filled[j] + b, j] = (
+                    _starved(j, t) if gaps[b] > 10000
+                    else NoCarrier.for_vector(fan, X[start + found[b]]))
+            else:
+                taken[j].append(X[start + found])
+                filled[j] += len(found)
+                tries[j] = k - 1 - int(found[-1]) if len(found) else tries[j] + k
+                if filled[j] < need[j]:
+                    if tries[j] >= 10000:
+                        failed[filled[j], j] = _starved(j, t)
+                    else:
+                        still.append(j)
+            start += k
+        active = still
+    if failed:
+        raise failed[min(failed)]
+    out = np.empty((len(slots), d))
+    out[np.argsort(slots, kind="stable")] = np.concatenate(
+        [np.empty((0, d))] + [block for blocks in taken for block in blocks])
     return out
+
+
+def _starved(j: int, t: float) -> RuntimeError:
+    return RuntimeError(f"rejection sampling starved for ray {j} at t={t}")
 
 
 # ---------------------------------------------------------------------------

@@ -684,10 +684,12 @@ def loop_uniform_sphere(d, m, seed) -> np.ndarray:
 
 def loop_concentrated(fan, plan) -> np.ndarray:
     """Quota slots round robin by ray, each rejection-sampled with one
-    ``standard_normal(d)`` call per trial, then the uniform fill."""
+    ``standard_normal(d)`` call per trial from its ray's child stream of
+    the plan seed, then the uniform fill from the plan seed's own stream."""
     inverses = cell_inverses(fan)
     n = fan.n_rays
-    rng = sim._rng(plan.seed)
+    streams = np.random.SeedSequence(plan.seed).spawn(n)
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
     norms = np.linalg.norm(fan.rays, axis=1)
     units = fan.rays / norms[:, None]
     radius = 0.5 * plan.t * float(np.min(norms))
@@ -702,7 +704,7 @@ def loop_concentrated(fan, plan) -> np.ndarray:
                 out.append(units[j].copy())
                 continue
             for _ in range(10000):
-                x = units[j] + radius * rng.standard_normal(fan.dim)
+                x = units[j] + radius * rngs[j].standard_normal(fan.dim)
                 norm = np.linalg.norm(x)
                 if norm < 1e-12:
                     continue
@@ -713,6 +715,7 @@ def loop_concentrated(fan, plan) -> np.ndarray:
             else:
                 raise RuntimeError(
                     f"rejection sampling starved for ray {j} at t={plan.t}")
+    rng = sim._rng(plan.seed)
     out += [_loop_unit(rng, fan.dim) for _ in range(plan.m - len(out))]
     return np.array(out)
 

@@ -146,21 +146,44 @@ def test_concentrated_equals_loop(case, seed):
 
 @pytest.mark.parametrize("case, seed", [(4, 0), (4, 2)])
 def test_rejection_passes_equal_loop(case, seed, monkeypatch):
-    """Case 4 takes two passes with seed 0 and three with seed 2, and the
-    last pass draws more trials than it uses, so the stream is rewound."""
+    """Case 4 takes three passes with seed 0 and two with seed 2."""
     fan, t, delta, m = concentrated_cases()[case]
     plan = make_plan(fan, t, delta, m, seed)
-    passes, rewinds = [], []
-    blocks, rewind = sim.carrier_blocks, sim._rewind
+    passes = []
+    blocks = sim.carrier_blocks
     monkeypatch.setattr(sim, "carrier_blocks",
                         lambda fan, X: passes.append(len(X)) or blocks(fan, X))
-    monkeypatch.setattr(sim, "_rewind",
-                        lambda *args: rewinds.append(len(passes)) or rewind(*args))
     fast = sample_concentrated(fan, plan)
     monkeypatch.undo()
     assert fast.tobytes() == loop_concentrated(fan, plan).tobytes()
-    assert len(passes) == {0: 2, 2: 3}[seed]
-    assert rewinds and rewinds[-1] == len(passes)
+    assert len(passes) == {0: 3, 2: 2}[seed]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_rejection_rows_do_not_depend_on_pass_sizes(case, monkeypatch):
+    """With ``_PASS_ROWS`` at 1 no pass draws more trials than a ray has
+    pending slots, so the passes change; the rows stay the same."""
+    fan, t, delta, m = concentrated_cases()[case]
+    plan = make_plan(fan, t, delta, m, 3)
+    passes = []
+    blocks = sim.carrier_blocks
+    monkeypatch.setattr(sim, "carrier_blocks",
+                        lambda fan, X: passes.append(len(X)) or blocks(fan, X))
+    default = sample_concentrated(fan, plan)
+    default_passes = len(passes)
+    monkeypatch.setattr(sim, "_PASS_ROWS", 1)
+    small = sample_concentrated(fan, plan)
+    assert small.tobytes() == default.tobytes()
+    assert passes[default_passes:] != passes[:default_passes]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_uniform_fill_is_the_plan_seeds_stream(case):
+    fan, t, delta, m = concentrated_cases()[case]
+    plan = make_plan(fan, t, delta, m, 11)
+    q = sum(plan.quotas)
+    fill = sample_concentrated(fan, plan)[q:]
+    assert fill.tobytes() == sample_uniform_sphere(fan.dim, m - q, plan.seed).tobytes()
 
 
 def test_exact_ray_plan_equals_loop():

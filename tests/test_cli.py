@@ -325,7 +325,7 @@ def test_simulate_is_reproducible_and_writes_sidecar(workdir, capsys):
     assert rc1 == rc2 == cli.EXIT_OK
     assert (workdir / "a.tsv").read_bytes() == (workdir / "b.tsv").read_bytes()
     meta = json.loads((workdir / "a.tsv.meta.json").read_text())
-    assert meta["generator"] == "pcg64/numpy-standard-normal/2"
+    assert meta["generator"] == "pcg64/numpy-standard-normal/3"
     assert "slope" in capsys.readouterr().out
 
 
@@ -412,6 +412,8 @@ def test_simulate_rejects_h0_outside_cone(workdir):
     (["--delta", "nan"], "invalid input: delta must be positive and finite, not nan"),
     (["--sigma", "nan"], "invalid input: sigma must be nonnegative and finite, not nan"),
     (["--sigma", "inf"], "invalid input: sigma must be nonnegative and finite, not inf"),
+    (["--seed", "4294967296"], "parse error: --seed must lie in 0..4294967295"),
+    (["--seed", "-1"], "parse error: --seed must lie in 0..4294967295"),
 ])
 def test_simulate_argument_errors_exit_2(workdir, capsys, extra, message):
     rc = run(["simulate", "--fan", workdir / "hex.json", "--reps", "1",

@@ -183,11 +183,11 @@ def test_rejection_sampling_starves_without_members(hexagon, monkeypatch):
 @pytest.mark.parametrize("trial, starved", [(9999, 1), (10000, 0)])
 def test_rejection_sampling_starves_after_10000_trials(hexagon, monkeypatch, trial,
                                                        starved):
-    # Only ray 0's candidate of one trial is a member: as the 10000th trial
-    # of slot 0 it fills the slot, and the next slot (ray 1) starves; one
-    # trial later, slot 0 starves first.
+    # Only one trial of ray 0's stream is a member: as the 10000th trial of
+    # slot 0 it fills the slot, and the next slot in round-robin order
+    # (ray 1's first) starves; one trial later, slot 0 starves first.
     plan = make_plan(hexagon, 0.008, 0.01, 80, 31)
-    rng = facetfit.sim._rng(plan.seed)
+    rng = facetfit.sim._rng(np.random.SeedSequence(plan.seed).spawn(1)[0])
     g = [rng.standard_normal(2) for _ in range(trial + 1)][-1]
     norms = hexagon.constants.ray_norms
     x = hexagon.rays[0] / norms[0] + 0.5 * plan.t * float(np.min(norms)) * g
@@ -200,7 +200,7 @@ def test_rejection_sampling_starves_after_10000_trials(hexagon, monkeypatch, tri
 
 def test_rejection_sampling_raises_for_a_candidate_without_carrier(hexagon,
                                                                    monkeypatch):
-    # Candidate 0 is the first trial of the first slot, for ray 0.
+    # Candidate 0 of the first pass is the first trial of ray 0's first slot.
     blocks = facetfit.sim.carrier_blocks
 
     def dropped(fan, X):
@@ -248,11 +248,27 @@ def test_noise_determinism_and_scale():
 def test_noise_stream_is_the_one_generator_id_names():
     # Records written under GENERATOR_ID reproduce only while these bits hold
     # on every supported numpy.
-    assert facetfit.sim.GENERATOR_ID == "pcg64/numpy-standard-normal/2"
+    assert facetfit.sim.GENERATOR_ID == "pcg64/numpy-standard-normal/3"
     eps = NoiseModel(sigma=1.0, seed=5).sample(4, key=(30, 0))
     assert [float(x).hex() for x in eps] == [
         "-0x1.46c84f559caadp-2", "-0x1.14a7d85b16b6ap-4",
         "-0x1.a9b0c8fe1231bp-2", "0x1.f1ab5b4a13b17p-2"]
+
+
+def test_concentrated_stream_is_the_one_generator_id_names():
+    # The first round of quota rows, one from each ray's own stream, of the
+    # t > 0 plan that CI simulates; records reproduce only while these bits
+    # hold.
+    fan = facetfit.catalog.random_polytopal_fan(3, 6, seed=203)
+    plan = make_plan(fan, 0.004, 0.08, 200, seed=5)
+    dirs = sample_concentrated(fan, plan)
+    assert [[float(x).hex() for x in row] for row in dirs[:6]] == [
+        ["-0x1.dc63a8a6ec7a2p-2", "-0x1.3b1b66ae7f830p-2", "0x1.a8f3b6107e98ep-1"],
+        ["0x1.1d4a16e50e0fep-1", "-0x1.4610cf65f7613p-2", "0x1.88a67924325dfp-1"],
+        ["0x1.3689bb13def21p-1", "-0x1.1b86f936ae1e4p-1", "-0x1.24199dd9ef101p-1"],
+        ["-0x1.0086729f5a196p-4", "-0x1.5d1e46f24373ap-2", "-0x1.e0414a3dfebf2p-1"],
+        ["-0x1.b4e5db4405df7p-1", "0x1.30715f2e54cffp-2", "-0x1.b69a0e9cbd9e8p-2"],
+        ["0x1.299dabd5198c1p-1", "0x1.962e79f56e0b9p-1", "-0x1.72a0ca9251646p-3"]]
 
 
 def test_noise_variance_bound_enforced():
