@@ -67,24 +67,26 @@ def orthant_fan(d: int) -> SimplicialFan:
     return SimplicialFan(np.eye(d), [tuple(range(d))])
 
 
-def random_polytopal_fan(d: int, n: int, seed: int,
-                         max_attempts: int = 200) -> SimplicialFan:
+_MAX_ATTEMPTS = 200   # draws of facet normals before RuntimeError
+
+
+def random_polytopal_fan(d: int, n: int, seed: int) -> SimplicialFan:
     """Normal fan of a random simple polytope with n facets in R^d, any d >= 2.
 
     Samples unit facet normals and keeps a draw when the polytope
     ``P = {x : <v_i, x> <= 1}`` is bounded, simple and has all n facets; its
     vertex normal cones are then the maximal cells, which
     ``_pivot_walk_cells`` finds by walking the edges of P.  A draw that
-    fails validation (``InvalidFan``) is redrawn; any other error raised
-    by validation propagates.  The support vector of all ones lies
-    strictly inside the deformation cone of the result.
+    fails validation (``InvalidFan``) is redrawn, 200 draws at most; any
+    other error raised by validation propagates.  The support vector of all
+    ones lies strictly inside the deformation cone of the result.
     """
     if d < 2:
         raise ValueError("random fans need d >= 2")
     if n < d + 1:
         raise ValueError("need at least d+1 facet normals")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         rays = rng.standard_normal((n, d))
         rays /= np.linalg.norm(rays, axis=1)[:, None]
         cells = _pivot_walk_cells(rays)
@@ -96,7 +98,7 @@ def random_polytopal_fan(d: int, n: int, seed: int,
         except InvalidFan:
             continue
         return fan
-    raise RuntimeError(f"no valid random fan after {max_attempts} attempts")
+    raise RuntimeError(f"no valid random fan after {_MAX_ATTEMPTS} attempts")
 
 
 def _pivot_walk_cells(rays: np.ndarray):

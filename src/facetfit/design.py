@@ -65,11 +65,10 @@ class DesignMatrix:
     ``fan.carrier_blocks``, its rows, the generators of its cell as columns
     and the m_c x d coefficients, so memory is O(m d).  ``carrier_cells[i]``
     is the index of the maximal cell carrying direction i.  ``matrix``, the
-    dense m x n scatter, is made on first read, for CLI output,
-    ``direction_graph`` and tests; the reconstruction never reads it when
-    m > n.  ``build_design`` makes the coefficients read-only, and
-    ``matrix`` is, so the cached ``factor`` and ``rank_kernel`` cannot go
-    stale.
+    dense m x n scatter, is made on first read, for ``direction_graph`` and
+    tests; neither the reconstruction, whatever m, nor the CLI reads it.
+    ``build_design`` makes the coefficients read-only, and ``matrix`` is,
+    so the cached ``factor`` and ``rank_kernel`` cannot go stale.
     """
 
     blocks: BlockMatrix
@@ -83,19 +82,13 @@ class DesignMatrix:
         return matrix
 
     @cached_property
-    def operator(self) -> BlockMatrix:
-        """The design as ``qp.solve_cls`` reads it: the blocks when m > n;
-        when m <= n the dense ``matrix`` as one block, in the original row
-        order, so that it is its own factor."""
-        return self.blocks if self.m > self.n else BlockMatrix.of(self.matrix)
-
-    @cached_property
     def factor(self) -> TriangularFactor:
         """The design's one factorization, made on first use: when m > n,
         one thin QR per large block and one of the stacked triangles and
-        small blocks, each keeping its Q for ``reduce``; the matrix itself
-        otherwise."""
-        return triangular_factor(self.operator)
+        small blocks, each keeping its Q for ``reduce``; otherwise the
+        blocks scattered into an m x n R of their own, equal to ``matrix``
+        bit for bit."""
+        return triangular_factor(self.blocks)
 
     @cached_property
     def rank_kernel(self) -> tuple[int, np.ndarray]:
@@ -152,7 +145,7 @@ def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
     """
     U = np.atleast_2d(np.asarray(directions, float))
     found = carrier_blocks(fan, U)
-    generators = np.array(fan.cells)
+    generators = fan._cell_array
     cells = np.full(U.shape[0], -1)
     blocks = []
     for ci, rows, lam in found:

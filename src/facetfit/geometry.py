@@ -128,7 +128,7 @@ def is_irredundant(fan: SimplicialFan, h) -> list[bool]:
     tol = 1e-8 * (1.0 + np.linalg.norm(h))
     n, d = fan.n_rays, fan.dim
     if is_deformation(fan, h):
-        best = (cell_vertices(fan, h) @ fan.rays.T).max(axis=0)
+        best = vertex_max(cell_vertices(fan, h), fan.rays)
     else:
         E = np.hstack([fan.rays, np.eye(n)])
         bounds = [(-np.inf, np.inf)] * d + [(0.0, np.inf)] * n

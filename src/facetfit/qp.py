@@ -103,13 +103,12 @@ class ConstrainedLS:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunables for ``solve_cls``; the default cap follows the problem scale.
+    """The one tunable of ``solve_cls``: where the iteration starts.
 
     ``warm_start`` must be a finite array of shape (n,); one outside the
     cone ``B h >= 0`` is set aside for the cold start at 0.
     """
 
-    max_iter: int | None = None
     warm_start: np.ndarray | None = None
 
 
@@ -205,8 +204,8 @@ class TriangularFactor:
     holds each block's rows with the thin Q of its QR, or None for a block
     stacked as it is; ``stack`` is the thin Q of the stack's QR.  When the
     stack has fewer than n rows, R and ``reduce(y)`` end in zeros.  A
-    matrix with m <= n is its own factor: ``R`` is A, with no blocks and no
-    stack, and ``reduce`` returns y.
+    matrix with m <= n is its own factor: ``R`` is A, its blocks scattered
+    into zeros, with no blocks and no stack, and ``reduce`` returns y.
     """
 
     R: np.ndarray
@@ -297,6 +296,9 @@ def rank_and_kernel(M: np.ndarray, tol: float | None = None):
 # Constrained least squares: primal active set
 # ---------------------------------------------------------------------------
 
+_ITERATION_CAP_FACTOR = 50   # subproblems per unknown and per wall
+
+
 def _null_space(rows: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of the stacked rows."""
     if rows.shape[0] == 0:
@@ -315,7 +317,9 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
     (``triangular_factor(A)`` when not given; a ``DesignMatrix`` passes the
     one it owns), so a tall design costs O(n^2) per step instead of O(m n).
     A itself is read only through the products ``A h`` and ``A^T r`` of
-    ``BlockMatrix.of(A)``.
+    ``BlockMatrix.of(A)``; a design in cell form is passed as its blocks,
+    whatever m.  No walls (p = 0) and a working set of rank n take the one
+    path: numpy's empty reductions and products cover them.
     The working set is grown one blocking row at a time (rows that block
     are automatically independent of the current working set), each
     equality-constrained subproblem is solved by a minimum-norm step in the
@@ -345,7 +349,7 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
     R, z = factor.R, factor.reduce(y)
 
     kkt_tol = 1e-8 * (1.0 + np.linalg.norm(BlockMatrix.of(A).tdot(y)))
-    max_iter = opts.max_iter if opts.max_iter is not None else 50 * (n + p)
+    max_iter = _ITERATION_CAP_FACTOR * (n + p)
 
     def feas_tol(vec):
         return 1e-9 * (1.0 + np.linalg.norm(vec))
@@ -356,7 +360,7 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
         if h0.shape != (n,) or not np.all(np.isfinite(h0)):
             raise ValueError(f"warm_start must be a finite array of shape ({n},); "
                              f"got one of shape {h0.shape}")
-        if p == 0 or np.min(B @ h0) >= -feas_tol(h0):
+        if np.min(B @ h0, initial=np.inf) >= -feas_tol(h0):
             h = h0.copy()
 
     working: list[int] = []
@@ -369,17 +373,14 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
                 f"active-set iteration cap {max_iter} exhausted", sol)
         iterations += 1
 
-        Bw = B[working] if working else np.zeros((0, n))
-        Z = _null_space(Bw, n)
-        if Z.shape[1] > 0:
-            # Minimum-norm step within the working-set null space.
-            w, *_ = np.linalg.lstsq(R @ Z, z - R @ h, rcond=None)
-            step = Z @ w
-        else:
-            step = np.zeros(n)
+        # Minimum-norm step within the working-set null space; 0 when the
+        # working set has rank n and Z has no columns.
+        Z = _null_space(B[working], n)
+        w, *_ = np.linalg.lstsq(R @ Z, z - R @ h, rcond=None)
+        step = Z @ w
 
         if np.linalg.norm(step) > 1e-13 * (1.0 + np.linalg.norm(h)):
-            alpha, blocker = _ratio_test(B @ h, B @ step, working) if p else (1.0, -1)
+            alpha, blocker = _ratio_test(B @ h, B @ step, working)
             h = h + alpha * step
             if blocker >= 0:
                 working.append(blocker)
@@ -406,7 +407,7 @@ def _ratio_test(bh: np.ndarray, bstep: np.ndarray, working: list[int]):
     by more than 1e-15, so of near-equal limits the first row wins; each
     pass of the loop finds the next such row with one vector comparison.
     """
-    scale = 1e-12 * (1.0 + float(np.max(np.abs(bstep))))
+    scale = 1e-12 * (1.0 + float(np.max(np.abs(bstep), initial=0.0)))
     rows = ~(bstep >= -scale)
     rows[working] = False
     rows = np.flatnonzero(rows)
@@ -435,19 +436,13 @@ def _certify(problem, h, working, iterations, ftol, kkt_tol):
     residual = A.dot(h) - y
     grad = A.tdot(residual)
     mu = _multipliers(B, working, grad)
-    p = B.shape[0]
-    mu_full = np.zeros(p)
+    mu_full = np.zeros(B.shape[0])
     mu_full[working] = np.where(mu < 0.0, 0.0, mu)
-    stationarity = np.linalg.norm(grad - B.T @ mu_full) if p else np.linalg.norm(grad)
-    if p:
-        bh = B @ h
-        primal = max(0.0, float(-np.min(bh)) - ftol)
-        comp = float(np.max(np.abs(mu_full * bh)))
-        active = tuple(int(i) for i in np.flatnonzero(bh <= ftol))
-    else:
-        primal = 0.0
-        comp = 0.0
-        active = ()
+    stationarity = np.linalg.norm(grad - B.T @ mu_full)
+    bh = B @ h
+    primal = max(0.0, float(-np.min(bh, initial=np.inf)) - ftol)
+    comp = float(np.max(np.abs(mu_full * bh), initial=0.0))
+    active = tuple(int(i) for i in np.flatnonzero(bh <= ftol))
     kkt_residual = max(stationarity, primal, comp)
     return QPSolution(
         h_star=h.copy(),

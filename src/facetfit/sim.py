@@ -101,8 +101,11 @@ def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 
 def sample_uniform_sphere(d: int, m: int, seed) -> np.ndarray:
-    """m unit vectors, rotation invariant, deterministic per seed."""
-    if m < 1:
+    """m unit vectors, rotation invariant, deterministic per seed;
+    ``ValueError`` unless d and m are integers (not bools) of at least 1."""
+    if _index(d, "d") < 1:
+        raise ValueError("d must be positive")
+    if _index(m, "m") < 1:
         raise ValueError("m must be positive")
     return _unit_rows(_rng(seed), m, d)
 
@@ -118,6 +121,8 @@ class SamplingPlan:
     ``quotas[j]`` directions are drawn from the neighborhood of ray j with
     concentration width ``t`` (``t = 0`` means the exact normalized ray);
     the remaining ``m - sum(quotas)`` directions are uniform on the sphere.
+    ``ValueError`` unless m and the quotas are integers (not bools), m >= 1
+    and every quota >= 0.
     """
 
     t: float
@@ -128,9 +133,9 @@ class SamplingPlan:
 
     def __post_init__(self):
         _check_rates(self.t, self.delta)
-        if self.m < 1:
+        if _index(self.m, "m") < 1:
             raise ValueError("m must be positive")
-        if any(q < 0 for q in self.quotas):
+        if any(_index(q, "quota") < 0 for q in self.quotas):
             raise ValueError("negative quota")
         if sum(self.quotas) > self.m:
             raise QuotaInfeasible(
@@ -323,8 +328,7 @@ def _rejection_rows(fan: SimplicialFan, seed, units: np.ndarray, radius: float,
     ray_norms = fan.constants.ray_norms
     # column[c, j]: position of ray j among cell c's generators, or -1.
     column = np.full((fan.n_cells, n), -1)
-    for c, cell in enumerate(fan.cells):
-        column[c, list(cell)] = np.arange(d)
+    column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(d)
     need = np.bincount(slots, minlength=n).tolist()
     active = [j for j in range(n) if need[j]]
     streams = {j: _rng(np.random.SeedSequence(seed, spawn_key=(j,))) for j in active}

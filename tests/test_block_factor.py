@@ -26,6 +26,7 @@ from facetfit.estimator import reconstruct
 from facetfit.qp import ConstrainedLS, solve_cls
 
 from oracles import full_design_cls, raw_mode_block_r
+from test_qp import assert_a_zero_wall_never_binds
 
 
 @functools.cache
@@ -75,7 +76,8 @@ def assert_factor_matches_dense_qr(dm: DesignMatrix, y: np.ndarray):
     factor = dm.factor
     z = factor.reduce(y)
     if m <= n:
-        assert factor.R is A and z is y
+        # The blocks scattered into an R of their own, equal to the design.
+        assert factor.R.tobytes() == A.tobytes() and z is y
         return
     R = factor.R
     # Entries of R and z are at most the column norms of A and ||y||.
@@ -122,12 +124,27 @@ def test_block_factor_agrees_with_the_dense_qr(index, seed, extra, kind, sigma, 
             assert all(Q is not None for _, Q in dm.factor.blocks)
 
     A, B = dm.matrix, fan.wall_system.matrix
-    sol = solve_cls(ConstrainedLS(dm.operator, y, B), factor=dm.factor)
+    sol = solve_cls(ConstrainedLS(dm.blocks, y, B), factor=dm.factor)
     h_ref, obj_ref = full_design_cls(A, y, B)
     assert sol.certified
     assert abs(sol.objective - obj_ref) <= 1e-9 * (1.0 + obj_ref)
     if dm.rank_kernel[0] == dm.n:
         assert np.max(np.abs(sol.h_star - h_ref)) <= 1e-9 * (1.0 + np.max(np.abs(h_ref)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), tall=st.booleans(),
+       extra=st.integers(0, 20), sigma=st.sampled_from((0.0, 0.1, 1.0)))
+def test_a_zero_wall_row_never_binds_on_a_design(index, seed, tall, extra, sigma):
+    # Gaussian directions, m > n or m <= n, the design in cell form with
+    # its own factor, as ``reconstruct`` passes it.
+    fan = fans()[index]
+    rng = np.random.default_rng(seed)
+    m = fan.n_rays + 1 + extra if tall else max(1, fan.n_rays - extra)
+    dm = build_design(fan, rng.standard_normal((m, fan.dim)))
+    y = 1.0 + sigma * rng.standard_normal(m)
+    assert_a_zero_wall_never_binds(ConstrainedLS(dm.blocks, y, fan.wall_system.matrix),
+                                   dm.factor)
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,7 +158,7 @@ def test_block_factor_r_equals_the_raw_layout_r(index, seed, extra, kind):
         return
     for work in (0, qp._BLOCK_QR_WORK):
         with mock.patch.object(qp, "_BLOCK_QR_WORK", work):
-            R = qp.triangular_factor(dm.operator).R
+            R = qp.triangular_factor(dm.blocks).R
         assert R.tobytes() == raw_mode_block_r(dm.blocks, work).tobytes()
 
 
@@ -188,9 +205,22 @@ def test_a_dense_matrix_is_one_block_with_one_householder_qr():
 
 @pytest.mark.parametrize("index", [0, 4, 6])
 def test_reconstruct_makes_no_dense_design(index, monkeypatch):
+    assert_reconstruct_reads_no_matrix(index, 400, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [3, "n"])
+@pytest.mark.parametrize("index", [0, 4, 6])
+def test_reconstruct_makes_no_dense_design_when_m_is_at_most_n(index, rows, monkeypatch):
+    # The factor R is a scatter of the blocks of its own, and the
+    # rank-deficient path reads the kernel of R alone.
+    assert_reconstruct_reads_no_matrix(index, fans()[index].n_rays if rows == "n" else rows,
+                                       monkeypatch)
+
+
+def assert_reconstruct_reads_no_matrix(index, m, monkeypatch):
     fan = fans()[index]
     rng = np.random.default_rng(index)
-    U = rng.standard_normal((400, fan.dim))
+    U = rng.standard_normal((m, fan.dim))
     y = 1.0 + 0.3 * rng.standard_normal(len(U))
     matrix_reads = []
     scatter = DesignMatrix.matrix

@@ -21,7 +21,7 @@ from facetfit import estimator as estimator_mod
 from facetfit.design import (POSITIVITY_TOL, Dataset, build_design, direction_graph,
                              max_matching, uniqueness_report)
 from facetfit.estimator import reconstruct
-from facetfit.qp import ConstrainedLS, IterationLimit, SolverOptions, solve_cls
+from facetfit.qp import ConstrainedLS, IterationLimit, solve_cls
 
 from oracles import (brute_max_matching, full_design_cls, loop_ratio_test,
                      nnls_cone_least_squares)
@@ -144,15 +144,21 @@ def _measured_on_the_original(problem, sol):
     assert set(np.flatnonzero(sol.multipliers).tolist()) <= set(sol.active_rows)
 
 
-def test_reported_figures_are_measured_on_the_design():
+def test_reported_figures_are_measured_on_the_design(monkeypatch):
     fan = catalog.random_polytopal_fan(3, 12, seed=7)
     dm, y = tall_instance(fan, 11, 3000, 0.3, False)
     problem = ConstrainedLS(dm.matrix, y, fan.wall_system.matrix)
     sol = solve_cls(problem, factor=dm.factor)
     assert sol.active_rows and sol.certified
     _measured_on_the_original(problem, sol)
+    # A cap of one subproblem per unknown and wall, n + p = 42, stops the
+    # iteration short of the optimum, with walls in the working set.
+    assert sol.iterations > 42
+    monkeypatch.setattr(qp, "_ITERATION_CAP_FACTOR", 1)
     with pytest.raises(IterationLimit) as info:
-        solve_cls(problem, SolverOptions(max_iter=3), factor=dm.factor)
+        solve_cls(problem, factor=dm.factor)
+    assert info.value.solution.iterations == 43
+    assert np.any(info.value.solution.multipliers)
     _measured_on_the_original(problem, info.value.solution)
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from facetfit import qp
 from facetfit.qp import (
     BlockMatrix,
     ConstrainedLS,
@@ -172,6 +175,45 @@ def random_instance(rng, n_max=8, m_max=20):
     return ConstrainedLS(A, y, B)
 
 
+def assert_a_zero_wall_never_binds(problem, factor=None):
+    """Appending a zero wall row leaves the path and the fit bit for bit:
+    the row never falls, so it never blocks a step or joins the working
+    set; it is active (0 <= tolerance) with multiplier 0."""
+    sol = solve_cls(problem, factor=factor)
+    p, n = problem.B.shape
+    walled = ConstrainedLS(problem.A, problem.y, np.vstack([problem.B, np.zeros((1, n))]))
+    sol2 = solve_cls(walled, factor=factor)
+    assert sol2.h_star.tobytes() == sol.h_star.tobytes()
+    assert sol2.objective == sol.objective and sol2.iterations == sol.iterations
+    assert sol2.active_rows == sol.active_rows + (p,)
+    assert sol2.multipliers.tobytes() == np.append(sol.multipliers, 0.0).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_zero_wall_row_never_binds(seed):
+    # p = 0 here too: one zero wall against none.
+    assert_a_zero_wall_never_binds(random_instance(np.random.default_rng(seed)))
+
+
+def test_a_working_set_of_rank_n_takes_no_step(monkeypatch):
+    # min ||h + 1||^2 over h >= 0: the walls join the working set one by
+    # one until its null space is {0}, and the last subproblem is a
+    # least-squares problem in no unknowns, on an n x 0 matrix.
+    shapes = []
+    lstsq = np.linalg.lstsq
+
+    def spy(M, b, **kwargs):
+        shapes.append(M.shape)
+        return lstsq(M, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    sol = solve_cls(ConstrainedLS(np.eye(4), -np.ones(4), np.eye(4)))
+    assert (4, 0) in shapes
+    assert sol.certified and sol.active_rows == (0, 1, 2, 3)
+    assert np.all(sol.h_star == 0.0) and np.all(sol.multipliers == 1.0)
+
+
 def test_kkt_certificates_on_random_instances():
     rng = np.random.default_rng(2024)
     for _ in range(60):
@@ -266,11 +308,12 @@ def test_a_warm_start_outside_the_cone_falls_back_to_zero():
     assert warm.iterations == cold.iterations
 
 
-def test_iteration_limit_carries_best_iterate():
+def test_iteration_limit_carries_best_iterate(monkeypatch):
     rng = np.random.default_rng(12)
     problem = random_instance(rng, n_max=6, m_max=12)
+    monkeypatch.setattr(qp, "_ITERATION_CAP_FACTOR", 0)
     with pytest.raises(IterationLimit) as info:
-        solve_cls(problem, SolverOptions(max_iter=0))
+        solve_cls(problem)
     sol = info.value.solution
     assert sol.h_star.shape == (problem.A.shape[1],)
 

@@ -99,6 +99,22 @@ def test_uniform_sphere_norms_and_determinism():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d, m, message", [
+    (0, 3, "d must be positive"), (-1, 3, "d must be positive"),
+    (2, 0, "m must be positive"), (2.0, 3, "d must be an integer"),
+    (True, 3, "d must be an integer"), (2, np.float64(3), "m must be an integer"),
+    (2, True, "m must be an integer")])
+def test_uniform_sphere_refuses_a_size_that_is_not_a_positive_integer(d, m, message):
+    # d = 0 reached fan.row_norms and failed in a reduction over no entries.
+    with pytest.raises(ValueError, match=message):
+        sample_uniform_sphere(d, m, 0)
+
+
+def test_uniform_sphere_takes_numpy_integers():
+    a = sample_uniform_sphere(np.int64(3), np.int32(20), seed=5)
+    assert a.tobytes() == sample_uniform_sphere(3, 20, seed=5).tobytes()
+
+
 def test_uniform_sphere_mean_is_small():
     u = sample_uniform_sphere(2, 100_000, seed=8)
     assert np.linalg.norm(u.mean(axis=0)) < 0.02
@@ -146,6 +162,30 @@ def test_noise_model_refuses_a_gamma_that_is_not_finite(gamma):
     # Accepted, NaN gave bound_parameters a NaN prefactor.
     with pytest.raises(ValueError, match="gamma must be finite"):
         NoiseModel(sigma=0.1, seed=0, gamma=gamma)
+
+
+@pytest.mark.parametrize("m", [60.5, np.float64(60), True])
+def test_plans_refuse_a_sample_size_that_is_not_an_integer(hexagon, m):
+    # 60.5 built a plan that sample_concentrated then failed on with
+    # numpy's TypeError; True was taken as 1.
+    with pytest.raises(ValueError, match="m must be an integer"):
+        make_plan(hexagon, 0.0, 0.1, m, 0)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        SamplingPlan(t=0.0, delta=0.1, m=m, seed=0, quotas=(1,) * 6)
+
+
+@pytest.mark.parametrize("quota", [1.5, np.float64(1), True])
+def test_plans_refuse_a_quota_that_is_not_an_integer(quota):
+    with pytest.raises(ValueError, match="quota must be an integer"):
+        SamplingPlan(t=0.0, delta=0.1, m=60, seed=0, quotas=(quota,) + (1,) * 5)
+
+
+def test_plans_take_numpy_integers(hexagon):
+    plan = SamplingPlan(t=0.0, delta=0.1, m=np.int64(60), seed=0,
+                        quotas=tuple(np.full(6, 10)))
+    fixed = SamplingPlan(t=0.0, delta=0.1, m=60, seed=0, quotas=(10,) * 6)
+    assert sample_concentrated(hexagon, plan).tobytes() == \
+        sample_concentrated(hexagon, fixed).tobytes()
 
 
 def test_explicit_quota_overflow_rejected():
