@@ -47,6 +47,7 @@ from .geometry import (
     VertexMap,
     hausdorff,
     hausdorff_bound,
+    hausdorff_rows,
     is_deformation,
     is_irredundant,
     minkowski_add,

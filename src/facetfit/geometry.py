@@ -152,22 +152,37 @@ def minkowski_add(fan: SimplicialFan, h, h2) -> np.ndarray:
 
 
 def hausdorff(fan: SimplicialFan, h, h2) -> float:
-    """Exact Hausdorff distance between ``P(h)`` and ``P(h2)``.
+    """Exact Hausdorff distance between ``P(h)`` and ``P(h2)``:
+    ``hausdorff_rows`` on the one row h.  The pairs of ``(h2, h)`` are
+    those of ``(h, h2)`` negated, in another order, so the distance is
+    symmetric bit for bit."""
+    return float(hausdorff_rows(fan, np.asarray(h, float)[None], h2)[0])
+
+
+def hausdorff_rows(fan: SimplicialFan, H, h2) -> np.ndarray:
+    """Exact Hausdorff distance between ``P(h)`` and ``P(h2)`` for each row
+    h of ``H``.
 
     The support difference is linear on every maximal cell with gradient
     ``M_sigma^{-T} (h - h2)`` restricted to the cell's generators, so the
     maximum absolute difference over the sphere is the largest cone-cap
     maximum of the per-cell gradients, both signs probed: one
-    ``cap_maxima`` call over the 2 * cells pairs (g, -g).  The pairs of
-    ``(h2, h)`` are those of ``(h, h2)`` in another order, so the distance
-    is symmetric bit for bit.
+    ``cap_maxima`` call over the 2 * cells pairs (g, -g) of every row.
+    ``cap_maxima`` treats each pair alone, so a row's distance does not
+    depend on the other rows.  Raises ``NotInDeformationCone`` for the
+    first row of H outside the cone, then for an h2 outside it;
+    ``ValueError`` unless H is 2-D.
     """
-    h = _require_member(fan, h)
+    H = np.asarray(H, float)
+    if H.ndim != 2:
+        raise ValueError(f"support vectors must be rows, got an array of shape {H.shape}")
+    rows = [_require_member(fan, h) for h in H]
     h2 = _require_member(fan, h2)
-    g = cell_vertices(fan, h - h2)
-    cells = np.arange(fan.n_cells)
-    return float(cap_maxima(fan, np.concatenate([cells, cells]),
-                            np.concatenate([g, -g])).max())
+    G = np.reshape([cell_vertices(fan, h - h2) for h in rows],
+                   (len(rows), fan.n_cells, fan.dim))
+    cells = np.tile(np.arange(fan.n_cells), 2 * len(rows))
+    pairs = np.concatenate([G, -G], axis=1).reshape(-1, fan.dim)
+    return cap_maxima(fan, cells, pairs).reshape(len(rows), 2 * fan.n_cells).max(axis=1)
 
 
 def hausdorff_bound(fan: SimplicialFan, h, h2) -> float:

@@ -19,10 +19,19 @@ spawn_key=(j,))`` of the plan's seed, one ``standard_normal(d)`` call
 per trial, so a ray's samples depend on its stream alone: every trial
 makes one candidate, and trials drawn beyond the last one used are
 dropped.  The sampler works in passes of one ``fan.carrier_blocks`` call
-on the trials of every ray that still needs samples, reading each
-block's d coefficient columns.  The first pass draws one trial per
-pending sample, a later one enough for each ray's pending samples at its
-acceptance rate so far, plus a quarter, so most plans take two passes.
+on the trials of every (plan, ray) pair that still needs samples,
+reading each block's d coefficient columns.  The first pass draws one
+trial per pending sample, a later one enough for each pair's pending
+samples at its acceptance rate so far, plus a quarter, so most plans
+take two passes.
+
+A convergence run samples the replicates of one sample count m in
+groups of ``max(m_schedule) // m`` plans, one sequence of passes per
+group, so a group draws about as many rows as one replicate at the
+largest m; it scores the fits of each m with one
+``geometry.hausdorff_rows`` call.  Noise, values and reconstruction stay
+per replicate.  A replicate's ``elapsed`` is its own time plus equal
+shares of its group's sampling and of its m's scoring.
 """
 
 from __future__ import annotations
@@ -36,9 +45,10 @@ import numpy as np
 from .design import Dataset, DesignMatrix, build_design
 from .estimator import reconstruct
 from .fan import (NoCarrier, SimplicialFan, _index, c_delta, carrier_blocks,
-                  row_norms)
+                  cell_vertices, row_norms, vertex_max)
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
-from .geometry import hausdorff, support_values
+from .geometry import _require_member, hausdorff_rows
+from .geometry import hausdorff  # noqa: F401 - perfbench's tracer wraps sim.hausdorff
 
 GENERATOR_ID = "pcg64/numpy-standard-normal/3"
 
@@ -103,11 +113,17 @@ def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 def sample_uniform_sphere(d: int, m: int, seed) -> np.ndarray:
     """m unit vectors, rotation invariant, deterministic per seed;
     ``ValueError`` unless d and m are integers (not bools) of at least 1."""
-    if _index(d, "d") < 1:
-        raise ValueError("d must be positive")
-    if _index(m, "m") < 1:
-        raise ValueError("m must be positive")
+    d, m = _positive(d, "d"), _positive(m, "m")
     return _unit_rows(_rng(seed), m, d)
+
+
+def _positive(value, what: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer (not a
+    bool) of at least 1."""
+    value = _index(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be positive")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +137,8 @@ class SamplingPlan:
     ``quotas[j]`` directions are drawn from the neighborhood of ray j with
     concentration width ``t`` (``t = 0`` means the exact normalized ray);
     the remaining ``m - sum(quotas)`` directions are uniform on the sphere.
-    ``ValueError`` unless m and the quotas are integers (not bools), m >= 1
-    and every quota >= 0.
+    ``ValueError`` unless m, the seed and the quotas are integers (not
+    bools), m >= 1, the seed >= 0 and every quota >= 0.
     """
 
     t: float
@@ -133,8 +149,9 @@ class SamplingPlan:
 
     def __post_init__(self):
         _check_rates(self.t, self.delta)
-        if _index(self.m, "m") < 1:
-            raise ValueError("m must be positive")
+        _positive(self.m, "m")
+        if _index(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if any(_index(q, "quota") < 0 for q in self.quotas):
             raise ValueError("negative quota")
         if sum(self.quotas) > self.m:
@@ -158,10 +175,12 @@ def make_plan(fan: SimplicialFan, t: float, delta: float, m: int, seed: int) -> 
     when only the fractional requirement fits, the leftover is spread one
     sample at a time over the leading rays (the requirement is then met up
     to the integer rounding, which is the best any dataset of size m can
-    do).  Raises ``QuotaInfeasible`` when even that fails.
+    do).  Raises ``QuotaInfeasible`` when even that fails, and
+    ``ValueError`` for an m that is not an integer of at least 1.
     """
     n = fan.n_rays
     _check_rates(t, delta)
+    _positive(m, "m")
     required = m * (2.5 * n * t + delta)
     hi = math.ceil(required - 1e-9)
     if n * hi <= m:
@@ -281,74 +300,106 @@ def sample_concentrated(fan: SimplicialFan, plan: SamplingPlan) -> np.ndarray:
     ``in_ct`` (``t = 0`` short-circuits to the exact ray); the remaining
     budget is uniform on the sphere, from the plan's seed.  The
     interleaving is fixed so every prefix is as balanced as the quotas
-    allow.
+    allow.  ``_sample_plans`` on this one plan.
     """
+    [rows] = _sample_plans(fan, [plan])
+    if isinstance(rows, Exception):
+        raise rows
+    return rows
+
+
+def _sample_plans(fan: SimplicialFan, plans) -> list:
+    """``sample_concentrated`` of each plan, or the exception it raises for
+    that plan, with the rejection trials of all plans in one sequence of
+    passes.  Every (plan, ray) pair draws from its own stream, so a plan's
+    directions and its exception do not depend on the other plans.  An
+    invalid fan raises for all of them."""
     fan.require_valid()
     n = fan.n_rays
-    if len(plan.quotas) != n:
-        raise ValueError("plan quotas do not match the fan's ray count")
-    norms = fan.constants.ray_norms
-    units = fan.rays / norms[:, None]
-    radius = 0.5 * plan.t * float(np.min(norms))
+    units = fan.rays / fan.constants.ray_norms[:, None]
+    out = [None] * len(plans)
+    slots = {}
+    for i, plan in enumerate(plans):
+        if len(plan.quotas) != n:
+            out[i] = ValueError("plan quotas do not match the fan's ray count")
+            continue
+        # Round r of the round robin serves every ray with more than r quota
+        # samples, in ray order.
+        quotas = np.array(plan.quotas)
+        slots[i] = np.nonzero(quotas[None, :] > np.arange(quotas.max())[:, None])[1]
+        if plan.t == 0.0:
+            out[i] = units[slots[i]]
+    rejected = [i for i in slots if out[i] is None]
+    for i, rows in zip(rejected, _rejection_rows(
+            fan, units, [plans[i] for i in rejected], [slots[i] for i in rejected])):
+        out[i] = rows
+    for i, q in slots.items():
+        if not isinstance(out[i], Exception):
+            fill = _unit_rows(_rng(plans[i].seed), plans[i].m - len(q), fan.dim)
+            out[i] = np.concatenate([out[i], fill])
+    return out
 
-    # Round r of the round robin serves every ray with more than r quota
-    # samples, in ray order.
-    quotas = np.array(plan.quotas)
-    slots = np.nonzero(quotas[None, :] > np.arange(quotas.max())[:, None])[1]
-    if plan.t == 0.0:
-        quota_rows = units[slots]
-    else:
-        quota_rows = _rejection_rows(fan, plan.seed, units, radius, slots, plan.t)
-    uniform = _unit_rows(_rng(plan.seed), plan.m - len(slots), fan.dim)
-    return np.concatenate([quota_rows, uniform])
 
+def _rejection_rows(fan: SimplicialFan, units: np.ndarray, plans,
+                    slots) -> list:
+    """For each plan i, one accepted perturbation of ray ``slots[i][s]``
+    for every slot s, or the exception that ends plan i's sampling.
 
-def _rejection_rows(fan: SimplicialFan, seed, units: np.ndarray, radius: float,
-                    slots: np.ndarray, t: float) -> np.ndarray:
-    """One accepted perturbation of ray ``slots[s]`` for every slot s.
-
-    Ray j's trials are ``units[j] + radius * g`` for the Gaussians g of
-    its stream ``SeedSequence(seed, spawn_key=(j,))``, one
+    The trials of pair (i, j), plan i's ray j, are ``units[j] + radius_i *
+    g`` with ``radius_i = t_i min ||v|| / 2``, for the Gaussians g of its
+    stream ``SeedSequence(plans[i].seed, spawn_key=(j,))``, one
     ``standard_normal(d)`` call per trial.  A trial is an event when its
     candidate is usable (norm at least 1e-12) and either in ray j's
-    neighborhood or without a carrier; ray j's r-th slot takes its r-th
-    event, raises ``NoCarrier`` when that candidate has no carrier, and
-    starves after 10000 trials without an event.  When several slots fail,
-    the first in round-robin order raises.
+    neighborhood of width ``t_i`` or without a carrier; the pair's r-th
+    slot takes its r-th event, fails with ``NoCarrier`` when that
+    candidate has no carrier, and starves after 10000 trials without an
+    event.  When several slots of a plan fail, the first in round-robin
+    order is the plan's exception; the plan's other pairs run on.
 
     The trials come in passes.  The first draws one trial per pending slot
-    of each ray; a later pass draws 1.25 times a ray's pending slots over
+    of each pair; a later pass draws 1.25 times a pair's pending slots over
     its acceptance rate so far, at most ``_PASS_ROWS // n`` beyond one
-    per pending slot.  A pass stacks the trials ray by ray, makes one
+    per pending slot.  A pass stacks the trials pair by pair, makes one
     ``carrier_blocks`` call on them and applies the membership rule to
-    each block's d columns.  Trials beyond a ray's last event used are
-    dropped, so the rows do not depend on the pass sizes.
+    each block's d columns.  Trials beyond a pair's last event used are
+    dropped, so the rows depend neither on the pass sizes nor on the
+    other plans.
     """
     n, d = units.shape
     ray_norms = fan.constants.ray_norms
     # column[c, j]: position of ray j among cell c's generators, or -1.
     column = np.full((fan.n_cells, n), -1)
     column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(d)
-    need = np.bincount(slots, minlength=n).tolist()
-    active = [j for j in range(n) if need[j]]
-    streams = {j: _rng(np.random.SeedSequence(seed, spawn_key=(j,))) for j in active}
-    taken = [[] for _ in range(n)]
-    filled = [0] * n
-    drawn = [0] * n
-    # tries[j]: ray j's trials since its last event.  failed[r, j]: the error
-    # of ray j's slot r, the first of ray j's slots that fails.
-    tries = [0] * n
+    # The pairs with quota slots, plan by plan in ray order.
+    counts = [np.bincount(s, minlength=n).tolist() for s in slots]
+    pairs = [(i, j) for i in range(len(plans)) for j in range(n) if counts[i][j]]
+    plan_of = np.array([i for i, _ in pairs], int)
+    ray_of = np.array([j for _, j in pairs], int)
+    t = np.array([plan.t for plan in plans])
+    radius = 0.5 * t * float(np.min(ray_norms))
+    need = [counts[i][j] for i, j in pairs]
+    streams = [_rng(np.random.SeedSequence(plans[i].seed, spawn_key=(j,)))
+               for i, j in pairs]
+    taken = [[] for _ in pairs]
+    filled = [0] * len(pairs)
+    drawn = [0] * len(pairs)
+    # tries[p]: pair p's trials since its last event.  failed[i, r, j]: the
+    # error of plan i's slot r of ray j, the first of the pair's slots that
+    # fails.
+    tries = [0] * len(pairs)
     failed = {}
+    active = list(range(len(pairs)))
     while active:
         ks = []
-        for j in active:
-            pending = need[j] - filled[j]
-            ks.append(pending if not drawn[j] else min(
-                math.ceil(1.25 * pending * drawn[j] / max(filled[j], 1)),
+        for p in active:
+            pending = need[p] - filled[p]
+            ks.append(pending if not drawn[p] else min(
+                math.ceil(1.25 * pending * drawn[p] / max(filled[p], 1)),
                 pending + _PASS_ROWS // n))
-        ray = np.repeat(active, ks)
-        g = np.concatenate([streams[j].standard_normal((k, d)) for j, k in zip(active, ks)])
-        X = units[ray] + radius * g
+        pair = np.repeat(active, ks)
+        ray, owner = ray_of[pair], plan_of[pair]
+        g = np.concatenate([streams[p].standard_normal((k, d)) for p, k in zip(active, ks)])
+        X = units[ray] + radius[owner][:, None] * g
         norms = row_norms(X)
         usable = norms >= 1e-12
         X /= np.where(usable, norms, 1.0)[:, None]
@@ -357,44 +408,51 @@ def _rejection_rows(fan: SimplicialFan, seed, units: np.ndarray, radius: float,
         for c, rows, lam in carrier_blocks(fan, X):
             carried[rows] = True
             member[rows] = _in_neighborhoods(lam, ray_norms[list(fan.cells[c])],
-                                             column[c, ray[rows]], t)
+                                             column[c, ray[rows]], t[owner[rows]])
         events = np.flatnonzero(usable & (member | ~carried))
-        # events[cut[i]:cut[i + 1]]: the events among the i-th ray's trials.
+        # events[cut[a]:cut[a + 1]]: the events among the a-th pair's trials.
         cut = np.searchsorted(events, np.cumsum([0] + ks)).tolist()
         lost = not carried.all()
         still = []
         start = 0
-        for i, (j, k) in enumerate(zip(active, ks)):
-            drawn[j] += k
-            found = events[cut[i]:cut[i + 1]][:need[j] - filled[j]] - start
+        for a, (p, k) in enumerate(zip(active, ks)):
+            i, j = pairs[p]
+            drawn[p] += k
+            found = events[cut[a]:cut[a + 1]][:need[p] - filled[p]] - start
             bad = ()
             # Only a slot whose trials, those of earlier passes included,
             # pass 10000 can starve, and only in a pass with a candidate
             # without a carrier can a slot raise NoCarrier.
-            if lost or tries[j] + k > 10000:
-                gaps = np.diff(found, prepend=-1 - tries[j])
+            if lost or tries[p] + k > 10000:
+                gaps = np.diff(found, prepend=-1 - tries[p])
                 bad = np.flatnonzero((gaps > 10000) | ~carried[start + found])
             if len(bad):
                 b = int(bad[0])
-                failed[filled[j] + b, j] = (
-                    _starved(j, t) if gaps[b] > 10000
+                failed[i, filled[p] + b, j] = (
+                    _starved(j, plans[i].t) if gaps[b] > 10000
                     else NoCarrier.for_vector(fan, X[start + found[b]]))
             else:
-                taken[j].append(X[start + found])
-                filled[j] += len(found)
-                tries[j] = k - 1 - int(found[-1]) if len(found) else tries[j] + k
-                if filled[j] < need[j]:
-                    if tries[j] >= 10000:
-                        failed[filled[j], j] = _starved(j, t)
+                taken[p].append(X[start + found])
+                filled[p] += len(found)
+                tries[p] = k - 1 - int(found[-1]) if len(found) else tries[p] + k
+                if filled[p] < need[p]:
+                    if tries[p] >= 10000:
+                        failed[i, filled[p], j] = _starved(j, plans[i].t)
                     else:
-                        still.append(j)
+                        still.append(p)
             start += k
         active = still
-    if failed:
-        raise failed[min(failed)]
-    out = np.empty((len(slots), d))
-    out[np.argsort(slots, kind="stable")] = np.concatenate(
-        [np.empty((0, d))] + [block for blocks in taken for block in blocks])
+    out = []
+    for i, s in enumerate(slots):
+        first = min((key for key in failed if key[0] == i), default=None)
+        if first is not None:
+            out.append(failed[first])
+            continue
+        rows = np.empty((len(s), d))
+        rows[np.argsort(s, kind="stable")] = np.concatenate(
+            [np.empty((0, d))] + [block for p in np.flatnonzero(plan_of == i)
+                                  for block in taken[p]])
+        out.append(rows)
     return out
 
 
@@ -514,6 +572,11 @@ def eigen_checks(design: DesignMatrix, fan: SimplicialFan,
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
+    """One replicate of a convergence run.  ``elapsed`` is the replicate's
+    own time (noise, values, reconstruction) plus an equal share of its
+    group's sampling and of its sample count's scoring, so the elapsed
+    times of a run add up to the time it spent outside ``plan_family``."""
+
     m: int
     replicate: int
     hausdorff_error: float
@@ -530,12 +593,16 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
     ``plan_family`` maps a sample count to a ``SamplingPlan``; each
     replicate reseeds the plan and the noise from (seed, m, replicate), so
     replicates are independent streams and the whole experiment is
-    reproducible.  A replicate's data are the support values of ``P(h0)``
-    at its directions (``geometry.support_values``, a maximum over the
-    vertices of ``P(h0)``) plus the noise, so ``reconstruct`` makes the
-    replicate's only carrier lookup; the fit is scored by the exact
-    ``hausdorff`` distance to ``h0``.  Failed replicates, including every
-    replicate of an ``h0`` outside the deformation cone
+    reproducible.  At sample count m the replicates are sampled in groups
+    of ``max(m_schedule) // m``, one ``_sample_plans`` call each, so a
+    group's sample rows are bounded by those of one replicate at the
+    largest m; a replicate's directions do not depend on its group.  Then,
+    replicate by replicate, its data are the support values of ``P(h0)``
+    at its directions (a maximum over the vertices of ``P(h0)``, computed
+    once per run) plus its noise, and ``reconstruct`` makes its only
+    carrier lookup.  The fits of each m are scored together by the exact
+    distances of ``hausdorff_rows`` to ``h0``.  Failed replicates,
+    including every replicate of an ``h0`` outside the deformation cone
     (``NotInDeformationCone``), become failed records rather than aborting
     the run.
     """
@@ -543,28 +610,56 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
     m_schedule = list(m_schedule)
     if any(b <= a for a, b in zip(m_schedule, m_schedule[1:])):
         raise ValueError("m_schedule must be strictly increasing")
+    try:
+        h0 = _require_member(fan, h0)
+        vertices0 = cell_vertices(fan, h0)
+    except Exception as exc:  # noqa: BLE001 - recorded per replicate
+        vertices0 = exc
     records = []
     for m in m_schedule:
         base_plan = plan_family(m)
-        for rep in range(replicates):
-            plan = replace(base_plan, seed=derive_seed(base_plan.seed, m, rep))
-            start = time.perf_counter()
+        plans = [replace(base_plan, seed=derive_seed(base_plan.seed, m, rep))
+                 for rep in range(replicates)]
+        size = max(1, m_schedule[-1] // m)
+        # spent[rep]: the replicate's own time plus its share of its group's
+        # sampling; outcome[rep]: its estimate and objective, or its exception.
+        spent, outcome = [], []
+        clock = time.perf_counter()
+        for first in range(0, replicates, size):
+            group = plans[first:first + size]
             try:
-                dirs = sample_concentrated(fan, plan)
-                eps = noise.sample(m, key=(m, rep))
-                y = support_values(fan, h0, dirs) + eps
-                result = reconstruct(fan, Dataset(dirs, y))
-                err = hausdorff(fan, result.h_hat, h0)
-                records.append(ConvergenceRecord(
-                    m=m, replicate=rep, hausdorff_error=float(err),
-                    objective=result.objective,
-                    elapsed=time.perf_counter() - start))
+                samples = _sample_plans(fan, group)
             except Exception as exc:  # noqa: BLE001 - recorded per replicate
+                samples = [exc] * len(group)
+            now = time.perf_counter()
+            share, clock = (now - clock) / len(samples), now
+            for rep, dirs in enumerate(samples, first):
+                try:
+                    if isinstance(dirs, Exception):
+                        raise dirs
+                    eps = noise.sample(m, key=(m, rep))
+                    if isinstance(vertices0, Exception):
+                        raise vertices0
+                    result = reconstruct(fan, Dataset(dirs, vertex_max(vertices0, dirs) + eps))
+                    outcome.append((_require_member(fan, result.h_hat), result.objective))
+                except Exception as exc:  # noqa: BLE001 - recorded per replicate
+                    outcome.append(exc)
+                now = time.perf_counter()
+                spent.append(share + now - clock)
+                clock = now
+        fits = [r[0] for r in outcome if not isinstance(r, Exception)]
+        errors = iter(hausdorff_rows(fan, fits, h0) if fits else ())
+        share = (time.perf_counter() - clock) / max(replicates, 1)
+        for rep, (r, own) in enumerate(zip(outcome, spent)):
+            if isinstance(r, Exception):
                 records.append(ConvergenceRecord(
                     m=m, replicate=rep, hausdorff_error=float("nan"),
-                    objective=float("nan"),
-                    elapsed=time.perf_counter() - start,
-                    failed=True, message=str(exc)))
+                    objective=float("nan"), elapsed=own + share,
+                    failed=True, message=str(r)))
+            else:
+                records.append(ConvergenceRecord(
+                    m=m, replicate=rep, hausdorff_error=float(next(errors)),
+                    objective=r[1], elapsed=own + share))
     return records
 
 

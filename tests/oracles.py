@@ -16,9 +16,10 @@ also have a loop reference, one (cell, vector) pair and one face at a time.
 Irredundant wall subsets come from one HiGHS implication LP per wall.
 
 The per-row loops near the end are the slow references of the batched
-carrier, direction-graph, sampling and cell-vertex paths: one direction,
-one matrix entry, one Gaussian draw and one cell at a time, with the same
-arithmetic, so the batched results must equal them bit for bit.  The
+carrier, direction-graph, sampling, convergence-run and cell-vertex
+paths: one direction, one matrix entry, one Gaussian draw, one replicate
+and one cell at a time, with the same arithmetic, so the batched results
+must equal them bit for bit.  The
 last section holds the loop references of fan construction and set-up:
 the cells of a random fan from all d-subsets of its rays, and the wall
 system, the face-to-face check (one LP per pair of cells), the
@@ -29,12 +30,15 @@ groups one pair at a time.
 from __future__ import annotations
 
 import itertools
+import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from facetfit import qp, sim
-from facetfit.design import POSITIVITY_TOL, DirectionGraph
+from facetfit import geometry, qp, sim
+from facetfit.design import POSITIVITY_TOL, Dataset, DirectionGraph
+from facetfit.estimator import reconstruct
 from facetfit.fan import (DegenerateWall, InvalidFan, NoCarrier, SimplicialFan,
                           WallCrossingSystem, carrier_blocks)
 from facetfit.qp import Infeasible, Unbounded
@@ -718,6 +722,37 @@ def loop_concentrated(fan, plan) -> np.ndarray:
     rng = sim._rng(plan.seed)
     out += [_loop_unit(rng, fan.dim) for _ in range(plan.m - len(out))]
     return np.array(out)
+
+
+def loop_convergence(fan, h0, plan_family, m_schedule, replicates,
+                     noise) -> list[sim.ConvergenceRecord]:
+    """``sim.run_convergence`` one replicate at a time: its own
+    ``sample_concentrated`` call, its noise, the support values of P(h0)
+    with h0 checked again, ``reconstruct`` and a one-pair ``hausdorff``,
+    every failure its replicate's record.  ``elapsed`` is the replicate's
+    own time."""
+    records = []
+    for m in m_schedule:
+        base_plan = plan_family(m)
+        for rep in range(replicates):
+            plan = replace(base_plan, seed=sim.derive_seed(base_plan.seed, m, rep))
+            start = time.perf_counter()
+            try:
+                dirs = sim.sample_concentrated(fan, plan)
+                eps = noise.sample(m, key=(m, rep))
+                y = geometry.support_values(fan, h0, dirs) + eps
+                result = reconstruct(fan, Dataset(dirs, y))
+                err = geometry.hausdorff(fan, result.h_hat, h0)
+                records.append(sim.ConvergenceRecord(
+                    m=m, replicate=rep, hausdorff_error=err,
+                    objective=result.objective,
+                    elapsed=time.perf_counter() - start))
+            except Exception as exc:  # noqa: BLE001 - recorded per replicate
+                records.append(sim.ConvergenceRecord(
+                    m=m, replicate=rep, hausdorff_error=float("nan"),
+                    objective=float("nan"), elapsed=time.perf_counter() - start,
+                    failed=True, message=str(exc)))
+    return records
 
 
 def loop_cell_vertices(fan, h) -> np.ndarray:

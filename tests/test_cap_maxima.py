@@ -2,7 +2,7 @@
 
 ``cap_maxima`` sweeps the faces of a cached per-fan table over any number
 of (cell, vector) pairs; ``max_linear_over_cone_cap``, ``c_delta`` and
-``hausdorff`` all read it.  The loop solves each face's projection on its
+``hausdorff_rows`` all read it.  The loop solves each face's projection on its
 own, so the two agree to rounding, within 1e-12 of the value.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from facetfit import catalog
 from facetfit.fan import SimplicialFan, c_delta, cap_maxima, max_linear_over_cone_cap
-from facetfit.geometry import hausdorff
+from facetfit.geometry import NotInDeformationCone, hausdorff, hausdorff_rows
 
 from conftest import random_members
 from oracles import cell_inverses, loop_c_delta, loop_cap_faces, loop_cap_max, loop_hausdorff
@@ -138,6 +138,28 @@ def test_hausdorff_is_symmetric_and_matches_the_loop(index, seed):
     assert forward == hausdorff(fan, b, a)
     expected = loop_hausdorff(fan, a, b)
     assert abs(forward - expected) <= RTOL * expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(fans()) - 1), st.integers(0, 2**16), st.integers(0, 5))
+def test_stacked_hausdorff_equals_the_one_pair_form(index, seed, k):
+    # Each row's distance is the one-pair distance bit for bit, whatever
+    # the other rows are.
+    fan = fans()[index]
+    *H, h2 = random_members(fan, k + 1, seed=seed)
+    stacked = hausdorff_rows(fan, np.reshape(H, (k, fan.n_rays)), h2)
+    assert [d.hex() for d in stacked.tolist()] == [hausdorff(fan, h, h2).hex() for h in H]
+
+
+def test_stacked_hausdorff_refuses_rows_outside_the_cone(hexagon):
+    inside, outside = np.ones(6), np.array([3.0, 1, 1, 1, 1, 1])
+    with pytest.raises(NotInDeformationCone, match=r"by 1\.000e\+00$"):
+        hausdorff_rows(hexagon, [inside, outside], inside)
+    with pytest.raises(NotInDeformationCone, match=r"by 1\.000e\+00$"):
+        hausdorff_rows(hexagon, [inside], outside)
+    with pytest.raises(ValueError, match="must be rows"):
+        hausdorff_rows(hexagon, inside, inside)
+    assert hausdorff_rows(hexagon, np.zeros((0, 6)), inside).shape == (0,)
 
 
 def test_cap_maxima_refuses_mismatched_shapes(hexagon):

@@ -180,6 +180,25 @@ def test_plans_refuse_a_quota_that_is_not_an_integer(quota):
         SamplingPlan(t=0.0, delta=0.1, m=60, seed=0, quotas=(quota,) + (1,) * 5)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, not 1.5"),
+    (True, "seed must be an integer, not True"),
+    (-1, "seed must be non-negative, not -1"),
+])
+def test_plans_refuse_a_seed_that_is_not_a_nonnegative_integer(hexagon, seed, message):
+    # Accepted, 1.5 and -1 failed later inside numpy's SeedSequence.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_plan(hexagon, 0.0, 0.1, 60, seed)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SamplingPlan(t=0.0, delta=0.1, m=60, seed=seed, quotas=(1,) * 6)
+
+
+def test_make_plan_checks_m_before_its_quotas(hexagon):
+    # The quotas of 600.5 do not fit: QuotaInfeasible named 600.5 samples.
+    with pytest.raises(ValueError, match="^m must be an integer, not 600.5$"):
+        make_plan(hexagon, 0.1, 0.05, 600.5, 0)
+
+
 def test_plans_take_numpy_integers(hexagon):
     plan = SamplingPlan(t=0.0, delta=0.1, m=np.int64(60), seed=0,
                         quotas=tuple(np.full(6, 10)))
