@@ -41,6 +41,11 @@ class Dataset:
     def __post_init__(self):
         U = np.atleast_2d(np.asarray(self.directions, float))
         y = np.atleast_1d(np.asarray(self.values, float))
+        if U.ndim != 2:
+            raise ValueError(f"directions must be an (m, d) array; got an array "
+                             f"of shape {U.shape}")
+        if y.ndim != 1:
+            raise ValueError(f"values must be a 1-D array; got an array of shape {y.shape}")
         object.__setattr__(self, "directions", U)
         object.__setattr__(self, "values", y)
         if U.shape[0] != y.shape[0]:
@@ -49,7 +54,12 @@ class Dataset:
             raise ValueError("need at least one sample")
         if not (np.all(np.isfinite(U)) and np.all(np.isfinite(y))):
             raise ValueError("directions and values must be finite")
-        if np.any(~U.any(axis=1)):
+        # One pass per column, as `fan.row_min` does: much faster than a
+        # reduction over each short row.  -0.0 counts as zero.
+        zero = np.ones(U.shape[0], bool)
+        for k in range(U.shape[1]):
+            zero &= U[:, k] == 0.0
+        if zero.any():
             raise ValueError("zero direction in dataset")
 
     @property
@@ -233,15 +243,26 @@ def _support_patterns(fan: SimplicialFan, design: DesignMatrix):
     bit k is set when the coefficient on ``fan.cells[cell][k]``, column k
     of the row's block, exceeds ``POSITIVITY_TOL`` (every other coefficient
     of the row is 0).  Returns ``(cells, masks, counts)``, one entry per
-    pattern in increasing order of the key ``cell * 2^d + mask``, from one
-    ``np.bincount`` of the keys of all rows.
+    pattern in increasing order of the key ``cell * 2^d + mask``.
+
+    Counted block by block, never over a concatenation of all m rows: a
+    block whose smallest coefficient exceeds ``POSITIVITY_TOL``, as most
+    blocks of interior directions do, adds its row count to its cell's
+    full mask after that one reduction; any other block adds one
+    ``np.bincount`` of its rows' masks.
     """
     d = fan.dim
-    blocks = design.blocks.blocks
-    rows = np.concatenate([rows for rows, _, _ in blocks])
-    positive = np.concatenate([lam for _, _, lam in blocks]) > POSITIVITY_TOL
-    keys = design.carrier_cells[rows] * (1 << d) + positive @ (1 << np.arange(d))
-    counts = np.bincount(keys, minlength=fan.n_cells << d)
+    full = (1 << d) - 1
+    weights = 1 << np.arange(d)
+    counts = np.zeros(fan.n_cells << d, np.intp)
+    for rows, _, lam in design.blocks.blocks:
+        # A block's rows share one carrier cell.
+        base = int(design.carrier_cells[rows[0]]) << d
+        if lam.min() > POSITIVITY_TOL:
+            counts[base + full] += len(rows)
+        else:
+            counts[base:base + full + 1] += np.bincount((lam > POSITIVITY_TOL) @ weights,
+                                                        minlength=full + 1)
     keys = np.flatnonzero(counts)
     cells, masks = np.divmod(keys, 1 << d)
     return cells, masks, counts[keys]
@@ -278,7 +299,9 @@ def uniqueness_report(fan: SimplicialFan, design: DesignMatrix) -> UniquenessRep
     (``_pattern_graph``), whose maximum matching has the size of the full
     direction graph's.  ``cells_covered[c]`` is True when some sample lies
     strictly inside cell c, i.e. its row has d strictly positive entries
-    carried by that cell: a pattern of cell c with the full mask.
+    carried by that cell: a pattern of cell c with the full mask.  The
+    patterns are counted per carrier block (``_support_patterns``), so a
+    block of interior rows costs one reduction, not a pass per row.
     """
     rank, kernel = numeric_rank(design)
     cells, masks, counts = _support_patterns(fan, design)

@@ -8,9 +8,10 @@ stack of directions with their barycentric coefficients, the wall-crossing
 inequality system, and exact maxima of linear functions over cone caps.
 Carrier lookups loop over the cells, never over the directions: each
 direction's cell is guessed from the vertices of one polytope with the fan's
-rays as facet normals and verified, and the directions a guess cannot place
-go through a fan-order scan that applies each cell's inverse to every
-direction still without a carrier.  Both take their coefficients from
+rays as facet normals (the argmax of one matrix product per chunk of rows)
+and verified, and the directions a guess cannot place go through a
+fan-order scan that applies each cell's inverse to every direction still
+without a carrier.  Both take their coefficients from
 ``coefficients``, which sums each one left to right in elementwise passes
 over all rows, never by a BLAS call per row.  ``carrier_blocks`` returns
 the result as one block of rows and d coefficients per cell found;
@@ -107,13 +108,18 @@ class FanConstants:
     ``vertices[c]`` is the vertex ``x_c = inv_cᵀ h°_c`` of the polytope
     ``P(h°) = {x : <v_i, x> <= ||v_i||}``, whose facet normals are the rays
     and which circumscribes the unit ball; it solves ``<v_i, x> = ||v_i||``
-    for the d rays i of cell c.  ``guess_margins[c]`` is
-    ``2 d max ||v|| max_k ||inv_c[k]||``: ``carrier_blocks`` accepts a
-    guess of cell c for u when every coefficient of u in c is at least
-    ``guess_margins[c]`` times the scan tolerance of u.  The coefficients
-    are those of ``coefficients``, each summed left to right, so each is
-    within ``γ_d ||inv_c[k]|| ||u|| <= d eps ||inv_c[k]|| ||u||`` of its
-    exact value (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    for the d rays i of cell c.  The guess for a row u is the cell whose
+    vertex maximizes ``<u, x_c>``, the first on ties: the argmax of one
+    product of a chunk of rows with all the vertices, so the guess takes
+    O(chunk cells) memory (``_vertex_labels``).
+
+    ``guess_margins[c]`` is ``2 d max ||v|| max_k ||inv_c[k]||``:
+    ``carrier_blocks`` accepts a guess of cell c for u when every
+    coefficient of u in c is at least ``guess_margins[c]`` times the scan
+    tolerance of u.  The coefficients are those of ``coefficients``, each
+    summed left to right, so each is within
+    ``γ_d ||inv_c[k]|| ||u|| <= d eps ||inv_c[k]|| ||u||`` of its exact
+    value (Higham, *Accuracy and Stability of Numerical Algorithms*,
     §3.1).  The margins are infinite, so no guess is accepted, when that
     bound can exceed half the scan tolerance (``carrier_blocks`` derives
     both).
@@ -425,9 +431,12 @@ def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndar
     maximizes ``<u, x>`` (Ziegler, *Lectures on Polytopes*, 7.1), so each
     row's cell g is guessed as the argmax of ``<u, x_c>`` over the vertices
     ``x_c`` of ``P(h°)``, ``h°`` the ray norms (``FanConstants.vertices``),
-    the first on ties, found in O(m) memory, never as an (m, cells) score
-    matrix.  The guess is accepted only when every coefficient of u in g is
-    at least the margin ``mu_g(u) = 2 tau(u) d max ||v|| max_k ||inv_g[k]||``.
+    the first on ties: one product of a chunk of rows with all the vertices
+    and one ``argmax`` per chunk, each chunk holding a fixed number of
+    scores (``_vertex_labels``), so memory is O(chunk cells), never an
+    (m, cells) score matrix.  The guess is accepted only when every
+    coefficient of u in g is at least the margin
+    ``mu_g(u) = 2 tau(u) d max ||v|| max_k ||inv_g[k]||``.
     Derivation: if u fitted another cell c within tau, raising its negative
     coefficients in c to 0 would move u by at most ``d tau max ||v||`` to a
     point w of c, and each coefficient of w in g would differ from u's by at
@@ -484,21 +493,25 @@ def vertex_max(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
     return best
 
 
+# Score entries per row chunk of the guess: each chunk's (rows, cells)
+# product holds about this many, 512 kB, whatever the number of cells.
+_LABEL_WORK = 2 ** 16
+
+
 def _vertex_labels(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
     """For each row u of ``U``, the index of the vertex that maximizes
-    ``<u, x>``, the first on ties: one pass over the vertices keeping a
-    running best score and its label, so memory stays O(m)."""
-    best = U @ vertices[0]
-    score = np.empty_like(best)
-    better = np.empty(best.shape, bool)
+    ``<u, x>``, the first on ties: per chunk of ``_LABEL_WORK // cells``
+    rows, one product with all the vertices and one ``argmax`` over each
+    row of its scores, so memory stays O(chunk cells + m)."""
     # The smallest integer type: a stable sort of 8- or 16-bit labels is a
     # radix sort.
-    labels = np.zeros(best.shape, np.min_scalar_type(len(vertices) - 1))
-    for c in range(1, len(vertices)):
-        np.matmul(U, vertices[c], out=score)
-        np.greater(score, best, out=better)
-        np.putmask(labels, better, c)
-        np.maximum(best, score, out=best)
+    labels = np.empty(U.shape[0], np.min_scalar_type(len(vertices) - 1))
+    # A C-contiguous (d, cells) operand: numpy's product with the transposed
+    # view is several times slower at a few cells.
+    columns = np.ascontiguousarray(vertices.T)
+    chunk = max(1, _LABEL_WORK // len(vertices))
+    for start in range(0, U.shape[0], chunk):
+        labels[start:start + chunk] = np.argmax(U[start:start + chunk] @ columns, axis=1)
     return labels
 
 

@@ -19,12 +19,13 @@ The per-row loops near the end are the slow references of the batched
 carrier, direction-graph, sampling, convergence-run and cell-vertex
 paths: one direction, one matrix entry, one Gaussian draw, one replicate
 and one cell at a time, with the same arithmetic, so the batched results
-must equal them bit for bit.  The
-last section holds the loop references of fan construction and set-up:
-the cells of a random fan from all d-subsets of its rays, and the wall
-system, the face-to-face check (one LP per pair of cells), the
-independence test, the ray checks of ``validate`` and the merged vertex
-groups one pair at a time.
+must equal them bit for bit.  Beside them sit the earlier forms of the
+carrier guess (one vertex at a time) and of the support-pattern count
+(one ``bincount`` over all rows).  The last section holds the loop
+references of fan construction and set-up: the cells of a random fan from
+all d-subsets of its rays, and the wall system, the face-to-face check
+(one LP per pair of cells), the independence test, the ray checks of
+``validate`` and the merged vertex groups one pair at a time.
 """
 
 from __future__ import annotations
@@ -662,6 +663,37 @@ def loop_direction_graph(design) -> DirectionGraph:
         neighbors.append(tuple(int(j) for j in np.nonzero(col > POSITIVITY_TOL)[0]))
     return DirectionGraph(n_rays=design.n, n_samples=design.m,
                           ray_neighbors=tuple(neighbors))
+
+
+def loop_vertex_labels(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``fan._vertex_labels`` one vertex at a time: a running best score
+    and its label, replaced only by a strictly greater score, so the first
+    vertex wins a tie."""
+    best = U @ vertices[0]
+    score = np.empty_like(best)
+    better = np.empty(best.shape, bool)
+    labels = np.zeros(best.shape, np.min_scalar_type(len(vertices) - 1))
+    for c in range(1, len(vertices)):
+        np.matmul(U, vertices[c], out=score)
+        np.greater(score, best, out=better)
+        np.putmask(labels, better, c)
+        np.maximum(best, score, out=best)
+    return labels
+
+
+def concatenated_support_patterns(fan, design):
+    """``design._support_patterns`` from every row at once: the rows and
+    coefficients of all blocks concatenated, each row's key
+    ``cell * 2^d + mask`` and one ``np.bincount`` of the keys."""
+    d = fan.dim
+    blocks = design.blocks.blocks
+    rows = np.concatenate([rows for rows, _, _ in blocks])
+    positive = np.concatenate([lam for _, _, lam in blocks]) > POSITIVITY_TOL
+    keys = design.carrier_cells[rows] * (1 << d) + positive @ (1 << np.arange(d))
+    counts = np.bincount(keys, minlength=fan.n_cells << d)
+    keys = np.flatnonzero(counts)
+    cells, masks = np.divmod(keys, 1 << d)
+    return cells, masks, counts[keys]
 
 
 def loop_in_ct(fan, x, j, t, inverses) -> bool:

@@ -31,6 +31,7 @@ from oracles import (
     loop_direction_graph,
     loop_in_ct,
     loop_uniform_sphere,
+    loop_vertex_labels,
     scatter_carriers,
 )
 
@@ -334,6 +335,77 @@ def test_rows_scaled_by_powers_of_two_keep_their_carriers(index):
     assert_carriers_equal_loop(fan, np.ldexp(U[:20], -900))
 
 
+@functools.cache
+def guess_fans():
+    """``fans()`` and the fans whose guesses the label tests add: the other
+    roof fan, one of 196 cells in R³ and one of 168 cells in R⁵."""
+    return fans() + (catalog.roof_fan_x(), catalog.random_polytopal_fan(3, 100, seed=7),
+                     catalog.random_polytopal_fan(5, 20, seed=3))
+
+
+def assert_same_blocks(found, expected):
+    """Block order, cells, row bytes and coefficient bytes all equal."""
+    assert [ci for ci, _, _ in found] == [ci for ci, _, _ in expected]
+    for (_, rows, lam), (_, rows_e, lam_e) in zip(found, expected):
+        assert rows.dtype == rows_e.dtype and rows.tobytes() == rows_e.tobytes()
+        assert lam.dtype == lam_e.dtype and lam.tobytes() == lam_e.tobytes()
+
+
+def loop_guessed_blocks(fan, U):
+    """``carrier_blocks`` with its labels from the per-vertex loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fan_mod, "_vertex_labels", loop_vertex_labels)
+        return carrier_blocks(fan, U)
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, 11), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-6, 1e6]))
+def test_chunked_labels_give_the_loops_blocks(index, seed, scale):
+    """The labels of one product per row chunk decide which rows skip the
+    scan exactly as the per-vertex loop's do."""
+    fan = guess_fans()[index]
+    U = np.vstack([mixed_directions(fan, seed, scale),
+                   scale * np.random.default_rng(seed).standard_normal((300, fan.dim))])
+    assert_same_blocks(carrier_blocks(fan, U), loop_guessed_blocks(fan, U))
+
+
+def test_labels_take_the_first_of_coincident_vertices(monkeypatch):
+    """The roof fans' cells 4 and 5 have one vertex of P(h°) (their apex):
+    every row inside either cell ties exactly on it, and both the loop and
+    the chunked labels take cell 4.  Rows of cell 4 are then placed by the
+    guess, rows of cell 5 by the scan; small chunks split the ties over
+    many products."""
+    monkeypatch.setattr(fan_mod, "_LABEL_WORK", 64)
+    for fan in (catalog.roof_fan_x(), catalog.roof_fan_y()):
+        vertices = fan.constants.vertices
+        assert np.array_equal(vertices[4], vertices[5])
+        rng = np.random.default_rng(4)
+        U = np.vstack([(rng.random((200, 3)) + 0.1) @ fan.rays[list(fan.cells[c])]
+                       for c in (4, 5)])
+        labels = fan_mod._vertex_labels(vertices, U)
+        assert np.all(labels == 4)
+        assert np.array_equal(labels, loop_vertex_labels(vertices, U))
+        blocks = carrier_blocks(fan, U)
+        assert_same_blocks(blocks, loop_guessed_blocks(fan, U))
+        assert [(ci, len(rows)) for ci, rows, _ in blocks] == [(4, 200), (5, 200)]
+
+
+def test_label_chunks_split_rows_at_any_boundary(monkeypatch):
+    """Chunks of 1 to 7 rows, and a last chunk shorter than the others,
+    give the labels of a single chunk."""
+    fan = catalog.random_polytopal_fan(3, 12, seed=7)
+    U = np.random.default_rng(9).standard_normal((103, 3))
+    vertices = fan.constants.vertices
+    whole = fan_mod._vertex_labels(vertices, U)
+    assert whole.dtype == np.uint8
+    for work in range(fan.n_cells, 8 * fan.n_cells, fan.n_cells):
+        monkeypatch.setattr(fan_mod, "_LABEL_WORK", work)
+        assert fan_mod._vertex_labels(vertices, U).tobytes() == whole.tobytes()
+    monkeypatch.setattr(fan_mod, "_LABEL_WORK", 1)   # fewer scores than cells
+    assert fan_mod._vertex_labels(vertices, U).tobytes() == whole.tobytes()
+
+
 def scan_sizes(monkeypatch):
     """Wrap the fallback scan and record how many rows each call gets."""
     sizes = []
@@ -401,18 +473,21 @@ def test_carrier_coefficients_keep_their_bits():
 
 
 def test_carrier_memory_is_bounded_in_the_rows():
-    """No (m, cells) score matrix and no (m, d, d) stack of inverses."""
-    fan = catalog.random_polytopal_fan(3, 12, seed=7)
+    """No (m, cells) score matrix and no (m, d, d) stack of inverses, on 20
+    cells and on 396: the guess's row chunks hold a fixed number of scores
+    whatever the number of cells."""
     U = np.random.default_rng(0).standard_normal((100_000, 3))
-    carrier_blocks(fan, U[:1])   # the fan's cached tables, outside the trace
-    tracemalloc.start()
-    try:
-        blocks = carrier_blocks(fan, U)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(len(rows) for _, rows, _ in blocks) == len(U)
-    assert peak <= 8e6
+    for fan in (catalog.random_polytopal_fan(3, 12, seed=7),
+                catalog.random_polytopal_fan(3, 200, seed=7)):
+        carrier_blocks(fan, U[:1])   # the fan's cached tables, outside the trace
+        tracemalloc.start()
+        try:
+            blocks = carrier_blocks(fan, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(rows) for _, rows, _ in blocks) == len(U)
+        assert peak <= 8e6
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,10 +3,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facetfit import catalog
 from facetfit.design import (
+    POSITIVITY_TOL,
     Dataset,
+    _support_patterns,
     build_design,
     direction_graph,
     max_matching,
@@ -17,7 +21,8 @@ from facetfit.design import (
 from facetfit.fan import NoCarrier
 from facetfit.sim import sample_uniform_sphere
 
-from oracles import brute_max_matching
+from oracles import brute_max_matching, concatenated_support_patterns
+from test_batched import fans, mixed_directions
 
 ROOF_DIRECTIONS = np.array([
     [1, 1, -1], [1, -1, 0], [-1, 1, 0], [-1, -1, 0], [1, 1, 6], [-1, -1, 4],
@@ -63,6 +68,38 @@ def test_dataset_validation():
         Dataset(np.array([[1.0, np.nan]]), np.array([1.0]))
     with pytest.raises(ValueError):
         Dataset(np.array([[1.0, 0.0]]), np.array([np.inf]))
+    with pytest.raises(ValueError, match="zero direction"):
+        Dataset(np.array([[1.0, 0.0], [-0.0, 0.0]]), np.array([1.0, 1.0]))
+
+
+def test_dataset_refuses_arrays_of_the_wrong_rank():
+    """Values must be 1-D and directions 2-D where they enter, not when a
+    design or a solver later meets them."""
+    U = np.array([[1.0, 0.0], [0.0, 1.0]])
+    y = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match=r"values must be a 1-D array; got an array of shape \(2, 1\)"):
+        Dataset(U, y[:, None])
+    with pytest.raises(ValueError, match=r"directions must be an \(m, d\) array"):
+        Dataset(U[None], y)
+    # One direction and one value stay accepted as a 1-row dataset.
+    one = Dataset(U[0], 1.0)
+    assert one.directions.shape == (1, 2) and one.values.shape == (1,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 30), st.integers(1, 5)),
+       seed=st.integers(0, 2**32 - 1))
+def test_dataset_zero_rows_are_those_of_a_row_reduction(shape, seed):
+    """The column passes find a zero row exactly when ``any`` over each
+    row does, -0.0 and subnormal entries included."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 5e-324, -1e-170, 1.0])
+    U = values[rng.integers(len(values), size=shape)]
+    if np.any(~U.any(axis=1)):
+        with pytest.raises(ValueError, match="zero direction"):
+            Dataset(U, np.ones(shape[0]))
+    else:
+        Dataset(U, np.ones(shape[0]))
 
 
 def test_hexagon_cycle_design(hexagon):
@@ -179,6 +216,34 @@ def test_uniqueness_report_cycle(hexagon):
     assert report.numeric_rank == 5
     assert not report.unique_for_all_y
     assert report.cells_covered == [True] * 6  # every direction is interior
+
+
+@settings(max_examples=30, deadline=None)
+@given(index=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_support_patterns_equal_the_concatenated_count(index, seed):
+    """Counted block by block, the patterns equal those of one
+    ``bincount`` over every row, on designs of Gaussian rows (mostly
+    interior, placed by the guess), of exact rays, of rows on the walls of
+    cells, of rows scaled so that some or all of their coefficients fall at
+    or below ``POSITIVITY_TOL``, and of all of these at once, where some
+    cells have both a guess block and a scan block."""
+    fan = fans()[index]
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((200, fan.dim))
+    walls = mixed_directions(fan, seed, 1.0)
+    tiny = np.vstack([gauss[:60] * 10.0 ** rng.uniform(-14.0, -10.0, (60, 1)),
+                      [fan.rays[cell[0]] + 1e-12 * fan.rays[cell[1]] for cell in fan.cells]])
+    parts = [gauss, fan.rays, walls[walls.any(axis=1)], tiny]
+    for U in parts + [np.vstack(parts)]:
+        design = build_design(fan, U)
+        found = _support_patterns(fan, design)
+        expected = concatenated_support_patterns(fan, design)
+        for a, b in zip(found, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    smallest = [lam.min() for _, _, lam in build_design(fan, gauss).blocks.blocks]
+    assert max(smallest) > POSITIVITY_TOL   # a block counted by its minimum
+    block_cells = design.carrier_cells[[rows[0] for rows, _, _ in design.blocks.blocks]]
+    assert len(set(block_cells.tolist())) < len(block_cells)
 
 
 def test_uniqueness_report_rays(hexagon):
