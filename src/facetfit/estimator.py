@@ -10,7 +10,8 @@ ties between fans are reported, never broken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,12 +37,35 @@ class SolutionSetDescription:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """One fan's estimate, its objective and the shape of its minimizer set.
+
+    ``uniqueness`` (the rank, matching and coverage diagnostics of
+    ``uniqueness_report``) and ``y_hat`` (the fitted values ``A h_hat``)
+    are computed on first read from the ``fan`` and ``design`` the result
+    holds, so a caller that reads neither, like a convergence run, does
+    not pay for them.  A result therefore keeps its design, and the
+    design's factor, alive for as long as it is held.
+    """
+
     h_hat: np.ndarray
-    y_hat: np.ndarray
     objective: float
     solution_set: SolutionSetDescription
-    uniqueness: UniquenessReport
     qp_solution: qp.QPSolution
+    fan: SimplicialFan = field(compare=False, repr=False)
+    design: DesignMatrix = field(compare=False, repr=False)
+
+    @cached_property
+    def uniqueness(self) -> UniquenessReport:
+        """``uniqueness_report`` of the design, made on first read and looked
+        up in this module; its rank and kernel are the ones ``solution_set``
+        already computed."""
+        return uniqueness_report(self.fan, self.design)
+
+    @cached_property
+    def y_hat(self) -> np.ndarray:
+        """The fitted values ``A h_hat``, made on first read; unique even
+        when ``h_hat`` is not."""
+        return self.design.blocks.dot(self.h_hat)
 
 
 @dataclass(frozen=True)
@@ -63,12 +87,14 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
     """Least-squares estimate of the support vector for one fan.
 
     Builds the wall system and the design in cell form, solves the
-    constrained program on the design's one factorization, and attaches the
-    uniqueness diagnostics and solution-set description; no dense m x n
-    design is made.  Noiseless data from a member
-    of the deformation cone yields objective zero.  Raises
-    ``qp.Uncertified`` when the solution's KKT residual, measured on the
-    design itself, exceeds its tolerance.
+    constrained program on the design's one factorization, and describes
+    the solution set; no dense m x n design is made.  The uniqueness
+    diagnostics and the fitted values ``y_hat`` are computed when the
+    result's fields are first read, from the design it holds.  The rank
+    SVD runs here, for the solution set, so every refusal comes from this
+    call.  Noiseless data from a member of the deformation cone yields
+    objective zero.  Raises ``qp.Uncertified`` when the solution's KKT
+    residual, measured on the design itself, exceeds its tolerance.
     """
     dm = design_mod.build_design(fan, dataset.directions)
     walls = fan.wall_system
@@ -77,16 +103,13 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
     if not sol.certified:
         raise qp.Uncertified(f"KKT residual {sol.kkt_residual:.3g} above its "
                              f"tolerance {sol.kkt_tolerance:.3g}", sol)
-    y_hat = dm.blocks.dot(sol.h_star)
-    report = uniqueness_report(fan, dm)
-    sset = solution_set(fan, dm, sol.h_star)
     return ReconstructionResult(
         h_hat=sol.h_star,
-        y_hat=y_hat,
         objective=sol.objective,
-        solution_set=sset,
-        uniqueness=report,
+        solution_set=solution_set(fan, dm, sol.h_star),
         qp_solution=sol,
+        fan=fan,
+        design=dm,
     )
 
 

@@ -19,19 +19,21 @@ spawn_key=(j,))`` of the plan's seed, one ``standard_normal(d)`` call
 per trial, so a ray's samples depend on its stream alone: every trial
 makes one candidate, and trials drawn beyond the last one used are
 dropped.  The sampler works in passes of one ``fan.carrier_blocks`` call
-on the trials of every (plan, ray) pair that still needs samples,
-reading each block's d coefficient columns.  The first pass draws one
-trial per pending sample, a later one enough for each pair's pending
-samples at its acceptance rate so far, plus a quarter, so most plans
-take two passes.
+on the trials of every (plan, ray) pair that still needs samples and
+one membership test on all the rows it carries, whatever their cells
+(``_membership``).  The first pass draws one trial per pending sample,
+a later one enough for each pair's pending samples at its acceptance
+rate so far, plus a quarter, so most plans take two passes.
 
 A convergence run samples the replicates of one sample count m in
 groups of ``max(m_schedule) // m`` plans, one sequence of passes per
 group, so a group draws about as many rows as one replicate at the
 largest m; it scores the fits of each m with one
 ``geometry.hausdorff_rows`` call.  Noise, values and reconstruction stay
-per replicate.  A replicate's ``elapsed`` is its own time plus equal
-shares of its group's sampling and of its m's scoring.
+per replicate; a run keeps only each replicate's estimate and objective,
+never its ``ReconstructionResult``, whose uniqueness report is then never
+computed.  A replicate's ``elapsed`` is its own time plus equal shares of
+its group's sampling and of its m's scoring.
 """
 
 from __future__ import annotations
@@ -258,31 +260,40 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
 
 def _in_neighborhoods(lam: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,
                       t: float) -> np.ndarray:
-    """The one membership rule of the neighborhoods, on a block of
-    ``carrier_blocks``: row i of the coefficients ``lam`` on one cell's d
-    generators, scaled by their ``ray_norms``, lies within ``t`` (plus
-    1e-9) of the unit vector of column ``J[i]`` in the sup norm.
-    ``J[i]`` is the target ray's position among the generators, or -1 when
-    the target ray is not one of them: the row's coefficient on that ray is
-    0, 1 away from the unit vector, so the row is outside (t < 1/2).  The
-    sup norm is a column-wise running maximum, exact like ``fan.row_min``
-    and much faster than a reduction over a short axis."""
-    worst = np.abs(lam[:, 0] * ray_norms[0] - (J == 0))
+    """The one membership rule of the neighborhoods, on rows of
+    ``carrier_blocks``: row i of the coefficients ``lam`` on its cell's d
+    generators, scaled by their ray norms, lies within ``t`` (plus 1e-9)
+    of the unit vector of column ``J[i]`` in the sup norm.  ``ray_norms``
+    holds the d norms of one cell for all rows, or one row of d norms per
+    row of ``lam``, so the rows of many cells take one call; either way
+    each product is the same.  ``J[i]`` is the target ray's position among
+    the generators, or -1 when the target ray is not one of them: the
+    row's coefficient on that ray is 0, 1 away from the unit vector, so
+    the row is outside (t < 1/2).  The sup norm is a column-wise running
+    maximum, exact like ``fan.row_min`` and much faster than a reduction
+    over a short axis."""
+    worst = np.abs(lam[:, 0] * ray_norms[..., 0] - (J == 0))
     for k in range(1, lam.shape[1]):
-        np.maximum(worst, np.abs(lam[:, k] * ray_norms[k] - (J == k)), out=worst)
+        np.maximum(worst, np.abs(lam[:, k] * ray_norms[..., k] - (J == k)), out=worst)
     return (worst <= t + 1e-9) & (J >= 0)
 
 
 def _concentration_counts(design: DesignMatrix, ray_norms: np.ndarray,
                           t: float) -> np.ndarray:
-    """Per-ray neighborhood counts of the design's rows, from its blocks
-    through ``_in_neighborhoods``: a row counts only for the generators of
-    its cell."""
+    """Per-ray neighborhood counts of the design's rows: the blocks' rows
+    are stacked with the generators of their cells, and each generator
+    position k takes one ``_in_neighborhoods`` call over all rows, with
+    per-row norms, as the sampler's membership pass does.  A row counts
+    only for the generators of its cell."""
+    blocks = design.blocks.blocks
+    lam = np.concatenate([lam for _, _, lam in blocks])
+    cols = np.repeat(np.array([cols for _, cols, _ in blocks]),
+                     [len(rows) for rows, _, _ in blocks], axis=0)
+    norms = ray_norms[cols]
     counts = np.zeros(design.n, int)
-    for rows, cols, lam in design.blocks.blocks:
-        norms = ray_norms[cols]
-        for k, j in enumerate(cols.tolist()):
-            counts[j] += _in_neighborhoods(lam, norms, np.full(len(rows), k), t).sum()
+    for k in range(cols.shape[1]):
+        inside = _in_neighborhoods(lam, norms, np.full(len(lam), k), t)
+        counts += np.bincount(cols[inside, k], minlength=design.n)
     return counts
 
 
@@ -359,24 +370,20 @@ def _rejection_rows(fan: SimplicialFan, units: np.ndarray, plans,
     The trials come in passes.  The first draws one trial per pending slot
     of each pair; a later pass draws 1.25 times a pair's pending slots over
     its acceptance rate so far, at most ``_PASS_ROWS // n`` beyond one
-    per pending slot.  A pass stacks the trials pair by pair, makes one
-    ``carrier_blocks`` call on them and applies the membership rule to
-    each block's d columns.  Trials beyond a pair's last event used are
-    dropped, so the rows depend neither on the pass sizes nor on the
-    other plans.
+    per pending slot.  A pass stacks the trials pair by pair and makes one
+    ``_membership`` call on them: one ``carrier_blocks`` call and one
+    ``_in_neighborhoods`` call on the carried rows of all blocks.  Trials
+    beyond a pair's last event used are dropped, so the rows depend
+    neither on the pass sizes nor on the other plans.
     """
     n, d = units.shape
-    ray_norms = fan.constants.ray_norms
-    # column[c, j]: position of ray j among cell c's generators, or -1.
-    column = np.full((fan.n_cells, n), -1)
-    column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(d)
     # The pairs with quota slots, plan by plan in ray order.
     counts = [np.bincount(s, minlength=n).tolist() for s in slots]
     pairs = [(i, j) for i in range(len(plans)) for j in range(n) if counts[i][j]]
     plan_of = np.array([i for i, _ in pairs], int)
     ray_of = np.array([j for _, j in pairs], int)
     t = np.array([plan.t for plan in plans])
-    radius = 0.5 * t * float(np.min(ray_norms))
+    radius = 0.5 * t * float(np.min(fan.constants.ray_norms))
     need = [counts[i][j] for i, j in pairs]
     streams = [_rng(np.random.SeedSequence(plans[i].seed, spawn_key=(j,)))
                for i, j in pairs]
@@ -403,12 +410,7 @@ def _rejection_rows(fan: SimplicialFan, units: np.ndarray, plans,
         norms = row_norms(X)
         usable = norms >= 1e-12
         X /= np.where(usable, norms, 1.0)[:, None]
-        member = np.zeros(len(X), bool)
-        carried = np.zeros(len(X), bool)
-        for c, rows, lam in carrier_blocks(fan, X):
-            carried[rows] = True
-            member[rows] = _in_neighborhoods(lam, ray_norms[list(fan.cells[c])],
-                                             column[c, ray[rows]], t[owner[rows]])
+        member, carried = _membership(fan, X, ray, t[owner])
         events = np.flatnonzero(usable & (member | ~carried))
         # events[cut[a]:cut[a + 1]]: the events among the a-th pair's trials.
         cut = np.searchsorted(events, np.cumsum([0] + ks)).tolist()
@@ -454,6 +456,28 @@ def _rejection_rows(fan: SimplicialFan, units: np.ndarray, plans,
                                   for block in taken[p]])
         out.append(rows)
     return out
+
+
+def _membership(fan: SimplicialFan, X: np.ndarray, ray: np.ndarray,
+                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether row i of ``X`` lies in the neighborhood of width ``t[i]`` of
+    ray ``ray[i]``, and whether it has a carrier, from one
+    ``carrier_blocks`` call and one ``_in_neighborhoods`` call on the
+    blocks' rows stacked, each with its own cell's ray norms."""
+    # column[c, j]: position of ray j among cell c's generators, or -1.
+    column = np.full((fan.n_cells, fan.n_rays), -1)
+    column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(fan.dim)
+    blocks = carrier_blocks(fan, X)
+    rows = np.concatenate([np.empty(0, int)] + [r for _, r, _ in blocks])
+    lam = np.concatenate([np.empty((0, fan.dim))] + [lam for _, _, lam in blocks])
+    cells = np.repeat(np.array([c for c, _, _ in blocks], int), [len(r) for _, r, _ in blocks])
+    member = np.zeros(len(X), bool)
+    carried = np.zeros(len(X), bool)
+    carried[rows] = True
+    member[rows] = _in_neighborhoods(
+        lam, fan.constants.ray_norms[fan._cell_array[cells]],
+        column[cells, ray[rows]], t[rows])
+    return member, carried
 
 
 def _starved(j: int, t: float) -> RuntimeError:
@@ -600,7 +624,9 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
     replicate by replicate, its data are the support values of ``P(h0)``
     at its directions (a maximum over the vertices of ``P(h0)``, computed
     once per run) plus its noise, and ``reconstruct`` makes its only
-    carrier lookup.  The fits of each m are scored together by the exact
+    carrier lookup; the run keeps the estimate and objective alone, so the
+    result, and with it the design, is freed before the next replicate
+    builds its own.  The fits of each m are scored together by the exact
     distances of ``hausdorff_rows`` to ``h0``.  Failed replicates,
     including every replicate of an ``h0`` outside the deformation cone
     (``NotInDeformationCone``), become failed records rather than aborting
@@ -640,8 +666,8 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
                     eps = noise.sample(m, key=(m, rep))
                     if isinstance(vertices0, Exception):
                         raise vertices0
-                    result = reconstruct(fan, Dataset(dirs, vertex_max(vertices0, dirs) + eps))
-                    outcome.append((_require_member(fan, result.h_hat), result.objective))
+                    outcome.append(_estimate(fan, reconstruct(
+                        fan, Dataset(dirs, vertex_max(vertices0, dirs) + eps))))
                 except Exception as exc:  # noqa: BLE001 - recorded per replicate
                     outcome.append(exc)
                 now = time.perf_counter()
@@ -661,6 +687,14 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
                     m=m, replicate=rep, hausdorff_error=float(next(errors)),
                     objective=r[1], elapsed=own + share))
     return records
+
+
+def _estimate(fan: SimplicialFan, result) -> tuple[np.ndarray, float]:
+    """A replicate's estimate, checked to lie in the cone, and objective.
+    The caller passes the result straight from ``reconstruct`` and keeps
+    no name for it, so it is freed, with its design, before the next
+    replicate builds its own."""
+    return _require_member(fan, result.h_hat), result.objective
 
 
 def fit_loglog_slope(records: list[ConvergenceRecord]) -> float:

@@ -20,8 +20,9 @@ carrier, direction-graph, sampling, convergence-run and cell-vertex
 paths: one direction, one matrix entry, one Gaussian draw, one replicate
 and one cell at a time, with the same arithmetic, so the batched results
 must equal them bit for bit.  Beside them sit the earlier forms of the
-carrier guess (one vertex at a time) and of the support-pattern count
-(one ``bincount`` over all rows).  The last section holds the loop
+carrier guess (one vertex at a time), of the support-pattern count
+(one ``bincount`` over all rows) and of the sampler's membership pass
+(one call of the rule per carrier block).  The last section holds the loop
 references of fan construction and set-up: the cells of a random fan from
 all d-subsets of its rays, and the wall system, the face-to-face check
 (one LP per pair of cells), the independence test, the ray checks of
@@ -702,6 +703,20 @@ def loop_in_ct(fan, x, j, t, inverses) -> bool:
     target = np.zeros(fan.n_rays)
     target[j] = 1.0
     return float(np.max(np.abs(scaled - target))) <= t + 1e-9
+
+
+def loop_block_membership(fan, X, ray, t) -> tuple[np.ndarray, np.ndarray]:
+    """``sim._membership`` one carrier block at a time: one
+    ``_in_neighborhoods`` call per block, with its cell's d ray norms."""
+    column = np.full((fan.n_cells, fan.n_rays), -1)
+    column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(fan.dim)
+    member = np.zeros(len(X), bool)
+    carried = np.zeros(len(X), bool)
+    for c, rows, lam in carrier_blocks(fan, X):
+        carried[rows] = True
+        member[rows] = sim._in_neighborhoods(lam, fan.constants.ray_norms[list(fan.cells[c])],
+                                             column[c, ray[rows]], t[rows])
+    return member, carried
 
 
 def _loop_unit(rng, d) -> np.ndarray:

@@ -24,6 +24,7 @@ from facetfit.sim import make_plan, sample_concentrated, sample_uniform_sphere
 
 from oracles import (
     cell_inverses,
+    loop_block_membership,
     loop_carrier,
     loop_cell_vertices,
     loop_concentrated,
@@ -176,6 +177,35 @@ def test_rejection_rows_do_not_depend_on_pass_sizes(case, monkeypatch):
     small = sample_concentrated(fan, plan)
     assert small.tobytes() == default.tobytes()
     assert passes[default_passes:] != passes[:default_passes]
+
+
+def membership_fans():
+    """The roof fans, whose scan blocks come after their guess blocks, and
+    two random fans."""
+    return [catalog.roof_fan_y(), catalog.roof_fan_x(),
+            catalog.random_polytopal_fan(3, 6, seed=203),
+            catalog.random_polytopal_fan(4, 8, seed=1)]
+
+
+@pytest.mark.parametrize("case", range(4))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 300))
+def test_one_membership_pass_equals_the_block_loop(case, seed, rows):
+    # Trials around every ray at several radii, with zero rows that no
+    # cell carries, each for its own target ray and width.
+    fan = membership_fans()[case]
+    rng = np.random.default_rng(seed)
+    ray = rng.integers(fan.n_rays, size=rows)
+    t = rng.choice([0.0, 0.002, 0.3], size=rows)
+    radius = rng.choice([0.0, 0.0005, 0.01, 0.5], size=rows)
+    units = fan.rays / fan.constants.ray_norms[:, None]
+    X = units[ray] + radius[:, None] * rng.standard_normal((rows, fan.dim))
+    X[rng.random(rows) < 0.1] = 0.0
+    member, carried = sim._membership(fan, X, ray, t)
+    loop_member, loop_carried = loop_block_membership(fan, X, ray, t)
+    assert member.tobytes() == loop_member.tobytes()
+    assert carried.tobytes() == loop_carried.tobytes()
+    assert not (member & ~carried).any()
 
 
 @pytest.mark.parametrize("case", range(6))

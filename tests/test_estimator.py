@@ -329,3 +329,33 @@ def test_kernel_basis_is_the_fresh_factorization(hexagon):
     fresh = qp.rank_and_kernel(build_design(hexagon, U).matrix)[1]
     assert res.uniqueness.kernel_basis.tobytes() == fresh.tobytes()
     assert res.uniqueness.kernel_basis.shape == fresh.shape
+
+
+# ---------------------------------------------------------------------------
+# Fields computed on first read
+# ---------------------------------------------------------------------------
+
+LAZY_CASES = ["full rank", "cycle", "exact rays", "m < n"]
+
+
+@pytest.mark.parametrize("case", LAZY_CASES)
+def test_lazy_fields_equal_the_eager_report_and_fit(hexagon, case):
+    U = {"cycle": cycle_dataset(hexagon).directions,
+         "exact rays": hexagon.rays}.get(case)
+    U = FACTOR_CASES[case] if U is None else U
+    y = 1.0 + 0.05 * np.random.default_rng(9).standard_normal(len(U))
+    res = reconstruct(hexagon, Dataset(U, y))
+    assert "uniqueness" not in vars(res) and "y_hat" not in vars(res)
+    dm = build_design(hexagon, U)
+    eager = uniqueness_report(hexagon, dm)
+    got = res.uniqueness
+    assert got is res.uniqueness
+    assert (got.numeric_rank, got.matching_size, got.cells_covered, got.unique_for_all_y) \
+        == (eager.numeric_rank, eager.matching_size, eager.cells_covered,
+            eager.unique_for_all_y)
+    assert got.kernel_basis.shape == eager.kernel_basis.shape
+    assert got.kernel_basis.tobytes() == eager.kernel_basis.tobytes()
+    assert res.y_hat.tobytes() == dm.blocks.dot(res.h_hat).tobytes()
+    assert (got.numeric_rank, got.unique_for_all_y) == {
+        "full rank": (6, True), "cycle": (5, False), "exact rays": (6, True),
+        "m < n": (4, False)}[case]

@@ -6,6 +6,7 @@
 the one-replicate loop of ``oracles``, whatever the groups.
 """
 
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facetfit import catalog, sim
+from facetfit import catalog, estimator, sim
 from facetfit.sim import (NoiseModel, derive_seed, facet_direction_plan, make_plan,
                           run_convergence, sample_concentrated)
 
@@ -57,6 +58,39 @@ def test_records_equal_the_one_replicate_loop(case, monkeypatch):
     assert not any(r.failed for r in records)
     assert record_bits(records) == \
         record_bits(loop_convergence(fan, h0, family, schedule, 5, noise))
+
+
+def test_a_run_reads_no_uniqueness_report(monkeypatch):
+    # The report is computed on first read, and a run reads none.
+    def refused(fan, design):
+        raise AssertionError("uniqueness_report called")
+
+    monkeypatch.setattr(estimator, "uniqueness_report", refused)
+    noise = NoiseModel(sigma=0.1, seed=7)
+    for fan, h0, family, schedule in runs():
+        records = run_convergence(fan, h0, family, schedule, 5, noise)
+        assert not any(r.failed for r in records)
+        assert record_bits(records) == \
+            record_bits(loop_convergence(fan, h0, family, schedule, 5, noise))
+
+
+def test_a_run_frees_each_result_before_the_next_reconstruct(monkeypatch):
+    # A result holds its design; the run must not keep it while the next
+    # replicate builds its own.
+    results, alive = [], []
+    inner = sim.reconstruct
+
+    def watched(fan, dataset):
+        alive.append(bool(results) and results[-1]() is not None)
+        result = inner(fan, dataset)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(sim, "reconstruct", watched)
+    fan, h0, family, schedule = runs()[1]
+    records = run_convergence(fan, h0, family, schedule, 5, NoiseModel(sigma=0.1, seed=7))
+    assert not any(r.failed for r in records)
+    assert len(alive) == 15 and not any(alive)
 
 
 def group_cases():
