@@ -12,7 +12,6 @@ from .design import (
     build_design,
     direction_graph,
     max_matching,
-    numeric_rank,
     ray_facet_graph,
     uniqueness_report,
 )

@@ -5,11 +5,11 @@ row i holds the barycentric coefficients of direction i.  The operator is
 kept in cell form: the blocks of one carrier lookup
 (``fan.carrier_blocks``), each the rows carried by one cell and their d
 coefficients on its generators, O(m d) memory in all; the dense m x n
-matrix is made only when a caller reads it.  Each design is factored once
-(``qp.triangular_factor``: one QR per block and one of the stacked
-triangles when m > n), and the solver, the rank and the kernel all read
-that factor.  Uniqueness of
-the estimate for every right-hand side is a rank question; the bipartite
+matrix is made only when a caller reads it.  A design is a
+``qp.BlockMatrix`` and owns its one factorization (``factor``: one QR per
+block and one of the stacked triangles when m > n), and the solver, the
+rank and the kernel all read it.  Uniqueness of the estimate for every
+right-hand side is a rank question; the bipartite
 ray/sample graph gives the combinatorial counterpart (a matching touching
 every ray), and per-cell coverage gives a practical sufficient condition.
 """
@@ -23,8 +23,7 @@ import numpy as np
 
 from .fan import NoCarrier, SimplicialFan, carrier_blocks
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps design.carrier
-from .qp import (BlockMatrix, TriangularFactor, rank_and_kernel, rank_tolerance,
-                 triangular_factor)
+from .qp import BlockMatrix, rank_and_kernel, rank_tolerance
 
 # Entries at or below this are treated as structural zeros when building
 # graphs; carrier clamps negatives to 0 so this only guards round-off.
@@ -68,43 +67,39 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(BlockMatrix):
     """Rows are barycentric coefficient vectors; at most d nonzeros per row.
 
-    Stored in cell form: ``blocks`` has one block per block of
+    A ``BlockMatrix`` in cell form: ``blocks`` has one block per block of
     ``fan.carrier_blocks``, its rows, the generators of its cell as columns
-    and the m_c x d coefficients, so memory is O(m d).  ``carrier_cells[i]``
-    is the index of the maximal cell carrying direction i.  ``matrix``, the
-    dense m x n scatter, is made on first read, for ``direction_graph`` and
-    tests; neither the reconstruction, whatever m, nor the CLI reads it.
-    ``build_design`` makes the coefficients read-only, and ``matrix`` is,
-    so the cached ``factor`` and ``rank_kernel`` cannot go stale.
+    and the m_c x d coefficients, so memory is O(m d).  ``factor`` is the
+    design's one factorization, made on first read: when m > n, one thin
+    QR per large block and one of the stacked triangles and small blocks;
+    otherwise the blocks scattered into an m x n R, equal to ``matrix``
+    bit for bit.  ``carrier_cells[i]`` is the index of the maximal cell
+    carrying direction i.  ``matrix``, the dense m x n scatter, is made on
+    first read, for ``direction_graph`` and tests; neither the
+    reconstruction, whatever m, nor the CLI reads it.  ``build_design``
+    makes the coefficients read-only, and ``matrix`` is, so the cached
+    ``factor`` and ``rank_kernel`` cannot go stale.
     """
 
-    blocks: BlockMatrix
     carrier_cells: np.ndarray
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense m x n design, scattered from the blocks on first read."""
-        matrix = self.blocks.dense()
+        matrix = self.dense()
         matrix.setflags(write=False)
         return matrix
 
     @cached_property
-    def factor(self) -> TriangularFactor:
-        """The design's one factorization, made on first use: when m > n,
-        one thin QR per large block and one of the stacked triangles and
-        small blocks, each keeping its Q for ``reduce``; otherwise the
-        blocks scattered into an m x n R of their own, equal to ``matrix``
-        bit for bit."""
-        return triangular_factor(self.blocks)
-
-    @cached_property
     def rank_kernel(self) -> tuple[int, np.ndarray]:
-        """``rank_and_kernel`` of the factor on first use, at the design's
-        own tolerance (its column norms, which R shares), with a read-only
-        kernel."""
+        """The numerical rank and a read-only kernel basis of shape
+        ``(n - rank, n)``, made on first read: ``rank_and_kernel`` of the
+        factor R, one SVD of an n x n R when m > n, at the design's own
+        tolerance ``max(m, n) eps`` times its largest column norm, which R
+        shares."""
         R = self.factor.R
         rank, kernel = rank_and_kernel(R, tol=rank_tolerance(R, self.m))
         kernel.setflags(write=False)
@@ -112,11 +107,11 @@ class DesignMatrix:
 
     @property
     def m(self) -> int:
-        return self.blocks.shape[0]
+        return self.shape[0]
 
     @property
     def n(self) -> int:
-        return self.blocks.shape[1]
+        return self.shape[1]
 
 
 @dataclass(frozen=True)
@@ -165,8 +160,7 @@ def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
     bad = np.flatnonzero(cells < 0)
     if bad.size:
         raise NoCarrier.for_vector(fan, U[bad[0]], row=int(bad[0]))
-    return DesignMatrix(blocks=BlockMatrix(shape=(U.shape[0], fan.n_rays),
-                                           blocks=tuple(blocks)),
+    return DesignMatrix(shape=(U.shape[0], fan.n_rays), blocks=tuple(blocks),
                         carrier_cells=cells)
 
 
@@ -225,17 +219,6 @@ def _augment(neighbors, ray: int, seen: list[bool], match_ray: list[int],
     return False
 
 
-def numeric_rank(design: DesignMatrix):
-    """Numerical rank of the design and a kernel basis when rank < n.
-
-    Threshold: ``max(m, n) * eps * (largest column norm)`` of the matrix,
-    read off its factor R.  Returns the design's cached ``(rank, kernel)``,
-    ``kernel`` of shape ``(n - rank, n)``, from one SVD of the n x n factor
-    R when m > n.
-    """
-    return design.rank_kernel
-
-
 def _support_patterns(fan: SimplicialFan, design: DesignMatrix):
     """The distinct (carrier cell, positive support) pairs among the rows.
 
@@ -255,7 +238,7 @@ def _support_patterns(fan: SimplicialFan, design: DesignMatrix):
     full = (1 << d) - 1
     weights = 1 << np.arange(d)
     counts = np.zeros(fan.n_cells << d, np.intp)
-    for rows, _, lam in design.blocks.blocks:
+    for rows, _, lam in design.blocks:
         # A block's rows share one carrier cell.
         base = int(design.carrier_cells[rows[0]]) << d
         if lam.min() > POSITIVITY_TOL:
@@ -303,7 +286,7 @@ def uniqueness_report(fan: SimplicialFan, design: DesignMatrix) -> UniquenessRep
     patterns are counted per carrier block (``_support_patterns``), so a
     block of interior rows costs one reduction, not a pass per row.
     """
-    rank, kernel = numeric_rank(design)
+    rank, kernel = design.rank_kernel
     cells, masks, counts = _support_patterns(fan, design)
     matching = max_matching(_pattern_graph(fan, cells, masks, counts))
     covered = np.zeros(fan.n_cells, bool)

@@ -65,7 +65,7 @@ class ReconstructionResult:
     def y_hat(self) -> np.ndarray:
         """The fitted values ``A h_hat``, made on first read; unique even
         when ``h_hat`` is not."""
-        return self.design.blocks.dot(self.h_hat)
+        return self.design.dot(self.h_hat)
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,8 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
     residual, measured on the design itself, exceeds its tolerance.
     """
     dm = design_mod.build_design(fan, dataset.directions)
-    walls = fan.wall_system
-    problem = qp.ConstrainedLS(A=dm.blocks, y=dataset.values, B=walls.matrix)
-    sol = qp.solve_cls(problem, opts, factor=dm.factor)
+    sol = qp.solve_cls(qp.ConstrainedLS(A=dm, y=dataset.values, B=fan.wall_system.matrix),
+                       opts)
     if not sol.certified:
         raise qp.Uncertified(f"KKT residual {sol.kkt_residual:.3g} above its "
                              f"tolerance {sol.kkt_tolerance:.3g}", sol)
@@ -125,7 +124,7 @@ def solution_set(fan: SimplicialFan, design: DesignMatrix, h_hat) -> SolutionSet
     extents give the exact segment endpoints.
     """
     h_hat = np.asarray(h_hat, float)
-    rank, kernel = design_mod.numeric_rank(design)
+    rank, kernel = design.rank_kernel
     B = fan.wall_system.matrix
     if rank == design.n:
         return SolutionSetDescription(dimension=0, bounded=True)
@@ -165,7 +164,7 @@ def detect_unbounded(fan: SimplicialFan, design: DesignMatrix) -> bool:
     """Whether the solution set is unbounded, i.e. the cone meets the kernel:
     with h = K^T lambda over the design kernel K, ``B K^T lambda >= 0`` has
     a cone of positive dimension."""
-    _, kernel = design_mod.numeric_rank(design)
+    _, kernel = design.rank_kernel
     return qp.cone_dimension(fan.wall_system.matrix @ kernel.T) > 0
 
 

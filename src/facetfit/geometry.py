@@ -37,11 +37,9 @@ class VertexMap:
 
 
 def membership_gap(fan: SimplicialFan, h) -> float:
-    """Smallest wall value ``min(B h)``; nonnegative inside the cone."""
-    walls = fan.wall_system.matrix
-    if walls.shape[0] == 0:
-        return 0.0
-    return float(np.min(walls @ np.asarray(h, float)))
+    """Smallest wall value ``min(B h)``; nonnegative inside the cone.  A
+    valid complete fan has walls, and ``wall_system`` requires a valid fan."""
+    return float(np.min(fan.wall_system.matrix @ np.asarray(h, float)))
 
 
 def is_deformation(fan: SimplicialFan, h) -> bool:

@@ -5,13 +5,14 @@ Two engines live here:
   - ``solve_cls``: primal active-set method for the convex program
     ``min ||A h - y||^2  subject to  B h >= 0``.  A is dense or held as
     row blocks over a few columns (``BlockMatrix``: a design in cell form,
-    O(m d) memory).  A tall A (m > n) is factored once, ``A = Q R``, by one
-    thin QR per large block and one of the stacked triangles and small
-    blocks, each keeping its Q, and every iteration runs on the n x n
-    factor R and ``Q^T y``; the KKT residual attached to every solution,
-    and the certificate that compares it with its tolerance, are measured
-    on the original (A, y, B), through the products ``A h`` and ``A^T r``
-    of the blocks.
+    O(m d) memory).  A ``BlockMatrix`` owns its one factorization,
+    ``factor``, made on first read: for a tall A (m > n), ``A = Q R`` by
+    one thin QR per large block and one of the stacked triangles and small
+    blocks, each keeping its Q.  Every iteration runs on the n x n factor
+    R and ``Q^T y``; the KKT residual attached to every solution, and the
+    certificate that compares it with its tolerance, are measured on the
+    original (A, y, B), through the products ``A h`` and ``A^T r`` of the
+    blocks.
   - ``solve_lp``: two-phase tableau simplex with Bland's smallest-index
     pivoting for ``min <c, x>  subject to  B x >= 0,  E x = f`` and
     componentwise bounds.  Every tableau operation is a numpy operation
@@ -26,6 +27,7 @@ asymptotics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -70,9 +72,10 @@ class Uncertified(Exception):
 class ConstrainedLS:
     """Least-squares data ``min ||A h - y||^2`` over the cone ``B h >= 0``.
 
-    ``A`` is a dense array or a ``BlockMatrix``, such as a design in cell
-    form.  ``B`` may have zero rows, in which case the problem is
-    unconstrained.  The feasible region always contains the origin.
+    ``A`` is a dense array or a ``BlockMatrix``, such as a design, which
+    is kept as it is, so the solver reads the factor it holds.  ``B`` may
+    have zero rows, in which case the problem is unconstrained.  The
+    feasible region always contains the origin.
     ``ValueError`` for inconsistent shapes or a non-finite entry of A, y or
     B; a ``BlockMatrix`` is checked through its blocks' values.
     """
@@ -150,7 +153,9 @@ class BlockMatrix:
     takes O(m d) memory.  A dense A is one block whose rows and columns
     are ``slice(None)`` (``BlockMatrix.of``).  The products ``A h`` and
     ``A^T r`` read the blocks alone; for a dense A they are the plain
-    products.
+    products.  ``factor``, the matrix's one ``triangular_factor``, is made
+    on first read and kept, so every reader of one matrix shares it; the
+    blocks' values must not be written after that.
     """
 
     shape: tuple[int, int]
@@ -189,6 +194,11 @@ class BlockMatrix:
             out[rows[:, None], cols] = values
         return out
 
+    @functools.cached_property
+    def factor(self) -> "TriangularFactor":
+        """``triangular_factor`` of the matrix, made on first read."""
+        return triangular_factor(self)
+
 
 @dataclass(frozen=True)
 class TriangularFactor:
@@ -206,10 +216,10 @@ class TriangularFactor:
     stack has fewer than n rows, R and ``reduce(y)`` end in zeros.  A
     matrix with m <= n is its own factor: ``R`` is A, its blocks scattered
     into zeros, with no blocks and no stack, and ``reduce`` returns y.
+    A ``BlockMatrix`` keeps its factor as ``BlockMatrix.factor``.
     """
 
     R: np.ndarray
-    shape: tuple[int, int]
     blocks: tuple[tuple, ...] = ()
     stack: np.ndarray | None = None
 
@@ -246,7 +256,7 @@ def triangular_factor(A) -> TriangularFactor:
     A = BlockMatrix.of(A)
     m, n = A.shape
     if m <= n:
-        return TriangularFactor(R=A.dense(), shape=(m, n))
+        return TriangularFactor(R=A.dense())
     blocks, parts = [], []
     for rows, cols, values in A.blocks:
         Q = None
@@ -261,7 +271,7 @@ def triangular_factor(A) -> TriangularFactor:
         top += len(values)
     Q, R = np.linalg.qr(stack)
     R = np.vstack([R, np.zeros((n - len(R), n))])
-    return TriangularFactor(R=R, shape=(m, n), blocks=tuple(blocks), stack=Q)
+    return TriangularFactor(R=R, blocks=tuple(blocks), stack=Q)
 
 
 def rank_tolerance(M: np.ndarray, m: int | None = None) -> float:
@@ -307,19 +317,18 @@ def _null_space(rows: np.ndarray, n: int) -> np.ndarray:
     return kernel.T
 
 
-def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
-              factor: TriangularFactor | None = None) -> QPSolution:
+def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSolution:
     """Globally minimize ``||A h - y||^2`` over the cone ``{B h >= 0}``.
 
     Primal active-set iteration on the least-squares form (Lawson & Hanson,
     *Solving Least Squares Problems*, 1974, ch. 23).  The iterations run on
-    ``factor``, the triangular factor R of A with ``z = Q^T y``
-    (``triangular_factor(A)`` when not given; a ``DesignMatrix`` passes the
-    one it owns), so a tall design costs O(n^2) per step instead of O(m n).
-    A itself is read only through the products ``A h`` and ``A^T r`` of
-    ``BlockMatrix.of(A)``; a design in cell form is passed as its blocks,
-    whatever m.  No walls (p = 0) and a working set of rank n take the one
-    path: numpy's empty reductions and products cover them.
+    the triangular factor R of A with ``z = Q^T y``, read off
+    ``BlockMatrix.of(A).factor``: a design, which is a ``BlockMatrix``,
+    brings the factor it already holds, so a tall design is factored once
+    and costs O(n^2) per step instead of O(m n).  A itself is read only
+    through the products ``A h`` and ``A^T r`` of its blocks, whatever m.
+    No walls (p = 0) and a working set of rank n take the one path:
+    numpy's empty reductions and products cover them.
     The working set is grown one blocking row at a time (rows that block
     are automatically independent of the current working set), each
     equality-constrained subproblem is solved by a minimum-norm step in the
@@ -339,16 +348,12 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
     """
     if opts is None:
         opts = SolverOptions()
-    A, y, B = problem.A, problem.y, problem.B
+    A, y, B = BlockMatrix.of(problem.A), problem.y, problem.B
     n = A.shape[1]
     p = B.shape[0]
-    if factor is None:
-        factor = triangular_factor(A)
-    elif factor.shape != A.shape:
-        raise ValueError(f"factor of a {factor.shape} matrix for A of shape {A.shape}")
-    R, z = factor.R, factor.reduce(y)
+    R, z = A.factor.R, A.factor.reduce(y)
 
-    kkt_tol = 1e-8 * (1.0 + np.linalg.norm(BlockMatrix.of(A).tdot(y)))
+    kkt_tol = 1e-8 * (1.0 + np.linalg.norm(A.tdot(y)))
     max_iter = _ITERATION_CAP_FACTOR * (n + p)
 
     def feas_tol(vec):
@@ -368,7 +373,7 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
 
     while True:
         if iterations > max_iter:
-            sol = _certify(problem, h, working, iterations, feas_tol(h), kkt_tol)
+            sol = _certify(A, y, B, h, working, iterations, feas_tol(h), kkt_tol)
             raise IterationLimit(
                 f"active-set iteration cap {max_iter} exhausted", sol)
         iterations += 1
@@ -394,7 +399,7 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None, *,
             break
         del working[neg[0]]
 
-    return _certify(problem, h, working, iterations, feas_tol(h), kkt_tol)
+    return _certify(A, y, B, h, working, iterations, feas_tol(h), kkt_tol)
 
 
 def _ratio_test(bh: np.ndarray, bstep: np.ndarray, working: list[int]):
@@ -430,9 +435,8 @@ def _multipliers(B: np.ndarray, working: list[int], grad: np.ndarray) -> np.ndar
     return mu
 
 
-def _certify(problem, h, working, iterations, ftol, kkt_tol):
+def _certify(A: BlockMatrix, y, B, h, working, iterations, ftol, kkt_tol):
     """Assemble a QPSolution measured on the original (A, y, B)."""
-    A, y, B = BlockMatrix.of(problem.A), problem.y, problem.B
     residual = A.dot(h) - y
     grad = A.tdot(residual)
     mu = _multipliers(B, working, grad)

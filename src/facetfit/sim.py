@@ -285,7 +285,7 @@ def _concentration_counts(design: DesignMatrix, ray_norms: np.ndarray,
     position k takes one ``_in_neighborhoods`` call over all rows, with
     per-row norms, as the sampler's membership pass does.  A row counts
     only for the generators of its cell."""
-    blocks = design.blocks.blocks
+    blocks = design.blocks
     lam = np.concatenate([lam for _, _, lam in blocks])
     cols = np.repeat(np.array([cols for _, cols, _ in blocks]),
                      [len(rows) for rows, _, _ in blocks], axis=0)
@@ -630,7 +630,7 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
     distances of ``hausdorff_rows`` to ``h0``.  Failed replicates,
     including every replicate of an ``h0`` outside the deformation cone
     (``NotInDeformationCone``), become failed records rather than aborting
-    the run.
+    the run; of a failure only its message is kept (``_replicate``).
     """
     h0 = np.asarray(h0, float)
     m_schedule = list(m_schedule)
@@ -640,7 +640,7 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
         h0 = _require_member(fan, h0)
         vertices0 = cell_vertices(fan, h0)
     except Exception as exc:  # noqa: BLE001 - recorded per replicate
-        vertices0 = exc
+        vertices0 = str(exc)
     records = []
     for m in m_schedule:
         base_plan = plan_family(m)
@@ -648,7 +648,8 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
                  for rep in range(replicates)]
         size = max(1, m_schedule[-1] // m)
         # spent[rep]: the replicate's own time plus its share of its group's
-        # sampling; outcome[rep]: its estimate and objective, or its exception.
+        # sampling; outcome[rep]: its estimate and objective, or its failure's
+        # message.
         spent, outcome = [], []
         clock = time.perf_counter()
         for first in range(0, replicates, size):
@@ -656,32 +657,23 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
             try:
                 samples = _sample_plans(fan, group)
             except Exception as exc:  # noqa: BLE001 - recorded per replicate
-                samples = [exc] * len(group)
+                samples = [str(exc)] * len(group)
             now = time.perf_counter()
             share, clock = (now - clock) / len(samples), now
             for rep, dirs in enumerate(samples, first):
-                try:
-                    if isinstance(dirs, Exception):
-                        raise dirs
-                    eps = noise.sample(m, key=(m, rep))
-                    if isinstance(vertices0, Exception):
-                        raise vertices0
-                    outcome.append(_estimate(fan, reconstruct(
-                        fan, Dataset(dirs, vertex_max(vertices0, dirs) + eps))))
-                except Exception as exc:  # noqa: BLE001 - recorded per replicate
-                    outcome.append(exc)
+                outcome.append(_replicate(fan, vertices0, dirs, noise, m, rep))
                 now = time.perf_counter()
                 spent.append(share + now - clock)
                 clock = now
-        fits = [r[0] for r in outcome if not isinstance(r, Exception)]
+        fits = [r[0] for r in outcome if not isinstance(r, str)]
         errors = iter(hausdorff_rows(fan, fits, h0) if fits else ())
         share = (time.perf_counter() - clock) / max(replicates, 1)
         for rep, (r, own) in enumerate(zip(outcome, spent)):
-            if isinstance(r, Exception):
+            if isinstance(r, str):
                 records.append(ConvergenceRecord(
                     m=m, replicate=rep, hausdorff_error=float("nan"),
                     objective=float("nan"), elapsed=own + share,
-                    failed=True, message=str(r)))
+                    failed=True, message=r))
             else:
                 records.append(ConvergenceRecord(
                     m=m, replicate=rep, hausdorff_error=float(next(errors)),
@@ -689,12 +681,26 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
     return records
 
 
-def _estimate(fan: SimplicialFan, result) -> tuple[np.ndarray, float]:
-    """A replicate's estimate, checked to lie in the cone, and objective.
-    The caller passes the result straight from ``reconstruct`` and keeps
-    no name for it, so it is freed, with its design, before the next
-    replicate builds its own."""
-    return _require_member(fan, result.h_hat), result.objective
+def _replicate(fan: SimplicialFan, vertices0, dirs, noise: NoiseModel, m: int,
+               rep: int) -> tuple[np.ndarray, float] | str:
+    """One replicate's estimate, checked to lie in the cone, and objective,
+    or the message of its first failure: of its sampling (``dirs`` an
+    exception or a message), its noise, its ``h0`` (``vertices0`` a
+    message), its reconstruction, then the cone check.  Only the message
+    is kept: an exception's traceback holds the frames it passed through,
+    and with them the failed replicate's design.  The result, and its
+    design, are freed when this call returns, before the next replicate
+    builds its own."""
+    if not isinstance(dirs, np.ndarray):
+        return str(dirs)
+    try:
+        eps = noise.sample(m, key=(m, rep))
+        if isinstance(vertices0, str):
+            return vertices0
+        result = reconstruct(fan, Dataset(dirs, vertex_max(vertices0, dirs) + eps))
+        return _require_member(fan, result.h_hat), result.objective
+    except Exception as exc:  # noqa: BLE001 - recorded per replicate
+        return str(exc)
 
 
 def fit_loglog_slope(records: list[ConvergenceRecord]) -> float:

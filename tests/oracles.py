@@ -687,7 +687,7 @@ def concatenated_support_patterns(fan, design):
     coefficients of all blocks concatenated, each row's key
     ``cell * 2^d + mask`` and one ``np.bincount`` of the keys."""
     d = fan.dim
-    blocks = design.blocks.blocks
+    blocks = design.blocks
     rows = np.concatenate([rows for rows, _, _ in blocks])
     positive = np.concatenate([lam for _, _, lam in blocks]) > POSITIVITY_TOL
     keys = design.carrier_cells[rows] * (1 << d) + positive @ (1 << np.arange(d))

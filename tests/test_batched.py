@@ -482,6 +482,23 @@ def test_guess_and_scan_share_one_rounding(index, monkeypatch):
     assert scanned.tobytes() == coeffs.tobytes()
 
 
+def test_a_thin_cell_makes_every_margin_infinite(monkeypatch):
+    """Unit rays at 0, 1e-7, 2 pi / 3 and 4 pi / 3: the thin cell's inverse
+    has norm about 1e7, so the rounding of its coefficients can exceed half
+    the scan tolerance, ``FanConstants`` makes every margin infinite, and
+    every nonzero row goes through ``_scan``, as the per-row loop would."""
+    a = np.array([0.0, 1e-7, 2 * np.pi / 3, 4 * np.pi / 3])
+    fan = SimplicialFan(np.column_stack([np.cos(a), np.sin(a)]), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    fan.require_valid()
+    assert np.all(fan.constants.guess_margins == np.inf)
+    inside = np.array([[np.cos(b), np.sin(b)] for b in (2e-8, 5e-8, 9e-8)])
+    U = np.vstack([inside] + [mixed_directions(fan, 5, scale) for scale in (1.0, 1e-6, 1e6)])
+    sizes = scan_sizes(monkeypatch)
+    cells = assert_carriers_equal_loop(fan, U)
+    assert sizes == [np.count_nonzero(U.any(axis=1))]
+    assert np.all(cells[:3] == 0)
+
+
 def test_carrier_coefficients_keep_their_bits():
     """``carrier`` on (3, 12, 7) for u inside cell 16, for u = v_0 + v_6 on
     the wall of cells 0 and 1, and for the exact ray v_5, pinned as hex
@@ -551,7 +568,8 @@ def test_direction_graph_equals_loop(m, n, seed):
     values = np.array([0.0, -0.0, 1e-12, 2e-12, -1.0, 0.5, 3.0])
     matrix = values[rng.integers(len(values), size=(m, n))]
     matrix[:, rng.random(n) < 0.3] = 0.0   # rays no sample touches
-    design = DesignMatrix(blocks=BlockMatrix.of(matrix), carrier_cells=np.zeros(m, int))
+    design = DesignMatrix(shape=matrix.shape, blocks=BlockMatrix.of(matrix).blocks,
+                          carrier_cells=np.zeros(m, int))
     fast, slow = direction_graph(design), loop_direction_graph(design)
     assert fast == slow
     assert all(type(j) is int for nbrs in fast.ray_neighbors for j in nbrs)

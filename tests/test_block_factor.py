@@ -124,7 +124,7 @@ def test_block_factor_agrees_with_the_dense_qr(index, seed, extra, kind, sigma, 
             assert all(Q is not None for _, Q in dm.factor.blocks)
 
     A, B = dm.matrix, fan.wall_system.matrix
-    sol = solve_cls(ConstrainedLS(dm.blocks, y, B), factor=dm.factor)
+    sol = solve_cls(ConstrainedLS(dm, y, B))
     h_ref, obj_ref = full_design_cls(A, y, B)
     assert sol.certified
     assert abs(sol.objective - obj_ref) <= 1e-9 * (1.0 + obj_ref)
@@ -143,8 +143,7 @@ def test_a_zero_wall_row_never_binds_on_a_design(index, seed, tall, extra, sigma
     m = fan.n_rays + 1 + extra if tall else max(1, fan.n_rays - extra)
     dm = build_design(fan, rng.standard_normal((m, fan.dim)))
     y = 1.0 + sigma * rng.standard_normal(m)
-    assert_a_zero_wall_never_binds(ConstrainedLS(dm.blocks, y, fan.wall_system.matrix),
-                                   dm.factor)
+    assert_a_zero_wall_never_binds(ConstrainedLS(dm, y, fan.wall_system.matrix))
 
 
 @settings(max_examples=150, deadline=None)
@@ -158,8 +157,8 @@ def test_block_factor_r_equals_the_raw_layout_r(index, seed, extra, kind):
         return
     for work in (0, qp._BLOCK_QR_WORK):
         with mock.patch.object(qp, "_BLOCK_QR_WORK", work):
-            R = qp.triangular_factor(dm.blocks).R
-        assert R.tobytes() == raw_mode_block_r(dm.blocks, work).tobytes()
+            R = qp.triangular_factor(dm).R
+        assert R.tobytes() == raw_mode_block_r(dm, work).tobytes()
 
 
 @pytest.mark.parametrize("own_qr", [False, True])
@@ -180,7 +179,7 @@ def test_block_factor_edge_cases(case, own_qr):
         if case == "stack under n rows":
             # A block of 1000 rows has its own QR even under the default
             # bound, and R and z end in zeros below its triangle.
-            assert len(dm.blocks.blocks) == 1 and dm.factor.stack.shape == (2, 2)
+            assert len(dm.blocks) == 1 and dm.factor.stack.shape == (2, 2)
             assert not np.any(dm.factor.R[2:]) and not np.any(dm.factor.reduce(y)[2:])
 
 

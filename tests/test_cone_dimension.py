@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from facetfit import catalog, qp
 from facetfit import fan as fan_mod
-from facetfit.design import build_design, numeric_rank
+from facetfit.design import build_design
 from facetfit.estimator import detect_unbounded
 from facetfit.fan import SimplicialFan, validate
 from facetfit.qp import cone_dimension
@@ -125,7 +125,7 @@ def test_detect_unbounded_equals_highs_for_m_below_n(index, seed, fraction):
     U = rng.standard_normal((m, fan.dim))
     design = build_design(fan, U / np.linalg.norm(U, axis=1)[:, None])
     recession = highs_cone_dimension(fan.wall_system.matrix, E=design.matrix)
-    _, kernel = numeric_rank(design)
+    _, kernel = design.rank_kernel
     assert cone_dimension(fan.wall_system.matrix @ kernel.T) == recession
     assert detect_unbounded(fan, design) == (recession > 0)
 
@@ -134,7 +134,7 @@ def test_half_line_of_solutions_is_unbounded(hexagon):
     # Directions at rays 0..3 fix h_0..h_3; the walls then force h_4 = h_5
     # >= 0, so the recession cone is a half-line.
     design = build_design(hexagon, hexagon.rays[:4])
-    _, kernel = numeric_rank(design)
+    _, kernel = design.rank_kernel
     assert cone_dimension(hexagon.wall_system.matrix @ kernel.T) == 1
     assert detect_unbounded(hexagon, design)
 
@@ -148,7 +148,7 @@ def test_kernel_cone_with_dependent_columns():
     m = int(rng.integers(1, fan.n_rays))
     U = rng.standard_normal((m, 3))
     design = build_design(fan, U / np.linalg.norm(U, axis=1)[:, None])
-    _, kernel = numeric_rank(design)
+    _, kernel = design.rank_kernel
     M = fan.wall_system.matrix @ kernel.T
     assert np.linalg.matrix_rank(M) < M.shape[1]
     assert cone_dimension(M) == highs_cone_dimension(

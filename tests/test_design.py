@@ -14,7 +14,6 @@ from facetfit.design import (
     build_design,
     direction_graph,
     max_matching,
-    numeric_rank,
     ray_facet_graph,
     uniqueness_report,
 )
@@ -191,7 +190,7 @@ def test_matching_against_brute_force(random_fans):
 
 def test_cycle_design_rank_and_kernel(hexagon):
     design = build_design(hexagon, hexagon_cycle_directions(hexagon))
-    rank, kernel = numeric_rank(design)
+    rank, kernel = design.rank_kernel
     assert rank == 5
     assert kernel.shape == (1, 6)
     alternating = np.array([1.0, -1, 1, -1, 1, -1]) / np.sqrt(6.0)
@@ -199,12 +198,12 @@ def test_cycle_design_rank_and_kernel(hexagon):
 
 
 def test_roof_design_ranks(roof_y, roof_x):
-    assert numeric_rank(build_design(roof_y, ROOF_DIRECTIONS))[0] == 5
-    assert numeric_rank(build_design(roof_x, ROOF_DIRECTIONS))[0] == 5
+    assert build_design(roof_y, ROOF_DIRECTIONS).rank_kernel[0] == 5
+    assert build_design(roof_x, ROOF_DIRECTIONS).rank_kernel[0] == 5
 
 
 def test_identity_rank(hexagon):
-    rank, kernel = numeric_rank(build_design(hexagon, hexagon.rays))
+    rank, kernel = build_design(hexagon, hexagon.rays).rank_kernel
     assert rank == 6
     assert kernel.shape == (0, 6)
 
@@ -240,9 +239,9 @@ def test_support_patterns_equal_the_concatenated_count(index, seed):
         expected = concatenated_support_patterns(fan, design)
         for a, b in zip(found, expected):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    smallest = [lam.min() for _, _, lam in build_design(fan, gauss).blocks.blocks]
+    smallest = [lam.min() for _, _, lam in build_design(fan, gauss).blocks]
     assert max(smallest) > POSITIVITY_TOL   # a block counted by its minimum
-    block_cells = design.carrier_cells[[rows[0] for rows, _, _ in design.blocks.blocks]]
+    block_cells = design.carrier_cells[[rows[0] for rows, _, _ in design.blocks]]
     assert len(set(block_cells.tolist())) < len(block_cells)
 
 

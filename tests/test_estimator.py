@@ -3,7 +3,7 @@ import pytest
 
 from facetfit import catalog, qp
 from facetfit import design as design_mod
-from facetfit.design import Dataset, build_design, numeric_rank, uniqueness_report
+from facetfit.design import Dataset, build_design, uniqueness_report
 from facetfit.estimator import (
     detect_unbounded,
     gk_estimate,
@@ -314,8 +314,8 @@ def test_reconstruct_factors_the_design_once(hexagon, monkeypatch, case):
 
 def test_design_and_its_kernel_are_read_only(hexagon):
     dm = build_design(hexagon, FACTOR_CASES["m < n"])
-    rank, kernel = numeric_rank(dm)
-    assert numeric_rank(dm)[1] is kernel
+    rank, kernel = dm.rank_kernel
+    assert dm.rank_kernel[1] is kernel
     assert rank == 4 and kernel.shape == (2, 6)
     for array in (dm.matrix, kernel):
         assert not array.flags.writeable
@@ -355,7 +355,7 @@ def test_lazy_fields_equal_the_eager_report_and_fit(hexagon, case):
             eager.unique_for_all_y)
     assert got.kernel_basis.shape == eager.kernel_basis.shape
     assert got.kernel_basis.tobytes() == eager.kernel_basis.tobytes()
-    assert res.y_hat.tobytes() == dm.blocks.dot(res.h_hat).tobytes()
+    assert res.y_hat.tobytes() == dm.dot(res.h_hat).tobytes()
     assert (got.numeric_rank, got.unique_for_all_y) == {
         "full rank": (6, True), "cycle": (5, False), "exact rays": (6, True),
         "m < n": (4, False)}[case]

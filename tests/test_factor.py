@@ -98,7 +98,7 @@ def test_qr_path_agrees_with_the_full_design(index, seed, m, sigma, restrict):
     fan = fans()[index]
     dm, y = tall_instance(fan, seed, m, sigma, restrict)
     A, B = dm.matrix, fan.wall_system.matrix
-    sol = solve_cls(ConstrainedLS(A, y, B), factor=dm.factor)
+    sol = solve_cls(ConstrainedLS(dm, y, B))
     h_ref, obj_ref = full_design_cls(A, y, B)
     assert sol.certified
     assert abs(sol.objective - obj_ref) <= 1e-9 * (1.0 + obj_ref)
@@ -148,7 +148,7 @@ def test_reported_figures_are_measured_on_the_design(monkeypatch):
     fan = catalog.random_polytopal_fan(3, 12, seed=7)
     dm, y = tall_instance(fan, 11, 3000, 0.3, False)
     problem = ConstrainedLS(dm.matrix, y, fan.wall_system.matrix)
-    sol = solve_cls(problem, factor=dm.factor)
+    sol = solve_cls(problem)
     assert sol.active_rows and sol.certified
     _measured_on_the_original(problem, sol)
     # A cap of one subproblem per unknown and wall, n + p = 42, stops the
@@ -156,20 +156,10 @@ def test_reported_figures_are_measured_on_the_design(monkeypatch):
     assert sol.iterations > 42
     monkeypatch.setattr(qp, "_ITERATION_CAP_FACTOR", 1)
     with pytest.raises(IterationLimit) as info:
-        solve_cls(problem, factor=dm.factor)
+        solve_cls(problem)
     assert info.value.solution.iterations == 43
     assert np.any(info.value.solution.multipliers)
     _measured_on_the_original(problem, info.value.solution)
-
-
-@pytest.mark.parametrize("other", [(slice(None), slice(0, 3)), (slice(0, 12), slice(None)),
-                                   (slice(0, 3), slice(None))])
-def test_a_factor_of_another_shape_is_refused(other):
-    A = np.random.default_rng(5).standard_normal((20, 4))
-    assert qp.triangular_factor(A).shape == (20, 4)
-    with pytest.raises(ValueError, match=r"factor of a \(\d+, \d+\) matrix"):
-        solve_cls(ConstrainedLS(A, np.ones(20), np.zeros((0, 4))),
-                  factor=qp.triangular_factor(A[other]))
 
 
 # ---------------------------------------------------------------------------

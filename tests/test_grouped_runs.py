@@ -6,6 +6,7 @@
 the one-replicate loop of ``oracles``, whatever the groups.
 """
 
+import gc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facetfit import catalog, estimator, sim
+from facetfit.fan import SimplicialFan
 from facetfit.sim import (NoiseModel, derive_seed, facet_direction_plan, make_plan,
                           run_convergence, sample_concentrated)
 
@@ -232,3 +234,80 @@ def test_h0_is_checked_and_its_vertices_computed_once_per_run(hexagon, monkeypat
                               [30, 60], 3, NoiseModel(sigma=0.1, seed=3))
     assert not any(r.failed for r in records)
     assert len(calls) == 1
+
+
+class StageFailed(RuntimeError):
+    """A patched stage's exception; unlike RuntimeError, weakly referable."""
+
+
+@pytest.mark.parametrize("stage", ["sampling", "h0", "reconstruct"])
+def test_a_failed_replicate_keeps_its_message_not_its_exception(hexagon, monkeypatch, stage):
+    # An exception holds its traceback, whose frames hold a failed
+    # reconstruction's design, and one stashed in a local of the run makes
+    # a cycle with the run's frame.  With the garbage collector off, only
+    # reference counts free them, so the run must keep no exception.
+    raised, designs, alive = [], [], []
+    build = estimator.design_mod.build_design
+
+    def watched(fan, directions):
+        alive.append(sum(ref() is not None for ref in designs))
+        design = build(fan, directions)
+        designs.append(weakref.ref(design))
+        return design
+
+    def made():
+        exc = StageFailed(f"{stage} failed")
+        raised.append(weakref.ref(exc))
+        return exc
+
+    def failing(*args):
+        # No local names the exception, so this frame makes no cycle with it.
+        raise made()
+
+    monkeypatch.setattr(estimator.design_mod, "build_design", watched)
+    owner, name = {"sampling": (sim, "_sample_plans"), "h0": (sim, "cell_vertices"),
+                   "reconstruct": (estimator, "solution_set")}[stage]
+    monkeypatch.setattr(owner, name, failing)
+    family = lambda m: facet_direction_plan(hexagon, m, seed=2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records = run_convergence(hexagon, np.ones(6), family, [40], 5,
+                                  NoiseModel(sigma=0.1, seed=3))
+        left = [ref() is not None for ref in raised + designs]
+    finally:
+        if enabled:
+            gc.enable()
+    assert [(r.failed, r.message) for r in records] == [(True, f"{stage} failed")] * 5
+    assert len(raised) == (1 if stage == "h0" else 5)
+    assert alive == ([0] * 5 if stage == "reconstruct" else [])
+    assert not any(left)
+
+
+def test_a_fan_that_fails_validation_fails_every_record(hexagon):
+    # The plans are the complete hexagon's; sampling on the hexagon less one
+    # cell raises for each whole group, and the run records it.
+    broken = SimplicialFan(hexagon.rays, hexagon.cells[1:])
+    records = run_convergence(broken, np.ones(6),
+                              lambda m: facet_direction_plan(hexagon, m, seed=2),
+                              [30, 60, 120], 3, NoiseModel(sigma=0.1, seed=3))
+    assert len(records) == 9
+    assert all(r.failed and r.message.startswith("fan failed validation: ")
+               for r in records)
+    assert len({r.message for r in records}) == 1
+
+
+def test_plans_with_another_fans_quotas_fail_their_sample_count(hexagon):
+    octagon = catalog.regular_polygon_fan(8)
+    noise = NoiseModel(sigma=0.1, seed=3)
+    clean = run_convergence(hexagon, np.ones(6),
+                            lambda m: facet_direction_plan(hexagon, m, seed=2),
+                            [30, 60, 120], 3, noise)
+    records = run_convergence(
+        hexagon, np.ones(6),
+        lambda m: facet_direction_plan(octagon if m == 60 else hexagon, m, seed=2),
+        [30, 60, 120], 3, noise)
+    assert [(r.failed, r.message) for r in records if r.m == 60] == \
+        [(True, "plan quotas do not match the fan's ray count")] * 3
+    assert record_bits([r for r in records if r.m != 60]) == \
+        record_bits([r for r in clean if r.m != 60])

@@ -175,14 +175,14 @@ def random_instance(rng, n_max=8, m_max=20):
     return ConstrainedLS(A, y, B)
 
 
-def assert_a_zero_wall_never_binds(problem, factor=None):
+def assert_a_zero_wall_never_binds(problem):
     """Appending a zero wall row leaves the path and the fit bit for bit:
     the row never falls, so it never blocks a step or joins the working
     set; it is active (0 <= tolerance) with multiplier 0."""
-    sol = solve_cls(problem, factor=factor)
+    sol = solve_cls(problem)
     p, n = problem.B.shape
     walled = ConstrainedLS(problem.A, problem.y, np.vstack([problem.B, np.zeros((1, n))]))
-    sol2 = solve_cls(walled, factor=factor)
+    sol2 = solve_cls(walled)
     assert sol2.h_star.tobytes() == sol.h_star.tobytes()
     assert sol2.objective == sol.objective and sol2.iterations == sol.iterations
     assert sol2.active_rows == sol.active_rows + (p,)

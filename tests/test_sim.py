@@ -281,12 +281,11 @@ def test_zero_t_emits_exact_rays(roof_y):
 
 
 def test_concentrated_designs_have_full_rank(hexagon, roof_y):
-    from facetfit.design import numeric_rank
     for fan in (hexagon, roof_y):
         for seed in range(8):
             plan = facet_direction_plan(fan, 6 * fan.n_rays, seed=seed)
             design = build_design(fan, sample_concentrated(fan, plan))
-            assert numeric_rank(design)[0] == fan.n_rays
+            assert design.rank_kernel[0] == fan.n_rays
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facetfit import catalog, qp
-from facetfit.design import Dataset, build_design, numeric_rank
+from facetfit.design import Dataset, build_design
 from facetfit.estimator import reconstruct
 from facetfit.qp import Infeasible, Unbounded, cone_dimension, solve_lp
 from perfbench import oracle as bench_oracle
@@ -135,7 +135,7 @@ def test_kernel_cone_lp_equals_the_loop_engine(index, seed, fraction):
     m = max(1, min(fan.n_rays - 1, int(fraction * fan.n_rays)))
     U = np.random.default_rng(seed).standard_normal((m, fan.dim))
     design = build_design(fan, U / np.linalg.norm(U, axis=1)[:, None])
-    _, kernel = numeric_rank(design)
+    _, kernel = design.rank_kernel
     fast, slow = both_engines(lambda: cone_dimension(fan.wall_system.matrix @ kernel.T))
     assert fast == slow
 

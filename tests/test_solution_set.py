@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facetfit import catalog
-from facetfit.design import Dataset, build_design, numeric_rank
+from facetfit.design import Dataset, build_design
 from facetfit.estimator import _extents, reconstruct
 from perfbench import oracle as bench_oracle
 
@@ -31,7 +31,7 @@ def test_extents_equal_highs_for_m_below_n(index, seed, fraction):
     # Cold start with N(0, 0.3^2) noise, so that the estimate often ends on walls.
     _, data, _ = fixed_case(fan, m, seed)
     h_hat = reconstruct(fan, data).h_hat
-    _, kernel = numeric_rank(build_design(fan, data.directions))
+    _, kernel = build_design(fan, data.directions).rank_kernel
     B = fan.wall_system.matrix
     lo, hi = _extents(B @ h_hat, B @ kernel.T)
     for k, z in enumerate(kernel):
