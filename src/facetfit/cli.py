@@ -71,6 +71,10 @@ def fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def load_fan(path: str) -> fan_mod.SimplicialFan:
+    """The ``fan/1`` JSON object at ``path``: ``dim``, ``rays`` and
+    ``cells``, with an optional ``format``.  ``ParseError`` names the path
+    for an unreadable file, a missing field, a fan the constructor refuses,
+    or a ``dim`` that is not an integer equal to the rays' width."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -87,9 +91,12 @@ def load_fan(path: str) -> fan_mod.SimplicialFan:
         if key not in raw:
             raise ParseError(f"{path}: missing field {key!r}")
     try:
-        return fan_mod.SimplicialFan(raw["rays"], raw["cells"], dim=raw["dim"])
+        fan = fan_mod.SimplicialFan(raw["rays"], raw["cells"])
+        if fan_mod._index(raw["dim"], "dim") != fan.dim:
+            raise ValueError("ray length does not match dim")
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    return fan
 
 
 def _valid_fan(path: str) -> fan_mod.SimplicialFan:

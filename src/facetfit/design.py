@@ -66,7 +66,7 @@ class Dataset:
         return self.directions.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrix(BlockMatrix):
     """Rows are barycentric coefficient vectors; at most d nonzeros per row.
 

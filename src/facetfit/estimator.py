@@ -168,9 +168,10 @@ def detect_unbounded(fan: SimplicialFan, design: DesignMatrix) -> bool:
     return qp.cone_dimension(fan.wall_system.matrix @ kernel.T) > 0
 
 
-def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset,
-                      opts: qp.SolverOptions | None = None) -> MultiReconstruction:
-    """Run the estimator for every candidate fan over the same rays.
+def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset) -> MultiReconstruction:
+    """Run the estimator for every candidate fan over the same rays, each
+    with the default solver options (``reconstruct`` takes options for one
+    fan).  ``ValueError`` for no fans or for fans with different rays.
 
     Per-fan failures are recorded and do not stop the remaining fans; if all
     fail, the first fan's exception is raised.  All fans whose objective is
@@ -189,7 +190,7 @@ def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset,
     errors: list[Exception | None] = []
     for f in fans:
         try:
-            results.append(reconstruct(f, dataset, opts))
+            results.append(reconstruct(f, dataset))
             errors.append(None)
         except Exception as exc:  # noqa: BLE001 - reported per fan
             results.append(None)
@@ -204,8 +205,7 @@ def reconstruct_multi(fans: list[SimplicialFan], dataset: Dataset,
                                best_objective=best, minimizing_fans=minimizers)
 
 
-def gk_estimate(rays, dataset: Dataset,
-                opts: qp.SolverOptions | None = None) -> np.ndarray:
+def gk_estimate(rays, dataset: Dataset) -> np.ndarray:
     """Support-point baseline: fit one touching point per measurement.
 
     Solves the lifted least-squares problem in the m point variables
@@ -214,7 +214,8 @@ def gk_estimate(rays, dataset: Dataset,
     the given facet directions containing the fitted points:
     ``h_i = max_j <x_j, v_i>``.  With measurements taken in the facet
     directions themselves this reproduces the constrained estimator; for
-    other directions it may drift far from it.
+    other directions it may drift far from it.  The lifted problem is
+    solved cold, with the default solver options.
     """
     rays = np.asarray(rays, float)
     U = dataset.directions
@@ -229,6 +230,6 @@ def gk_estimate(rays, dataset: Dataset,
     B[np.arange(i.size), i] = U[i]
     B[np.arange(i.size), j] = -U[i]
     sol = qp.solve_cls(qp.ConstrainedLS(A=A.reshape(m, m * d), y=y,
-                                        B=B.reshape(i.size, m * d)), opts)
+                                        B=B.reshape(i.size, m * d)))
     points = sol.h_star.reshape(m, d)
     return (points @ rays.T).max(axis=0)

@@ -135,26 +135,6 @@ class FanConstants:
 
 
 @dataclass(frozen=True)
-class CapFaces:
-    """What ``cap_maxima`` reads from a fan, built on its first call and
-    cached on the fan (not in ``FanConstants``, so that validation and
-    carrier lookups never pay for it).  The cell inverses are not here:
-    ``cap_maxima`` reads ``FanConstants.cell_inverses``.
-
-    ``faces`` has one entry ``(generators, projectors, usable)`` per proper
-    nonempty subset S of a cell's d generator positions, in
-    ``itertools.combinations`` order by size: ``generators[c]`` is the
-    d x |S| matrix G_S of cell c's generators at S, ``projectors[c]`` is
-    ``(G_Sᵀ G_S)⁻¹ G_Sᵀ``, which maps r to the coefficients of its
-    projection onto span(G_S), and ``usable[c]`` is False where that Gram
-    matrix is singular (its projector is then zero, and that face is
-    skipped).
-    """
-
-    faces: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
 class _RidgeTable:
     """The fan's ridges, from its cells alone: read by ``validate``'s
     complex check and by ``wall_crossings``.
@@ -201,23 +181,23 @@ class ValidationReport:
 class SimplicialFan:
     """A complete simplicial fan in R^d with n rays and explicit maximal cells.
 
-    Rays need not be unit length.  ``rays`` is a read-only copy of the
-    input, so the cached inverses cannot go stale.  Validation, the ridge
-    table, the wall system, the constants, the cone-cap face table and
-    ``c_delta`` are each computed when first read and cached; a validated
-    fan is immutable and safe for concurrent readers.
+    ``rays`` is an (n, d) array with d >= 2, and ``dim`` is its width d;
+    ``cells`` lists d-subsets of ray indices.  Rays need not be unit
+    length.  ``rays`` is a read-only copy of the input, so the cached
+    inverses cannot go stale.  Validation, the ridge table, the wall
+    system, the constants, the cone-cap face table and ``c_delta`` are
+    each computed when first read and cached; a validated fan is immutable
+    and safe for concurrent readers.
     """
 
-    def __init__(self, rays, cells, dim: int | None = None):
+    def __init__(self, rays, cells):
         self.rays = np.array(rays, float)
         if self.rays.ndim != 2:
             raise ValueError("rays must be an (n, d) array")
         if not np.all(np.isfinite(self.rays)):
             raise ValueError("rays must be finite")
         self.rays.setflags(write=False)
-        self.dim = _index(dim, "dim") if dim is not None else self.rays.shape[1]
-        if self.rays.shape[1] != self.dim:
-            raise ValueError("ray length does not match dim")
+        self.dim = self.rays.shape[1]
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         self.cells = tuple(tuple(_index(i, "cell index") for i in cell) for cell in cells)
@@ -276,7 +256,21 @@ class SimplicialFan:
         return _build_ridges(self)
 
     @functools.cached_property
-    def _cap_faces(self) -> CapFaces:
+    def _cap_faces(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """What ``cap_maxima`` reads from the fan, built on first read (not
+        in ``FanConstants``, so that validation and carrier lookups never
+        pay for it).  The cell inverses are not here: ``cap_maxima``
+        reads ``FanConstants.cell_inverses``.
+
+        One entry ``(generators, projectors, usable)`` per proper nonempty
+        subset S of a cell's d generator positions, in
+        ``itertools.combinations`` order by size: ``generators[c]`` is the
+        d x |S| matrix G_S of cell c's generators at S, ``projectors[c]``
+        is ``(G_Sᵀ G_S)⁻¹ G_Sᵀ``, which maps r to the coefficients of its
+        projection onto span(G_S), and ``usable[c]`` is False where that
+        Gram matrix is singular (its projector is then zero, and that face
+        is skipped).
+        """
         return _build_cap_faces(self)
 
     @functools.cached_property
@@ -619,7 +613,7 @@ def wall_crossings(fan: SimplicialFan) -> WallCrossingSystem:
 # Exact maximization of a linear function over a cone cap
 # ---------------------------------------------------------------------------
 
-def _build_cap_faces(fan: SimplicialFan) -> CapFaces:
+def _build_cap_faces(fan: SimplicialFan) -> tuple:
     generators = fan.rays[fan._cell_array].transpose(0, 2, 1)
     faces = []
     for size in range(1, fan.dim):
@@ -632,7 +626,7 @@ def _build_cap_faces(fan: SimplicialFan) -> CapFaces:
             projectors = np.zeros((fan.n_cells, size, fan.dim))
             projectors[usable] = np.linalg.solve(gram[usable], Gt[usable])
             faces.append((G, projectors, usable))
-    return CapFaces(faces=tuple(faces))
+    return tuple(faces)
 
 
 def cap_maxima(fan: SimplicialFan, cells, R) -> np.ndarray:
@@ -649,9 +643,9 @@ def cap_maxima(fan: SimplicialFan, cells, R) -> np.ndarray:
     a cell index that is not an integer (a bool or a float is not) or is
     outside 0..n_cells-1.
 
-    One sweep over the faces of the fan's cached ``CapFaces`` evaluates
-    every pair outside its cell, so the Python loop runs over the
-    ``2^d - 2`` proper faces of a cell, never over the pairs.
+    One sweep over the fan's cached ``_cap_faces`` evaluates every pair
+    outside its cell, so the Python loop runs over the ``2^d - 2`` proper
+    faces of a cell, never over the pairs.
     """
     cells = np.asarray(cells)
     R = as_rows(fan, R, "vectors")
@@ -665,14 +659,13 @@ def cap_maxima(fan: SimplicialFan, cells, R) -> np.ndarray:
     if outside.any():
         raise ValueError(f"cell index {cells[outside][0]} is outside "
                          f"0..{fan.n_cells - 1}")
-    table = fan._cap_faces
     norms = row_norms(R)
     lam = coefficients(fan.constants.cell_inverses, cells, R)
     out = norms.copy()
     rows = np.flatnonzero(row_min(lam) < -1e-12 * norms)
     R, cells, norms = R[rows, :, None], cells[rows], norms[rows]
     best = np.zeros(rows.size)
-    for G, projectors, usable in table.faces:
+    for G, projectors, usable in fan._cap_faces:
         coef = np.matmul(projectors[cells], R)
         norm_p = row_norms(np.matmul(G[cells], coef)[..., 0])
         keep = (usable[cells] & (norm_p > 1e-14 * norms)

@@ -142,7 +142,7 @@ class LPSolution:
     objective: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockMatrix:
     """An m x n matrix held as dense blocks of rows over a few columns.
 
@@ -155,7 +155,8 @@ class BlockMatrix:
     ``A^T r`` read the blocks alone; for a dense A they are the plain
     products.  ``factor``, the matrix's one ``triangular_factor``, is made
     on first read and kept, so every reader of one matrix shares it; the
-    blocks' values must not be written after that.
+    blocks' values must not be written after that.  Matrices compare and
+    hash by identity, as do ``DesignMatrix`` subclasses.
     """
 
     shape: tuple[int, int]

@@ -152,13 +152,18 @@ class SamplingPlan:
     def __post_init__(self):
         _check_rates(self.t, self.delta)
         _positive(self.m, "m")
-        if _index(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be non-negative, not {self.seed}")
+        _check_seed(self.seed)
         if any(_index(q, "quota") < 0 for q in self.quotas):
             raise ValueError("negative quota")
         if sum(self.quotas) > self.m:
             raise QuotaInfeasible(
                 f"quotas sum to {sum(self.quotas)} > m = {self.m}")
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not an integer (a bool is not) of at least 0."""
+    if _index(seed, "seed") < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
 
 
 def _check_rates(t: float, delta: float) -> None:
@@ -208,21 +213,22 @@ def facet_direction_plan(fan: SimplicialFan, m: int, delta: float | None = None,
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Independent centered Gaussian noise with uniformly bounded variance."""
+    """Independent centered Gaussian noise of standard deviation ``sigma``;
+    its variance bound ``gamma`` is ``sigma ** 2``.  ``ValueError`` unless
+    sigma is nonnegative and finite and the seed is a nonnegative integer
+    (not a bool)."""
 
     sigma: float
     seed: int
-    gamma: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, not {self.sigma!r}")
-        gamma = self.gamma if self.gamma is not None else self.sigma ** 2
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, not {gamma!r}")
-        if self.sigma ** 2 > gamma * (1 + 1e-12):
-            raise ValueError("sigma exceeds the variance bound")
-        object.__setattr__(self, "gamma", gamma)
+        _check_seed(self.seed)
+
+    @property
+    def gamma(self) -> float:
+        return self.sigma ** 2
 
     def sample(self, m: int, key: tuple[int, ...] = ()) -> np.ndarray:
         rng = _rng(derive_seed(self.seed, *key))

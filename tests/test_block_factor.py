@@ -234,3 +234,14 @@ def assert_reconstruct_reads_no_matrix(index, m, monkeypatch):
     assert matrix_reads == []
     # The spy does see a read.
     assert build_design(fan, U[:3]).matrix.shape == (3, fan.n_rays) and matrix_reads == [3]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qp.BlockMatrix.of(np.eye(3)),
+    lambda: build_design(catalog.hexagon_fan(), np.eye(2)),
+])
+def test_matrices_compare_by_identity(make):
+    # The generated __eq__ compared the array fields: ValueError, and no hash.
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b}) == 2

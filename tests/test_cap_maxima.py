@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facetfit import catalog
-from facetfit.fan import SimplicialFan, c_delta, cap_maxima, max_linear_over_cone_cap
+from facetfit.fan import InvalidFan, SimplicialFan, c_delta, cap_maxima, max_linear_over_cone_cap
 from facetfit.geometry import NotInDeformationCone, hausdorff, hausdorff_rows
 
 from conftest import random_members
@@ -110,7 +110,7 @@ def test_a_batch_matches_the_loop_pair_by_pair(batch):
                   [(0, 1, 2), (0, 2, 3)]),
 ])
 def test_face_table_equals_the_per_cell_loop(fan):
-    faces = fan._cap_faces.faces
+    faces = fan._cap_faces
     expected = loop_cap_faces(fan)
     assert len(faces) == len(expected) == 2 ** fan.dim - 2
     for (G, projectors, usable), (G0, projectors0, usable0) in zip(faces, expected):
@@ -119,6 +119,14 @@ def test_face_table_equals_the_per_cell_loop(fan):
         assert usable.tolist() == usable0.tolist()
     if fan.n_rays == 4:
         assert not faces[3][2][0] and faces[3][2][1]
+
+
+def test_cap_maxima_refuses_a_cell_with_dependent_generators():
+    fan = SimplicialFan([[1, 0], [2, 0], [0, 1], [-1, -1]],
+                        [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(InvalidFan,
+                       match=r"^cell \(0, 1\) has numerically dependent generators$"):
+        cap_maxima(fan, [1], np.array([[0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("index", range(len(fans())))

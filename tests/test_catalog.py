@@ -75,6 +75,11 @@ def test_random_fans_refuse_a_dimension_below_two_or_too_few_rays(d, n):
         catalog.random_polytopal_fan(d, n, seed=1)
 
 
+def test_regular_polygon_fan_refuses_fewer_than_three_rays():
+    with pytest.raises(ValueError, match="^need at least 3 rays$"):
+        catalog.regular_polygon_fan(2)
+
+
 def test_an_error_inside_validation_is_not_taken_for_an_invalid_draw(monkeypatch):
     calls = []
 

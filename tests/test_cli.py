@@ -390,6 +390,17 @@ def test_simulate_without_noise_says_the_bound_does_not_apply(workdir, capsys):
     assert meta["bound_prefactor"] == 0.0
 
 
+def test_simulate_notes_a_bound_it_cannot_evaluate(workdir, capsys):
+    # Quotas of 2 fit into m = 12, but (n - 1)(2.5 n t + delta) > 1 makes
+    # the variance factor negative.
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--m", "12", "13",
+              "--delta", "0.21", "--reps", "1", "--out", workdir / "b.tsv"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    assert "note: bound unavailable (nonpositive variance factor)" in captured.out.splitlines()
+    assert captured.err == ""
+
+
 def test_simulate_infeasible_plan_exits_5(workdir):
     rc = run(["simulate", "--fan", workdir / "hex.json", "--t", "0.1",
               "--delta", "0.05", "--m", "600", "--reps", "2",
@@ -414,6 +425,7 @@ def test_simulate_rejects_h0_outside_cone(workdir):
     (["--sigma", "inf"], "invalid input: sigma must be nonnegative and finite, not inf"),
     (["--seed", "4294967296"], "parse error: --seed must lie in 0..4294967295"),
     (["--seed", "-1"], "parse error: --seed must lie in 0..4294967295"),
+    (["--h0", "1,1"], "parse error: --h0 needs 6 comma-separated values"),
 ])
 def test_simulate_argument_errors_exit_2(workdir, capsys, extra, message):
     rc = run(["simulate", "--fan", workdir / "hex.json", "--reps", "1",
@@ -445,6 +457,7 @@ def test_non_finite_fan_is_parse_error(workdir, capsys):
 
 @pytest.mark.parametrize("dim, cell", [
     ("2.9", "[0, 1]"),
+    ("2.0", "[0, 1]"),
     ("2", "[1.7, 2]"),
     ("2", "[0, true]"),
 ])
@@ -496,6 +509,43 @@ def test_each_refusal_exits_with_its_code_and_one_line(
     assert_refused(captured, str(error).splitlines()[-1])
     if code == cli.EXIT_LP:
         assert type(error).__name__ in captured.err
+
+
+TRIANGLE = '"rays": [[1, 0], [0, 1], [-1, -1]], "cells": [[0, 1], [1, 2], [2, 0]]'
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("missing.json", None,
+     "parse error: missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    ("array.json", "[1, 2]", "parse error: array.json: expected a JSON object"),
+    ("f9.json", '{"format": "fan/9", "dim": 2, ' + TRIANGLE + '}',
+     "parse error: f9.json: unsupported format 'fan/9'"),
+    ("nocells.json", '{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}',
+     "parse error: nocells.json: missing field 'cells'"),
+    ("dim3.json", '{"dim": 3, ' + TRIANGLE + '}',
+     "parse error: dim3.json: ray length does not match dim"),
+], ids=["missing", "array", "format", "no-cells", "dim-3"])
+def test_malformed_fan_files_exit_2_with_one_line(workdir, capsys, monkeypatch, name, text, line):
+    monkeypatch.chdir(workdir)
+    if text is not None:
+        (workdir / name).write_text(text + "\n")
+    rc = run(["fan-info", name])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert captured.err == line + "\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("name, line", [
+    ("missing.txt", "parse error: missing.txt: [Errno 2] No such file or directory: 'missing.txt'"),
+    ("x.txt", "parse error: x.txt: line 2: non-numeric field"),
+], ids=["missing", "non-numeric"])
+def test_malformed_data_exits_2_with_one_line(workdir, capsys, monkeypatch, name, line):
+    monkeypatch.chdir(workdir)
+    (workdir / "x.txt").write_text("1 0 1\n1 0 x\n")
+    rc = run(["reconstruct", "--fan", "hex.json", "--data", name])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert captured.err == line + "\n"
 
 
 def test_unexpected_error_is_not_reported_as_a_refusal(workdir, monkeypatch):

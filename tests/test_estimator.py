@@ -210,6 +210,11 @@ def test_multi_with_ray_directions_shares_identity_design(roof_y, roof_x):
     assert multi.best_objective <= 1e-16
 
 
+def test_multi_requires_a_fan(hexagon):
+    with pytest.raises(ValueError, match="^need at least one fan$"):
+        reconstruct_multi([], cycle_dataset(hexagon))
+
+
 def test_multi_requires_shared_rays(hexagon, roof_y):
     with pytest.raises(ValueError):
         reconstruct_multi([hexagon, roof_y], cycle_dataset(hexagon))

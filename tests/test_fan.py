@@ -337,6 +337,27 @@ def test_non_finite_rays_rejected():
                           [(0, 1), (1, 2), (2, 0)])
 
 
+TRIANGLE_RAYS = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+
+
+@pytest.mark.parametrize("rays, cells, message", [
+    ([1.0, 0.0, -1.0], [(0,)], r"rays must be an \(n, d\) array"),
+    ([[1.0], [-1.0]], [(0,), (1,)], "dim must be at least 2"),
+    (TRIANGLE_RAYS, [(0, 1, 2)], r"cell \(0, 1, 2\) is not a d-subset of ray indices"),
+    (TRIANGLE_RAYS, [(0, 1), (1, 3)], r"cell \(1, 3\) has an out-of-range ray index"),
+])
+def test_malformed_rays_and_cells_are_refused(rays, cells, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimplicialFan(rays, cells)
+
+
+def test_zero_ray_fails_validation():
+    fan = SimplicialFan([[1.0, 0.0], [0.0, 0.0], [-1.0, -1.0]], [(0, 1), (1, 2), (2, 0)])
+    report = validate(fan)
+    assert not report.rays_distinct and not report.ok
+    assert "zero ray generator" in report.messages
+
+
 def test_rays_are_a_read_only_copy(hexagon):
     rays = np.array(hexagon.rays)
     fan = SimplicialFan(rays, hexagon.cells)

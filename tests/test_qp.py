@@ -298,6 +298,15 @@ def test_a_block_matrix_is_checked_through_its_blocks(monkeypatch):
     assert ConstrainedLS(A, np.ones(4), np.zeros((0, 6))).A is A
 
 
+@pytest.mark.parametrize("y, B, message", [
+    (np.ones(5), np.zeros((1, 6)), "A and y have inconsistent shapes"),
+    (np.ones(6), np.zeros((1, 5)), "B and A have inconsistent column counts"),
+])
+def test_a_problem_of_inconsistent_shapes_is_refused(y, B, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ConstrainedLS(cycle_design(), y, B)
+
+
 def test_a_warm_start_outside_the_cone_falls_back_to_zero():
     problem = ConstrainedLS(cycle_design(), 2.0 * np.ones(6), hexagon_walls())
     outside = np.array([1.0, 0, 0, 0, 0, 0])
@@ -323,3 +332,5 @@ def test_rank_and_kernel_shapes():
     assert rank == 0 and kernel.shape == (4, 4)
     rank, kernel = rank_and_kernel(np.eye(3))
     assert rank == 3 and kernel.shape == (0, 3)
+    rank, kernel = rank_and_kernel(np.zeros((0, 3)))
+    assert rank == 0 and np.array_equal(kernel, np.eye(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from facetfit.estimator import reconstruct
 from facetfit.fan import NoCarrier
 from facetfit.geometry import hausdorff
 from facetfit.sim import (
+    ConvergenceRecord,
     HypothesisUnmet,
     NoiseModel,
     NonpositiveLambda,
@@ -50,6 +52,11 @@ def test_in_ct_at_rays(hexagon, roof_y):
 def test_in_ct_refuses_a_bad_ray_index(hexagon, j):
     with pytest.raises(ValueError):
         in_ct(hexagon, hexagon.rays[0], j, 0.2)
+
+
+def test_in_ct_of_the_zero_vector_has_no_carrier(hexagon):
+    with pytest.raises(NoCarrier, match="^zero vector has no carrier$"):
+        in_ct(hexagon, [0.0, 0.0], 0, 0.2)
 
 
 def test_in_ct_takes_numpy_integers(hexagon):
@@ -157,11 +164,11 @@ def test_noise_model_refuses_a_sigma_that_is_not_nonnegative_and_finite(sigma):
         NoiseModel(sigma=sigma, seed=0)
 
 
-@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
-def test_noise_model_refuses_a_gamma_that_is_not_finite(gamma):
-    # Accepted, NaN gave bound_parameters a NaN prefactor.
-    with pytest.raises(ValueError, match="gamma must be finite"):
-        NoiseModel(sigma=0.1, seed=0, gamma=gamma)
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.3, 2.5])
+def test_noise_variance_bound_is_sigma_squared(sigma):
+    noise = NoiseModel(sigma=sigma, seed=0)
+    assert noise.gamma == sigma ** 2
+    assert [f.name for f in dataclasses.fields(noise)] == ["sigma", "seed"]
 
 
 @pytest.mark.parametrize("m", [60.5, np.float64(60), True])
@@ -180,17 +187,32 @@ def test_plans_refuse_a_quota_that_is_not_an_integer(quota):
         SamplingPlan(t=0.0, delta=0.1, m=60, seed=0, quotas=(quota,) + (1,) * 5)
 
 
-@pytest.mark.parametrize("seed, message", [
+BAD_SEEDS = [
     (1.5, "seed must be an integer, not 1.5"),
     (True, "seed must be an integer, not True"),
     (-1, "seed must be non-negative, not -1"),
-])
+]
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
 def test_plans_refuse_a_seed_that_is_not_a_nonnegative_integer(hexagon, seed, message):
     # Accepted, 1.5 and -1 failed later inside numpy's SeedSequence.
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_plan(hexagon, 0.0, 0.1, 60, seed)
     with pytest.raises(ValueError, match=f"^{message}$"):
         SamplingPlan(t=0.0, delta=0.1, m=60, seed=seed, quotas=(1,) * 6)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_noise_model_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    # Accepted, 1.5 and True drew the noise of seed 1, and -1 that of 2**32 - 1.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NoiseModel(sigma=0.1, seed=seed)
+
+
+def test_plans_refuse_a_negative_quota():
+    with pytest.raises(ValueError, match="^negative quota$"):
+        SamplingPlan(t=0.0, delta=0.1, m=60, seed=0, quotas=(-1,) + (1,) * 5)
 
 
 def test_make_plan_checks_m_before_its_quotas(hexagon):
@@ -329,11 +351,6 @@ def test_concentrated_stream_is_the_one_generator_id_names():
         ["0x1.299dabd5198c1p-1", "0x1.962e79f56e0b9p-1", "-0x1.72a0ca9251646p-3"]]
 
 
-def test_noise_variance_bound_enforced():
-    with pytest.raises(ValueError):
-        NoiseModel(sigma=1.0, seed=0, gamma=0.25)
-
-
 # ---------------------------------------------------------------------------
 # Theoretical bound
 # ---------------------------------------------------------------------------
@@ -356,6 +373,19 @@ def test_bound_formula_direct_evaluation(hexagon):
     assert params.kappa == pytest.approx(kappa, rel=1e-9)
     assert params.lam == pytest.approx(lam, rel=1e-9)
     assert params.value(10_000) == pytest.approx(expected / 100.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_bound_refuses_an_eta_outside_the_open_unit_interval(hexagon, eta):
+    plan = facet_direction_plan(hexagon, 120, seed=0)
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\)$"):
+        bound_parameters(hexagon, plan, 0.01, eta)
+
+
+def test_bound_refuses_a_sample_count_below_one(hexagon):
+    plan = facet_direction_plan(hexagon, 120, seed=0)
+    with pytest.raises(ValueError, match="^m must be positive$"):
+        theoretical_bound(hexagon, plan, gamma=0.01, eta=0.05, m=0)
 
 
 def test_bound_nonpositive_lambda():
@@ -504,6 +534,13 @@ def test_error_decreases_with_m(hexagon):
     assert med[600] < med[60]
     slope = fit_loglog_slope(records)
     assert -0.8 < slope < -0.2
+
+
+def test_slope_needs_two_sample_counts():
+    records = [ConvergenceRecord(m=100, replicate=r, hausdorff_error=0.1,
+                                 objective=0.0, elapsed=0.0) for r in range(3)]
+    with pytest.raises(ValueError, match="^need at least two sample counts to fit a slope$"):
+        fit_loglog_slope(records)
 
 
 def test_rate_slope_on_three_dimensional_fan(roof_y):
