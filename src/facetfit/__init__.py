@@ -7,7 +7,6 @@ from .design import (
     Dataset,
     DesignMatrix,
     DirectionGraph,
-    Matching,
     UniquenessReport,
     build_design,
     direction_graph,
@@ -49,8 +48,6 @@ from .geometry import (
     hausdorff_rows,
     is_deformation,
     is_irredundant,
-    minkowski_add,
-    support_value,
     support_values,
     vertices,
 )
@@ -83,7 +80,6 @@ from .sim import (
     run_convergence,
     sample_concentrated,
     sample_uniform_sphere,
-    theoretical_bound,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

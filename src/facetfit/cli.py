@@ -226,9 +226,10 @@ def wall_inequality_text(row: np.ndarray) -> str:
 # SVG plot (static, no plotting dependency)
 # ---------------------------------------------------------------------------
 
-def write_loglog_svg(path: str, records, bound_prefactor: float | None) -> bool:
-    """Log-log scatter of Hausdorff error against m with median and bound
-    (if positive); returns False, writing nothing, if no error is positive."""
+def write_loglog_svg(path: str, records, bound: sim.BoundParameters | None) -> bool:
+    """Log-log scatter of Hausdorff error against m with median and, if
+    given, the bound; returns False, writing nothing, if no error is
+    positive."""
     pts = [(r.m, r.hausdorff_error) for r in records
            if not r.failed and r.hausdorff_error > 0]
     if not pts:
@@ -238,8 +239,8 @@ def write_loglog_svg(path: str, records, bound_prefactor: float | None) -> bool:
     xs = [np.log10(m) for m, _ in pts]
     ys = [np.log10(e) for _, e in pts]
     ylo, yhi = min(ys), max(ys)
-    if bound_prefactor:
-        yhi = max(yhi, np.log10(bound_prefactor / np.sqrt(ms[0])))
+    if bound is not None:
+        yhi = max(yhi, np.log10(bound.value(ms[0])))
     xlo, xhi = min(xs), max(xs)
     width, height, margin = 480, 360, 50
 
@@ -272,10 +273,10 @@ def write_loglog_svg(path: str, records, bound_prefactor: float | None) -> bool:
         f'{sy(np.log10(med[m])):.2f}' for i, m in enumerate(ms))
     parts.append(f'<path d="{med_path}" stroke="darkorange" fill="none" '
                  f'stroke-width="2"/>')
-    if bound_prefactor:
+    if bound is not None:
         bnd = " ".join(
             f'{"M" if i == 0 else "L"} {sx(np.log10(m)):.2f} '
-            f'{sy(np.log10(bound_prefactor / np.sqrt(m))):.2f}'
+            f'{sy(np.log10(bound.value(m))):.2f}'
             for i, m in enumerate(ms))
         parts.append(f'<path d="{bnd}" stroke="crimson" fill="none" '
                      f'stroke-dasharray="6 3" stroke-width="1.5"/>')
@@ -432,10 +433,9 @@ def cmd_simulate(args) -> int:
     records = sim.run_convergence(fan, h0, lambda m: plans[m], sorted(args.m),
                                   args.reps, noise)
 
-    bound_prefactor = None
+    bound = None
     try:
-        bound_prefactor = sim.bound_parameters(
-            fan, plans[min(args.m)], noise.gamma, args.eta).prefactor
+        bound = sim.bound_parameters(fan, plans[min(args.m)], noise.gamma, args.eta)
     except sim.NonpositiveLambda:
         print("note: bound unavailable (nonpositive variance factor)")
 
@@ -449,7 +449,7 @@ def cmd_simulate(args) -> int:
                  "quotas": {str(m): list(plans[m].quotas) for m in args.m}},
         "noise": {"sigma": args.sigma, "gamma": noise.gamma},
         "eta": args.eta,
-        "bound_prefactor": bound_prefactor,
+        "bound_prefactor": None if bound is None else bound.prefactor,
         "elapsed_total": float(sum(r.elapsed for r in records)),
     }
     with open(args.out + ".meta.json", "w") as fh:
@@ -461,14 +461,14 @@ def cmd_simulate(args) -> int:
     if len({r.m for r in ok}) >= 2:
         slope = sim.fit_loglog_slope(records)
         print(f"fitted log-log slope: {fmt(slope)}")
-    if bound_prefactor == 0.0:
+    if bound is not None and bound.prefactor == 0.0:
         print("bound does not apply: its prefactor is 0 (the bound needs sigma > 0)")
-    elif bound_prefactor is not None:
-        viol = sum(1 for r in ok
-                   if r.hausdorff_error >= bound_prefactor / np.sqrt(r.m))
+        bound = None
+    if bound is not None:
+        viol = sum(1 for r in ok if r.hausdorff_error >= bound.value(r.m))
         print(f"bound violations at eta={args.eta}: {viol}/{len(ok)}")
     if args.plot:
-        if write_loglog_svg(args.plot, records, bound_prefactor):
+        if write_loglog_svg(args.plot, records, bound):
             print(f"wrote {args.plot}")
         else:
             print(f"{args.plot}: nothing to plot, not written", file=sys.stderr)

@@ -127,11 +127,6 @@ class DirectionGraph:
     ray_neighbors: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Matching:
-    size: int
-
-
 @dataclass
 class UniquenessReport:
     numeric_rank: int
@@ -183,40 +178,46 @@ def ray_facet_graph(fan: SimplicialFan) -> DirectionGraph:
                           ray_neighbors=tuple(tuple(v) for v in neighbors))
 
 
-def max_matching(graph: DirectionGraph) -> Matching:
-    """Maximum bipartite matching by augmenting paths in fixed index order.
+def max_matching(graph: DirectionGraph) -> int:
+    """Size of a maximum bipartite matching, by augmenting paths in fixed
+    index order.
 
     Rays are processed in increasing index, neighbors likewise, so the
-    returned matching is deterministic for a given adjacency.
+    matching found is deterministic for a given adjacency.  Each path is
+    searched depth first on an explicit stack, so a path of any length
+    fits; the search keeps no closure and leaves no reference cycle.
     """
-    match_ray = [-1] * graph.n_rays      # ray -> sample
-    match_sample = [-1] * graph.n_samples
+    neighbors = graph.ray_neighbors
+    match_sample = [-1] * graph.n_samples   # sample -> ray
     size = 0
-    for ray in range(graph.n_rays):
-        if _augment(graph.ray_neighbors, ray, [False] * graph.n_samples,
-                    match_ray, match_sample):
-            size += 1
-    return Matching(size=size)
-
-
-def _augment(neighbors, ray: int, seen: list[bool], match_ray: list[int],
-             match_sample: list[int]) -> bool:
-    """Extend the matching by an augmenting path from ``ray``, if one exists.
-
-    A module-level function, not a closure: a recursive closure refers to
-    itself, and the cycle would keep each call's graph alive until the
-    garbage collector runs.
-    """
-    for s in neighbors[ray]:
-        if seen[s]:
-            continue
-        seen[s] = True
-        if match_sample[s] < 0 or _augment(neighbors, match_sample[s], seen,
-                                           match_ray, match_sample):
-            match_ray[ray] = s
-            match_sample[s] = ray
-            return True
-    return False
+    for root in range(graph.n_rays):
+        seen = [False] * graph.n_samples
+        # The path so far: rays[k] reaches rays[k + 1] through samples[k],
+        # the sample matched to rays[k + 1]; untried[k] holds the neighbors
+        # of rays[k] not yet tried.
+        rays, samples, untried = [root], [], [iter(neighbors[root])]
+        while untried:
+            for s in untried[-1]:
+                if not seen[s]:
+                    break
+            else:
+                # No augmenting path through rays[-1]: step back.
+                rays.pop()
+                untried.pop()
+                if samples:
+                    samples.pop()
+                continue
+            seen[s] = True
+            if match_sample[s] < 0:
+                # Flip the path: each ray on it takes the next sample.
+                for ray, sample in zip(rays, samples + [s]):
+                    match_sample[sample] = ray
+                size += 1
+                break
+            samples.append(s)
+            rays.append(match_sample[s])
+            untried.append(iter(neighbors[match_sample[s]]))
+    return size
 
 
 def _support_patterns(fan: SimplicialFan, design: DesignMatrix):
@@ -288,12 +289,11 @@ def uniqueness_report(fan: SimplicialFan, design: DesignMatrix) -> UniquenessRep
     """
     rank, kernel = design.rank_kernel
     cells, masks, counts = _support_patterns(fan, design)
-    matching = max_matching(_pattern_graph(fan, cells, masks, counts))
     covered = np.zeros(fan.n_cells, bool)
     covered[cells[masks == (1 << fan.dim) - 1]] = True
     return UniquenessReport(
         numeric_rank=rank,
-        matching_size=matching.size,
+        matching_size=max_matching(_pattern_graph(fan, cells, masks, counts)),
         cells_covered=covered.tolist(),
         unique_for_all_y=(rank == design.n),
         kernel_basis=kernel,

@@ -2,8 +2,8 @@
 
 A support vector ``h`` identifies the polytope ``P(h) = {x : <v_i, x> <= h_i}``
 over the rays of a fixed fan.  Membership in the deformation cone, vertex
-maps, support-function values, irredundancy, Minkowski sums and exact
-Hausdorff distances are all computed directly from the fan's cell data.
+maps, support-function values, irredundancy and exact Hausdorff distances
+are all computed directly from the fan's cell data.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ def vertices(fan: SimplicialFan, h) -> VertexMap:
                      merged_groups=tuple(tuple(g) for g in groups))
 
 
-def support_value(fan: SimplicialFan, h, u) -> float:
-    """Support-function value of ``P(h)`` at ``u``: ``support_values`` on
-    one row.  Raises ``NotInDeformationCone`` for an h outside the cone."""
-    return float(support_values(fan, h, np.asarray(u, float)[None])[0])
-
-
 def support_values(fan: SimplicialFan, h, U) -> np.ndarray:
     """Support-function values ``h_{P(h)}(u) = max <u, x>`` of ``P(h)`` at
     the rows u of ``U``.
@@ -140,13 +134,6 @@ def is_irredundant(fan: SimplicialFan, h) -> list[bool]:
                     "P(h) is empty; h is not a compatible vector") from None
             best[i] = -sol.objective
     return [bool(h[i] - best[i] <= tol) for i in range(n)]
-
-
-def minkowski_add(fan: SimplicialFan, h, h2) -> np.ndarray:
-    """Support vector of the Minkowski sum ``P(h) + P(h2)``."""
-    h = _require_member(fan, h)
-    h2 = _require_member(fan, h2)
-    return h + h2
 
 
 def hausdorff(fan: SimplicialFan, h, h2) -> float:

@@ -499,7 +499,8 @@ class BoundParameters:
     """Constants of the high-probability error bound for a plan.
 
     ``value(m)`` evaluates the bound at sample count m; it decays like
-    ``1/sqrt(m)`` by construction.
+    ``1/sqrt(m)`` by construction, and raises ``ValueError`` unless m is
+    an integer (not a bool) of at least 1.
     """
 
     kappa: float
@@ -509,7 +510,7 @@ class BoundParameters:
     prefactor: float
 
     def value(self, m: int) -> float:
-        return self.prefactor / math.sqrt(m)
+        return self.prefactor / math.sqrt(_positive(m, "m"))
 
 
 def bound_parameters(fan: SimplicialFan, plan: SamplingPlan, gamma: float,
@@ -531,14 +532,6 @@ def bound_parameters(fan: SimplicialFan, plan: SamplingPlan, gamma: float,
         2.0 * d * gamma * lam * math.log(2.0 * n / eta))
     return BoundParameters(kappa=kappa, lam=lam, eta=eta, gamma=gamma,
                            prefactor=prefactor)
-
-
-def theoretical_bound(fan: SimplicialFan, plan: SamplingPlan, gamma: float,
-                      eta: float, m: int) -> float:
-    """High-probability Hausdorff error bound at sample count m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return bound_parameters(fan, plan, gamma, eta).value(m)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,22 @@ def test_uniqueness_fewer_rows_than_rays(workdir, capsys):
     assert "unique for all y: no" in out
 
 
+def test_uniqueness_of_a_polygon_with_a_long_augmenting_path(workdir, capsys):
+    # The 1,099 directions v_i + v_(i+1) of the 1100-gon: the matching's
+    # search from ray k walks back through every ray before it, 1,099 deep
+    # at the last ray, beyond Python's recursion limit.
+    fan = catalog.regular_polygon_fan(1100)
+    cli.save_fan(fan, str(workdir / "poly.json"))
+    U = fan.rays[:-1] + fan.rays[1:]
+    cli.save_dataset(Dataset(U, np.ones(len(U))), str(workdir / "poly.txt"))
+    rc = run(["uniqueness", "--fan", workdir / "poly.json", "--data", workdir / "poly.txt"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_OK
+    assert "numeric rank: 1099\n" in out
+    assert "matching size: 1099\n" in out
+    assert "unique for all y: no\n" in out
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from facetfit import catalog
 from facetfit.design import (
     POSITIVITY_TOL,
     Dataset,
+    DirectionGraph,
     _support_patterns,
     build_design,
     direction_graph,
@@ -151,8 +152,7 @@ def test_cycle_design_graph_is_twelve_cycle(hexagon):
     design = build_design(hexagon, hexagon_cycle_directions(hexagon))
     graph = direction_graph(design)
     assert all(len(nb) == 2 for nb in graph.ray_neighbors)
-    matching = max_matching(graph)
-    assert matching.size == 6
+    assert max_matching(graph) == 6
     assert brute_max_matching(graph.ray_neighbors, graph.n_samples) == 6
 
 
@@ -160,28 +160,46 @@ def test_identity_design_graph(hexagon):
     design = build_design(hexagon, hexagon.rays)
     graph = direction_graph(design)
     assert graph.ray_neighbors == tuple((i,) for i in range(6))
-    assert max_matching(graph).size == 6
+    assert max_matching(graph) == 6
 
 
 def test_fewer_samples_than_rays_bounds_matching(hexagon):
     design = build_design(hexagon, hexagon.rays[:4])
-    assert max_matching(direction_graph(design)).size <= 4
+    assert max_matching(direction_graph(design)) <= 4
 
 
 def test_ray_facet_matchings(hexagon, roof_y, random_fans):
-    assert max_matching(ray_facet_graph(hexagon)).size == 6
-    assert max_matching(ray_facet_graph(roof_y)).size == 5
-    assert max_matching(ray_facet_graph(catalog.cube_fan(2))).size == 4
-    assert max_matching(ray_facet_graph(catalog.cube_fan(3))).size == 6
+    assert max_matching(ray_facet_graph(hexagon)) == 6
+    assert max_matching(ray_facet_graph(roof_y)) == 5
+    assert max_matching(ray_facet_graph(catalog.cube_fan(2))) == 4
+    assert max_matching(ray_facet_graph(catalog.cube_fan(3))) == 6
     for fan in random_fans:
-        assert max_matching(ray_facet_graph(fan)).size == fan.n_rays
+        assert max_matching(ray_facet_graph(fan)) == fan.n_rays
 
 
 def test_matching_against_brute_force(random_fans):
-    for fan in random_fans[:4]:
-        graph = ray_facet_graph(fan)
-        assert max_matching(graph).size == brute_max_matching(
+    graphs = [ray_facet_graph(fan) for fan in random_fans[:4]]
+    # Random bipartite graphs of up to 7 rays and 7 samples, some rays and
+    # samples isolated.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n_rays, n_samples = rng.integers(1, 8), rng.integers(0, 8)
+        neighbors = tuple(tuple(np.flatnonzero(rng.random(n_samples) < 0.35).tolist())
+                          for _ in range(n_rays))
+        graphs.append(DirectionGraph(n_rays=int(n_rays), n_samples=int(n_samples),
+                                     ray_neighbors=neighbors))
+    for graph in graphs:
+        assert max_matching(graph) == brute_max_matching(
             graph.ray_neighbors, graph.n_samples)
+
+
+def test_matching_follows_a_path_through_every_ray():
+    # Ray k < n - 1 meets samples k and k + 1, the last ray sample 0 only:
+    # in index order each ray takes sample k, so matching the last ray
+    # shifts all n - 1 earlier ones along one augmenting path.
+    n = 5000
+    neighbors = tuple((k, k + 1) for k in range(n - 1)) + ((0,),)
+    assert max_matching(DirectionGraph(n_rays=n, n_samples=n, ray_neighbors=neighbors)) == n
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +321,7 @@ def test_max_matching_leaves_no_reference_cycle(hexagon):
     alive = weakref.ref(graph)
     gc.disable()
     try:
-        assert max_matching(graph).size == 6
+        assert max_matching(graph) == 6
         del graph
         assert alive() is None   # freed by reference counting alone
     finally:

@@ -10,7 +10,7 @@ from facetfit.estimator import (
     reconstruct,
     reconstruct_multi,
 )
-from facetfit.geometry import is_deformation, support_value
+from facetfit.geometry import is_deformation, support_values
 from facetfit.qp import SolverOptions
 
 from conftest import random_members
@@ -254,7 +254,7 @@ def test_gk_matches_estimator_in_facet_directions(hexagon, roof_y):
         h_gk = gk_estimate(fan.rays, ds)
         res = reconstruct(fan, ds)
         assert np.allclose(h_gk, res.h_hat, atol=1e-7)
-        fit = np.array([support_value(fan, h_gk, u) for u in fan.rays])
+        fit = support_values(fan, h_gk, fan.rays)
         assert np.allclose(fit, h0, atol=1e-7)
 
 
@@ -270,7 +270,7 @@ def test_gk_off_facet_measurements_can_disagree():
     h_gk = gk_estimate(square.rays, ds)
     res = reconstruct(square, ds)
     assert res.objective <= 1e-18
-    assert support_value(square, h_gk, u) == pytest.approx(1.0, abs=1e-9)
+    assert support_values(square, h_gk, u[None]) == pytest.approx([1.0], abs=1e-9)
     assert is_deformation(square, res.h_hat)
     assert np.linalg.norm(h_gk - res.h_hat) > 0.5
 

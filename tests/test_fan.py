@@ -379,7 +379,6 @@ DIRECTION_ENTRIES = {
     "carrier": lambda fan, u: carrier(fan, u),
     "carrier_blocks": lambda fan, u: carrier_blocks(fan, np.vstack([fan.rays[:2], u])),
     "in_ct": lambda fan, u: sim.in_ct(fan, u, 0, 0.2),
-    "support_value": lambda fan, u: geometry.support_value(fan, np.ones(fan.n_rays), u),
     "support_values": lambda fan, u: geometry.support_values(
         fan, np.ones(fan.n_rays), np.vstack([fan.rays[:2], u])),
     "cap_maxima": lambda fan, u: fan_mod.cap_maxima(fan, [0, 1, 2],

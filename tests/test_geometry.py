@@ -10,8 +10,6 @@ from facetfit.geometry import (
     is_deformation,
     is_irredundant,
     membership_gap,
-    minkowski_add,
-    support_value,
     support_values,
     vertices,
 )
@@ -105,17 +103,16 @@ def test_vertices_requires_membership(roof_y):
 def test_support_examples(hexagon, roof_x):
     # The printed value 10 for this evaluation contradicts the matrices it
     # is printed next to; the verified value at the apex vertex is 14.
-    assert support_value(roof_x, [2, 2, 4, 4, 0], [1, 1, 6]) == pytest.approx(14.0)
-    assert support_value(roof_x, [2, 2, 4, 4, 0], [-1, -1, 4]) == pytest.approx(10.0)
-    assert support_value(hexagon, np.ones(6),
-                         hexagon.rays[0] + hexagon.rays[1]) == pytest.approx(2.0)
+    assert support_values(roof_x, [2, 2, 4, 4, 0],
+                          [[1, 1, 6], [-1, -1, 4]]) == pytest.approx([14.0, 10.0])
+    assert support_values(hexagon, np.ones(6),
+                          [hexagon.rays[0] + hexagon.rays[1]]) == pytest.approx([2.0])
 
 
 def test_support_at_rays_returns_entries(hexagon, roof_y):
     for fan, h in [(hexagon, np.array([1.0, 2, 1.5, 2, 1, 1.8])),
                    (roof_y, np.array([4.0, 4, 2, 2, 0]))]:
-        for i in range(fan.n_rays):
-            assert support_value(fan, h, fan.rays[i]) == pytest.approx(h[i])
+        assert support_values(fan, h, fan.rays) == pytest.approx(h)
 
 
 def test_support_matches_vertex_oracle(hexagon, roof_y, random_fans):
@@ -123,14 +120,12 @@ def test_support_matches_vertex_oracle(hexagon, roof_y, random_fans):
     for fan in [hexagon, roof_y] + random_fans[:3]:
         for h in random_members(fan, 10, seed=31):
             pts = vertices(fan, h).points
-            for _ in range(50):
-                u = rng.standard_normal(fan.dim)
-                if np.linalg.norm(u) < 1e-9:
-                    continue
-                direct = support_value(fan, h, u)
-                oracle = float(np.max(pts @ u))
-                tol = 1e-8 * (1.0 + np.linalg.norm(h) * np.linalg.norm(u))
-                assert abs(direct - oracle) <= tol
+            U = rng.standard_normal((50, fan.dim))
+            U = U[np.linalg.norm(U, axis=1) >= 1e-9]
+            direct = support_values(fan, h, U)
+            oracle = np.max(pts @ U.T, axis=0)
+            tol = 1e-8 * (1.0 + np.linalg.norm(h) * np.linalg.norm(U, axis=1))
+            assert np.all(np.abs(direct - oracle) <= tol)
 
 
 def test_support_values_equal_the_design_rows_applied_to_h(hexagon, roof_y, roof_x,
@@ -171,7 +166,7 @@ def test_support_value_refuses_h_outside_the_cone(hexagon):
     # 2, and the bound h_5 = 5 is not attained.
     h = np.array([1.0, 1, 1, 1, 1, 5])
     with pytest.raises(NotInDeformationCone, match="violates the wall inequalities"):
-        support_value(hexagon, h, hexagon.rays[5])
+        support_values(hexagon, h, hexagon.rays[5:])
     assert is_irredundant(hexagon, h) == [True] * 5 + [False]
 
 
@@ -181,9 +176,7 @@ def test_support_value_is_support_values_on_one_row(hexagon, roof_y, roof_x,
     for fan in [hexagon, roof_y, roof_x] + random_fans[::3]:
         for h in random_members(fan, 4, seed=fan.n_rays):
             U = np.vstack([rng.standard_normal((20, fan.dim)), fan.rays, np.zeros(fan.dim)])
-            one = np.array([support_value(fan, h, u) for u in U])
-            single = np.array([support_values(fan, h, u[None])[0] for u in U])
-            assert one.tobytes() == single.tobytes()
+            one = np.array([support_values(fan, h, u[None])[0] for u in U])
             # A stacked product may round differently from a one-row one.
             rows = support_values(fan, h, U)
             assert np.all(np.abs(one - rows) <= 1e-15 * (1.0 + np.abs(rows)))
@@ -194,13 +187,13 @@ def test_support_additive_and_homogeneous(hexagon):
     members = random_members(hexagon, 10, seed=17)
     for k in range(0, 10, 2):
         h1, h2 = members[k], members[k + 1]
-        u = rng.standard_normal(2)
-        s = support_value(hexagon, h1, u) + support_value(hexagon, h2, u)
-        total = support_value(hexagon, h1 + h2, u)
+        u = rng.standard_normal((1, 2))
+        s = support_values(hexagon, h1, u) + support_values(hexagon, h2, u)
+        total = support_values(hexagon, h1 + h2, u)
         assert total == pytest.approx(s, rel=1e-9, abs=1e-12)
         lam = float(rng.uniform(0.1, 5.0))
-        assert support_value(hexagon, lam * h1, u) == pytest.approx(
-            lam * support_value(hexagon, h1, u), rel=1e-9, abs=1e-12)
+        assert support_values(hexagon, lam * h1, u) == pytest.approx(
+            lam * support_values(hexagon, h1, u), rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +250,24 @@ def test_irredundancy_off_the_cone_equals_highs(name):
 
 
 # ---------------------------------------------------------------------------
-# Minkowski sums
+# Minkowski sums: the support vector of P(h) + P(h2) is h + h2
 # ---------------------------------------------------------------------------
 
 def test_minkowski_examples(hexagon, roof_y):
-    h = np.array([1.0, 2, 1.5, 2, 1, 1.8])
-    assert np.array_equal(minkowski_add(hexagon, h, np.zeros(6)), h)
-    doubled = minkowski_add(hexagon, np.ones(6), np.ones(6))
-    u = np.array([0.3, 0.7])
-    assert support_value(hexagon, doubled, u) == pytest.approx(
-        2.0 * support_value(hexagon, np.ones(6), u))
-    summed = minkowski_add(roof_y, [4, 4, 2, 2, 0], [4, 4, 2, 2, 0])
-    assert np.array_equal(summed, [8, 8, 4, 4, 0])
-    assert np.min(roof_y.wall_system.matrix @ summed) >= 0.0
+    u = np.array([[0.3, 0.7]])
+    assert support_values(hexagon, 2.0 * np.ones(6), u) == pytest.approx(
+        2.0 * support_values(hexagon, np.ones(6), u))
+    h = np.array([4.0, 4, 2, 2, 0])
+    assert np.min(roof_y.wall_system.matrix @ (h + h)) >= 0.0
+    U = np.vstack([roof_y.rays, [[0.3, 0.7, 0.2]]])
+    assert support_values(roof_y, h + h, U) == pytest.approx(
+        2.0 * support_values(roof_y, h, U))
 
 
 def test_minkowski_stays_in_cone(hexagon):
     members = random_members(hexagon, 12, seed=23)
     for k in range(0, 12, 2):
-        total = minkowski_add(hexagon, members[k], members[k + 1])
-        assert is_deformation(hexagon, total)
+        assert is_deformation(hexagon, members[k] + members[k + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from facetfit.sim import (
     run_convergence,
     sample_concentrated,
     sample_uniform_sphere,
-    theoretical_bound,
 )
 
 
@@ -357,9 +356,8 @@ def test_concentrated_stream_is_the_one_generator_id_names():
 
 def test_bound_scales_as_inverse_sqrt_m(hexagon):
     plan = facet_direction_plan(hexagon, 120, delta=1.0 / 6.0, seed=0)
-    b1 = theoretical_bound(hexagon, plan, gamma=0.01, eta=0.05, m=100)
-    b2 = theoretical_bound(hexagon, plan, gamma=0.01, eta=0.05, m=200)
-    assert b1 / b2 == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    params = bound_parameters(hexagon, plan, gamma=0.01, eta=0.05)
+    assert params.value(100) / params.value(200) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_bound_formula_direct_evaluation(hexagon):
@@ -384,8 +382,17 @@ def test_bound_refuses_an_eta_outside_the_open_unit_interval(hexagon, eta):
 
 def test_bound_refuses_a_sample_count_below_one(hexagon):
     plan = facet_direction_plan(hexagon, 120, seed=0)
+    params = bound_parameters(hexagon, plan, gamma=0.01, eta=0.05)
     with pytest.raises(ValueError, match="^m must be positive$"):
-        theoretical_bound(hexagon, plan, gamma=0.01, eta=0.05, m=0)
+        params.value(0)
+
+
+@pytest.mark.parametrize("m", [2.5, True])
+def test_bound_refuses_a_sample_count_that_is_not_an_integer(hexagon, m):
+    plan = facet_direction_plan(hexagon, 120, seed=0)
+    params = bound_parameters(hexagon, plan, gamma=0.01, eta=0.05)
+    with pytest.raises(ValueError, match=r"^m must be an integer, not (2\.5|True)$"):
+        params.value(m)
 
 
 def test_bound_nonpositive_lambda():
@@ -393,7 +400,7 @@ def test_bound_nonpositive_lambda():
     hexa = catalog.hexagon_fan()
     plan = SamplingPlan(t=0.4, delta=0.5, m=10, seed=0, quotas=(0,) * 6)
     with pytest.raises(NonpositiveLambda):
-        theoretical_bound(hexa, plan, gamma=0.01, eta=0.05, m=10)
+        bound_parameters(hexa, plan, gamma=0.01, eta=0.05)
 
 
 # ---------------------------------------------------------------------------
