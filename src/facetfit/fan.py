@@ -318,10 +318,11 @@ def _build_constants(fan: SimplicialFan) -> FanConstants:
 def cell_vertices(fan: SimplicialFan, h) -> np.ndarray:
     """Row c is ``inv_cᵀ h_c``, where the facets ``<v_i, x> = h_i`` of cell
     c's rays meet: a vertex of ``P(h)`` when h is in the deformation cone.
-    The cells must be independent (``validate`` checks it).  One stacked
-    product, which rounds as ``inv_c.T @ h_c`` does cell by cell."""
+    The cells must be independent (``validate`` checks it).  A stack of
+    support vectors (..., n) gives a stack (..., cells, d), in one product
+    that rounds as ``inv_c.T @ h_c`` does, cell by cell and row by row."""
     h = np.asarray(h, float)
-    return np.matmul(fan._inverses[0].transpose(0, 2, 1), h[fan._cell_array][..., None])[..., 0]
+    return np.matmul(fan._inverses[0].transpose(0, 2, 1), h[..., fan._cell_array, None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

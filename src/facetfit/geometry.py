@@ -152,22 +152,22 @@ def hausdorff_rows(fan: SimplicialFan, H, h2) -> np.ndarray:
     ``M_sigma^{-T} (h - h2)`` restricted to the cell's generators, so the
     maximum absolute difference over the sphere is the largest cone-cap
     maximum of the per-cell gradients, both signs probed: one
-    ``cap_maxima`` call over the 2 * cells pairs (g, -g) of every row.
-    ``cap_maxima`` treats each pair alone, so a row's distance does not
-    depend on the other rows.  Raises ``NotInDeformationCone`` for the
-    first row of H outside the cone, then for an h2 outside it;
-    ``ValueError`` unless H is 2-D.
+    ``cell_vertices`` call over the rows of ``H - h2`` and one
+    ``cap_maxima`` call over the 2 * cells pairs (g, -g) of every row,
+    each row alone.  Raises ``NotInDeformationCone`` for the first row of
+    H outside the cone, then for an h2 outside it; ``ValueError`` unless
+    H is 2-D.
     """
     H = np.asarray(H, float)
     if H.ndim != 2:
         raise ValueError(f"support vectors must be rows, got an array of shape {H.shape}")
-    rows = [_require_member(fan, h) for h in H]
+    for h in H:
+        _require_member(fan, h)
     h2 = _require_member(fan, h2)
-    G = np.reshape([cell_vertices(fan, h - h2) for h in rows],
-                   (len(rows), fan.n_cells, fan.dim))
-    cells = np.tile(np.arange(fan.n_cells), 2 * len(rows))
+    G = cell_vertices(fan, H - h2)
+    cells = np.tile(np.arange(fan.n_cells), 2 * len(H))
     pairs = np.concatenate([G, -G], axis=1).reshape(-1, fan.dim)
-    return cap_maxima(fan, cells, pairs).reshape(len(rows), 2 * fan.n_cells).max(axis=1)
+    return cap_maxima(fan, cells, pairs).reshape(len(H), 2 * fan.n_cells).max(axis=1)
 
 
 def hausdorff_bound(fan: SimplicialFan, h, h2) -> float:

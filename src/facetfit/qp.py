@@ -9,8 +9,8 @@ Two engines live here:
     ``factor``, made on first read: for a tall A (m > n), ``A = Q R`` by
     one thin QR per large block and one of the stacked triangles and small
     blocks, each keeping its Q.  Every iteration runs on the n x n factor
-    R and ``Q^T y``; the KKT residual attached to every solution, and the
-    certificate that compares it with its tolerance, are measured on the
+    R and ``Q^T y``; the KKT residual, and the certificate that refuses a
+    solution above its tolerance (``Uncertified``), are measured on the
     original (A, y, B), through the products ``A h`` and ``A^T r`` of the
     blocks.
   - ``solve_lp``: two-phase tableau simplex with Bland's smallest-index
@@ -119,8 +119,8 @@ class SolverOptions:
 class QPSolution:
     """An active-set result, every figure measured on the original (A, y, B).
 
-    ``certified`` holds when ``kkt_residual`` is at most ``kkt_tolerance``,
-    ``1e-8 (1 + ||A^T y||)``.
+    ``certified``, ``kkt_residual <= kkt_tolerance = 1e-8 (1 + ||A^T y||)``,
+    fails only on the solutions that ``Uncertified`` and ``IterationLimit`` carry.
     """
 
     h_star: np.ndarray
@@ -341,11 +341,11 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     The returned ``QPSolution`` is measured on the original (A, y, B): its
     objective, its multipliers and its KKT residual, the largest of the
     stationarity, feasibility and complementary-slackness violations, which
-    ``certified`` compares with ``1e-8 (1 + ||A^T y||)``; an uncertified
-    result is returned, not raised.  Raises ``IterationLimit`` with the
-    best iterate attached if the cap of ``50 * (n + p)`` subproblems is
-    exhausted, and ``ValueError`` for a warm start that is not a finite
-    array of shape (n,).
+    ``certified`` compares with ``1e-8 (1 + ||A^T y||)``.  Raises
+    ``Uncertified`` above it, and ``IterationLimit`` when the cap of
+    ``50 * (n + p)`` subproblems is exhausted, each with its solution
+    attached; ``ValueError`` for a warm start that is not a finite array
+    of shape (n,).
     """
     if opts is None:
         opts = SolverOptions()
@@ -400,31 +400,42 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
             break
         del working[neg[0]]
 
-    return _certify(A, y, B, h, working, iterations, feas_tol(h), kkt_tol)
+    sol = _certify(A, y, B, h, working, iterations, feas_tol(h), kkt_tol)
+    if not sol.certified:
+        raise Uncertified(f"KKT residual {sol.kkt_residual:.3g} above its "
+                          f"tolerance {sol.kkt_tolerance:.3g}", sol)
+    return sol
+
+
+def step_limits(g: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """How far row i of ``g + lambda G[:, k] >= 0`` lets lambda grow from 0:
+    ``max(g_i, 0) / -G[i, k]`` where the row falls by more than
+    ``1e-12 (1 + max_i |G[i, k]|)``, inf elsewhere.  The blocking-step rule
+    of ``_ratio_test`` and of the solution-set extents."""
+    slack = np.where(g > 0.0, g, 0.0)[:, None]
+    tol = 1e-12 * (1.0 + np.max(np.abs(G), axis=0, initial=0.0))
+    return np.divide(slack, -G, out=np.full(G.shape, np.inf), where=G < -tol)
 
 
 def _ratio_test(bh: np.ndarray, bstep: np.ndarray, working: list[int]):
     """The step length ``alpha <= 1`` along ``step`` and the row that blocks
     it (-1 for none), from ``bh = B h`` and ``bstep = B step``.
 
-    Rows falling by more than ``1e-12 (1 + max|B step|)`` and not in the
-    working set limit the step to ``max(0, bh_i) / -bstep_i``.  In index
-    order, a row takes over only when its limit undercuts the current one
-    by more than 1e-15, so of near-equal limits the first row wins; each
-    pass of the loop finds the next such row with one vector comparison.
+    Each row limits the step to its ``step_limits``, a working row to inf.
+    In index order, a row takes over only when its limit undercuts the
+    current one by more than 1e-15, so of near-equal limits the first row
+    wins; each pass of the loop finds the next such row with one vector
+    comparison.
     """
-    scale = 1e-12 * (1.0 + float(np.max(np.abs(bstep), initial=0.0)))
-    rows = ~(bstep >= -scale)
-    rows[working] = False
-    rows = np.flatnonzero(rows)
-    limits = np.where(bh[rows] > 0.0, bh[rows], 0.0) / -bstep[rows]
+    limits = step_limits(bh, bstep[:, None])[:, 0]
+    limits[working] = np.inf
     alpha, blocker, k = 1.0, -1, 0
     while True:
         under = np.flatnonzero(limits[k:] < alpha - 1e-15)
         if under.size == 0:
             return alpha, blocker
         k += int(under[0])
-        alpha, blocker = limits[k], int(rows[k])
+        alpha, blocker = limits[k], k
         k += 1
 
 

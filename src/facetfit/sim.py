@@ -112,10 +112,12 @@ def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def sample_uniform_sphere(d: int, m: int, seed) -> np.ndarray:
+def sample_uniform_sphere(d: int, m: int, seed: int) -> np.ndarray:
     """m unit vectors, rotation invariant, deterministic per seed;
-    ``ValueError`` unless d and m are integers (not bools) of at least 1."""
+    ``ValueError`` unless d and m are integers (not bools) of at least 1
+    and the seed is an integer (not a bool) of at least 0."""
     d, m = _positive(d, "d"), _positive(m, "m")
+    _check_seed(seed)
     return _unit_rows(_rng(seed), m, d)
 
 
@@ -245,23 +247,19 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
     The barycentric coefficients of ``x``, scaled by the ray norms, must be
     within ``t`` of the j-th unit vector in the sup norm.  A relative slack
     of 1e-9 absorbs round-off so the exact normalized ray passes at t = 0.
-    The rule is ``_in_neighborhoods`` on the d columns of the one
-    ``carrier_blocks`` block of ``x``, with ray j's position among the
-    cell's generators, or -1 (outside) when ray j is not one of them.
-    ``ValueError`` for a j that is not an integer (a bool or a float is
-    not) or is outside 0..n-1.
+    The rule is ``_membership`` on the one row ``x``, the sampler's batch
+    test; ``NoCarrier`` when ``x`` has no carrier.  ``ValueError`` for a j
+    that is not an integer (a bool or a float is not) or is outside
+    0..n-1.
     """
     j = _index(j, "ray index")
     if not 0 <= j < fan.n_rays:
         raise ValueError(f"ray index {j} is outside 0..{fan.n_rays - 1}")
     x = np.asarray(x, float)
-    blocks = carrier_blocks(fan, x[None])
-    if not blocks:
+    member, carried = _membership(fan, x[None], np.array([j]), np.array([t]))
+    if not carried[0]:
         raise NoCarrier.for_vector(fan, x)
-    c, _, lam = blocks[0]
-    cell = list(fan.cells[c])
-    k = cell.index(j) if j in cell else -1
-    return bool(_in_neighborhoods(lam, fan.constants.ray_norms[cell], np.array([k]), t)[0])
+    return bool(member[0])
 
 
 def _in_neighborhoods(lam: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,

@@ -1,11 +1,12 @@
 import contextlib
+import dataclasses
 import signal
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from facetfit import catalog, geometry
+from facetfit import catalog, geometry, qp
 from facetfit.fan import SimplicialFan
 
 # The same examples on every run, and no example database carried from one
@@ -32,6 +33,19 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def uncertified(monkeypatch):
+    """``qp._certify`` reporting a KKT residual of twice its tolerance, so
+    that every solve in the test fails its certificate."""
+    certify = qp._certify
+
+    def report(*args, **kwargs):
+        sol = certify(*args, **kwargs)
+        return dataclasses.replace(sol, kkt_residual=2.0 * sol.kkt_tolerance)
+
+    monkeypatch.setattr(qp, "_certify", report)
 
 
 @pytest.fixture(scope="session")

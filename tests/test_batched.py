@@ -259,10 +259,16 @@ def test_validate_memory_is_bounded_in_the_cells():
 
 
 def test_cell_vertices_equal_the_cell_loop():
-    rng = np.random.default_rng(11)
+    rng, stack_rng = np.random.default_rng(11), np.random.default_rng(12)
     for fan in fans():
         for h in (fan.constants.ray_norms, rng.standard_normal(fan.n_rays)):
             assert np.array_equal(cell_vertices(fan, h), loop_cell_vertices(fan, h))
+        # A (k, n) stack: each row as its one-row result, bit for bit.
+        H = stack_rng.standard_normal((5, fan.n_rays))
+        stacked = cell_vertices(fan, H)
+        assert stacked.shape == (5, fan.n_cells, fan.dim)
+        for h, got in zip(H, stacked):
+            assert np.array_equal(got, cell_vertices(fan, h))
 
 
 def assert_carriers_equal_loop(fan, U):

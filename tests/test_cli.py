@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -245,14 +244,7 @@ def test_reconstruct_lp_failure_exits_6(workdir, capsys, monkeypatch, error):
     assert "objective" not in captured.out
 
 
-def test_reconstruct_uncertified_exits_7(workdir, capsys, monkeypatch):
-    solve = qp.solve_cls
-
-    def uncertified(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        return dataclasses.replace(sol, kkt_residual=10.0 * sol.kkt_tolerance)
-
-    monkeypatch.setattr(qp, "solve_cls", uncertified)
+def test_reconstruct_uncertified_exits_7(workdir, capsys, uncertified):
     rc = run(["reconstruct", "--fan", workdir / "hex.json",
               "--data", workdir / "cycle.txt"])
     captured = capsys.readouterr()

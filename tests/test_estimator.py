@@ -247,6 +247,13 @@ def test_gk_single_measurement(hexagon):
     assert np.allclose(h, hexagon.rays @ x_hat, atol=1e-9)
 
 
+def test_gk_refuses_an_uncertified_solution(hexagon, uncertified):
+    ds = Dataset(np.array([[2.0, 0.0]]), np.array([3.0]))
+    with pytest.raises(qp.Uncertified, match="KKT residual") as info:
+        gk_estimate(hexagon.rays, ds)
+    assert not info.value.solution.certified
+
+
 def test_gk_matches_estimator_in_facet_directions(hexagon, roof_y):
     for fan, h0 in [(hexagon, np.array([1.2, 1.0, 1.1, 0.9, 1.3, 1.0])),
                     (roof_y, np.array([4.0, 4, 2, 2, 0]))]:

@@ -327,6 +327,15 @@ def test_iteration_limit_carries_best_iterate(monkeypatch):
     assert sol.h_star.shape == (problem.A.shape[1],)
 
 
+def test_an_uncertified_solution_is_raised_with_the_solution(uncertified):
+    problem = ConstrainedLS(cycle_design(), 2.0 * np.ones(6), hexagon_walls())
+    with pytest.raises(qp.Uncertified, match="^KKT residual .* above its tolerance ") as info:
+        solve_cls(problem)
+    sol = info.value.solution
+    assert not sol.certified and sol.kkt_residual == 2.0 * sol.kkt_tolerance
+    assert sol.objective <= 1e-18
+
+
 def test_rank_and_kernel_shapes():
     rank, kernel = rank_and_kernel(np.zeros((3, 4)))
     assert rank == 0 and kernel.shape == (4, 4)

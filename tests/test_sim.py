@@ -209,6 +209,13 @@ def test_noise_model_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, mess
         NoiseModel(sigma=0.1, seed=seed)
 
 
+@pytest.mark.parametrize("seed, message",
+                         BAD_SEEDS + [(None, "seed must be an integer, not None")])
+def test_uniform_sphere_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_uniform_sphere(3, 10, seed)
+
+
 def test_plans_refuse_a_negative_quota():
     with pytest.raises(ValueError, match="^negative quota$"):
         SamplingPlan(t=0.0, delta=0.1, m=60, seed=0, quotas=(-1,) + (1,) * 5)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facetfit import catalog
+from facetfit import catalog, qp
 from facetfit.design import Dataset, build_design
 from facetfit.estimator import _extents, reconstruct
 from perfbench import oracle as bench_oracle
@@ -43,10 +43,17 @@ def test_extents_equal_highs_for_m_below_n(index, seed, fraction):
 
 
 def test_extents_of_an_unblocked_and_a_pinned_direction():
-    g = np.array([0.0, 2.0, 1.0])
-    G = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.5]])
+    # Column 0 is unblocked.  Column 1 is pinned below by row 0, where g is
+    # 0; row 3 falls by less than 1e-12 (1 + max |G|), so it never blocks.
+    # In column 2, row 4 is already past its wall: its slack counts as 0.
+    inf = np.inf
+    g = np.array([0.0, 2.0, 1.0, 1.0, -1e-14])
+    G = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.5, 0.0],
+                  [0.0, -1e-13, 0.0], [0.0, 0.0, -1.0]])
+    assert qp.step_limits(g, G).tolist() == [[inf, inf, inf], [inf, 2.0, inf], [inf, inf, inf],
+                                             [inf, inf, inf], [inf, inf, 0.0]]
     lo, hi = _extents(g, G)
-    assert lo.tolist() == [-np.inf, 0.0] and hi.tolist() == [np.inf, 2.0]
+    assert lo.tolist() == [-inf, 0.0, -inf] and hi.tolist() == [inf, 2.0, 0.0]
 
 
 def slow_simplex_case():
