@@ -229,24 +229,18 @@ def _support_patterns(fan: SimplicialFan, design: DesignMatrix):
     of the row is 0).  Returns ``(cells, masks, counts)``, one entry per
     pattern in increasing order of the key ``cell * 2^d + mask``.
 
-    Counted block by block, never over a concatenation of all m rows: a
-    block whose smallest coefficient exceeds ``POSITIVITY_TOL``, as most
-    blocks of interior directions do, adds its row count to its cell's
-    full mask after that one reduction; any other block adds one
-    ``np.bincount`` of its rows' masks.
+    Counted block by block, never over a concatenation of all m rows:
+    every block adds one ``np.bincount`` of its rows' masks to its cell's
+    2^d counts.
     """
     d = fan.dim
-    full = (1 << d) - 1
     weights = 1 << np.arange(d)
     counts = np.zeros(fan.n_cells << d, np.intp)
     for rows, _, lam in design.blocks:
         # A block's rows share one carrier cell.
         base = int(design.carrier_cells[rows[0]]) << d
-        if lam.min() > POSITIVITY_TOL:
-            counts[base + full] += len(rows)
-        else:
-            counts[base:base + full + 1] += np.bincount((lam > POSITIVITY_TOL) @ weights,
-                                                        minlength=full + 1)
+        counts[base:base + (1 << d)] += np.bincount((lam > POSITIVITY_TOL) @ weights,
+                                                    minlength=1 << d)
     keys = np.flatnonzero(counts)
     cells, masks = np.divmod(keys, 1 << d)
     return cells, masks, counts[keys]
@@ -284,8 +278,8 @@ def uniqueness_report(fan: SimplicialFan, design: DesignMatrix) -> UniquenessRep
     direction graph's.  ``cells_covered[c]`` is True when some sample lies
     strictly inside cell c, i.e. its row has d strictly positive entries
     carried by that cell: a pattern of cell c with the full mask.  The
-    patterns are counted per carrier block (``_support_patterns``), so a
-    block of interior rows costs one reduction, not a pass per row.
+    patterns are counted per carrier block (``_support_patterns``), one
+    ``bincount`` per block, not a pass per row.
     """
     rank, kernel = design.rank_kernel
     cells, masks, counts = _support_patterns(fan, design)

@@ -62,8 +62,13 @@ class NoCarrier(Exception):
         return cls(f"row {row}: {reason}", row=row)
 
 
-class DegenerateWall(Exception):
-    """The dependence solve across a wall is rank-deficient (collinear rays)."""
+class DegenerateWall(InvalidFan):
+    """The dependence solve across a wall is rank-deficient (collinear rays).
+
+    An ``InvalidFan``: a fan can pass ``validate`` and still have a wall
+    whose dependence cannot be solved, such as one whose cells are nearly
+    flat, and no result can be computed on it.
+    """
 
 
 @dataclass(frozen=True)

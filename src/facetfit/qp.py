@@ -119,8 +119,9 @@ class SolverOptions:
 class QPSolution:
     """An active-set result, every figure measured on the original (A, y, B).
 
-    ``certified``, ``kkt_residual <= kkt_tolerance = 1e-8 (1 + ||A^T y||)``,
-    fails only on the solutions that ``Uncertified`` and ``IterationLimit`` carry.
+    ``certified``, ``kkt_residual <= kkt_tolerance = 1e-8 (1 + ||A^T y||) < inf``,
+    fails only on the solutions that ``Uncertified`` and ``IterationLimit``
+    carry: a tolerance that overflows to inf certifies nothing.
     """
 
     h_star: np.ndarray
@@ -133,7 +134,7 @@ class QPSolution:
 
     @property
     def certified(self) -> bool:
-        return self.kkt_residual <= self.kkt_tolerance
+        return self.kkt_residual <= self.kkt_tolerance < np.inf
 
 
 @dataclass(frozen=True)
@@ -342,10 +343,10 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     objective, its multipliers and its KKT residual, the largest of the
     stationarity, feasibility and complementary-slackness violations, which
     ``certified`` compares with ``1e-8 (1 + ||A^T y||)``.  Raises
-    ``Uncertified`` above it, and ``IterationLimit`` when the cap of
-    ``50 * (n + p)`` subproblems is exhausted, each with its solution
-    attached; ``ValueError`` for a warm start that is not a finite array
-    of shape (n,).
+    ``Uncertified`` above it or when it overflows to inf, and
+    ``IterationLimit`` when the cap of ``50 * (n + p)`` subproblems is
+    exhausted, each with its solution attached; ``ValueError`` for a warm
+    start that is not a finite array of shape (n,).
     """
     if opts is None:
         opts = SolverOptions()
@@ -402,8 +403,9 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
 
     sol = _certify(A, y, B, h, working, iterations, feas_tol(h), kkt_tol)
     if not sol.certified:
-        raise Uncertified(f"KKT residual {sol.kkt_residual:.3g} above its "
-                          f"tolerance {sol.kkt_tolerance:.3g}", sol)
+        tolerance = (f"its tolerance {kkt_tol:.3g}" if kkt_tol < np.inf
+                     else "its tolerance, which overflowed to inf")
+        raise Uncertified(f"KKT residual {sol.kkt_residual:.3g} above {tolerance}", sol)
     return sol
 
 

@@ -52,7 +52,7 @@ from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import _require_member, hausdorff_rows
 from .geometry import hausdorff  # noqa: F401 - perfbench's tracer wraps sim.hausdorff
 
-GENERATOR_ID = "pcg64/numpy-standard-normal/3"
+GENERATOR_ID = "pcg64/numpy-standard-normal/4"
 
 # Trials that a later rejection pass may draw for one ray beyond one per
 # pending slot, times the number of rays.
@@ -64,10 +64,11 @@ class QuotaInfeasible(Exception):
 
 
 class NonpositiveLambda(Exception):
-    """The variance-proxy factor of the error bound is not positive.
+    """No value of the error bound is available for the plan.
 
-    Signals plan parameters outside the regime where the high-probability
-    error bound applies; no bound value is available there.
+    Raised when the variance-proxy factor is not positive, plan parameters
+    outside the regime where the high-probability error bound applies, or
+    when kappa underflows to 0; the message names which.
     """
 
 
@@ -92,9 +93,10 @@ def _rng(seed) -> np.random.Generator:
 
 
 def derive_seed(*key) -> int:
-    """Stable 64-bit stream seed from a tuple of integers, each taken mod
-    2**32 (so keys that differ by a multiple of 2**32 give one seed)."""
-    ss = np.random.SeedSequence([int(k) & 0xFFFFFFFF for k in key])
+    """Stable 64-bit stream seed from a tuple of integers, each passed to
+    ``SeedSequence`` whole; ``ValueError`` for an entry that is not an
+    integer (a bool or a float is not) of at least 0."""
+    ss = np.random.SeedSequence([_check_seed(k) for k in key])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -117,8 +119,7 @@ def sample_uniform_sphere(d: int, m: int, seed: int) -> np.ndarray:
     ``ValueError`` unless d and m are integers (not bools) of at least 1
     and the seed is an integer (not a bool) of at least 0."""
     d, m = _positive(d, "d"), _positive(m, "m")
-    _check_seed(seed)
-    return _unit_rows(_rng(seed), m, d)
+    return _unit_rows(_rng(_check_seed(seed)), m, d)
 
 
 def _positive(value, what: str) -> int:
@@ -162,10 +163,13 @@ class SamplingPlan:
                 f"quotas sum to {sum(self.quotas)} > m = {self.m}")
 
 
-def _check_seed(seed) -> None:
-    """Refuse a seed that is not an integer (a bool is not) of at least 0."""
-    if _index(seed, "seed") < 0:
+def _check_seed(seed) -> int:
+    """``seed`` as an int; ``ValueError`` unless it is an integer (a bool is
+    not) of at least 0."""
+    seed = _index(seed, "seed")
+    if seed < 0:
         raise ValueError(f"seed must be non-negative, not {seed}")
+    return seed
 
 
 def _check_rates(t: float, delta: float) -> None:
@@ -217,15 +221,17 @@ def facet_direction_plan(fan: SimplicialFan, m: int, delta: float | None = None,
 class NoiseModel:
     """Independent centered Gaussian noise of standard deviation ``sigma``;
     its variance bound ``gamma`` is ``sigma ** 2``.  ``ValueError`` unless
-    sigma is nonnegative and finite and the seed is a nonnegative integer
-    (not a bool)."""
+    sigma is nonnegative with a finite square (so above about 1.34e154 it is
+    refused) and the seed is a nonnegative integer (not a bool).  Each
+    ``sample`` key draws from its own stream, ``derive_seed(seed, *key)``."""
 
     sigma: float
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative and finite, not {self.sigma!r}")
+        if not (0.0 <= self.sigma and self.sigma * self.sigma < math.inf):
+            raise ValueError(f"sigma must be nonnegative and finite, not {self.sigma!r} "
+                             f"(sigma ** 2 must be finite too)")
         _check_seed(self.seed)
 
     @property
@@ -513,6 +519,14 @@ class BoundParameters:
 
 def bound_parameters(fan: SimplicialFan, plan: SamplingPlan, gamma: float,
                      eta: float) -> BoundParameters:
+    """The bound's constants for ``plan`` and noise variance bound ``gamma``
+    at confidence ``1 - eta``: ``kappa = (delta / max||v||^2)^(3/2)``, the
+    variance factor ``lam`` and the prefactor ``n c^2 / kappa * sqrt(2 d
+    gamma lam log(2n / eta))``.  ``ValueError`` unless eta lies in (0, 1);
+    ``NonpositiveLambda``, whose message names the cause, when no bound
+    value is available: ``lam`` is not positive, or ``kappa`` underflows
+    to 0 (delta below about 1e-216).
+    """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     norms = fan.constants.ray_norms
@@ -523,9 +537,9 @@ def bound_parameters(fan: SimplicialFan, plan: SamplingPlan, gamma: float,
     lam = c ** 2 - (c ** 2 - plan.t ** 2 / float(np.min(norms)) ** 2) \
         * (n - 1) * (2.5 * n * plan.t + plan.delta)
     if lam <= 0.0:
-        raise NonpositiveLambda(
-            f"variance factor is {lam:.3e}; plan parameters are outside the "
-            f"bound's regime")
+        raise NonpositiveLambda("nonpositive variance factor")
+    if kappa == 0.0:
+        raise NonpositiveLambda(f"kappa underflows to 0 at delta {plan.delta:.3g}")
     prefactor = (n * c ** 2 / kappa) * math.sqrt(
         2.0 * d * gamma * lam * math.log(2.0 * n / eta))
     return BoundParameters(kappa=kappa, lam=lam, eta=eta, gamma=gamma,

@@ -11,7 +11,7 @@ from facetfit.fan import SimplicialFan
 from conftest import time_limit
 from oracles import highs_essential_rows
 from test_design import ROOF_DIRECTIONS
-from test_fan import pentagram_fan
+from test_fan import pentagram_fan, thin_fan
 
 
 @pytest.fixture
@@ -106,6 +106,19 @@ def test_fan_info_counts_adjacent_cells_of_four_dimensional_fans(workdir, capsys
     if fan.n_rays == 8:  # the 4-cube: four neighbours per orthant
         assert "wall-crossing inequalities (32, 4 essential):" in out
         assert counts == [4] * 16
+
+
+@pytest.mark.parametrize("command", [["fan-info", "thin.json"],
+                                     ["reconstruct", "--fan", "thin.json", "--data", "thin.txt"]])
+def test_a_fan_whose_walls_cannot_be_solved_exits_3(workdir, capsys, command):
+    # It passes validation; DegenerateWall ended both commands in a traceback.
+    cli.save_fan(thin_fan(), str(workdir / "thin.json"))
+    cli.save_dataset(Dataset(np.eye(3), np.ones(3)), str(workdir / "thin.txt"))
+    rc = run([workdir / arg if arg.startswith("thin.") else arg for arg in command])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION == 3
+    assert_refused(captured, "invalid fan: wall between cells 0 and 1 has a rank-deficient "
+                             "dependence")
 
 
 @pytest.mark.parametrize("fan", [
@@ -244,6 +257,21 @@ def test_reconstruct_lp_failure_exits_6(workdir, capsys, monkeypatch, error):
     assert "objective" not in captured.out
 
 
+def test_reconstruct_with_an_overflowing_tolerance_exits_7(workdir, capsys):
+    # 1e-8 (1 + ||A^T y||) is inf here: the inf objective and a zero h_hat
+    # were printed as certified.  numpy's overflow warnings, which the
+    # suite turns into errors, still precede the refusal on stderr.
+    data = workdir / "huge.txt"
+    data.write_text("1 0 1e308\n0 1 1e308\n-1 -1 1e308\n0.3 0.4 1\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(["reconstruct", "--fan", workdir / "hex.json", "--data", data])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_UNCERTIFIED
+    assert_refused(captured, "uncertified result: KKT residual",
+                   "above its tolerance, which overflowed to inf")
+    assert "objective" not in captured.out
+
+
 def test_reconstruct_uncertified_exits_7(workdir, capsys, uncertified):
     rc = run(["reconstruct", "--fan", workdir / "hex.json",
               "--data", workdir / "cycle.txt"])
@@ -333,7 +361,7 @@ def test_simulate_is_reproducible_and_writes_sidecar(workdir, capsys):
     assert rc1 == rc2 == cli.EXIT_OK
     assert (workdir / "a.tsv").read_bytes() == (workdir / "b.tsv").read_bytes()
     meta = json.loads((workdir / "a.tsv.meta.json").read_text())
-    assert meta["generator"] == "pcg64/numpy-standard-normal/3"
+    assert meta["generator"] == "pcg64/numpy-standard-normal/4"
     assert "slope" in capsys.readouterr().out
 
 
@@ -409,6 +437,27 @@ def test_simulate_notes_a_bound_it_cannot_evaluate(workdir, capsys):
     assert captured.err == ""
 
 
+def test_simulate_notes_a_bound_whose_kappa_underflows(workdir, capsys):
+    # kappa = (delta / max||v||^2) ** 1.5 is 0, and the bound divided by it.
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--m", "5", "10",
+              "--delta", "1e-300", "--reps", "1", "--out", workdir / "k.tsv"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    assert ("note: bound unavailable (kappa underflows to 0 at delta 1e-300)"
+            in captured.out.splitlines())
+    assert captured.err == ""
+    assert len((workdir / "k.tsv").read_text().splitlines()) == 4   # 2 headers, 2 records
+
+
+def test_simulate_keeps_every_bit_of_the_seed(workdir):
+    # A seed of 2**32 was refused, since it drew the noise of seed 0.
+    args = ["simulate", "--fan", workdir / "hex.json", "--m", "30", "120",
+            "--reps", "2", "--out"]
+    assert run(args + [workdir / "big.tsv", "--seed", "4294967296"]) == cli.EXIT_OK
+    assert run(args + [workdir / "zero.tsv", "--seed", "0"]) == cli.EXIT_OK
+    assert (workdir / "big.tsv").read_bytes() != (workdir / "zero.tsv").read_bytes()
+
+
 def test_simulate_infeasible_plan_exits_5(workdir):
     rc = run(["simulate", "--fan", workdir / "hex.json", "--t", "0.1",
               "--delta", "0.05", "--m", "600", "--reps", "2",
@@ -431,8 +480,8 @@ def test_simulate_rejects_h0_outside_cone(workdir):
     (["--delta", "nan"], "invalid input: delta must be positive and finite, not nan"),
     (["--sigma", "nan"], "invalid input: sigma must be nonnegative and finite, not nan"),
     (["--sigma", "inf"], "invalid input: sigma must be nonnegative and finite, not inf"),
-    (["--seed", "4294967296"], "parse error: --seed must lie in 0..4294967295"),
-    (["--seed", "-1"], "parse error: --seed must lie in 0..4294967295"),
+    (["--sigma", "1e200"], "invalid input: sigma must be nonnegative and finite, not 1e+200"),
+    (["--seed", "-1"], "invalid input: seed must be non-negative, not -1"),
     (["--h0", "1,1"], "parse error: --h0 needs 6 comma-separated values"),
 ])
 def test_simulate_argument_errors_exit_2(workdir, capsys, extra, message):

@@ -258,7 +258,7 @@ def test_support_patterns_equal_the_concatenated_count(index, seed):
         for a, b in zip(found, expected):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     smallest = [lam.min() for _, _, lam in build_design(fan, gauss).blocks]
-    assert max(smallest) > POSITIVITY_TOL   # a block counted by its minimum
+    assert max(smallest) > POSITIVITY_TOL   # a block of interior rows only
     block_cells = design.carrier_cells[[rows[0] for rows, _, _ in design.blocks]]
     assert len(set(block_cells.tolist())) < len(block_cells)
 

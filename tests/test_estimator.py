@@ -254,6 +254,17 @@ def test_gk_refuses_an_uncertified_solution(hexagon, uncertified):
     assert not info.value.solution.certified
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_reconstruct_refuses_data_whose_tolerance_overflows(hexagon, scale):
+    # At 1e200 the KKT tolerance is inf, and the result, objective inf,
+    # was certified; at 1e150 it is finite and the residual above it.
+    U = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.3, 0.4]])
+    ds = Dataset(U, np.array([scale, scale, scale, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(qp.Uncertified):
+            reconstruct(hexagon, ds)
+
+
 def test_gk_matches_estimator_in_facet_directions(hexagon, roof_y):
     for fan, h0 in [(hexagon, np.array([1.2, 1.0, 1.1, 0.9, 1.3, 1.0])),
                     (roof_y, np.array([4.0, 4, 2, 2, 0]))]:

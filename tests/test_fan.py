@@ -538,6 +538,32 @@ def test_degenerate_wall_guard():
         wall_crossings(fan)
 
 
+def thin_fan(height=1e-11):
+    """The octants of R^3 with the ray (1, 1, 0) lifted by ``height``
+    before normalizing: cells (0, 1, 2) and (3, 1, 2) are nearly flat."""
+    lifted = np.array([1.0, 1.0, height])
+    rays = np.vstack([np.eye(3)[:2], lifted / np.linalg.norm(lifted), -np.eye(3)])
+    cells = [(0, 1, 2), (3, 1, 2), (0, 4, 2), (3, 4, 2),
+             (0, 1, 5), (3, 1, 5), (0, 4, 5), (3, 4, 5)]
+    return SimplicialFan(rays, cells)
+
+
+@pytest.mark.parametrize("height", [1e-11, 1e-10])
+def test_a_valid_fan_whose_walls_cannot_be_solved_is_invalid(height):
+    # DegenerateWall was not an InvalidFan, so fan-info and reconstruct
+    # ended in a traceback on this fan.
+    assert issubclass(DegenerateWall, InvalidFan)
+    fan = thin_fan(height)
+    assert validate(fan).ok
+    with pytest.raises(InvalidFan, match="^wall between cells 0 and 1 has a rank-deficient "
+                                         "dependence$"):
+        fan.wall_system
+
+
+def test_a_thin_fan_whose_walls_can_be_solved_has_its_walls():
+    assert thin_fan(1e-9).wall_system.n_walls == 12
+
+
 def fans_for_the_wall_table():
     fans = [catalog.hexagon_fan(), catalog.regular_polygon_fan(7), catalog.roof_fan_x(),
             catalog.roof_fan_y(), catalog.cube_fan(2), catalog.cube_fan(3),

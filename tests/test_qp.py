@@ -336,6 +336,19 @@ def test_an_uncertified_solution_is_raised_with_the_solution(uncertified):
     assert sol.objective <= 1e-18
 
 
+def test_a_tolerance_that_overflows_certifies_nothing():
+    # 1e-8 (1 + ||A^T y||) is inf once ||A^T y|| passes about 1e154, and
+    # every residual, even an inf one, was at most it.
+    A = np.array([[1.0, 0.0], [0.0, 1.0]])
+    problem = ConstrainedLS(A, np.array([1e200, 1e200]), np.zeros((0, 2)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(qp.Uncertified, match="^KKT residual .* above its tolerance, "
+                                                 "which overflowed to inf$") as info:
+            solve_cls(problem)
+    sol = info.value.solution
+    assert sol.kkt_tolerance == np.inf and not sol.certified
+
+
 def test_rank_and_kernel_shapes():
     rank, kernel = rank_and_kernel(np.zeros((3, 4)))
     assert rank == 0 and kernel.shape == (4, 4)

@@ -21,6 +21,7 @@ from facetfit.sim import (
     SamplingPlan,
     audit_concentration,
     bound_parameters,
+    derive_seed,
     eigen_checks,
     facet_direction_plan,
     fit_loglog_slope,
@@ -157,8 +158,9 @@ def test_plans_refuse_a_delta_that_is_not_positive_and_finite(hexagon, delta):
         SamplingPlan(t=0.0, delta=delta, m=100, seed=0, quotas=(1,) * 6)
 
 
-@pytest.mark.parametrize("sigma", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, -1.0, 1e200])
 def test_noise_model_refuses_a_sigma_that_is_not_nonnegative_and_finite(sigma):
+    # 1e200 was accepted, and its gamma raised OverflowError.
     with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
         NoiseModel(sigma=sigma, seed=0)
 
@@ -207,6 +209,21 @@ def test_noise_model_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, mess
     # Accepted, 1.5 and True drew the noise of seed 1, and -1 that of 2**32 - 1.
     with pytest.raises(ValueError, match=f"^{message}$"):
         NoiseModel(sigma=0.1, seed=seed)
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+def test_derive_seed_refuses_a_key_entry_that_is_not_a_nonnegative_integer(seed, message):
+    # Accepted, 1.5 and True were taken as 1, and -1 as 2**32 - 1.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        derive_seed(5, seed)
+
+
+def test_derive_seed_keeps_every_bit_of_its_key():
+    # Each key entry was taken mod 2**32.
+    assert derive_seed(2**32 + 30, 0) != derive_seed(30, 0)
+    first = NoiseModel(sigma=0.1, seed=2**32 + 1).sample(50, key=(30, 0))
+    second = NoiseModel(sigma=0.1, seed=1).sample(50, key=(30, 0))
+    assert not np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("seed, message",
@@ -334,11 +351,20 @@ def test_noise_determinism_and_scale():
 def test_noise_stream_is_the_one_generator_id_names():
     # Records written under GENERATOR_ID reproduce only while these bits hold
     # on every supported numpy.
-    assert facetfit.sim.GENERATOR_ID == "pcg64/numpy-standard-normal/3"
+    assert facetfit.sim.GENERATOR_ID == "pcg64/numpy-standard-normal/4"
     eps = NoiseModel(sigma=1.0, seed=5).sample(4, key=(30, 0))
     assert [float(x).hex() for x in eps] == [
         "-0x1.46c84f559caadp-2", "-0x1.14a7d85b16b6ap-4",
         "-0x1.a9b0c8fe1231bp-2", "0x1.f1ab5b4a13b17p-2"]
+
+
+def test_the_cli_noise_stream_keeps_every_bit_of_its_seed():
+    # simulate's noise seed is the 64-bit derive_seed(--seed, 1); under /3
+    # only its low 32 bits reached the stream.
+    eps = NoiseModel(sigma=1.0, seed=derive_seed(5, 1)).sample(4, key=(30, 0))
+    assert [float(x).hex() for x in eps] == [
+        "0x1.6435a49f85f42p-4", "-0x1.6dc0eea38425bp-2",
+        "-0x1.04669dcfaed85p+0", "0x1.39f24f87fe8fap-1"]
 
 
 def test_concentrated_stream_is_the_one_generator_id_names():
@@ -400,6 +426,13 @@ def test_bound_refuses_a_sample_count_that_is_not_an_integer(hexagon, m):
     params = bound_parameters(hexagon, plan, gamma=0.01, eta=0.05)
     with pytest.raises(ValueError, match=r"^m must be an integer, not (2\.5|True)$"):
         params.value(m)
+
+
+def test_bound_is_unavailable_where_kappa_underflows(hexagon):
+    # kappa = delta ** 1.5 is 0 here, and the prefactor divided by it.
+    plan = facet_direction_plan(hexagon, 120, delta=1e-300, seed=0)
+    with pytest.raises(NonpositiveLambda, match="^kappa underflows to 0 at delta 1e-300$"):
+        bound_parameters(hexagon, plan, gamma=0.01, eta=0.05)
 
 
 def test_bound_nonpositive_lambda():
