@@ -16,7 +16,7 @@ every ray), and per-cell coverage gives a practical sufficient condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,10 +32,19 @@ POSITIVITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Dataset:
-    """Measured directions (m x d) and support evaluations (m,)."""
+    """Measured directions (m x d) and support evaluations (m,).
+
+    ``design``, when given, is the design of these directions on the fan
+    they will be fitted on, such as the previous fit's ``design`` for data
+    measured in the same directions; ``estimator.reconstruct`` then reads
+    it, with the factor it holds, instead of building its own, and refuses
+    it unless it was built on that fan from equal directions.  It takes no
+    part in comparisons and changes no bit of a result.
+    """
 
     directions: np.ndarray
     values: np.ndarray
+    design: DesignMatrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         U = np.atleast_2d(np.asarray(self.directions, float))
@@ -81,10 +90,17 @@ class DesignMatrix(BlockMatrix):
     first read, for ``direction_graph`` and tests; neither the
     reconstruction, whatever m, nor the CLI reads it.  ``build_design``
     makes the coefficients read-only, and ``matrix`` is, so the cached
-    ``factor`` and ``rank_kernel`` cannot go stale.
+    ``factor`` and ``rank_kernel`` cannot go stale.  ``fan`` and
+    ``directions`` are the fan and the m x d array ``build_design`` read,
+    kept without a copy so ``estimator.reconstruct`` can check a design
+    that comes with a ``Dataset``; a design made otherwise has None.  The
+    check compares the arrays, so it cannot see directions written in
+    place after the build, which leave the design stale.
     """
 
     carrier_cells: np.ndarray
+    fan: SimplicialFan | None = field(default=None, repr=False)
+    directions: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -141,7 +157,8 @@ def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
     lookup.
 
     Deterministic given fan order.  A direction outside the fan support
-    raises ``NoCarrier`` with the first offending row index attached.
+    raises ``NoCarrier`` with the first offending row index attached.  The
+    design records ``fan`` and the directions it read, not a copy of them.
     """
     U = np.atleast_2d(np.asarray(directions, float))
     found = carrier_blocks(fan, U)
@@ -156,7 +173,7 @@ def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
     if bad.size:
         raise NoCarrier.for_vector(fan, U[bad[0]], row=int(bad[0]))
     return DesignMatrix(shape=(U.shape[0], fan.n_rays), blocks=tuple(blocks),
-                        carrier_cells=cells)
+                        carrier_cells=cells, fan=fan, directions=U)
 
 
 def direction_graph(design: DesignMatrix) -> DirectionGraph:

@@ -44,7 +44,9 @@ class ReconstructionResult:
     are computed on first read from the ``fan`` and ``design`` the result
     holds, so a caller that reads neither, like a convergence run, does
     not pay for them.  A result therefore keeps its design, and the
-    design's factor, alive for as long as it is held.
+    design's factor, alive for as long as it is held.  ``design`` is the
+    dataset's own when it came with one, so it may be shared with other
+    results.
     """
 
     h_hat: np.ndarray
@@ -88,15 +90,25 @@ def reconstruct(fan: SimplicialFan, dataset: Dataset,
 
     Builds the wall system and the design in cell form, solves the
     constrained program on the design's one factorization, and describes
-    the solution set; no dense m x n design is made.  The uniqueness
-    diagnostics and the fitted values ``y_hat`` are computed when the
-    result's fields are first read, from the design it holds.  The rank
-    SVD runs here, for the solution set, so every refusal comes from this
+    the solution set; no dense m x n design is made.  A dataset that
+    carries its ``design`` skips the carrier lookup, and the factor and
+    rank it holds are not made again; ``ValueError`` unless that design
+    was built on this ``fan`` (the same object) from directions equal to
+    the dataset's.  The uniqueness diagnostics and the fitted values
+    ``y_hat`` are computed when the result's fields are first read, from
+    the design it holds.  The rank SVD runs here, for the solution set,
+    unless the design already holds it, so every refusal comes from this
     call.  Noiseless data from a member of the deformation cone yields
     objective zero.  ``qp.Uncertified`` comes from ``qp.solve_cls``, whose
     certificate is measured on the design itself.
     """
-    dm = design_mod.build_design(fan, dataset.directions)
+    dm = dataset.design
+    if dm is None:
+        dm = design_mod.build_design(fan, dataset.directions)
+    elif dm.fan is not fan:
+        raise ValueError("the dataset's design was built on another fan")
+    elif not np.array_equal(dm.directions, dataset.directions):
+        raise ValueError("the dataset's design was built from other directions")
     sol = qp.solve_cls(qp.ConstrainedLS(A=dm, y=dataset.values, B=fan.wall_system.matrix),
                        opts)
     return ReconstructionResult(

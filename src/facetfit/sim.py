@@ -32,8 +32,11 @@ largest m; it scores the fits of each m with one
 ``geometry.hausdorff_rows`` call.  Noise, values and reconstruction stay
 per replicate; a run keeps only each replicate's estimate and objective,
 never its ``ReconstructionResult``, whose uniqueness report is then never
-computed.  A replicate's ``elapsed`` is its own time plus equal shares of
-its group's sampling and of its m's scoring.
+computed.  A replicate measured in the same directions as the previous
+replicate of its m, as every replicate of a t = 0 plan without a uniform
+fill is, fits on that replicate's design and its factor.  A replicate's
+``elapsed`` is its own time plus equal shares of its group's sampling and
+of its m's scoring.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ class NonpositiveLambda(Exception):
     """No value of the error bound is available for the plan.
 
     Raised when the variance-proxy factor is not positive, plan parameters
-    outside the regime where the high-probability error bound applies, or
-    when kappa underflows to 0; the message names which.
+    outside the regime where the high-probability error bound applies,
+    when kappa underflows to 0, or when the prefactor overflows; the
+    message names which.
     """
 
 
@@ -524,8 +528,10 @@ def bound_parameters(fan: SimplicialFan, plan: SamplingPlan, gamma: float,
     variance factor ``lam`` and the prefactor ``n c^2 / kappa * sqrt(2 d
     gamma lam log(2n / eta))``.  ``ValueError`` unless eta lies in (0, 1);
     ``NonpositiveLambda``, whose message names the cause, when no bound
-    value is available: ``lam`` is not positive, or ``kappa`` underflows
-    to 0 (delta below about 1e-216).
+    value is available: ``lam`` is not positive, ``kappa`` underflows to 0
+    (delta below about 1e-216), or the prefactor is not finite (``n c^2 /
+    kappa`` overflows for delta below about 1e-205, or ``gamma`` is near
+    the largest float).
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
@@ -542,6 +548,9 @@ def bound_parameters(fan: SimplicialFan, plan: SamplingPlan, gamma: float,
         raise NonpositiveLambda(f"kappa underflows to 0 at delta {plan.delta:.3g}")
     prefactor = (n * c ** 2 / kappa) * math.sqrt(
         2.0 * d * gamma * lam * math.log(2.0 * n / eta))
+    if not math.isfinite(prefactor):
+        raise NonpositiveLambda(f"the prefactor overflows at delta {plan.delta:.3g} "
+                                f"and gamma {gamma:.3g}")
     return BoundParameters(kappa=kappa, lam=lam, eta=eta, gamma=gamma,
                            prefactor=prefactor)
 
@@ -610,7 +619,9 @@ class ConvergenceRecord:
     """One replicate of a convergence run.  ``elapsed`` is the replicate's
     own time (noise, values, reconstruction) plus an equal share of its
     group's sampling and of its sample count's scoring, so the elapsed
-    times of a run add up to the time it spent outside ``plan_family``."""
+    times of a run add up to the time it spent outside ``plan_family``.
+    Of replicates that share a design, the first carries its carrier
+    lookup and its factor."""
 
     m: int
     replicate: int
@@ -634,11 +645,17 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
     largest m; a replicate's directions do not depend on its group.  Then,
     replicate by replicate, its data are the support values of ``P(h0)``
     at its directions (a maximum over the vertices of ``P(h0)``, computed
-    once per run) plus its noise, and ``reconstruct`` makes its only
-    carrier lookup; the run keeps the estimate and objective alone, so the
-    result, and with it the design, is freed before the next replicate
-    builds its own.  The fits of each m are scored together by the exact
-    distances of ``hausdorff_rows`` to ``h0``.  Failed replicates,
+    once per run) plus its noise, and ``reconstruct`` fits it.  A
+    replicate whose directions are equal (``np.array_equal``) to those of
+    the previous replicate of its m, in any group, passes that replicate's
+    design, with its factor and rank, in its ``Dataset``; otherwise
+    ``reconstruct`` makes the replicate's only carrier lookup.  At t = 0
+    without a uniform fill, then, each m builds and factors one design.
+    The run keeps the estimate and objective alone, so the result is freed
+    before the next replicate, and holds the shared design no longer than
+    it serves: it drops it when the directions differ, when a replicate
+    fails and before the next m.  The fits of each m are scored together
+    by the exact distances of ``hausdorff_rows`` to ``h0``.  Failed replicates,
     including every replicate of an ``h0`` outside the deformation cone
     (``NotInDeformationCone``), become failed records rather than aborting
     the run; of a failure only its message is kept (``_replicate``).
@@ -660,8 +677,8 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
         size = max(1, m_schedule[-1] // m)
         # spent[rep]: the replicate's own time plus its share of its group's
         # sampling; outcome[rep]: its estimate and objective, or its failure's
-        # message.
-        spent, outcome = [], []
+        # message; shared: the previous replicate's design, or None.
+        spent, outcome, shared = [], [], None
         clock = time.perf_counter()
         for first in range(0, replicates, size):
             group = plans[first:first + size]
@@ -672,7 +689,12 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
             now = time.perf_counter()
             share, clock = (now - clock) / len(samples), now
             for rep, dirs in enumerate(samples, first):
-                outcome.append(_replicate(fan, vertices0, dirs, noise, m, rep))
+                # Dropped before this replicate builds its own; a failed
+                # sampling's message equals no array.
+                if shared is not None and not np.array_equal(shared.directions, dirs):
+                    shared = None
+                r, shared = _replicate(fan, vertices0, dirs, noise, m, rep, shared)
+                outcome.append(r)
                 now = time.perf_counter()
                 spent.append(share + now - clock)
                 clock = now
@@ -693,25 +715,29 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
 
 
 def _replicate(fan: SimplicialFan, vertices0, dirs, noise: NoiseModel, m: int,
-               rep: int) -> tuple[np.ndarray, float] | str:
-    """One replicate's estimate, checked to lie in the cone, and objective,
-    or the message of its first failure: of its sampling (``dirs`` an
-    exception or a message), its noise, its ``h0`` (``vertices0`` a
-    message), its reconstruction, then the cone check.  Only the message
-    is kept: an exception's traceback holds the frames it passed through,
-    and with them the failed replicate's design.  The result, and its
-    design, are freed when this call returns, before the next replicate
-    builds its own."""
+               rep: int, design: DesignMatrix | None
+               ) -> tuple[tuple[np.ndarray, float] | str, DesignMatrix | None]:
+    """One replicate's outcome and its design, or None for the design of a
+    failed replicate.  The outcome is the estimate, checked to lie in the
+    cone, and the objective, or the message of the first failure: of its
+    sampling (``dirs`` an exception or a message), its noise, its ``h0``
+    (``vertices0`` a message), its reconstruction, then the cone check.
+    ``design``, the previous replicate's, must have been built from
+    directions equal to ``dirs``; ``reconstruct`` reads it from the
+    ``Dataset``, or builds the design when it is None.  Only a failure's
+    message is kept: an exception's traceback holds the frames it passed
+    through, and with them the failed replicate's design.  The result is
+    freed when this call returns."""
     if not isinstance(dirs, np.ndarray):
-        return str(dirs)
+        return str(dirs), None
     try:
         eps = noise.sample(m, key=(m, rep))
         if isinstance(vertices0, str):
-            return vertices0
-        result = reconstruct(fan, Dataset(dirs, vertex_max(vertices0, dirs) + eps))
-        return _require_member(fan, result.h_hat), result.objective
+            return vertices0, None
+        result = reconstruct(fan, Dataset(dirs, vertex_max(vertices0, dirs) + eps, design))
+        return (_require_member(fan, result.h_hat), result.objective), result.design
     except Exception as exc:  # noqa: BLE001 - recorded per replicate
-        return str(exc)
+        return str(exc), None
 
 
 def fit_loglog_slope(records: list[ConvergenceRecord]) -> float:

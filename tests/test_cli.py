@@ -449,6 +449,27 @@ def test_simulate_notes_a_bound_whose_kappa_underflows(workdir, capsys):
     assert len((workdir / "k.tsv").read_text().splitlines()) == 4   # 2 headers, 2 records
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_simulate_notes_a_bound_whose_prefactor_overflows(workdir, capsys):
+    # kappa is subnormal, not 0, and n c^2 / kappa overflows to inf.
+    rc = run(["simulate", "--fan", workdir / "hex.json", "--m", "5", "10",
+              "--delta", "1e-210", "--reps", "1", "--out", workdir / "p.tsv",
+              "--plot", workdir / "p.svg"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    assert ("note: bound unavailable (the prefactor overflows at delta 1e-210 "
+            "and gamma 0.01)" in captured.out.splitlines())
+    assert not any(line.startswith("bound violations") for line in captured.out.splitlines())
+    assert captured.err == ""
+    meta = json.loads((workdir / "p.tsv.meta.json").read_text(),
+                      parse_constant=refuse_constant)
+    assert meta["bound_prefactor"] is None
+    assert (workdir / "p.svg").read_text().startswith("<svg ")
+
+
 def test_simulate_keeps_every_bit_of_the_seed(workdir):
     # A seed of 2**32 was refused, since it drew the noise of seed 0.
     args = ["simulate", "--fan", workdir / "hex.json", "--m", "30", "120",

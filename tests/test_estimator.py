@@ -382,3 +382,47 @@ def test_lazy_fields_equal_the_eager_report_and_fit(hexagon, case):
     assert (got.numeric_rank, got.unique_for_all_y) == {
         "full rank": (6, True), "cycle": (5, False), "exact rays": (6, True),
         "m < n": (4, False)}[case]
+
+
+# ---------------------------------------------------------------------------
+# A dataset that carries its design
+# ---------------------------------------------------------------------------
+
+def test_a_design_from_another_fan_is_refused(roof_x, roof_y):
+    # The two roof fans share their rays; the design is roof_x's.
+    design = build_design(roof_x, ROOF_DIRECTIONS)
+    data = Dataset(ROOF_DIRECTIONS, np.array([6.0, 6, 6, 6, 14, 10]), design)
+    with pytest.raises(ValueError, match="^the dataset's design was built on another fan$"):
+        reconstruct(roof_y, data)
+
+
+def test_a_design_from_other_directions_is_refused(hexagon):
+    U = FACTOR_CASES["full rank"]
+    other = U.copy()
+    other[3] = U[4]
+    for directions in (other, U[:-1]):
+        data = Dataset(U, np.ones(len(U)), build_design(hexagon, directions))
+        with pytest.raises(ValueError,
+                           match="^the dataset's design was built from other directions$"):
+            reconstruct(hexagon, data)
+
+
+@pytest.mark.parametrize("case", LAZY_CASES)
+def test_a_valid_design_changes_no_bit_of_the_result(hexagon, case):
+    U = {"cycle": cycle_dataset(hexagon).directions,
+         "exact rays": hexagon.rays}.get(case)
+    U = FACTOR_CASES[case] if U is None else U
+    y = 1.0 + 0.05 * np.random.default_rng(10).standard_normal(len(U))
+    fresh = reconstruct(hexagon, Dataset(U, y))
+    # A design already factored, from an equal copy of the directions.
+    design = reconstruct(hexagon, Dataset(U.copy(), 2.0 * y)).design
+    given = reconstruct(hexagon, Dataset(U, y, design))
+    assert given.design is design
+    assert given.h_hat.tobytes() == fresh.h_hat.tobytes()
+    assert float(given.objective).hex() == float(fresh.objective).hex()
+    got, want = given.solution_set, fresh.solution_set
+    assert (got.dimension, got.bounded) == (want.dimension, want.bounded)
+    assert (got.segment_endpoints is None) == (want.segment_endpoints is None)
+    if want.segment_endpoints is not None:
+        assert [e.tobytes() for e in got.segment_endpoints] == \
+            [e.tobytes() for e in want.segment_endpoints]

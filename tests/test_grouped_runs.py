@@ -3,7 +3,8 @@
 ``run_convergence`` samples the replicates of one sample count in groups
 (one ``_sample_plans`` call each) and scores them with one
 ``hausdorff_rows`` call; its records must equal, bit for bit, those of
-the one-replicate loop of ``oracles``, whatever the groups.
+the one-replicate loop of ``oracles``, whatever the groups, and whether
+or not its replicates share a design.
 """
 
 import gc
@@ -33,7 +34,9 @@ def runs():
     """(fan, h0, plan family, schedule) with 5 replicates: the first m takes
     one group of all 5, the second groups of 3 and 2, the last groups of 1.
     The roof fan's h° (``carrier_blocks``' vertex guess) is on its type
-    cone's boundary, so some of its trials go to the scan."""
+    cone's boundary, so some of its trials go to the scan.  The hexagon's
+    replicates of one m share a design in the first run; in the last, a
+    uniform fill makes the directions of every replicate its own."""
     hexagon = catalog.hexagon_fan()
     fan3d = catalog.random_polytopal_fan(3, 6, seed=203)
     roof_y = catalog.roof_fan_y()
@@ -44,10 +47,12 @@ def runs():
          (100, 250, 800)),
         (roof_y, np.array([4.0, 4, 2, 2, 0]),
          lambda m: make_plan(roof_y, 0.008, 0.01, m, seed=6), (80, 200, 600)),
+        (hexagon, np.ones(6), lambda m: make_plan(hexagon, 0.0, 0.05, m, seed=4),
+         (30, 200, 600)),
     ]
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_records_equal_the_one_replicate_loop(case, monkeypatch):
     fan, h0, family, schedule = runs()[case]
     noise = NoiseModel(sigma=0.1, seed=7)
@@ -93,6 +98,68 @@ def test_a_run_frees_each_result_before_the_next_reconstruct(monkeypatch):
     records = run_convergence(fan, h0, family, schedule, 5, NoiseModel(sigma=0.1, seed=7))
     assert not any(r.failed for r in records)
     assert len(alive) == 15 and not any(alive)
+
+
+def watched_builds(monkeypatch):
+    """Patch the ``build_design`` that ``reconstruct`` calls to note, at
+    each call, its row count and how many designs it built before are
+    still alive."""
+    sizes, alive, designs = [], [], []
+    build = estimator.design_mod.build_design
+
+    def watched(fan, directions):
+        sizes.append(len(directions))
+        alive.append(sum(ref() is not None for ref in designs))
+        design = build(fan, directions)
+        designs.append(weakref.ref(design))
+        return design
+
+    monkeypatch.setattr(estimator.design_mod, "build_design", watched)
+    return sizes, alive
+
+
+@pytest.mark.parametrize("case, builds", [(0, 1), (3, 5)])
+def test_replicates_with_equal_directions_share_one_design(monkeypatch, case, builds):
+    # At t = 0 without a fill the first replicate of each m builds the
+    # design; with a fill every replicate builds its own.  Either way the
+    # run holds no design but the one it reuses: each build finds every
+    # earlier design freed, by reference counts alone.
+    fan, h0, family, schedule = runs()[case]
+    sizes, alive = watched_builds(monkeypatch)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records = run_convergence(fan, h0, family, schedule, 5, NoiseModel(sigma=0.1, seed=7))
+    finally:
+        if enabled:
+            gc.enable()
+    assert not any(r.failed for r in records)
+    assert sizes == [m for m in schedule for _ in range(builds)]
+    assert alive == [0] * len(sizes)
+
+
+def test_a_failed_replicate_drops_the_shared_design(monkeypatch):
+    # The second replicate fails on the first replicate's design; the third
+    # builds its own and keeps its record.
+    fan, h0, family, schedule = runs()[0]
+    noise = NoiseModel(sigma=0.1, seed=7)
+    clean = run_convergence(fan, h0, family, schedule, 5, noise)
+    calls = []
+    inner = estimator.solution_set
+
+    def failing_once(*args):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise StageFailed("solution set failed")
+        return inner(*args)
+
+    monkeypatch.setattr(estimator, "solution_set", failing_once)
+    sizes, _ = watched_builds(monkeypatch)
+    records = run_convergence(fan, h0, family, schedule, 5, noise)
+    assert [r.replicate for r in records if r.failed] == [1]
+    assert records[1].message == "solution set failed"
+    assert record_bits(records[:1] + records[2:]) == record_bits(clean[:1] + clean[2:])
+    assert sizes == [30, 30, 200, 600]
 
 
 def group_cases():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,17 @@ def test_bound_is_unavailable_where_kappa_underflows(hexagon):
         bound_parameters(hexagon, plan, gamma=0.01, eta=0.05)
 
 
+@pytest.mark.parametrize("delta, gamma", [(1e-210, 0.01), (1e-210, 0.0), (0.1, 1.7e308)])
+def test_bound_is_unavailable_where_the_prefactor_overflows(hexagon, delta, gamma):
+    # At delta 1e-210 kappa is subnormal, not 0, and n c^2 / kappa is inf
+    # (times a zero noise term, nan); at gamma 1.7e308 the noise term is.
+    plan = facet_direction_plan(hexagon, 120, delta=delta, seed=0)
+    with pytest.raises(NonpositiveLambda,
+                       match="^" + re.escape(f"the prefactor overflows at delta "
+                                             f"{delta:.3g} and gamma {gamma:.3g}") + "$"):
+        bound_parameters(hexagon, plan, gamma=gamma, eta=0.05)
+
+
 def test_bound_nonpositive_lambda():
     from facetfit import catalog
     hexa = catalog.hexagon_fan()
@@ -523,9 +535,10 @@ def test_run_convergence_is_deterministic(hexagon):
            [(b.m, b.replicate, b.hausdorff_error, b.objective) for b in r2]
 
 
-def test_a_replicate_makes_one_carrier_lookup(hexagon, monkeypatch):
+def test_a_sample_count_makes_one_carrier_lookup(hexagon, monkeypatch):
     # The data come from the vertices of P(h0), so the design that
-    # ``reconstruct`` builds is the replicate's only carrier lookup.
+    # ``reconstruct`` builds is the only carrier lookup, and at t = 0 every
+    # replicate of one m fits on the first replicate's design.
     calls = []
     inner = facetfit.fan.carrier_blocks
 
@@ -538,9 +551,9 @@ def test_a_replicate_makes_one_carrier_lookup(hexagon, monkeypatch):
     replicates = 4
     records = run_convergence(hexagon, np.ones(6),
                               lambda m: facet_direction_plan(hexagon, m, seed=6),
-                              [40], replicates, NoiseModel(sigma=0.1, seed=8))
+                              [40, 80], replicates, NoiseModel(sigma=0.1, seed=8))
     assert not any(r.failed for r in records)
-    assert calls == [40] * replicates
+    assert calls == [40, 80]
 
 
 @pytest.mark.parametrize("fan_key, h0, message", [
