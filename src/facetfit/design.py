@@ -2,8 +2,9 @@
 
 The m measured directions turn into the m x n regression operator whose
 row i holds the barycentric coefficients of direction i.  The operator is
-kept in cell form: the blocks of one carrier lookup
-(``fan.carrier_blocks``), each the rows carried by one cell and their d
+kept in cell form: the rows of one per-row carrier lookup
+(``fan.carriers``) grouped by ``build_design``, the only place that sorts
+rows by cell, into blocks, each the rows carried by one cell and their d
 coefficients on its generators, O(m d) memory in all; the dense m x n
 matrix is made only when a caller reads it.  A design is a
 ``qp.BlockMatrix`` and owns its one factorization (``factor``: one QR per
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fan import NoCarrier, SimplicialFan, carrier_blocks
+from .fan import NoCarrier, SimplicialFan, carriers
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps design.carrier
 from .qp import BlockMatrix, rank_and_kernel, rank_tolerance
 
@@ -38,8 +39,10 @@ class Dataset:
     they will be fitted on, such as the previous fit's ``design`` for data
     measured in the same directions; ``estimator.reconstruct`` then reads
     it, with the factor it holds, instead of building its own, and refuses
-    it unless it was built on that fan from equal directions.  It takes no
-    part in comparisons and changes no bit of a result.
+    it unless it was built on that fan from directions equal to these.  The
+    design holds its own copy of the directions it was built from, so
+    directions written in place after the build are refused too.  It takes
+    no part in comparisons and changes no bit of a result.
     """
 
     directions: np.ndarray
@@ -79,23 +82,23 @@ class Dataset:
 class DesignMatrix(BlockMatrix):
     """Rows are barycentric coefficient vectors; at most d nonzeros per row.
 
-    A ``BlockMatrix`` in cell form: ``blocks`` has one block per block of
-    ``fan.carrier_blocks``, its rows, the generators of its cell as columns
-    and the m_c x d coefficients, so memory is O(m d).  ``factor`` is the
-    design's one factorization, made on first read: when m > n, one thin
-    QR per large block and one of the stacked triangles and small blocks;
-    otherwise the blocks scattered into an m x n R, equal to ``matrix``
-    bit for bit.  ``carrier_cells[i]`` is the index of the maximal cell
-    carrying direction i.  ``matrix``, the dense m x n scatter, is made on
-    first read, for ``direction_graph`` and tests; neither the
-    reconstruction, whatever m, nor the CLI reads it.  ``build_design``
-    makes the coefficients read-only, and ``matrix`` is, so the cached
-    ``factor`` and ``rank_kernel`` cannot go stale.  ``fan`` and
-    ``directions`` are the fan and the m x d array ``build_design`` read,
-    kept without a copy so ``estimator.reconstruct`` can check a design
-    that comes with a ``Dataset``; a design made otherwise has None.  The
-    check compares the arrays, so it cannot see directions written in
-    place after the build, which leave the design stale.
+    A ``BlockMatrix`` in cell form: ``blocks`` has one block per cell and
+    placement, guessed or scanned (``build_design``), its rows, the
+    generators of its cell as columns and the m_c x d coefficients, so
+    memory is O(m d).  ``factor`` is the design's one factorization, made
+    on first read: when m > n, one thin QR per large block and one of the
+    stacked triangles and small blocks; otherwise the blocks scattered into
+    an m x n R, equal to ``matrix`` bit for bit.  ``carrier_cells[i]`` is
+    the index of the maximal cell carrying direction i.  ``matrix``, the
+    dense m x n scatter, is made on first read, for ``direction_graph`` and
+    tests; neither the reconstruction, whatever m, nor the CLI reads it.
+    ``build_design`` makes the coefficients read-only, and ``matrix`` is,
+    so the cached ``factor`` and ``rank_kernel`` cannot go stale.  ``fan``
+    is the fan ``build_design`` read and ``directions`` a read-only copy of
+    the m x d directions it read, one per design, so
+    ``estimator.reconstruct`` can check a design that comes with a
+    ``Dataset``, even when the caller has since written to its own array; a
+    design made otherwise has None.
     """
 
     carrier_cells: np.ndarray
@@ -153,26 +156,42 @@ class UniquenessReport:
 
 
 def build_design(fan: SimplicialFan, directions) -> DesignMatrix:
-    """Assemble the design in cell form from one ``fan.carrier_blocks``
-    lookup.
+    """Assemble the design in cell form from one ``fan.carriers`` lookup.
 
     Deterministic given fan order.  A direction outside the fan support
     raises ``NoCarrier`` with the first offending row index attached.  The
-    design records ``fan`` and the directions it read, not a copy of them.
+    design records ``fan`` and a read-only copy of the directions.
+
+    The one place that groups rows by cell: one stable sort of the key
+    ``cell`` for the rows the vertex guess placed and ``n_cells + cell``
+    for those the scan placed, kept in the smallest integer type so the
+    sort is a radix sort, and one ``take`` of the coefficients.  The blocks
+    are the guessed rows' in cell order, then the scanned rows' in cell
+    order, each block's rows in increasing order; a cell can have a block
+    of each kind, as on exact rays with Gaussian rows.  The factor stacks
+    the blocks' triangles and ``tdot`` adds their products in block order,
+    so merging a cell's two blocks, or any other order, would move the bits
+    of ``factor`` and of every fit that reads it.
     """
     U = np.atleast_2d(np.asarray(directions, float))
-    found = carrier_blocks(fan, U)
-    generators = fan._cell_array
-    cells = np.full(U.shape[0], -1)
-    blocks = []
-    for ci, rows, lam in found:
-        cells[rows] = ci
-        lam.setflags(write=False)
-        blocks.append((rows, generators[ci], lam))
+    cells, lam, guessed = carriers(fan, U)
     bad = np.flatnonzero(cells < 0)
     if bad.size:
         raise NoCarrier.for_vector(fan, U[bad[0]], row=int(bad[0]))
-    return DesignMatrix(shape=(U.shape[0], fan.n_rays), blocks=tuple(blocks),
+    key = cells.astype(np.min_scalar_type(2 * fan.n_cells - 1))
+    key[~guessed] += fan.n_cells
+    rows = np.argsort(key, kind="stable")
+    lam = lam.take(rows, axis=0)
+    lam.setflags(write=False)
+    ends = np.cumsum(np.bincount(key, minlength=2 * fan.n_cells)).tolist()
+    generators = fan._cell_array
+    blocks = tuple((rows[a:b], generators[k % fan.n_cells], lam[a:b])
+                   for k, (a, b) in enumerate(zip([0] + ends, ends)) if b > a)
+    # Copied last, once the lookup's per-row coefficients are freed, so the
+    # copy does not raise the build's peak memory.
+    U = U.copy()
+    U.setflags(write=False)
+    return DesignMatrix(shape=(U.shape[0], fan.n_rays), blocks=blocks,
                         carrier_cells=cells, fan=fan, directions=U)
 
 

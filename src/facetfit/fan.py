@@ -13,9 +13,11 @@ and verified, and the directions a guess cannot place go through a
 fan-order scan that applies each cell's inverse to every direction still
 without a carrier.  Both take their coefficients from
 ``coefficients``, which sums each one left to right in elementwise passes
-over all rows, never by a BLAS call per row.  ``carrier_blocks`` returns
-the result as one block of rows and d coefficients per cell found;
-``carrier`` is its call on one row.  Cone-cap maxima likewise loop over
+over all rows, never by a BLAS call per row.  ``carriers`` answers per
+row, in the caller's row order: each row's cell, its d coefficients on
+that cell's generators and whether the guess placed it; only
+``design.build_design`` groups the rows into cell blocks.  ``carrier``
+is its call on one row.  Cone-cap maxima likewise loop over
 the faces of a cell, never over the queries: ``cap_maxima`` evaluates any
 number of (cell, vector) pairs against a per-fan table of face projectors
 built on first use.  Directions and cap vectors must be finite.
@@ -50,8 +52,8 @@ class NoCarrier(Exception):
 
     @classmethod
     def for_vector(cls, fan: SimplicialFan, u, row: int | None = None) -> NoCarrier:
-        """The error for a vector ``u`` that ``carrier_blocks`` left without
-        a cell; with ``row`` set, the message names the row of a stacked
+        """The error for a vector ``u`` that ``carriers`` left without a
+        cell; with ``row`` set, the message names the row of a stacked
         lookup."""
         if row_norms(np.asarray(u, float)[None])[0] == 0.0:
             reason = "zero vector has no carrier"
@@ -119,15 +121,14 @@ class FanConstants:
     O(chunk cells) memory (``_vertex_labels``).
 
     ``guess_margins[c]`` is ``2 d max ||v|| max_k ||inv_c[k]||``:
-    ``carrier_blocks`` accepts a guess of cell c for u when every
+    ``carriers`` accepts a guess of cell c for u when every
     coefficient of u in c is at least ``guess_margins[c]`` times the scan
     tolerance of u.  The coefficients are those of ``coefficients``, each
     summed left to right, so each is within
     ``γ_d ||inv_c[k]|| ||u|| <= d eps ||inv_c[k]|| ||u||`` of its exact
     value (Higham, *Accuracy and Stability of Numerical Algorithms*,
     §3.1).  The margins are infinite, so no guess is accepted, when that
-    bound can exceed half the scan tolerance (``carrier_blocks`` derives
-    both).
+    bound can exceed half the scan tolerance (``carriers`` derives both).
 
     The coefficient bound is not here: ``c_delta`` computes it on its first
     call, since only the convergence bound and ``hausdorff_bound`` read it.
@@ -406,18 +407,19 @@ def coefficients(inverses: np.ndarray, cells, U: np.ndarray) -> np.ndarray:
     return out
 
 
-def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The rows of ``U`` that have a carrier, grouped by it.
+def carriers(fan: SimplicialFan, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The carrier of each row of ``U``, in the rows' order.
 
-    Returns a list of blocks ``(cell, rows, lam)``: ``rows`` are indices into
-    ``U``, in increasing order, of rows whose carrier is ``cell``, and row k
-    of ``lam`` holds the d coefficients of ``U[rows[k]]`` on the generators
-    ``fan.cells[cell]``, in that order.  Each row with a carrier is in one
-    block; zero rows and rows no cell admits are in none.  The verified
-    vertex-guess blocks come first, in cell order, then the blocks of the
-    fan-order scan (``_scan``).  Callers that need only a per-row test on the
-    coefficients (the rejection sampler's membership rule) read the d
-    columns of each block and never build the dense (m, n) matrix.
+    Returns ``(cells, lam, guessed)``: ``cells`` is an int64 array of shape
+    (m,) holding the carrier cell of each row, or -1 for a zero row or a
+    row no cell admits; row i of the (m, d) array ``lam`` holds the d
+    coefficients of ``U[i]`` on the generators ``fan.cells[cells[i]]``, in
+    that order, and is not meaningful where ``cells[i]`` is -1; ``guessed``
+    is True where the vertex guess placed the row and False where the
+    fan-order scan (``_scan``) placed it or nothing did.  Callers that need
+    only a per-row test on the coefficients (the rejection sampler's
+    membership rule) read the d columns and never build the dense (m, n)
+    matrix; ``design.build_design`` groups the rows into cell blocks.
 
     The result is that of a scan over the cells in fan order: a row takes
     the first cell whose coefficients, from ``coefficients`` (summed left
@@ -470,17 +472,11 @@ def carrier_blocks(fan: SimplicialFan, U) -> list[tuple[int, np.ndarray, np.ndar
     with np.errstate(invalid="ignore"):   # an infinite margin times tol = 0
         sure = row_min(lam) >= consts.guess_margins[guess] * tol
     # Rows whose tolerance underflows or overflows are left to the scan.
-    rows = np.flatnonzero(sure & (tol > 0.0) & (tol < np.inf))
-    guess = guess[rows]
-    # A stable sort keeps each cell's rows in increasing order.
-    rows = rows[np.argsort(guess, kind="stable")]
-    lam = lam.take(rows, axis=0)
-    placed = np.zeros(U.shape[0], bool)
-    placed[rows] = True
-    ends = np.cumsum(np.bincount(guess, minlength=fan.n_cells)).tolist()
-    blocks = [(ci, rows[a:b], lam[a:b])
-              for ci, (a, b) in enumerate(zip([0] + ends, ends)) if b > a]
-    return blocks + _scan(fan, U, np.flatnonzero(nonzero & ~placed), tol)
+    guessed = sure & (tol > 0.0) & (tol < np.inf)
+    cells = np.full(U.shape[0], -1, np.int64)
+    cells[guessed] = guess[guessed]
+    _scan(fan, U, np.flatnonzero(nonzero & ~guessed), tol, cells, lam)
+    return cells, lam, guessed
 
 
 def vertex_max(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -515,38 +511,35 @@ def _vertex_labels(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _scan(fan: SimplicialFan, U: np.ndarray, rows: np.ndarray,
-          tol: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The fan-order scan of ``carrier_blocks`` on ``U[rows]``, returning its
-    blocks.  Each pass applies one cell's inverse, by ``coefficients``, to
+def _scan(fan: SimplicialFan, U: np.ndarray, rows: np.ndarray, tol: np.ndarray,
+          cells: np.ndarray, lam: np.ndarray) -> None:
+    """The fan-order scan of ``carriers`` on ``U[rows]``, writing each
+    placed row's cell into ``cells`` and its clamped coefficients into
+    ``lam``.  Each pass applies one cell's inverse, by ``coefficients``, to
     every row still without a carrier; a row takes the first cell whose
     coefficients are all at least ``-tol``."""
     inverses = fan.constants.cell_inverses
-    blocks = []
     for ci in range(fan.n_cells):
         if rows.size == 0:
             break
-        lam = coefficients(inverses, ci, U.take(rows, axis=0))
-        fits = row_min(lam) >= -tol[rows]
-        if fits.any():
-            blocks.append((ci, rows[fits], np.maximum(lam[fits], 0.0)))
+        found = coefficients(inverses, ci, U.take(rows, axis=0))
+        fits = row_min(found) >= -tol[rows]
+        cells[rows[fits]] = ci
+        lam[rows[fits]] = np.maximum(found[fits], 0.0)
         rows = rows[~fits]
-    return blocks
 
 
 def carrier(fan: SimplicialFan, u) -> BarycentricVector:
-    """Barycentric coefficients of ``u`` in its carrier cell:
-    ``carrier_blocks`` on one row, whose one block is scattered into a
-    length-n vector.  Raises ``NoCarrier`` for a zero ``u`` or one outside
-    every cell."""
+    """Barycentric coefficients of ``u`` in its carrier cell: row 0 of
+    ``carriers`` on the one row ``u``, scattered into a length-n vector.
+    Raises ``NoCarrier`` for a zero ``u`` or one outside every cell."""
     u = np.asarray(u, float)
-    blocks = carrier_blocks(fan, u[None])
-    if not blocks:
+    cells, lam, _ = carriers(fan, u[None])
+    if cells[0] < 0:
         raise NoCarrier.for_vector(fan, u)
-    cell, _, lam = blocks[0]
     coeffs = np.zeros(fan.n_rays)
-    coeffs[list(fan.cells[cell])] = lam[0]
-    return BarycentricVector(cell_index=cell, coeffs=coeffs)
+    coeffs[list(fan.cells[cells[0]])] = lam[0]
+    return BarycentricVector(cell_index=int(cells[0]), coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

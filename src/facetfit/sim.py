@@ -18,17 +18,18 @@ its own stream, numpy's independent child ``SeedSequence(seed,
 spawn_key=(j,))`` of the plan's seed, one ``standard_normal(d)`` call
 per trial, so a ray's samples depend on its stream alone: every trial
 makes one candidate, and trials drawn beyond the last one used are
-dropped.  The sampler works in passes of one ``fan.carrier_blocks`` call
-on the trials of every (plan, ray) pair that still needs samples and
-one membership test on all the rows it carries, whatever their cells
+dropped.  The sampler works in passes of one per-row ``fan.carriers``
+call on the trials of every (seed, ray) pair that still needs samples
+and one membership test on all the rows it carries, whatever their cells
 (``_membership``).  The first pass draws one trial per pending sample,
 a later one enough for each pair's pending samples at its acceptance
 rate so far, plus a quarter, so most plans take two passes.
 
-A convergence run samples the replicates of one sample count m in
-groups of ``max(m_schedule) // m`` plans, one sequence of passes per
-group, so a group draws about as many rows as one replicate at the
-largest m; it scores the fits of each m with one
+A sampling group is one plan with several seeds (``_sample_plans``).  A
+convergence run samples the replicates of one sample count m, its plan
+with each replicate's seed, in groups of ``max(m_schedule) // m`` seeds,
+one sequence of passes per group, so a group draws about as many rows as
+one replicate at the largest m; it scores the fits of each m with one
 ``geometry.hausdorff_rows`` call.  Noise, values and reconstruction stay
 per replicate; a run keeps only each replicate's estimate and objective,
 never its ``ReconstructionResult``, whose uniqueness report is then never
@@ -43,13 +44,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .design import Dataset, DesignMatrix, build_design
 from .estimator import reconstruct
-from .fan import (NoCarrier, SimplicialFan, _index, c_delta, carrier_blocks,
+from .fan import (NoCarrier, SimplicialFan, _index, c_delta, carriers,
                   cell_vertices, row_norms, vertex_max)
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps sim.carrier
 from .geometry import _require_member, hausdorff_rows
@@ -266,7 +267,7 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
     if not 0 <= j < fan.n_rays:
         raise ValueError(f"ray index {j} is outside 0..{fan.n_rays - 1}")
     x = np.asarray(x, float)
-    member, carried = _membership(fan, x[None], np.array([j]), np.array([t]))
+    member, carried = _membership(fan, x[None], np.array([j]), t)
     if not carried[0]:
         raise NoCarrier.for_vector(fan, x)
     return bool(member[0])
@@ -274,8 +275,8 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
 
 def _in_neighborhoods(lam: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,
                       t: float) -> np.ndarray:
-    """The one membership rule of the neighborhoods, on rows of
-    ``carrier_blocks``: row i of the coefficients ``lam`` on its cell's d
+    """The one membership rule of the neighborhoods, on carried rows of
+    ``fan.carriers``: row i of the coefficients ``lam`` on its cell's d
     generators, scaled by their ray norms, lies within ``t`` (plus 1e-9)
     of the unit vector of column ``J[i]`` in the sup norm.  ``ray_norms``
     holds the d norms of one cell for all rows, or one row of d norms per
@@ -325,87 +326,78 @@ def sample_concentrated(fan: SimplicialFan, plan: SamplingPlan) -> np.ndarray:
     ``in_ct`` (``t = 0`` short-circuits to the exact ray); the remaining
     budget is uniform on the sphere, from the plan's seed.  The
     interleaving is fixed so every prefix is as balanced as the quotas
-    allow.  ``_sample_plans`` on this one plan.
+    allow.  ``_sample_plans`` on this one plan and its own seed.
     """
-    [rows] = _sample_plans(fan, [plan])
+    [rows] = _sample_plans(fan, plan, [plan.seed])
     if isinstance(rows, Exception):
         raise rows
     return rows
 
 
-def _sample_plans(fan: SimplicialFan, plans) -> list:
-    """``sample_concentrated`` of each plan, or the exception it raises for
-    that plan, with the rejection trials of all plans in one sequence of
-    passes.  Every (plan, ray) pair draws from its own stream, so a plan's
-    directions and its exception do not depend on the other plans.  An
-    invalid fan raises for all of them."""
+def _sample_plans(fan: SimplicialFan, plan: SamplingPlan, seeds) -> list:
+    """``sample_concentrated`` of ``plan`` with each of ``seeds`` as its
+    seed, or the exception it raises for that seed, with the rejection
+    trials of all seeds in one sequence of passes.  Every (seed, ray) pair
+    draws from its own stream, so a seed's directions and its exception do
+    not depend on the other seeds.  An invalid fan, or quotas that do not
+    match its rays, raise for the whole call."""
     fan.require_valid()
-    n = fan.n_rays
     units = fan.rays / fan.constants.ray_norms[:, None]
-    out = [None] * len(plans)
-    slots = {}
-    for i, plan in enumerate(plans):
-        if len(plan.quotas) != n:
-            out[i] = ValueError("plan quotas do not match the fan's ray count")
-            continue
-        # Round r of the round robin serves every ray with more than r quota
-        # samples, in ray order.
-        quotas = np.array(plan.quotas)
-        slots[i] = np.nonzero(quotas[None, :] > np.arange(quotas.max())[:, None])[1]
-        if plan.t == 0.0:
-            out[i] = units[slots[i]]
-    rejected = [i for i in slots if out[i] is None]
-    for i, rows in zip(rejected, _rejection_rows(
-            fan, units, [plans[i] for i in rejected], [slots[i] for i in rejected])):
-        out[i] = rows
-    for i, q in slots.items():
-        if not isinstance(out[i], Exception):
-            fill = _unit_rows(_rng(plans[i].seed), plans[i].m - len(q), fan.dim)
-            out[i] = np.concatenate([out[i], fill])
-    return out
+    if len(plan.quotas) != fan.n_rays:
+        raise ValueError("plan quotas do not match the fan's ray count")
+    # Round r of the round robin serves every ray with more than r quota
+    # samples, in ray order.
+    quotas = np.array(plan.quotas)
+    slots = np.nonzero(quotas[None, :] > np.arange(quotas.max())[:, None])[1]
+    if plan.t == 0.0:
+        out = [units[slots]] * len(seeds)
+    else:
+        out = _rejection_rows(fan, units, plan.t, seeds, slots)
+    return [rows if isinstance(rows, Exception) else
+            np.concatenate([rows, _unit_rows(_rng(seed), plan.m - len(slots), fan.dim)])
+            for seed, rows in zip(seeds, out)]
 
 
-def _rejection_rows(fan: SimplicialFan, units: np.ndarray, plans,
-                    slots) -> list:
-    """For each plan i, one accepted perturbation of ray ``slots[i][s]``
-    for every slot s, or the exception that ends plan i's sampling.
+def _rejection_rows(fan: SimplicialFan, units: np.ndarray, t: float, seeds,
+                    slots: np.ndarray) -> list:
+    """For each seed i, one accepted perturbation of ray ``slots[s]`` for
+    every slot s, or the exception that ends seed i's sampling.
 
-    The trials of pair (i, j), plan i's ray j, are ``units[j] + radius_i *
-    g`` with ``radius_i = t_i min ||v|| / 2``, for the Gaussians g of its
-    stream ``SeedSequence(plans[i].seed, spawn_key=(j,))``, one
-    ``standard_normal(d)`` call per trial.  A trial is an event when its
-    candidate is usable (norm at least 1e-12) and either in ray j's
-    neighborhood of width ``t_i`` or without a carrier; the pair's r-th
-    slot takes its r-th event, fails with ``NoCarrier`` when that
-    candidate has no carrier, and starves after 10000 trials without an
-    event.  When several slots of a plan fail, the first in round-robin
-    order is the plan's exception; the plan's other pairs run on.
+    The trials of pair (i, j), seed i's ray j, are ``units[j] + radius g``
+    with ``radius = t min ||v|| / 2``, for the Gaussians g of its stream
+    ``SeedSequence(seeds[i], spawn_key=(j,))``, one ``standard_normal(d)``
+    call per trial.  A trial is an event when its candidate is usable (norm
+    at least 1e-12) and either in ray j's neighborhood of width ``t`` or
+    without a carrier; the pair's r-th slot takes its r-th event, fails
+    with ``NoCarrier`` when that candidate has no carrier, and starves
+    after 10000 trials without an event.  When several slots of a seed
+    fail, the first in round-robin order is the seed's exception; the
+    seed's other pairs run on.
 
     The trials come in passes.  The first draws one trial per pending slot
     of each pair; a later pass draws 1.25 times a pair's pending slots over
     its acceptance rate so far, at most ``_PASS_ROWS // n`` beyond one
     per pending slot.  A pass stacks the trials pair by pair and makes one
-    ``_membership`` call on them: one ``carrier_blocks`` call and one
-    ``_in_neighborhoods`` call on the carried rows of all blocks.  Trials
-    beyond a pair's last event used are dropped, so the rows depend
-    neither on the pass sizes nor on the other plans.
+    ``_membership`` call on them: one ``carriers`` call and one
+    ``_in_neighborhoods`` call on the carried rows.  Trials beyond a pair's
+    last event used are dropped, so the rows depend neither on the pass
+    sizes nor on the other seeds.
     """
     n, d = units.shape
-    # The pairs with quota slots, plan by plan in ray order.
-    counts = [np.bincount(s, minlength=n).tolist() for s in slots]
-    pairs = [(i, j) for i in range(len(plans)) for j in range(n) if counts[i][j]]
-    plan_of = np.array([i for i, _ in pairs], int)
-    ray_of = np.array([j for _, j in pairs], int)
-    t = np.array([plan.t for plan in plans])
+    counts = np.bincount(slots, minlength=n)
+    rays = np.flatnonzero(counts)
+    # The pairs with quota slots, seed by seed in ray order.
+    pairs = [(i, j) for i in range(len(seeds)) for j in rays.tolist()]
+    ray_of = np.tile(rays, len(seeds))
+    need = counts[ray_of].tolist()
     radius = 0.5 * t * float(np.min(fan.constants.ray_norms))
-    need = [counts[i][j] for i, j in pairs]
-    streams = [_rng(np.random.SeedSequence(plans[i].seed, spawn_key=(j,)))
+    streams = [_rng(np.random.SeedSequence(seeds[i], spawn_key=(j,)))
                for i, j in pairs]
     taken = [[] for _ in pairs]
     filled = [0] * len(pairs)
     drawn = [0] * len(pairs)
     # tries[p]: pair p's trials since its last event.  failed[i, r, j]: the
-    # error of plan i's slot r of ray j, the first of the pair's slots that
+    # error of seed i's slot r of ray j, the first of the pair's slots that
     # fails.
     tries = [0] * len(pairs)
     failed = {}
@@ -417,14 +409,13 @@ def _rejection_rows(fan: SimplicialFan, units: np.ndarray, plans,
             ks.append(pending if not drawn[p] else min(
                 math.ceil(1.25 * pending * drawn[p] / max(filled[p], 1)),
                 pending + _PASS_ROWS // n))
-        pair = np.repeat(active, ks)
-        ray, owner = ray_of[pair], plan_of[pair]
+        ray = ray_of[np.repeat(active, ks)]
         g = np.concatenate([streams[p].standard_normal((k, d)) for p, k in zip(active, ks)])
-        X = units[ray] + radius[owner][:, None] * g
+        X = units[ray] + radius * g
         norms = row_norms(X)
         usable = norms >= 1e-12
         X /= np.where(usable, norms, 1.0)[:, None]
-        member, carried = _membership(fan, X, ray, t[owner])
+        member, carried = _membership(fan, X, ray, t)
         events = np.flatnonzero(usable & (member | ~carried))
         # events[cut[a]:cut[a + 1]]: the events among the a-th pair's trials.
         cut = np.searchsorted(events, np.cumsum([0] + ks)).tolist()
@@ -445,7 +436,7 @@ def _rejection_rows(fan: SimplicialFan, units: np.ndarray, plans,
             if len(bad):
                 b = int(bad[0])
                 failed[i, filled[p] + b, j] = (
-                    _starved(j, plans[i].t) if gaps[b] > 10000
+                    _starved(j, t) if gaps[b] > 10000
                     else NoCarrier.for_vector(fan, X[start + found[b]]))
             else:
                 taken[p].append(X[start + found])
@@ -453,44 +444,41 @@ def _rejection_rows(fan: SimplicialFan, units: np.ndarray, plans,
                 tries[p] = k - 1 - int(found[-1]) if len(found) else tries[p] + k
                 if filled[p] < need[p]:
                     if tries[p] >= 10000:
-                        failed[i, filled[p], j] = _starved(j, plans[i].t)
+                        failed[i, filled[p], j] = _starved(j, t)
                     else:
                         still.append(p)
             start += k
         active = still
+    order = np.argsort(slots, kind="stable")
     out = []
-    for i, s in enumerate(slots):
+    for i in range(len(seeds)):
         first = min((key for key in failed if key[0] == i), default=None)
         if first is not None:
             out.append(failed[first])
             continue
-        rows = np.empty((len(s), d))
-        rows[np.argsort(s, kind="stable")] = np.concatenate(
-            [np.empty((0, d))] + [block for p in np.flatnonzero(plan_of == i)
-                                  for block in taken[p]])
+        rows = np.empty((len(slots), d))
+        own = taken[i * len(rays):(i + 1) * len(rays)]
+        rows[order] = np.concatenate([np.empty((0, d))] + [b for blocks in own for b in blocks])
         out.append(rows)
     return out
 
 
 def _membership(fan: SimplicialFan, X: np.ndarray, ray: np.ndarray,
-                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether row i of ``X`` lies in the neighborhood of width ``t[i]`` of
-    ray ``ray[i]``, and whether it has a carrier, from one
-    ``carrier_blocks`` call and one ``_in_neighborhoods`` call on the
-    blocks' rows stacked, each with its own cell's ray norms."""
+                t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether row i of ``X`` lies in the neighborhood of width ``t`` of
+    ray ``ray[i]``, and whether it has a carrier, from one ``fan.carriers``
+    call and one ``_in_neighborhoods`` call on the carried rows, each with
+    its own cell's ray norms."""
     # column[c, j]: position of ray j among cell c's generators, or -1.
     column = np.full((fan.n_cells, fan.n_rays), -1)
     column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(fan.dim)
-    blocks = carrier_blocks(fan, X)
-    rows = np.concatenate([np.empty(0, int)] + [r for _, r, _ in blocks])
-    lam = np.concatenate([np.empty((0, fan.dim))] + [lam for _, _, lam in blocks])
-    cells = np.repeat(np.array([c for c, _, _ in blocks], int), [len(r) for _, r, _ in blocks])
+    cells, lam, _ = carriers(fan, X)
+    carried = cells >= 0
+    cells = cells[carried]
     member = np.zeros(len(X), bool)
-    carried = np.zeros(len(X), bool)
-    carried[rows] = True
-    member[rows] = _in_neighborhoods(
-        lam, fan.constants.ray_norms[fan._cell_array[cells]],
-        column[cells, ray[rows]], t[rows])
+    member[carried] = _in_neighborhoods(
+        lam[carried], fan.constants.ray_norms[fan._cell_array[cells]],
+        column[cells, ray[carried]], t)
     return member, carried
 
 
@@ -637,12 +625,15 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
     """Reconstruct from synthetic data over a schedule of sample counts.
 
     ``plan_family`` maps a sample count to a ``SamplingPlan``; each
-    replicate reseeds the plan and the noise from (seed, m, replicate), so
+    replicate samples that plan with its own seed, ``derive_seed(plan.seed,
+    m, replicate)``, and draws its noise from the key (m, replicate), so
     replicates are independent streams and the whole experiment is
     reproducible.  At sample count m the replicates are sampled in groups
-    of ``max(m_schedule) // m``, one ``_sample_plans`` call each, so a
-    group's sample rows are bounded by those of one replicate at the
-    largest m; a replicate's directions do not depend on its group.  Then,
+    of ``max(m_schedule) // m``, one ``_sample_plans`` call on the plan and
+    the group's seeds each, so a group's sample rows are bounded by those
+    of one replicate at the largest m; a replicate's directions do not
+    depend on its group.  A plan whose quotas do not match the fan fails
+    every replicate of its m with the same message.  Then,
     replicate by replicate, its data are the support values of ``P(h0)``
     at its directions (a maximum over the vertices of ``P(h0)``, computed
     once per run) plus its noise, and ``reconstruct`` fits it.  A
@@ -671,9 +662,8 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
         vertices0 = str(exc)
     records = []
     for m in m_schedule:
-        base_plan = plan_family(m)
-        plans = [replace(base_plan, seed=derive_seed(base_plan.seed, m, rep))
-                 for rep in range(replicates)]
+        plan = plan_family(m)
+        seeds = [derive_seed(plan.seed, m, rep) for rep in range(replicates)]
         size = max(1, m_schedule[-1] // m)
         # spent[rep]: the replicate's own time plus its share of its group's
         # sampling; outcome[rep]: its estimate and objective, or its failure's
@@ -681,9 +671,9 @@ def run_convergence(fan: SimplicialFan, h0, plan_family, m_schedule,
         spent, outcome, shared = [], [], None
         clock = time.perf_counter()
         for first in range(0, replicates, size):
-            group = plans[first:first + size]
+            group = seeds[first:first + size]
             try:
-                samples = _sample_plans(fan, group)
+                samples = _sample_plans(fan, plan, group)
             except Exception as exc:  # noqa: BLE001 - recorded per replicate
                 samples = [str(exc)] * len(group)
             now = time.perf_counter()

@@ -22,7 +22,7 @@ and one cell at a time, with the same arithmetic, so the batched results
 must equal them bit for bit.  Beside them sit the earlier forms of the
 carrier guess (one vertex at a time), of the support-pattern count
 (one ``bincount`` over all rows) and of the sampler's membership pass
-(one call of the rule per carrier block).  The last section holds the loop
+(one call of the rule per carrier cell).  The last section holds the loop
 references of fan construction and set-up: the cells of a random fan from
 all d-subsets of its rays, and the wall system, the face-to-face check
 (one LP per pair of cells), the independence test, the ray checks of
@@ -42,7 +42,7 @@ from facetfit import geometry, qp, sim
 from facetfit.design import POSITIVITY_TOL, Dataset, DirectionGraph
 from facetfit.estimator import reconstruct
 from facetfit.fan import (DegenerateWall, InvalidFan, NoCarrier, SimplicialFan,
-                          WallCrossingSystem, carrier_blocks)
+                          WallCrossingSystem, carriers)
 from facetfit.qp import Infeasible, Unbounded
 
 
@@ -592,15 +592,14 @@ def cell_inverses(fan) -> list[np.ndarray]:
 
 
 def scatter_carriers(fan, U) -> tuple[np.ndarray, np.ndarray]:
-    """``(cells, coeffs)`` of the rows of ``U``: the blocks of
-    ``fan.carrier_blocks`` scattered into a cell per row, -1 for a row
-    without a carrier, and an (m, n) coefficient matrix."""
-    U = np.asarray(U, float)
-    cells = np.full(len(U), -1)
-    coeffs = np.zeros((len(U), fan.n_rays))
-    for ci, rows, lam in carrier_blocks(fan, U):
-        cells[rows] = ci
-        coeffs[rows[:, None], list(fan.cells[ci])] = lam
+    """``(cells, coeffs)`` of the rows of ``U``: the cells of
+    ``fan.carriers``, -1 for a row without a carrier, and its coefficients
+    scattered into an (m, n) matrix, whose rows without a carrier are
+    zero."""
+    cells, lam, _ = carriers(fan, U)
+    coeffs = np.zeros((len(cells), fan.n_rays))
+    rows = np.flatnonzero(cells >= 0)
+    coeffs[rows[:, None], np.array(fan.cells)[cells[rows]]] = lam[rows]
     return cells, coeffs
 
 
@@ -706,17 +705,18 @@ def loop_in_ct(fan, x, j, t, inverses) -> bool:
 
 
 def loop_block_membership(fan, X, ray, t) -> tuple[np.ndarray, np.ndarray]:
-    """``sim._membership`` one carrier block at a time: one
-    ``_in_neighborhoods`` call per block, with its cell's d ray norms."""
+    """``sim._membership`` one carrier cell at a time: the rows
+    ``fan.carriers`` places in a cell, one ``_in_neighborhoods`` call per
+    cell, with its d ray norms."""
     column = np.full((fan.n_cells, fan.n_rays), -1)
     column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(fan.dim)
+    cells, lam, _ = carriers(fan, X)
     member = np.zeros(len(X), bool)
-    carried = np.zeros(len(X), bool)
-    for c, rows, lam in carrier_blocks(fan, X):
-        carried[rows] = True
-        member[rows] = sim._in_neighborhoods(lam, fan.constants.ray_norms[list(fan.cells[c])],
-                                             column[c, ray[rows]], t[rows])
-    return member, carried
+    for c in range(fan.n_cells):
+        rows = np.flatnonzero(cells == c)
+        member[rows] = sim._in_neighborhoods(
+            lam[rows], fan.constants.ray_norms[list(fan.cells[c])], column[c, ray[rows]], t)
+    return member, cells >= 0
 
 
 def _loop_unit(rng, d) -> np.ndarray:

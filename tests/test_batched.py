@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from facetfit import catalog, sim
 from facetfit import fan as fan_mod
 from facetfit.design import DesignMatrix, build_design, direction_graph
-from facetfit.fan import (NoCarrier, SimplicialFan, ValidationReport, carrier, carrier_blocks,
+from facetfit.fan import (NoCarrier, SimplicialFan, ValidationReport, carrier, carriers,
                           cell_vertices, row_min, validate)
 from facetfit.qp import BlockMatrix
 from facetfit.sim import make_plan, sample_concentrated, sample_uniform_sphere
@@ -152,9 +152,9 @@ def test_rejection_passes_equal_loop(case, seed, monkeypatch):
     fan, t, delta, m = concentrated_cases()[case]
     plan = make_plan(fan, t, delta, m, seed)
     passes = []
-    blocks = sim.carrier_blocks
-    monkeypatch.setattr(sim, "carrier_blocks",
-                        lambda fan, X: passes.append(len(X)) or blocks(fan, X))
+    lookup = sim.carriers
+    monkeypatch.setattr(sim, "carriers",
+                        lambda fan, X: passes.append(len(X)) or lookup(fan, X))
     fast = sample_concentrated(fan, plan)
     monkeypatch.undo()
     assert fast.tobytes() == loop_concentrated(fan, plan).tobytes()
@@ -168,9 +168,9 @@ def test_rejection_rows_do_not_depend_on_pass_sizes(case, monkeypatch):
     fan, t, delta, m = concentrated_cases()[case]
     plan = make_plan(fan, t, delta, m, 3)
     passes = []
-    blocks = sim.carrier_blocks
-    monkeypatch.setattr(sim, "carrier_blocks",
-                        lambda fan, X: passes.append(len(X)) or blocks(fan, X))
+    lookup = sim.carriers
+    monkeypatch.setattr(sim, "carriers",
+                        lambda fan, X: passes.append(len(X)) or lookup(fan, X))
     default = sample_concentrated(fan, plan)
     default_passes = len(passes)
     monkeypatch.setattr(sim, "_PASS_ROWS", 1)
@@ -180,8 +180,8 @@ def test_rejection_rows_do_not_depend_on_pass_sizes(case, monkeypatch):
 
 
 def membership_fans():
-    """The roof fans, whose scan blocks come after their guess blocks, and
-    two random fans."""
+    """The roof fans, some of whose rows the scan places, and two random
+    fans."""
     return [catalog.roof_fan_y(), catalog.roof_fan_x(),
             catalog.random_polytopal_fan(3, 6, seed=203),
             catalog.random_polytopal_fan(4, 8, seed=1)]
@@ -192,11 +192,11 @@ def membership_fans():
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 300))
 def test_one_membership_pass_equals_the_block_loop(case, seed, rows):
     # Trials around every ray at several radii, with zero rows that no
-    # cell carries, each for its own target ray and width.
+    # cell carries, each for its own target ray; one width for all rows.
     fan = membership_fans()[case]
     rng = np.random.default_rng(seed)
     ray = rng.integers(fan.n_rays, size=rows)
-    t = rng.choice([0.0, 0.002, 0.3], size=rows)
+    t = float(rng.choice([0.0, 0.002, 0.3]))
     radius = rng.choice([0.0, 0.0005, 0.01, 0.5], size=rows)
     units = fan.rays / fan.constants.ray_norms[:, None]
     X = units[ray] + radius[:, None] * rng.standard_normal((rows, fan.dim))
@@ -272,7 +272,7 @@ def test_cell_vertices_equal_the_cell_loop():
 
 
 def assert_carriers_equal_loop(fan, U):
-    """``carrier_blocks`` on the stack ``U``, scattered, equals
+    """``carriers`` on the stack ``U``, scattered, equals
     ``loop_carrier`` row by row, with -1 and a zero row wherever the loop
     finds no carrier."""
     cells, coeffs = scatter_carriers(fan, U)
@@ -379,19 +379,22 @@ def guess_fans():
                      catalog.random_polytopal_fan(5, 20, seed=3))
 
 
-def assert_same_blocks(found, expected):
-    """Block order, cells, row bytes and coefficient bytes all equal."""
-    assert [ci for ci, _, _ in found] == [ci for ci, _, _ in expected]
-    for (_, rows, lam), (_, rows_e, lam_e) in zip(found, expected):
-        assert rows.dtype == rows_e.dtype and rows.tobytes() == rows_e.tobytes()
-        assert lam.dtype == lam_e.dtype and lam.tobytes() == lam_e.tobytes()
+def assert_same_carriers(found, expected):
+    """Cells, placements and the coefficient bytes of every carried row
+    all equal."""
+    (cells, lam, guessed), (cells_e, lam_e, guessed_e) = found, expected
+    assert cells.dtype == cells_e.dtype == np.int64
+    assert cells.tobytes() == cells_e.tobytes()
+    assert guessed.tobytes() == guessed_e.tobytes()
+    carried = cells >= 0
+    assert lam.dtype == lam_e.dtype and lam[carried].tobytes() == lam_e[carried].tobytes()
 
 
-def loop_guessed_blocks(fan, U):
-    """``carrier_blocks`` with its labels from the per-vertex loop."""
+def loop_guessed_carriers(fan, U):
+    """``carriers`` with its labels from the per-vertex loop."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fan_mod, "_vertex_labels", loop_vertex_labels)
-        return carrier_blocks(fan, U)
+        return carriers(fan, U)
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,7 +406,7 @@ def test_chunked_labels_give_the_loops_blocks(index, seed, scale):
     fan = guess_fans()[index]
     U = np.vstack([mixed_directions(fan, seed, scale),
                    scale * np.random.default_rng(seed).standard_normal((300, fan.dim))])
-    assert_same_blocks(carrier_blocks(fan, U), loop_guessed_blocks(fan, U))
+    assert_same_carriers(carriers(fan, U), loop_guessed_carriers(fan, U))
 
 
 def test_labels_take_the_first_of_coincident_vertices(monkeypatch):
@@ -422,9 +425,14 @@ def test_labels_take_the_first_of_coincident_vertices(monkeypatch):
         labels = fan_mod._vertex_labels(vertices, U)
         assert np.all(labels == 4)
         assert np.array_equal(labels, loop_vertex_labels(vertices, U))
-        blocks = carrier_blocks(fan, U)
-        assert_same_blocks(blocks, loop_guessed_blocks(fan, U))
-        assert [(ci, len(rows)) for ci, rows, _ in blocks] == [(4, 200), (5, 200)]
+        found = carriers(fan, U)
+        assert_same_carriers(found, loop_guessed_carriers(fan, U))
+        cells, _, guessed = found
+        assert np.array_equal(cells, np.repeat([4, 5], 200))
+        assert np.array_equal(guessed, np.repeat([True, False], 200))
+        design = build_design(fan, U)
+        assert [(int(design.carrier_cells[rows[0]]), len(rows))
+                for rows, _, _ in design.blocks] == [(4, 200), (5, 200)]
 
 
 def test_label_chunks_split_rows_at_any_boundary(monkeypatch):
@@ -532,14 +540,14 @@ def test_carrier_memory_is_bounded_in_the_rows():
     U = np.random.default_rng(0).standard_normal((100_000, 3))
     for fan in (catalog.random_polytopal_fan(3, 12, seed=7),
                 catalog.random_polytopal_fan(3, 200, seed=7)):
-        carrier_blocks(fan, U[:1])   # the fan's cached tables, outside the trace
+        carriers(fan, U[:1])   # the fan's cached tables, outside the trace
         tracemalloc.start()
         try:
-            blocks = carrier_blocks(fan, U)
+            cells, _, _ = carriers(fan, U)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(rows) for _, rows, _ in blocks) == len(U)
+        assert np.all(cells >= 0)
         assert peak <= 8e6
 
 

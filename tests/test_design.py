@@ -18,10 +18,11 @@ from facetfit.design import (
     ray_facet_graph,
     uniqueness_report,
 )
-from facetfit.fan import NoCarrier
+from facetfit.fan import NoCarrier, carriers
+from facetfit.qp import BlockMatrix, triangular_factor
 from facetfit.sim import sample_uniform_sphere
 
-from oracles import brute_max_matching, concatenated_support_patterns
+from oracles import brute_max_matching, concatenated_support_patterns, loop_design
 from test_batched import fans, mixed_directions
 
 ROOF_DIRECTIONS = np.array([
@@ -326,3 +327,75 @@ def test_max_matching_leaves_no_reference_cycle(hexagon):
         assert alive() is None   # freed by reference counting alone
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Block order
+# ---------------------------------------------------------------------------
+
+def mixed_designs():
+    """The hexagon's rays twice plus 40 Gaussian rows, and the rays of
+    (3, 12, 7) plus 300 Gaussian rows: the exact rays go to the scan and
+    most Gaussian rows are placed by the guess, so most cells have a block
+    of each kind."""
+    hexagon = catalog.hexagon_fan()
+    fan = catalog.random_polytopal_fan(3, 12, seed=7)
+    return [(hexagon, np.vstack([hexagon.rays, hexagon.rays,
+                                 np.random.default_rng(5).standard_normal((40, 2))])),
+            (fan, np.vstack([fan.rays, np.random.default_rng(7).standard_normal((300, 3))]))]
+
+
+# The layouts [(cell, rows)] of the two designs: the guessed rows' blocks in
+# cell order, then the scanned rows'.
+MIXED_LAYOUTS = [
+    [(0, 5), (1, 2), (2, 7), (3, 10), (4, 9), (5, 7),
+     (0, 4), (1, 2), (2, 2), (3, 2), (4, 2)],
+    [(0, 7), (1, 4), (2, 1), (3, 4), (4, 1), (5, 3), (6, 1), (7, 3), (8, 1), (9, 31),
+     (10, 6), (11, 36), (12, 7), (13, 12), (14, 26), (15, 3), (16, 49), (17, 13),
+     (18, 43), (19, 37),
+     (0, 6), (1, 2), (2, 2), (4, 6), (5, 2), (6, 2), (9, 2), (10, 2)],
+]
+
+# The hexagon design's factor R, its upper triangle row by row.  The same
+# under each of OpenBLAS's x86-64 kernels from Prescott to SkylakeX, unlike
+# the R of the (3, 12, 7) design, whose last bits follow the kernel that
+# LAPACK's QR calls.
+MIXED_HEXAGON_R = [
+    "-0x1.b1e307755fcd6p+1", "-0x1.fda14d7f086a0p-1", "0x0.0p+0", "0x0.0p+0",
+    "0x0.0p+0", "-0x1.05e952f073cccp-1", "-0x1.5986e057b678ap+1",
+    "-0x1.2960d4db1e5c6p-3", "0x0.0p+0", "0x0.0p+0", "0x1.824d7a51c8896p-3",
+    "0x1.40368487f397ep+1", "0x1.8dcb4dd1a2c53p-2", "0x0.0p+0",
+    "0x1.66c1488810410p-7", "-0x1.c732100d8e6efp+1", "-0x1.728eea2c1a499p-1",
+    "0x1.3983d8d5f0680p-10", "0x1.dc5b2d4a646bdp+1", "0x1.1463fa5c6f6d2p+0",
+    "-0x1.bfa8dad6fb568p+1",
+]
+
+
+def test_mixed_designs_keep_their_block_order():
+    """The layouts are pinned, and so are the blocks: each one the rows of
+    its cell and kind in increasing order, with the per-row loop's
+    coefficients.  The factor R equals the block QR of those blocks, and
+    for the hexagon its pinned bits, which any other block order, such as
+    one block per cell, moves."""
+    for (fan, U), layout in zip(mixed_designs(), MIXED_LAYOUTS):
+        design = build_design(fan, U)
+        assert [(int(design.carrier_cells[rows[0]]), len(rows))
+                for rows, _, _ in design.blocks] == layout
+        matrix, cells = loop_design(fan, U)
+        guessed = carriers(fan, U)[2]
+        expected, seen = [], set()
+        for cell, _ in layout:
+            kind = guessed if cell not in seen else ~guessed
+            seen.add(cell)
+            rows = np.flatnonzero((cells == cell) & kind)
+            cols = np.array(fan.cells[cell])
+            expected.append((rows, cols, matrix[rows[:, None], cols]))
+        for (rows, cols, lam), (rows_e, cols_e, lam_e) in zip(design.blocks, expected):
+            assert rows.tobytes() == rows_e.tobytes()
+            assert np.array_equal(cols, cols_e)
+            assert lam.tobytes() == lam_e.tobytes()
+        R = design.factor.R
+        assert R.tobytes() == triangular_factor(
+            BlockMatrix(shape=design.shape, blocks=tuple(expected))).R.tobytes()
+    hexagon_R = build_design(*mixed_designs()[0]).factor.R
+    assert [x.hex() for x in hexagon_R[np.triu_indices(6)].tolist()] == MIXED_HEXAGON_R

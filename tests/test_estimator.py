@@ -407,6 +407,21 @@ def test_a_design_from_other_directions_is_refused(hexagon):
             reconstruct(hexagon, data)
 
 
+def test_a_design_whose_directions_were_written_after_the_build_is_refused(hexagon):
+    # The README's cycle data, with a ray written into the caller's array
+    # after the fit: the design holds a read-only copy of the directions it
+    # was built from, so it no longer matches them.
+    U = cycle_dataset(hexagon).directions.copy()
+    y = 2.0 * np.ones(6)
+    design = reconstruct(hexagon, Dataset(U, y)).design
+    U[0] = hexagon.rays[0]
+    with pytest.raises(ValueError,
+                       match="^the dataset's design was built from other directions$"):
+        reconstruct(hexagon, Dataset(U, y, design))
+    assert reconstruct(hexagon, Dataset(U, y)).objective > 0.2
+    assert not design.directions.flags.writeable
+
+
 @pytest.mark.parametrize("case", LAZY_CASES)
 def test_a_valid_design_changes_no_bit_of_the_result(hexagon, case):
     U = {"cycle": cycle_dataset(hexagon).directions,

@@ -16,7 +16,7 @@ from facetfit.fan import (
     ValidationReport,
     c_delta,
     carrier,
-    carrier_blocks,
+    carriers,
     max_linear_over_cone_cap,
     validate,
     wall_crossings,
@@ -377,7 +377,7 @@ def test_operations_refuse_invalid_fan(hexagon):
 # direction u (the batch forms get it as the last of three rows).
 DIRECTION_ENTRIES = {
     "carrier": lambda fan, u: carrier(fan, u),
-    "carrier_blocks": lambda fan, u: carrier_blocks(fan, np.vstack([fan.rays[:2], u])),
+    "carriers": lambda fan, u: carriers(fan, np.vstack([fan.rays[:2], u])),
     "in_ct": lambda fan, u: sim.in_ct(fan, u, 0, 0.2),
     "support_values": lambda fan, u: geometry.support_values(
         fan, np.ones(fan.n_rays), np.vstack([fan.rays[:2], u])),
@@ -403,7 +403,7 @@ def test_non_finite_directions_are_refused(hexagon, entry, value):
 def test_carriers_refuse_directions_of_the_wrong_shape(hexagon, shape):
     message = rf"rows of width 2, the fan's dimension; .*shape {re.escape(str(shape))}"
     with pytest.raises(ValueError, match=message):
-        carrier_blocks(hexagon, np.ones(shape))
+        carriers(hexagon, np.ones(shape))
 
 
 @pytest.mark.parametrize("U", [np.ones((4, 3)), np.ones(3)])
@@ -446,6 +446,20 @@ def test_carrier_boundary_resolves_to_first_cell(hexagon):
 def test_carrier_zero_vector_rejected(hexagon):
     with pytest.raises(NoCarrier):
         carrier(hexagon, np.zeros(2))
+
+
+def test_carriers_leave_zero_rows_and_rows_outside_every_cell_unplaced(hexagon):
+    cells, _, guessed = carriers(hexagon, np.array([[1.0, 0.1], [0.0, 0.0], [-0.0, 0.0]]))
+    assert cells.dtype == np.int64 and cells.tolist() == [0, -1, -1]
+    assert guessed.tolist() == [True, False, False]
+    # The first quadrant alone, validation bypassed: no cell admits the
+    # second row.
+    quadrant = catalog.orthant_fan(2)
+    quadrant._validation = ValidationReport(True, True, True, True, True)
+    cells, lam, guessed = carriers(quadrant, np.array([[1.0, 0.5], [-1.0, 0.5], [0.0, 0.0]]))
+    assert cells.tolist() == [0, -1, -1]
+    assert guessed.tolist()[1:] == [False, False]
+    assert lam[0].tolist() == [1.0, 0.5]
 
 
 def test_carrier_of_rows_whose_sum_of_squares_under_or_overflows(hexagon):

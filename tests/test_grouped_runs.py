@@ -1,7 +1,8 @@
 """Convergence runs sample and score their replicates in groups.
 
 ``run_convergence`` samples the replicates of one sample count in groups
-(one ``_sample_plans`` call each) and scores them with one
+(one ``_sample_plans`` call on the plan and the group's seeds each) and
+scores them with one
 ``hausdorff_rows`` call; its records must equal, bit for bit, those of
 the one-replicate loop of ``oracles``, whatever the groups, and whether
 or not its replicates share a design.
@@ -33,7 +34,7 @@ def record_bits(records):
 def runs():
     """(fan, h0, plan family, schedule) with 5 replicates: the first m takes
     one group of all 5, the second groups of 3 and 2, the last groups of 1.
-    The roof fan's h° (``carrier_blocks``' vertex guess) is on its type
+    The roof fan's h° (``carriers``' vertex guess) is on its type
     cone's boundary, so some of its trials go to the scan.  The hexagon's
     replicates of one m share a design in the first run; in the last, a
     uniform fill makes the directions of every replicate its own."""
@@ -58,8 +59,8 @@ def test_records_equal_the_one_replicate_loop(case, monkeypatch):
     noise = NoiseModel(sigma=0.1, seed=7)
     groups = []
     inner = sim._sample_plans
-    monkeypatch.setattr(sim, "_sample_plans",
-                        lambda fan, plans: groups.append(len(plans)) or inner(fan, plans))
+    monkeypatch.setattr(sim, "_sample_plans", lambda fan, plan, seeds:
+                        groups.append(len(seeds)) or inner(fan, plan, seeds))
     records = run_convergence(fan, h0, family, schedule, 5, noise)
     assert groups == [5, 3, 2, 1, 1, 1, 1, 1]
     assert not any(r.failed for r in records)
@@ -169,14 +170,15 @@ def group_cases():
 
 @pytest.mark.parametrize("case", range(3))
 @settings(max_examples=6, deadline=None)
-@given(plans=st.lists(st.tuples(st.integers(0, 2**32 - 1),
-                                st.sampled_from([0.0, 0.002, 0.004]),
-                                st.integers(40, 200)), min_size=1, max_size=4))
-def test_a_plan_samples_the_same_alone_and_in_a_group(case, plans):
+@given(t=st.sampled_from([0.0, 0.002, 0.004]), m=st.integers(40, 200),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_a_plan_samples_the_same_alone_and_in_a_group(case, t, m, seeds):
     fan = group_cases()[case]
-    plans = [make_plan(fan, t, 0.05, m, seed) for seed, t, m in plans]
-    for plan, rows in zip(plans, sim._sample_plans(fan, plans)):
-        assert rows.tobytes() == sample_concentrated(fan, plan).tobytes()
+    plan = make_plan(fan, t, 0.05, m, 0)
+    group = sim._sample_plans(fan, plan, seeds)
+    assert len(group) == len(seeds)
+    for seed, rows in zip(seeds, group):
+        assert rows.tobytes() == sample_concentrated(fan, replace(plan, seed=seed)).tobytes()
 
 
 class FarStreams:
@@ -193,15 +195,17 @@ class FarStreams:
         return self.inner(seed)
 
 
-def first_row_dropped(blocks):
-    """``carrier_blocks`` that leaves row 0 of its first call without a
-    carrier: the first trial of the first pair of a pass sequence."""
+def first_row_dropped(lookup):
+    """``carriers`` that leaves row 0 of its first call without a carrier:
+    the first trial of the first pair of a pass sequence."""
     calls = []
 
     def dropped(fan, X):
         calls.append(len(X))
-        return [(c, rows[rows != 0], lam[rows != 0]) if len(calls) == 1
-                else (c, rows, lam) for c, rows, lam in blocks(fan, X)]
+        cells, lam, guessed = lookup(fan, X)
+        if len(calls) == 1:
+            cells[0], guessed[0] = -1, False
+        return cells, lam, guessed
 
     return dropped
 
@@ -219,7 +223,7 @@ def test_a_failing_plan_leaves_its_group_unchanged(hexagon, monkeypatch, fault, 
         if fault == "starved":
             monkeypatch.setattr(sim, "_rng", FarStreams(plan.seed))
         else:
-            monkeypatch.setattr(sim, "carrier_blocks", first_row_dropped(sim.carrier_blocks))
+            monkeypatch.setattr(sim, "carriers", first_row_dropped(sim.carriers))
 
     patch()
     with pytest.raises(Exception) as alone:

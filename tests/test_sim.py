@@ -296,7 +296,7 @@ def test_rejection_sampling_starves_after_10000_trials(hexagon, monkeypatch, tri
     g = [rng.standard_normal(2) for _ in range(trial + 1)][-1]
     norms = hexagon.constants.ray_norms
     x = hexagon.rays[0] / norms[0] + 0.5 * plan.t * float(np.min(norms)) * g
-    [(_, _, member)] = facetfit.fan.carrier_blocks(hexagon, [x / np.linalg.norm(x)])
+    member = facetfit.fan.carriers(hexagon, [x / np.linalg.norm(x)])[1]
     monkeypatch.setattr(facetfit.sim, "_in_neighborhoods",
                         lambda coeffs, ray_norms, J, t: np.all(coeffs == member, axis=1))
     with pytest.raises(RuntimeError, match=f"starved for ray {starved} at"):
@@ -306,12 +306,14 @@ def test_rejection_sampling_starves_after_10000_trials(hexagon, monkeypatch, tri
 def test_rejection_sampling_raises_for_a_candidate_without_carrier(hexagon,
                                                                    monkeypatch):
     # Candidate 0 of the first pass is the first trial of ray 0's first slot.
-    blocks = facetfit.sim.carrier_blocks
+    lookup = facetfit.sim.carriers
 
     def dropped(fan, X):
-        return [(c, rows[rows != 0], lam[rows != 0]) for c, rows, lam in blocks(fan, X)]
+        cells, lam, guessed = lookup(fan, X)
+        cells[0], guessed[0] = -1, False
+        return cells, lam, guessed
 
-    monkeypatch.setattr(facetfit.sim, "carrier_blocks", dropped)
+    monkeypatch.setattr(facetfit.sim, "carriers", dropped)
     with pytest.raises(NoCarrier, match="^no cell of .* admits nonnegative coefficients$"):
         sample_concentrated(hexagon, make_plan(hexagon, 0.008, 0.01, 80, 31))
 
@@ -540,14 +542,14 @@ def test_a_sample_count_makes_one_carrier_lookup(hexagon, monkeypatch):
     # ``reconstruct`` builds is the only carrier lookup, and at t = 0 every
     # replicate of one m fits on the first replicate's design.
     calls = []
-    inner = facetfit.fan.carrier_blocks
+    inner = facetfit.fan.carriers
 
     def counted(fan, U):
         calls.append(len(U))
         return inner(fan, U)
 
     for module in (facetfit.fan, facetfit.design, facetfit.sim):
-        monkeypatch.setattr(module, "carrier_blocks", counted)
+        monkeypatch.setattr(module, "carriers", counted)
     replicates = 4
     records = run_convergence(hexagon, np.ones(6),
                               lambda m: facet_direction_plan(hexagon, m, seed=6),
