@@ -9,9 +9,10 @@ Exit codes are stable: 0 success, 2 parse error or refused input (any
 ``ValueError``, e.g. fans with different ray lists; a direction outside the
 fan; an unwritable output path), 3 fan validation failure, 4 solver
 iteration limit, 5 infeasible sampling plan, 6 failed linear program, 7
-uncertified least-squares result (KKT residual above its tolerance).  Every
-refusal is one stderr line (``REFUSALS``), never a traceback.  All numeric
-output is written with 17 significant digits so runs can be diffed exactly.
+uncertified least-squares result (KKT residual above its tolerance, or an
+overflow).  Every refusal is one stderr line (``REFUSALS``), never a
+traceback.  All numeric output is written with 17 significant digits so
+runs can be diffed exactly.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fan import NoCarrier, SimplicialFan, carriers
+from .fan import NoCarrier, SimplicialFan, carriers, row_min
 from .fan import carrier  # noqa: F401 - perfbench's tracer wraps design.carrier
 from .qp import BlockMatrix, rank_and_kernel, rank_tolerance
 
@@ -65,12 +65,8 @@ class Dataset:
             raise ValueError("need at least one sample")
         if not (np.all(np.isfinite(U)) and np.all(np.isfinite(y))):
             raise ValueError("directions and values must be finite")
-        # One pass per column, as `fan.row_min` does: much faster than a
-        # reduction over each short row.  -0.0 counts as zero.
-        zero = np.ones(U.shape[0], bool)
-        for k in range(U.shape[1]):
-            zero &= U[:, k] == 0.0
-        if zero.any():
+        # -0.0 counts as zero, and so does a row of width 0.
+        if U.shape[1] == 0 or row_min(U == 0.0).any():
             raise ValueError("zero direction in dataset")
 
     @property

@@ -499,8 +499,8 @@ def _vertex_labels(vertices: np.ndarray, U: np.ndarray) -> np.ndarray:
     ``<u, x>``, the first on ties: per chunk of ``_LABEL_WORK // cells``
     rows, one product with all the vertices and one ``argmax`` over each
     row of its scores, so memory stays O(chunk cells + m)."""
-    # The smallest integer type: a stable sort of 8- or 16-bit labels is a
-    # radix sort.
+    # The smallest integer type, 8 or 16 bits for most fans: it keeps the
+    # labels of a large lookup small in memory.
     labels = np.empty(U.shape[0], np.min_scalar_type(len(vertices) - 1))
     # A C-contiguous (d, cells) operand: numpy's product with the transposed
     # view is several times slower at a few cells.

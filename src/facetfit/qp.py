@@ -61,7 +61,8 @@ class IterationLimit(Exception):
 
 class Uncertified(Exception):
     """Raised for a least-squares result whose KKT residual exceeds its
-    tolerance; the refused solution is attached as ``.solution``."""
+    tolerance, or whose tolerance or objective overflows; the refused
+    solution is attached as ``.solution``."""
 
     def __init__(self, message: str, solution: "QPSolution"):
         super().__init__(message)
@@ -119,9 +120,10 @@ class SolverOptions:
 class QPSolution:
     """An active-set result, every figure measured on the original (A, y, B).
 
-    ``certified``, ``kkt_residual <= kkt_tolerance = 1e-8 (1 + ||A^T y||) < inf``,
-    fails only on the solutions that ``Uncertified`` and ``IterationLimit``
-    carry: a tolerance that overflows to inf certifies nothing.
+    ``certified``, ``kkt_residual <= kkt_tolerance = 1e-8 (1 + ||A^T y||) < inf``
+    with a finite objective, fails only on the solutions that
+    ``Uncertified`` and ``IterationLimit`` carry: a tolerance or an
+    objective that overflows to inf certifies nothing.
     """
 
     h_star: np.ndarray
@@ -134,7 +136,7 @@ class QPSolution:
 
     @property
     def certified(self) -> bool:
-        return self.kkt_residual <= self.kkt_tolerance < np.inf
+        return self.kkt_residual <= self.kkt_tolerance < np.inf and self.objective < np.inf
 
 
 @dataclass(frozen=True)
@@ -319,6 +321,7 @@ def _null_space(rows: np.ndarray, n: int) -> np.ndarray:
     return kernel.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSolution:
     """Globally minimize ``||A h - y||^2`` over the cone ``{B h >= 0}``.
 
@@ -343,10 +346,13 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     objective, its multipliers and its KKT residual, the largest of the
     stationarity, feasibility and complementary-slackness violations, which
     ``certified`` compares with ``1e-8 (1 + ||A^T y||)``.  Raises
-    ``Uncertified`` above it or when it overflows to inf, and
-    ``IterationLimit`` when the cap of ``50 * (n + p)`` subproblems is
-    exhausted, each with its solution attached; ``ValueError`` for a warm
-    start that is not a finite array of shape (n,).
+    ``Uncertified`` above it, when it overflows to inf and when the
+    objective does, and ``IterationLimit`` when the cap of ``50 * (n + p)``
+    subproblems is exhausted, each with its solution attached;
+    ``ValueError`` for a warm start that is not a finite array of shape
+    (n,).  numpy's overflow and invalid-value warnings are off: a value
+    that overflows or turns nan reaches the objective, the KKT residual or
+    its tolerance, and so the refusal, which names it, is the one report.
     """
     if opts is None:
         opts = SolverOptions()
@@ -405,6 +411,9 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     if not sol.certified:
         tolerance = (f"its tolerance {kkt_tol:.3g}" if kkt_tol < np.inf
                      else "its tolerance, which overflowed to inf")
+        if sol.kkt_residual <= kkt_tol < np.inf:
+            raise Uncertified(f"KKT residual {sol.kkt_residual:.3g} within {tolerance}, "
+                              f"but the objective overflowed to inf", sol)
         raise Uncertified(f"KKT residual {sol.kkt_residual:.3g} above {tolerance}", sol)
     return sol
 

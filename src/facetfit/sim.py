@@ -256,11 +256,11 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
     """Membership of ``x`` in the concentration neighborhood of ray j.
 
     The barycentric coefficients of ``x``, scaled by the ray norms, must be
-    within ``t`` of the j-th unit vector in the sup norm.  A relative slack
-    of 1e-9 absorbs round-off so the exact normalized ray passes at t = 0.
-    The rule is ``_membership`` on the one row ``x``, the sampler's batch
-    test; ``NoCarrier`` when ``x`` has no carrier.  ``ValueError`` for a j
-    that is not an integer (a bool or a float is not) or is outside
+    within ``t`` of the j-th unit vector in the sup norm.  A slack of 1e-9,
+    added to ``t``, absorbs round-off so the exact normalized ray passes at
+    t = 0.  The rule is ``_membership`` on the one row ``x``, the sampler's
+    batch test; ``NoCarrier`` when ``x`` has no carrier.  ``ValueError``
+    for a j that is not an integer (a bool or a float is not) or is outside
     0..n-1.
     """
     j = _index(j, "ray index")
@@ -273,42 +273,38 @@ def in_ct(fan: SimplicialFan, x, j: int, t: float) -> bool:
     return bool(member[0])
 
 
-def _in_neighborhoods(lam: np.ndarray, ray_norms: np.ndarray, J: np.ndarray,
-                      t: float) -> np.ndarray:
+def _in_neighborhoods(lam: np.ndarray, gens: np.ndarray, target: np.ndarray | int,
+                      ray_norms: np.ndarray, t: float) -> np.ndarray:
     """The one membership rule of the neighborhoods, on carried rows of
     ``fan.carriers``: row i of the coefficients ``lam`` on its cell's d
     generators, scaled by their ray norms, lies within ``t`` (plus 1e-9)
-    of the unit vector of column ``J[i]`` in the sup norm.  ``ray_norms``
-    holds the d norms of one cell for all rows, or one row of d norms per
-    row of ``lam``, so the rows of many cells take one call; either way
-    each product is the same.  ``J[i]`` is the target ray's position among
-    the generators, or -1 when the target ray is not one of them: the
-    row's coefficient on that ray is 0, 1 away from the unit vector, so
-    the row is outside (t < 1/2).  The sup norm is a column-wise running
-    maximum, exact like ``fan.row_min`` and much faster than a reduction
-    over a short axis."""
-    worst = np.abs(lam[:, 0] * ray_norms[..., 0] - (J == 0))
-    for k in range(1, lam.shape[1]):
-        np.maximum(worst, np.abs(lam[:, k] * ray_norms[..., k] - (J == k)), out=worst)
-    return (worst <= t + 1e-9) & (J >= 0)
+    of the unit vector of ray ``target[i]`` in the sup norm.  ``gens``
+    holds the generators' ray indices, one row of d per row of ``lam`` or
+    one cell's d for all rows, and ``target`` one ray per row or one for
+    all; ``ray_norms`` is the fan's.  A row whose cell does not have the
+    target ray as a generator has coefficient 0 on it, 1 away from the
+    unit vector, so it is outside (t < 1/2).  The sup norm is a column-wise
+    running maximum, exact like ``fan.row_min`` and much faster than a
+    reduction over a short axis."""
+    covered = np.zeros(len(lam), bool)
+    worst = np.zeros(len(lam))
+    for k in range(lam.shape[1]):
+        on = gens[..., k] == target
+        covered |= on
+        np.maximum(worst, np.abs(lam[:, k] * ray_norms[gens[..., k]] - on), out=worst)
+    return (worst <= t + 1e-9) & covered
 
 
 def _concentration_counts(design: DesignMatrix, ray_norms: np.ndarray,
                           t: float) -> np.ndarray:
-    """Per-ray neighborhood counts of the design's rows: the blocks' rows
-    are stacked with the generators of their cells, and each generator
-    position k takes one ``_in_neighborhoods`` call over all rows, with
-    per-row norms, as the sampler's membership pass does.  A row counts
-    only for the generators of its cell."""
-    blocks = design.blocks
-    lam = np.concatenate([lam for _, _, lam in blocks])
-    cols = np.repeat(np.array([cols for _, cols, _ in blocks]),
-                     [len(rows) for rows, _, _ in blocks], axis=0)
-    norms = ray_norms[cols]
+    """Per-ray neighborhood counts of the design's rows, block by block:
+    each generator j of a block's cell takes one ``_in_neighborhoods`` call
+    on the block's rows, so a row counts only for the generators of its
+    cell."""
     counts = np.zeros(design.n, int)
-    for k in range(cols.shape[1]):
-        inside = _in_neighborhoods(lam, norms, np.full(len(lam), k), t)
-        counts += np.bincount(cols[inside, k], minlength=design.n)
+    for _, cols, lam in design.blocks:
+        for j in cols.tolist():
+            counts[j] += np.count_nonzero(_in_neighborhoods(lam, cols, j, ray_norms, t))
     return counts
 
 
@@ -468,17 +464,12 @@ def _membership(fan: SimplicialFan, X: np.ndarray, ray: np.ndarray,
     """Whether row i of ``X`` lies in the neighborhood of width ``t`` of
     ray ``ray[i]``, and whether it has a carrier, from one ``fan.carriers``
     call and one ``_in_neighborhoods`` call on the carried rows, each with
-    its own cell's ray norms."""
-    # column[c, j]: position of ray j among cell c's generators, or -1.
-    column = np.full((fan.n_cells, fan.n_rays), -1)
-    column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(fan.dim)
+    its own cell's generators."""
     cells, lam, _ = carriers(fan, X)
     carried = cells >= 0
-    cells = cells[carried]
     member = np.zeros(len(X), bool)
-    member[carried] = _in_neighborhoods(
-        lam[carried], fan.constants.ray_norms[fan._cell_array[cells]],
-        column[cells, ray[carried]], t)
+    member[carried] = _in_neighborhoods(lam[carried], fan._cell_array[cells[carried]],
+                                        ray[carried], fan.constants.ray_norms, t)
     return member, carried
 
 

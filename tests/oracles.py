@@ -707,15 +707,13 @@ def loop_in_ct(fan, x, j, t, inverses) -> bool:
 def loop_block_membership(fan, X, ray, t) -> tuple[np.ndarray, np.ndarray]:
     """``sim._membership`` one carrier cell at a time: the rows
     ``fan.carriers`` places in a cell, one ``_in_neighborhoods`` call per
-    cell, with its d ray norms."""
-    column = np.full((fan.n_cells, fan.n_rays), -1)
-    column[np.arange(fan.n_cells)[:, None], fan._cell_array] = np.arange(fan.dim)
+    cell, with its d generators."""
     cells, lam, _ = carriers(fan, X)
     member = np.zeros(len(X), bool)
     for c in range(fan.n_cells):
         rows = np.flatnonzero(cells == c)
         member[rows] = sim._in_neighborhoods(
-            lam[rows], fan.constants.ray_norms[list(fan.cells[c])], column[c, ray[rows]], t)
+            lam[rows], fan._cell_array[c], ray[rows], fan.constants.ray_norms, t)
     return member, cells >= 0
 
 

@@ -24,6 +24,7 @@ from facetfit.sim import make_plan, sample_concentrated, sample_uniform_sphere
 
 from oracles import (
     cell_inverses,
+    left_to_right,
     loop_block_membership,
     loop_carrier,
     loop_cell_vertices,
@@ -515,22 +516,25 @@ def test_a_thin_cell_makes_every_margin_infinite(monkeypatch):
 
 def test_carrier_coefficients_keep_their_bits():
     """``carrier`` on (3, 12, 7) for u inside cell 16, for u = v_0 + v_6 on
-    the wall of cells 0 and 1, and for the exact ray v_5, pinned as hex
-    literals.  The coefficients are summed left to right, with no BLAS
-    kernel involved, so they hold under any BLAS build."""
+    the wall of cells 0 and 1, and for the exact ray v_5, in their pinned
+    cells and on their pinned supports.  ``coefficients`` sums each
+    coefficient left to right, with no BLAS call, so it equals
+    ``left_to_right`` on the fan's cell inverse, clamped at 0, bit for bit.
+    The cell inverses come from LAPACK's ``inv``, and their last bits
+    depend on the OpenBLAS kernel, so the expected values are computed
+    from them, not pinned as literals."""
     fan = catalog.random_polytopal_fan(3, 12, seed=7)
-    cases = [(np.array([0.3, -0.2, 0.9]), 16, {4: "0x1.760c490a36825p+0",
-                                               7: "0x1.3ce4966909178p-4",
-                                               8: "0x1.c53df2de64548p+0"}),
-             (fan.rays[0] + fan.rays[6], 0, {0: "0x1.0000000000002p+0",
-                                             6: "0x1.ffffffffffffcp-1",
-                                             7: "0x1.0000000000000p-53"}),
-             (fan.rays[5], 5, {5: "0x1.0000000000000p+0"})]
-    for u, cell, pinned in cases:
+    cases = [(np.array([0.3, -0.2, 0.9]), 16, [4, 7, 8]),
+             (fan.rays[0] + fan.rays[6], 0, [0, 6, 7]),
+             (fan.rays[5], 5, [5])]
+    for u, cell, support in cases:
         found = carrier(fan, u)
-        expected = [pinned.get(i, "0x0.0p+0") for i in range(fan.n_rays)]
+        expected = np.zeros(fan.n_rays)
+        expected[list(fan.cells[cell])] = np.maximum(
+            left_to_right(fan.constants.cell_inverses[cell], u), 0.0)
         assert found.cell_index == cell
-        assert [x.hex() for x in found.coeffs.tolist()] == expected
+        assert np.flatnonzero(found.coeffs).tolist() == support
+        assert [x.hex() for x in found.coeffs.tolist()] == [x.hex() for x in expected.tolist()]
 
 
 def test_carrier_memory_is_bounded_in_the_rows():

@@ -91,3 +91,51 @@ def test_an_error_inside_validation_is_not_taken_for_an_invalid_draw(monkeypatch
     with pytest.raises(TypeError, match="a fault inside validation"):
         catalog.random_polytopal_fan(3, 6, seed=203)
     assert len(calls) == 1
+
+
+_S = 1.0 / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("rays", [
+    # Rays in one plane: P contains the line orthogonal to it.
+    np.array([[np.cos(a), np.sin(a), 0.0] for a in np.arange(5) * 2 * np.pi / 5]),
+    # The square pyramid: four facets meet at its apex, so P is not simple.
+    np.array([[0.0, 0.0, -1.0], [_S, 0.0, _S], [-_S, 0.0, _S], [0.0, _S, _S], [0.0, -_S, _S]]),
+    # A duplicated ray: every vertex on that facet has d + 1 tight rows.
+    np.vstack([np.eye(3), -np.eye(3), [[1.0, 0.0, 0.0]]]),
+    # The cube's rays and a short one: its facet <v, x> <= 1 lies 10 away,
+    # beyond the cube, so no vertex uses it.  With unit rays every facet
+    # touches P.
+    np.vstack([np.eye(3), -np.eye(3), [np.ones(3) / (10.0 * np.sqrt(3.0))]]),
+], ids=["one-plane", "square-pyramid", "duplicated-ray", "redundant-facet"])
+def test_the_pivot_walk_rejects_a_draw_that_is_not_a_simple_polytope(rays):
+    assert catalog._pivot_walk_cells(rays) is None
+
+
+def test_a_draw_that_fails_validation_is_redrawn(monkeypatch):
+    # The first draw's cells less one fail the ridge check, so the fan is
+    # the second draw of the seed's stream, which the walk accepts.
+    walk = catalog._pivot_walk_cells
+    draws = []
+
+    def first_invalid(rays):
+        draws.append(rays.copy())
+        cells = walk(rays)
+        return cells[1:] if len(draws) == 1 else cells
+
+    monkeypatch.setattr(catalog, "_pivot_walk_cells", first_invalid)
+    fan = catalog.random_polytopal_fan(3, 6, seed=204)
+    rng = np.random.default_rng(204)
+    expected = [rng.standard_normal((6, 3)) for _ in range(2)][1]
+    expected /= np.linalg.norm(expected, axis=1)[:, None]
+    assert len(draws) == 2
+    assert fan.rays.tobytes() == expected.tobytes() == draws[1].tobytes()
+    assert fan.cells == tuple(walk(expected))
+
+
+def test_random_fans_give_up_after_two_hundred_draws(monkeypatch):
+    draws = []
+    monkeypatch.setattr(catalog, "_pivot_walk_cells", lambda rays: draws.append(rays))
+    with pytest.raises(RuntimeError, match="^no valid random fan after 200 attempts$"):
+        catalog.random_polytopal_fan(3, 6, seed=203)
+    assert len(draws) == 200

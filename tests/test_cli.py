@@ -134,6 +134,12 @@ def test_essential_walls_equal_highs(fan):
     assert essential == highs_essential_rows(matrix)
 
 
+def test_a_repeated_row_is_implied_by_its_copy():
+    # Row 0 is implied by row 1; row 1, with no row left beside it, is
+    # essential.
+    assert cli._essential_rows(np.array([[1.0, 0.0], [1.0, 0.0]])) == [False, True]
+
+
 def test_fan_info_counts_the_essential_walls_of_a_random_fan(workdir, capsys):
     cli.save_fan(catalog.random_polytopal_fan(3, 12, seed=203), str(workdir / "fan.json"))
     rc = run(["fan-info", workdir / "fan.json"])
@@ -259,12 +265,11 @@ def test_reconstruct_lp_failure_exits_6(workdir, capsys, monkeypatch, error):
 
 def test_reconstruct_with_an_overflowing_tolerance_exits_7(workdir, capsys):
     # 1e-8 (1 + ||A^T y||) is inf here: the inf objective and a zero h_hat
-    # were printed as certified.  numpy's overflow warnings, which the
-    # suite turns into errors, still precede the refusal on stderr.
+    # were printed as certified.  No overflow warning precedes the refusal:
+    # the suite turns warnings into errors.
     data = workdir / "huge.txt"
     data.write_text("1 0 1e308\n0 1 1e308\n-1 -1 1e308\n0.3 0.4 1\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run(["reconstruct", "--fan", workdir / "hex.json", "--data", data])
+    rc = run(["reconstruct", "--fan", workdir / "hex.json", "--data", data])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_UNCERTIFIED
     assert_refused(captured, "uncertified result: KKT residual",

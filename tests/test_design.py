@@ -71,6 +71,9 @@ def test_dataset_validation():
         Dataset(np.array([[1.0, 0.0]]), np.array([np.inf]))
     with pytest.raises(ValueError, match="zero direction"):
         Dataset(np.array([[1.0, 0.0], [-0.0, 0.0]]), np.array([1.0, 1.0]))
+    # A direction of width 0 is the zero vector of R^0.
+    with pytest.raises(ValueError, match="zero direction"):
+        Dataset(np.zeros((1, 0)), np.array([1.0]))
 
 
 def test_dataset_refuses_arrays_of_the_wrong_rank():
@@ -91,8 +94,8 @@ def test_dataset_refuses_arrays_of_the_wrong_rank():
 @given(shape=st.tuples(st.integers(1, 30), st.integers(1, 5)),
        seed=st.integers(0, 2**32 - 1))
 def test_dataset_zero_rows_are_those_of_a_row_reduction(shape, seed):
-    """The column passes find a zero row exactly when ``any`` over each
-    row does, -0.0 and subnormal entries included."""
+    """``fan.row_min`` of ``U == 0`` finds a zero row exactly when ``any``
+    over each row does, -0.0 and subnormal entries included."""
     rng = np.random.default_rng(seed)
     values = np.array([0.0, -0.0, 5e-324, -1e-170, 1.0])
     U = values[rng.integers(len(values), size=shape)]

@@ -260,9 +260,8 @@ def test_reconstruct_refuses_data_whose_tolerance_overflows(hexagon, scale):
     # was certified; at 1e150 it is finite and the residual above it.
     U = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.3, 0.4]])
     ds = Dataset(U, np.array([scale, scale, scale, 1.0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(qp.Uncertified):
-            reconstruct(hexagon, ds)
+    with pytest.raises(qp.Uncertified):
+        reconstruct(hexagon, ds)
 
 
 def test_gk_matches_estimator_in_facet_directions(hexagon, roof_y):

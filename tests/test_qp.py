@@ -341,12 +341,22 @@ def test_a_tolerance_that_overflows_certifies_nothing():
     # every residual, even an inf one, was at most it.
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
     problem = ConstrainedLS(A, np.array([1e200, 1e200]), np.zeros((0, 2)))
-    with np.errstate(over="ignore"):
-        with pytest.raises(qp.Uncertified, match="^KKT residual .* above its tolerance, "
-                                                 "which overflowed to inf$") as info:
-            solve_cls(problem)
+    with pytest.raises(qp.Uncertified, match="^KKT residual .* above its tolerance, "
+                                             "which overflowed to inf$") as info:
+        solve_cls(problem)
     sol = info.value.solution
     assert sol.kkt_tolerance == np.inf and not sol.certified
+
+
+def test_an_objective_that_overflows_certifies_nothing():
+    # y's second entry is orthogonal to the range of A: the KKT residual is
+    # 0, within its finite tolerance, but ||A h - y||^2 overflows to inf.
+    problem = ConstrainedLS(np.array([[1.0], [0.0]]), np.array([0.0, 1e200]), np.zeros((0, 1)))
+    with pytest.raises(qp.Uncertified, match="^KKT residual 0 within its tolerance 1e-08, "
+                                             "but the objective overflowed to inf$") as info:
+        solve_cls(problem)
+    sol = info.value.solution
+    assert sol.objective == np.inf and sol.kkt_tolerance < np.inf and not sol.certified
 
 
 def test_rank_and_kernel_shapes():

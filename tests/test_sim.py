@@ -77,7 +77,7 @@ def test_in_ct_ten_degrees(hexagon):
 
 def test_membership_rule_on_blocks_equals_dense_rows(roof_y):
     # Coefficients up to 0.35 / ||v|| at t = 0.3: many rows have every
-    # entry within t, so a target ray outside the cell (-1) must still fail.
+    # entry within t, so a target ray outside the cell must still fail.
     rng = np.random.default_rng(4)
     norms = roof_y.constants.ray_norms
     for cell in roof_y.cells:
@@ -86,12 +86,12 @@ def test_membership_rule_on_blocks_equals_dense_rows(roof_y):
         J = rng.integers(roof_y.n_rays, size=400)
         dense = np.zeros((400, roof_y.n_rays))
         dense[:, list(cell)] = lam
-        column = np.full(roof_y.n_rays, -1)
-        column[list(cell)] = np.arange(3)
         # The rule on dense rows: the sup distance to the unit vector of J.
         expected = np.abs(dense * norms - np.eye(roof_y.n_rays)[J]).max(axis=1) <= 0.3 + 1e-9
-        got = facetfit.sim._in_neighborhoods(lam, norms[list(cell)], column[J], 0.3)
-        assert np.array_equal(got, expected) and 0 < expected.sum() < 400
+        # The cell's generators given once for all rows, and once per row.
+        for gens in (np.array(cell), np.tile(cell, (400, 1))):
+            got = facetfit.sim._in_neighborhoods(lam, gens, J, norms, 0.3)
+            assert np.array_equal(got, expected) and 0 < expected.sum() < 400
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def test_concentrated_sampling_with_positive_t(hexagon, roof_y):
 
 def test_rejection_sampling_starves_without_members(hexagon, monkeypatch):
     monkeypatch.setattr(facetfit.sim, "_in_neighborhoods",
-                        lambda coeffs, ray_norms, J, t: np.zeros(len(J), bool))
+                        lambda coeffs, gens, target, ray_norms, t: np.zeros(len(coeffs), bool))
     with pytest.raises(RuntimeError,
                        match=r"^rejection sampling starved for ray 0 at t=0\.008$"):
         sample_concentrated(hexagon, make_plan(hexagon, 0.008, 0.01, 80, 31))
@@ -298,7 +298,8 @@ def test_rejection_sampling_starves_after_10000_trials(hexagon, monkeypatch, tri
     x = hexagon.rays[0] / norms[0] + 0.5 * plan.t * float(np.min(norms)) * g
     member = facetfit.fan.carriers(hexagon, [x / np.linalg.norm(x)])[1]
     monkeypatch.setattr(facetfit.sim, "_in_neighborhoods",
-                        lambda coeffs, ray_norms, J, t: np.all(coeffs == member, axis=1))
+                        lambda coeffs, gens, target, ray_norms, t:
+                        np.all(coeffs == member, axis=1))
     with pytest.raises(RuntimeError, match=f"starved for ray {starved} at"):
         sample_concentrated(hexagon, plan)
 
@@ -502,7 +503,7 @@ def test_counts_and_normal_matrix_of_the_cell_form_equal_the_dense_rows(request,
     dirs = sample_concentrated(fan, plan)
     design = build_design(fan, dirs)
     A, norms = design.matrix, fan.constants.ray_norms
-    dense = [facetfit.sim._in_neighborhoods(A, norms, np.full(design.m, j), plan.t).sum()
+    dense = [facetfit.sim._in_neighborhoods(A, np.arange(fan.n_rays), j, norms, plan.t).sum()
              for j in range(fan.n_rays)]
     assert audit_concentration(fan, dirs, plan).tolist() == dense
     report = eigen_checks(design, fan, plan)
