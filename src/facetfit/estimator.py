@@ -215,7 +215,10 @@ def gk_estimate(rays, dataset: Dataset) -> np.ndarray:
     ``h_i = max_j <x_j, v_i>``.  With measurements taken in the facet
     directions themselves this reproduces the constrained estimator; for
     other directions it may drift far from it.  The lifted problem is
-    solved cold by ``qp.solve_cls``, whose ``Uncertified`` propagates.
+    solved by ``qp.solve_cls``, whose ``Uncertified`` propagates, from
+    ``x_j = u_j / ||u_j||``: by Cauchy-Schwarz ``<x_j, u_i> <= ||u_i||
+    = <x_i, u_i>``, so the start is in the cone, and strictly inside it
+    unless two directions are positive multiples of each other.
     """
     rays = np.asarray(rays, float)
     U = dataset.directions
@@ -229,7 +232,9 @@ def gk_estimate(rays, dataset: Dataset) -> np.ndarray:
     B = np.zeros((i.size, m, d))
     B[np.arange(i.size), i] = U[i]
     B[np.arange(i.size), j] = -U[i]
+    start = U / np.linalg.norm(U, axis=1)[:, None]
     sol = qp.solve_cls(qp.ConstrainedLS(A=A.reshape(m, m * d), y=y,
-                                        B=B.reshape(i.size, m * d)))
+                                        B=B.reshape(i.size, m * d)),
+                       qp.SolverOptions(warm_start=start.ravel()))
     points = sol.h_star.reshape(m, d)
     return (points @ rays.T).max(axis=0)

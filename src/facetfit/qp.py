@@ -12,7 +12,10 @@ Two engines live here:
     R and ``Q^T y``; the KKT residual, and the certificate that refuses a
     solution above its tolerance (``Uncertified``), are measured on the
     original (A, y, B), through the products ``A h`` and ``A^T r`` of the
-    blocks.
+    blocks.  A cold fit whose first step is blocked by several walls at
+    the apex 0 restarts from a least-distance interior point of the cone,
+    one NNLS (``_nnls``, Lawson & Hanson's active set for
+    ``min ||E y - f||`` over ``y >= 0``).
   - ``solve_lp``: two-phase tableau simplex with Bland's smallest-index
     pivoting for ``min <c, x>  subject to  B x >= 0,  E x = f`` and
     componentwise bounds.  Every tableau operation is a numpy operation
@@ -110,7 +113,9 @@ class SolverOptions:
     """The one tunable of ``solve_cls``: where the iteration starts.
 
     ``warm_start`` must be a finite array of shape (n,); one outside the
-    cone ``B h >= 0`` is set aside for the cold start at 0.
+    cone ``B h >= 0`` is set aside for the cold start, as is no start.  An
+    explicit start at 0 keeps the path from the apex: the cold start's
+    restart from an interior point applies only to a cold fit.
     """
 
     warm_start: np.ndarray | None = None
@@ -321,6 +326,86 @@ def _null_space(rows: np.ndarray, n: int) -> np.ndarray:
     return kernel.T
 
 
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``min ||E y - f||`` over ``y >= 0``, for E of at least one column:
+    Lawson & Hanson's NNLS (*Solving Least Squares Problems*, 1974, ch. 23,
+    algorithm 23.10).
+
+    The passive set P grows by the column of largest dual ``w = E^T (f - E y)``
+    above ``1e-10 max_j ||E_j|| ||f||``; each subproblem is a least-squares
+    solve on ``E[:, P]`` (``_passive_lstsq``), and a step that would leave
+    the orthant is cut back to it, dropping the columns it zeroes.  A column
+    whose subproblem value is not positive, which happens only when it is
+    dependent on P in floating point, is passed over until y next changes.
+    At the end every dual is at most that tolerance.  After
+    ``_ITERATION_CAP_FACTOR * (rows + columns)`` tries to grow P the last
+    iterate is returned as it is, so a caller checks what it needs of the
+    answer directly.
+    """
+    rows, p = E.shape
+    tol = 1e-10 * float(np.max(np.linalg.norm(E, axis=0))) * np.linalg.norm(f)
+    y = np.zeros(p)
+    passive = np.zeros(p, dtype=bool)
+    passed_over = np.zeros(p, dtype=bool)
+    for _ in range(_ITERATION_CAP_FACTOR * (rows + p)):
+        w = E.T @ (f - E @ y)
+        w[passive | passed_over] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            break
+        passive[j] = True
+        s = _passive_lstsq(E, f, passive)
+        if s[j] <= 0.0:
+            passive[j], passed_over[j] = False, True
+            continue
+        passed_over[:] = False
+        while np.any(s[passive] <= 0.0):
+            low = np.flatnonzero(passive & (s <= 0.0))
+            ratios = y[low] / (y[low] - s[low])
+            k = int(np.argmin(ratios))
+            y = y + ratios[k] * (s - y)
+            y[low[k]] = 0.0
+            passive &= y > 0.0
+            y[~passive] = 0.0
+            s = _passive_lstsq(E, f, passive)
+        y = s
+    return y
+
+
+def _passive_lstsq(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """The least-squares solution of ``E y = f`` with y zero off ``passive``,
+    from the normal equations of ``E[:, passive]``, or from its ``lstsq``
+    when their matrix is singular."""
+    s = np.zeros(E.shape[1])
+    EP = E[:, passive]
+    try:
+        s[passive] = np.linalg.solve(EP.T @ EP, EP.T @ f)
+    except np.linalg.LinAlgError:
+        s[passive], *_ = np.linalg.lstsq(EP, f, rcond=None)
+    return s
+
+
+def _interior_point(walls: np.ndarray) -> np.ndarray | None:
+    """A point h with ``walls @ h > 0``, or None; ``walls`` has no zero row.
+
+    The least-distance program ``min ||h||`` subject to ``walls @ h >= 1`` is
+    one NNLS (Lawson & Hanson, ch. 23, algorithm 23.27): with
+    ``E = [walls^T; 1^T]`` and ``f = e_{n+1}``, the residual ``r = E u - f``
+    of ``u = _nnls(E, f)`` gives ``h = -r[:n] / r[n]``.  The point is
+    returned only when ``walls @ h > 0`` holds as computed; otherwise the
+    cone has no interior or the NNLS stopped short, and the answer is None.
+    """
+    p, n = walls.shape
+    E = np.vstack([walls.T, np.ones(p)])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    r = E @ _nnls(E, f) - f
+    if not r[n] < 0.0:
+        return None
+    h = -r[:n] / r[n]
+    return h if np.all(walls @ h > 0.0) else None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSolution:
     """Globally minimize ``||A h - y||^2`` over the cone ``{B h >= 0}``.
@@ -340,7 +425,21 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     working-set null space, and constraints leave the working set by the
     smallest-index rule on negative multipliers.  Degenerate steps of
     length zero are accepted; the smallest-index selection keeps the
-    iteration from cycling on redundant wall systems.
+    iteration from cycling on redundant wall systems.  Zero rows of B never
+    fall, so the iteration runs on the other rows.
+
+    A warm start inside the cone is where the iteration starts.  Without
+    one (none given, or one set aside as outside the cone) it starts cold
+    at 0, the cone's apex, where every wall is active.  When more than one
+    wall blocks the first step there, the apex path can take one step of
+    length zero per wall, so the fit restarts, with an empty working set,
+    from the least-distance point of ``B' h >= 1``, B' the nonzero rows of
+    B (``_interior_point``).  If that point is not found, the cone has no
+    interior or the NNLS stopped short, and the fit goes on from 0.  When a
+    single wall blocks it, the apex path typically ends one step later,
+    which costs less than the NNLS and the restart's own steps; such a fit,
+    like one whose first step is not blocked, keeps the path of an explicit
+    start at 0.  The restart counts as one subproblem.
 
     The returned ``QPSolution`` is measured on the original (A, y, B): its
     objective, its multipliers and its KKT residual, the largest of the
@@ -360,6 +459,11 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     n = A.shape[1]
     p = B.shape[0]
     R, z = A.factor.R, A.factor.reduce(y)
+    # A zero row never falls, so it never blocks a step: the iteration runs
+    # on the other rows, ``walls``, and when B has zero rows ``wall_rows``
+    # maps the working set back to rows of B.
+    nonzero = B.any(axis=1)
+    walls, wall_rows = (B, None) if nonzero.all() else (B[nonzero], np.flatnonzero(nonzero))
 
     kkt_tol = 1e-8 * (1.0 + np.linalg.norm(A.tdot(y)))
     max_iter = _ITERATION_CAP_FACTOR * (n + p)
@@ -367,33 +471,47 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
     def feas_tol(vec):
         return 1e-9 * (1.0 + np.linalg.norm(vec))
 
+    def rows_of_b(working):
+        return working if wall_rows is None else wall_rows[working].tolist()
+
     h = np.zeros(n)
+    cold = True
     if opts.warm_start is not None:
         h0 = np.asarray(opts.warm_start, float)
         if h0.shape != (n,) or not np.all(np.isfinite(h0)):
             raise ValueError(f"warm_start must be a finite array of shape ({n},); "
                              f"got one of shape {h0.shape}")
-        if np.min(B @ h0, initial=np.inf) >= -feas_tol(h0):
-            h = h0.copy()
+        if np.min(walls @ h0, initial=np.inf) >= -feas_tol(h0):
+            h, cold = h0.copy(), False
 
     working: list[int] = []
     iterations = 0
 
     while True:
         if iterations > max_iter:
-            sol = _certify(A, y, B, h, working, iterations, feas_tol(h), kkt_tol)
+            sol = _certify(A, y, B, h, rows_of_b(working), iterations, feas_tol(h), kkt_tol)
             raise IterationLimit(
                 f"active-set iteration cap {max_iter} exhausted", sol)
         iterations += 1
 
         # Minimum-norm step within the working-set null space; 0 when the
         # working set has rank n and Z has no columns.
-        Z = _null_space(B[working], n)
+        Z = _null_space(walls[working], n)
         w, *_ = np.linalg.lstsq(R @ Z, z - R @ h, rcond=None)
         step = Z @ w
 
         if np.linalg.norm(step) > 1e-13 * (1.0 + np.linalg.norm(h)):
-            alpha, blocker = _ratio_test(B @ h, B @ step, working)
+            bh, bstep = walls @ h, walls @ step
+            alpha, blocker = _ratio_test(bh, bstep, working)
+            if (cold and iterations == 1 and alpha == 0.0
+                    and np.count_nonzero(step_limits(bh, bstep[:, None]) == 0.0) > 1):
+                # The first step from the apex is blocked by several walls:
+                # restart from an interior point, or go on from the apex
+                # without one.
+                interior = _interior_point(walls)
+                if interior is not None:
+                    h = interior
+                    continue
             h = h + alpha * step
             if blocker >= 0:
                 working.append(blocker)
@@ -401,13 +519,13 @@ def solve_cls(problem: ConstrainedLS, opts: SolverOptions | None = None) -> QPSo
                 continue
 
         # Subproblem optimum reached: check multipliers for the working set.
-        mu = _multipliers(B, working, R.T @ (R @ h - z))
+        mu = _multipliers(walls, working, R.T @ (R @ h - z))
         neg = [k for k in range(len(working)) if mu[k] < -kkt_tol]
         if not neg:
             break
         del working[neg[0]]
 
-    sol = _certify(A, y, B, h, working, iterations, feas_tol(h), kkt_tol)
+    sol = _certify(A, y, B, h, rows_of_b(working), iterations, feas_tol(h), kkt_tol)
     if not sol.certified:
         tolerance = (f"its tolerance {kkt_tol:.3g}" if kkt_tol < np.inf
                      else "its tolerance, which overflowed to inf")

@@ -13,7 +13,7 @@ from facetfit.estimator import (
 from facetfit.geometry import is_deformation, support_values
 from facetfit.qp import SolverOptions
 
-from conftest import random_members
+from conftest import random_members, time_limit
 from test_design import ROOF_DIRECTIONS
 
 
@@ -273,6 +273,18 @@ def test_gk_matches_estimator_in_facet_directions(hexagon, roof_y):
         assert np.allclose(h_gk, res.h_hat, atol=1e-7)
         fit = support_values(fan, h_gk, fan.rays)
         assert np.allclose(fit, h0, atol=1e-7)
+
+
+def test_gk_starts_inside_the_cone_at_m_80():
+    # The lifted problem has 160 unknowns and 6,320 comparison rows.  From
+    # the apex its fit took about 240 s on a 2-core x86-64 host, from
+    # x_j = u_j / ||u_j|| under 2 s.
+    fan = catalog.regular_polygon_fan(80)
+    y = 1.0 + 0.1 * np.random.default_rng(80).standard_normal(80)
+    ds = Dataset(fan.rays, y)
+    with time_limit(20):
+        h_gk = gk_estimate(fan.rays, ds)
+    assert np.max(np.abs(h_gk - reconstruct(fan, ds).h_hat)) <= 1e-9
 
 
 def test_gk_off_facet_measurements_can_disagree():

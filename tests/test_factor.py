@@ -19,7 +19,7 @@ from facetfit import catalog, qp
 from facetfit.design import (POSITIVITY_TOL, Dataset, build_design, direction_graph,
                              max_matching, uniqueness_report)
 from facetfit.estimator import reconstruct
-from facetfit.qp import ConstrainedLS, IterationLimit, solve_cls
+from facetfit.qp import ConstrainedLS, IterationLimit, SolverOptions, solve_cls
 
 from oracles import (brute_max_matching, full_design_cls, loop_ratio_test,
                      nnls_cone_least_squares)
@@ -100,21 +100,29 @@ def test_qr_path_agrees_with_the_full_design(index, seed, m, sigma, restrict):
     h_ref, obj_ref = full_design_cls(A, y, B)
     assert sol.certified
     assert abs(sol.objective - obj_ref) <= 1e-9 * (1.0 + obj_ref)
-    assert np.max(np.abs(sol.h_star - h_ref)) <= 1e-9 * (1.0 + np.max(np.abs(h_ref)))
+    y_ref = A @ h_ref
+    assert np.max(np.abs(A @ sol.h_star - y_ref)) <= 1e-9 * (1.0 + np.max(np.abs(y_ref)))
 
     rank, kernel = dm.rank_kernel
     rank_a, kernel_a = qp.rank_and_kernel(A)
     assert rank == rank_a == np.linalg.matrix_rank(A)
+    # A cold fit that restarts from an interior point may end at another
+    # point of the minimizer set than the apex path does, unless A has
+    # full column rank and that set is one point.
+    if rank == fan.n_rays:
+        assert np.max(np.abs(sol.h_star - h_ref)) <= 1e-9 * (1.0 + np.max(np.abs(h_ref)))
     assert np.allclose(kernel.T @ kernel, kernel_a.T @ kernel_a, rtol=0, atol=1e-9)
 
 
 def test_active_walls_at_large_m_match_nnls():
+    # From the apex, which an explicit start at 0 keeps: the first step is
+    # blocked there, and the walls join the working set one at a time.
     fan = catalog.random_polytopal_fan(3, 12, seed=7)
     rng = np.random.default_rng(7)
     U = rng.standard_normal((20_000, 3))
     U /= np.linalg.norm(U, axis=1)[:, None]
     y = 1.0 + 0.1 * rng.standard_normal(len(U))
-    res = reconstruct(fan, Dataset(U, y))
+    res = reconstruct(fan, Dataset(U, y), SolverOptions(warm_start=np.zeros(fan.n_rays)))
     sol = res.qp_solution
     A, B = build_design(fan, U).matrix, fan.wall_system.matrix
     h_ref, obj_ref = nnls_cone_least_squares(A, y, B)
@@ -146,15 +154,17 @@ def test_reported_figures_are_measured_on_the_design(monkeypatch):
     fan = catalog.random_polytopal_fan(3, 12, seed=7)
     dm, y = tall_instance(fan, 11, 3000, 0.3, False)
     problem = ConstrainedLS(dm.matrix, y, fan.wall_system.matrix)
-    sol = solve_cls(problem)
+    apex = SolverOptions(warm_start=np.zeros(fan.n_rays))
+    sol = solve_cls(problem, apex)
     assert sol.active_rows and sol.certified
     _measured_on_the_original(problem, sol)
-    # A cap of one subproblem per unknown and wall, n + p = 42, stops the
-    # iteration short of the optimum, with walls in the working set.
+    # From the apex, a cap of one subproblem per unknown and wall,
+    # n + p = 42, stops the iteration short of the optimum, with walls in
+    # the working set.
     assert sol.iterations > 42
     monkeypatch.setattr(qp, "_ITERATION_CAP_FACTOR", 1)
     with pytest.raises(IterationLimit) as info:
-        solve_cls(problem)
+        solve_cls(problem, apex)
     assert info.value.solution.iterations == 43
     assert np.any(info.value.solution.multipliers)
     _measured_on_the_original(problem, info.value.solution)

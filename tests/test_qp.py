@@ -197,9 +197,10 @@ def test_a_zero_wall_row_never_binds(seed):
 
 
 def test_a_working_set_of_rank_n_takes_no_step(monkeypatch):
-    # min ||h + 1||^2 over h >= 0: the walls join the working set one by
-    # one until its null space is {0}, and the last subproblem is a
-    # least-squares problem in no unknowns, on an n x 0 matrix.
+    # min ||h + 1||^2 over h >= 0 from the apex, which an explicit start at
+    # 0 keeps: the walls join the working set one by one until its null
+    # space is {0}, and the last subproblem is a least-squares problem in
+    # no unknowns, on an n x 0 matrix.
     shapes = []
     lstsq = np.linalg.lstsq
 
@@ -208,7 +209,8 @@ def test_a_working_set_of_rank_n_takes_no_step(monkeypatch):
         return lstsq(M, b, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", spy)
-    sol = solve_cls(ConstrainedLS(np.eye(4), -np.ones(4), np.eye(4)))
+    sol = solve_cls(ConstrainedLS(np.eye(4), -np.ones(4), np.eye(4)),
+                    SolverOptions(warm_start=np.zeros(4)))
     assert (4, 0) in shapes
     assert sol.certified and sol.active_rows == (0, 1, 2, 3)
     assert np.all(sol.h_star == 0.0) and np.all(sol.multipliers == 1.0)
